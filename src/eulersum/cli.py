@@ -144,7 +144,7 @@ def _emit(doc: dict, args) -> None:
         print(json.dumps(doc))
 
 
-def _pretty(doc: dict, indent: int = 0) -> None:
+def _pretty(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
@@ -274,16 +274,16 @@ def _verify_checks(args, ctx, cfg):
                 if rel.is_identity:
                     yield (f"relation-identity w={w}#{i}", rel.rhs.is_zero, "exact")
                     continue
-                r = rel.residual(ctx, cfg)
-                yield (f"relation-residual w={w}#{i}", r <= tol, f"{r:.3e}")
+                r, bound = rel.residual_and_bound(ctx, cfg)
+                yield (f"relation-residual w={w}#{i}", r <= bound, f"{r:.3e} (bound {bound:.3e})")
         # sum theorem
         for w in range(max(3, w_lo), min(w_hi, 10) + 1):
             rep = relations.verify_sum_theorem(w, ctx, cfg)
-            ok = rep.numeric_residual <= tol and rep.symbolic_ok is not False
+            ok = rep.numeric_residual <= rep.numeric_bound and rep.symbolic_ok is not False
             yield (
                 f"sigma-sum-theorem w={w}",
                 ok,
-                f"{rep.numeric_residual:.3e} [{rep.path}]",
+                f"{rep.numeric_residual:.3e} (bound {rep.numeric_bound:.3e}) [{rep.path}]",
             )
 
 

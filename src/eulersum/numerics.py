@@ -294,13 +294,6 @@ class BigReal:
         return f"BigReal({self.decimal(min(self.certified_digits(), 30) or 6)} ± {self.err_decimal()})"
 
 
-def breal_sum(values, ctx: PrecisionContext) -> BigReal:
-    acc = BigReal.zero(ctx)
-    for v in values:
-        acc = acc + v
-    return acc
-
-
 # -- constants ----------------------------------------------------------------
 
 _const_cache: dict[tuple, BigReal] = {}

@@ -14,7 +14,15 @@ weights use the enveloping expansion H_m = ln m + gamma + 1/(2m) - 1/(12 m^2)
 as sigma(s,t) = lambda(t) zeta(s) - sum_n r_n / n^s with r_n the lambda tail,
 which converges like n^(1-s-t).
 
-Everything is computed in BigReal, so head rounding is part of the reported
+The cutoff N is chosen from the bounds alone: candidates N = 32, 64, ...
+are tried in turn, and each is judged by the remainder and truncation bounds
+at that N, without evaluating the tail.  The tail value is then built once,
+at the accepted N.  Both work on the tail's power-log terms (A + B ln x) x^-p
+merged by power p: signed sums of A and B for the value, sums of |A| and |B|
+for the bound (which is linear in them, so merging leaves it unchanged).
+The per-power factors are exact rationals, rounded once into BigReal.
+
+Everything is computed in BigReal, so rounding is part of the reported
 bound; the remainder bounds are added on top.  Summation order is fixed
 (ascending n) and term counts are chosen deterministically from the bounds.
 """
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple, Optional
 
@@ -34,6 +43,7 @@ from .numerics import (
     BigReal,
     PrecisionContext,
     DEFAULT_CONTEXT,
+    _pochhammer,
     const_gamma,
     const_log2,
     const_pi,
@@ -88,21 +98,18 @@ class OracleResult(NamedTuple):
 # ---------------------------------------------------------------------------
 # power-log tail machinery: finite sums of (A + B ln n) n^-p
 # ---------------------------------------------------------------------------
+#
+# A term (A, B, p) stands for (A + B ln x) x^-p; A and B are rationals or
+# BigReals, and rationals are kept exact as long as possible.  For such f,
+#
+#     f^(m)(N)      = (-1)^m (p)_m (A + B (ln N - H(p, m))) N^-(p+m),
+#     Int_N^inf f   = ((A + B ln N) / (p-1) + B / (p-1)^2) N^(1-p),
+#
+# with H(p, m) = sum_{i<m} 1/(p+i), so every tail quantity below is
+# A R + B (R ln N + Q) per power, with exact rationals R and Q.
 
 
-class _PL(NamedTuple):
-    A: BigReal
-    B: BigReal
-    p: int
-
-
-def _poch(s: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= s + i
-    return out
-
-
+@lru_cache(maxsize=1024)
 def _hslice(p: int, m: int) -> Fraction:
     return sum((Fraction(1, p + i) for i in range(m)), Fraction(0))
 
@@ -111,71 +118,107 @@ def _br(x, ctx) -> BigReal:
     return x if isinstance(x, BigReal) else BigReal.from_fraction(Fraction(x), ctx)
 
 
-def _pl_deriv(t: _PL, m: int, n: int, lnn: BigReal, ctx) -> BigReal:
-    """m-th derivative of (A + B ln x) x^-p at integer x=n."""
-    core = t.A + t.B * (lnn - _br(_hslice(t.p, m), ctx)) if m else t.A + t.B * lnn
-    val = core * BigReal.inv_int_power(n, t.p + m, ctx) * _poch(t.p, m)
-    return -val if m % 2 else val
+def _merge(terms, absolute: bool = False) -> list[tuple]:
+    """One term per power: A and B summed over the terms sharing p.
+
+    With absolute, |A| and |B| are summed instead; the bounds below are linear
+    in (|A|, |B|) at fixed p, so a merged bound equals the sum of the
+    per-term bounds.
+    """
+    merged: dict = {}
+    for A, B, p in terms:
+        if absolute:
+            A, B = abs(A), abs(B)
+        if p in merged:
+            a, b = merged[p]
+            A, B = a + A, b + B
+        merged[p] = (A, B)
+    return [(A, B, p) for p, (A, B) in merged.items()]
 
 
-def _pl_integral(t: _PL, N: int, lnN: BigReal, ctx) -> BigReal:
-    """Integral over [N, inf) of (A + B ln x) x^-p, p >= 2."""
-    inner = (t.A + t.B * lnN) * Fraction(1, t.p - 1) + t.B * Fraction(1, (t.p - 1) ** 2)
-    return inner * BigReal.inv_int_power(N, t.p - 1, ctx)
+def _pl_combine(A, B, R: Fraction, Q: Fraction, lnN: BigReal, ctx) -> BigReal:
+    """A R + B (R ln N + Q)."""
+    out = _br(A * R, ctx)
+    if B:
+        out = out + B * (lnN * R + _br(Q, ctx))
+    return out
 
 
-def _pl_abs_integral(t: _PL, m: int, N: int, lnN: BigReal, ctx) -> BigReal:
-    """Upper bound for Int_N^inf |d^m/dx^m (A + B ln x) x^-p| dx."""
-    a_abs, b_abs = abs(t.A), abs(t.B)
-    abs_term = _PL(a_abs + b_abs * _br(_hslice(t.p, m), ctx), b_abs, t.p + m)
-    return _pl_integral(abs_term, N, lnN, ctx) * _poch(t.p, m)
-
-
-def _em_tail(terms: list[_PL], N: int, K: int, ctx) -> tuple[BigReal, BigReal]:
-    """(value, remainder bound) for sum over n > N of the power-log terms."""
+def _pl_value(terms, N: int, derivs, integral: bool, ctx) -> BigReal:
+    """[Int_N^inf f] + sum_m c f^(m)(N) over (c, m) in derivs, f the sum of the terms."""
     lnN = BigReal.from_int(N, ctx).ln()
     val = BigReal.zero(ctx)
-    for t in terms:
-        val = val + _pl_integral(t, N, lnN, ctx) - _pl_deriv(t, 0, N, lnN, ctx) * Fraction(1, 2)
-        for k in range(1, K + 1):
-            c = exact.bernoulli(2 * k) * Fraction(1, factorial(2 * k))
-            val = val - c * _pl_deriv(t, 2 * k - 1, N, lnN, ctx)
-    absint = BigReal.zero(ctx)
-    order = 2 * K if K else 1
-    for t in terms:
-        absint = absint + _pl_abs_integral(t, order, N, lnN, ctx)
+    for A, B, p in _merge(terms):
+        R = Q = Fraction(0)
+        if integral:
+            R = Fraction(1, (p - 1) * N ** (p - 1))
+            Q = R / (p - 1)
+        for c, m in derivs:
+            r = c * Fraction((-1) ** m * _pochhammer(p, m), N ** (p + m))
+            R += r
+            Q -= r * _hslice(p, m)
+        val = val + _pl_combine(A, B, R, Q, lnN, ctx)
+    return val
+
+
+def _abs_integral(terms, m: int, N: int, ctx) -> BigReal:
+    """Upper bound for Int_N^inf |d^m/dx^m sum of the terms| dx.
+
+    |f^(m)(x)| <= (p)_m (|A| + |B| H(p, m) + |B| ln x) x^-(p+m) for x >= 1.
+    """
+    lnN = BigReal.from_int(N, ctx).ln()
+    total = BigReal.zero(ctx)
+    for a, b, p in _merge(terms, absolute=True):
+        q = p + m
+        R = Fraction(_pochhammer(p, m), (q - 1) * N ** (q - 1))
+        total = total + _pl_combine(a, b, R, R * (_hslice(p, m) + Fraction(1, q - 1)), lnN, ctx)
+    return total
+
+
+# Each tail comes as a bound, evaluated at every candidate cutoff, and a value,
+# evaluated once at the cutoff the bound accepts.
+
+
+def _em_bound(terms, N: int, K: int, ctx) -> BigReal:
+    """Remainder bound of _em_value(terms, N, K)."""
     if K:
-        pref = (const_pi(ctx) * 2) ** (-2 * K) * 4
-    else:
-        pref = _br(Fraction(1, 2), ctx)
-    return val, abs(absint) * pref
+        return _abs_integral(terms, 2 * K, N, ctx) * ((const_pi(ctx) * 2) ** (-2 * K) * 4)
+    return _abs_integral(terms, 1, N, ctx) * Fraction(1, 2)
 
 
-def _boole_tail(terms: list[_PL], M: int, K: int, ctx) -> tuple[BigReal, BigReal]:
-    """(value, bound) for sum over n >= M of (-1)^(n-M) times the power-log terms."""
-    K = max(K, 1)
-    lnM = BigReal.from_int(M, ctx).ln()
-    val = BigReal.zero(ctx)
-    for k in range(K):
-        if k > 1 and k % 2 == 0:
-            continue  # E_k(0) = 0 for even k >= 2
-        e_k = Fraction(2) * (1 - Fraction(2 ** (k + 1))) * exact.bernoulli(k + 1) / (k + 1) if k else Fraction(1)
-        c = e_k / (2 * factorial(k))
-        for t in terms:
-            val = val + c * _pl_deriv(t, k, M, lnM, ctx)
-    absint = BigReal.zero(ctx)
-    for t in terms:
-        absint = absint + _pl_abs_integral(t, K, M, lnM, ctx)
-    return val, abs(absint) * (const_pi(ctx) ** (-K) * 4)
+def _em_value(terms, N: int, K: int, ctx) -> BigReal:
+    """Sum over n > N of the terms by Euler-Maclaurin of order K:
+    Int_N^inf f - f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)."""
+    derivs = [(Fraction(-1, 2), 0)]
+    derivs += [(-exact.bernoulli(2 * k) / factorial(2 * k), 2 * k - 1) for k in range(1, K + 1)]
+    return _pl_value(terms, N, derivs, True, ctx)
+
+
+def _boole_bound(terms, M: int, K: int, ctx) -> BigReal:
+    """Remainder bound of _boole_value(terms, M, K), K >= 1."""
+    return _abs_integral(terms, K, M, ctx) * (const_pi(ctx) ** (-K) * 4)
+
+
+def _boole_derivs(K: int) -> list[tuple[Fraction, int]]:
+    """[(E_k(0)/(2 k!), k)] for k < K, skipping even k >= 2 where E_k(0) = 0."""
+    derivs = [(Fraction(1, 2), 0)]
+    for k in range(1, K, 2):
+        e_k = Fraction(2) * (1 - Fraction(2 ** (k + 1))) * exact.bernoulli(k + 1) / (k + 1)
+        derivs.append((e_k / (2 * factorial(k)), k))
+    return derivs
+
+
+def _boole_value(terms, M: int, K: int, ctx) -> BigReal:
+    """Sum over n >= M of (-1)^(n-M) times the terms, by Boole summation of order K:
+    sum_{k<K} E_k(0)/(2 k!) f^(k)(M)."""
+    return _pl_value(terms, M, _boole_derivs(K), False, ctx)
 
 
 def _abs_tail(a, b, p: int, N: int, ctx) -> BigReal:
     """Upper bound for sum over n > N of (a + b ln n) n^-p with a, b >= 0."""
     lnN1 = BigReal.from_int(N + 1, ctx).ln()
-    t = _PL(_br(a, ctx), _br(b, ctx), p)
-    integral = _pl_integral(t, N, BigReal.from_int(N, ctx).ln(), ctx)
-    first = (t.A + t.B * lnN1) * BigReal.inv_int_power(N + 1, p, ctx)
-    return abs(integral) + abs(first)
+    first = _pl_combine(a, b, Fraction(1, (N + 1) ** p), Fraction(0), lnN1, ctx)
+    return _abs_integral([(a, b, p)], 0, N, ctx) + first
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +250,7 @@ _WEIGHTS = {
 }
 
 
-def _weight_pl(kind: str, ctx) -> tuple[list[tuple[BigReal, BigReal, int]], Fraction]:
+def _weight_pl(kind: str, ctx) -> tuple[list[tuple[BigReal, Fraction, int]], Fraction]:
     entries, D = _WEIGHTS[kind]
     g, l2 = const_gamma(ctx), const_log2(ctx)
     out = []
@@ -217,7 +260,7 @@ def _weight_pl(kind: str, ctx) -> tuple[list[tuple[BigReal, BigReal, int]], Frac
             A = A + g * Fraction(gm)
         if lm:
             A = A + l2 * Fraction(lm)
-        out.append((A, _br(Fraction(bc), ctx), e))
+        out.append((A, Fraction(bc), e))
     return out, D
 
 
@@ -264,55 +307,59 @@ def _n_candidates(cfg: OracleConfig):
         n *= 2
 
 
+def _select(cfg: OracleConfig, plan, tail_bound) -> tuple[int, list, BigReal]:
+    """(N, tail terms, bound) for the first candidate cutoff whose bound meets tol/2.
+
+    plan(N) gives the tail's power-log terms and the bound of every truncation
+    made to get them, or None when N is too small for them; tail_bound(terms,
+    N) bounds the remainder of the tail formula.  No tail value is computed
+    here, so a rejected cutoff costs only its bound.
+    """
+    tol = cfg.target_tolerance
+    for N in _n_candidates(cfg):
+        step = plan(N)
+        if step is None:
+            continue
+        terms, bounds = step
+        bounds = bounds + tail_bound(terms, N)
+        if _upper_float(bounds) <= tol / 2:
+            return N, terms, bounds
+    raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms")
+
+
 def _eval_weighted(kind: str, kern_c: Optional[int], s: int, cfg: OracleConfig, ctx) -> OracleResult:
     """sum_{n>=1} w_n * base(n)^-s with base = n (kern_c None) or 2n + kern_c."""
     wterms, D = _weight_pl(kind, ctx)
     tol = cfg.target_tolerance
     K = cfg.tail_order
-    chosen = None
-    for N in _n_candidates(cfg):
-        bounds = BigReal.zero(ctx)
+    sum_a = sum((abs(A) for A, _, _ in wterms), BigReal.zero(ctx))
+    sum_b = sum(abs(B) for _, B, _ in wterms)
+
+    def plan(N):
+        b_weight = _abs_tail(D, 0, s + 6, N, ctx)
         if kern_c is None:
-            pl = [_PL(A, B, e + s) for A, B, e in wterms]
-        else:
-            sum_a = sum((abs(A) for A, _, _ in wterms), BigReal.zero(ctx))
-            sum_b = sum((abs(B) for _, B, _ in wterms), BigReal.zero(ctx))
-            I = 4
-            while True:
-                try:
-                    coeffs, rem = _kernel_expansion(s, kern_c, I, N)
-                except ValueError:
-                    coeffs, rem = None, None  # cutoff too small for this order
-                    break
-                b_kernel = _abs_tail(sum_a * rem, sum_b * rem, s + I, N, ctx)
-                if _upper_float(b_kernel) <= tol / 8 or I >= 40:
-                    break
-                I += 4
-            if coeffs is None:
-                continue
-            pl = [
-                _PL(A * ci, B * ci, e + s + i)
-                for A, B, e in wterms
-                for i, ci in enumerate(coeffs)
-                if ci
-            ]
-            bounds = bounds + b_kernel
-        bounds = bounds + _abs_tail(D, 0, s + 6, N, ctx)
-        tail_val, em_bound = _em_tail(pl, N, K, ctx)
-        bounds = bounds + em_bound
-        if _upper_float(bounds) <= tol / 2:
-            chosen = (N, tail_val, bounds)
-            break
-    if chosen is None:
-        raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms")
-    N, tail_val, bounds = chosen
+            return [(A, B, e + s) for A, B, e in wterms], b_weight
+        I = 4
+        while True:
+            try:
+                coeffs, rem = _kernel_expansion(s, kern_c, I, N)
+            except ValueError:
+                return None  # cutoff too small for this order
+            b_kernel = _abs_tail(sum_a * rem, sum_b * rem, s + I, N, ctx)
+            if _upper_float(b_kernel) <= tol / 8 or I >= 40:
+                break
+            I += 4
+        pl = [(A * ci, B * ci, e + s + i) for A, B, e in wterms for i, ci in enumerate(coeffs) if ci]
+        return pl, b_kernel + b_weight
+
+    N, pl, bounds = _select(cfg, plan, lambda terms, N: _em_bound(terms, N, K, ctx))
     acc = BigReal.zero(ctx)
     w = BigReal.zero(ctx)
     for n in range(1, N + 1):
         w = w + _weight_step(kind, n, ctx)
         base = n if kern_c is None else 2 * n + kern_c
         acc = acc + w * BigReal.inv_int_power(base, s, ctx)
-    return _finish(acc + tail_val, bounds, N, cfg)
+    return _finish(acc + _em_value(pl, N, K, ctx), bounds, N, cfg)
 
 
 def _remainder_series_pl(p: int, scale_base: int, J: int) -> tuple[list[tuple[Fraction, int]], Fraction]:
@@ -323,10 +370,10 @@ def _remainder_series_pl(p: int, scale_base: int, J: int) -> tuple[list[tuple[Fr
     """
     terms = [(Fraction(1, scale_base * (p - 1)), p - 1), (Fraction(-1, 2), p)]
     for j in range(1, J + 1):
-        c = exact.bernoulli(2 * j) * Fraction(scale_base ** (2 * j - 1) * _poch(p, 2 * j - 1), factorial(2 * j))
+        c = exact.bernoulli(2 * j) * Fraction(scale_base ** (2 * j - 1) * _pochhammer(p, 2 * j - 1), factorial(2 * j))
         terms.append((c, p + 2 * j - 1))
     # |R| <= 4 (2 pi)^(-2J) * scale^(2J) (p)_2J base^(1-p-2J) / (scale (p+2J-1))
-    rem = Fraction(4 * scale_base ** (2 * J - 1) * _poch(p, 2 * J), p + 2 * J - 1)
+    rem = Fraction(4 * scale_base ** (2 * J - 1) * _pochhammer(p, 2 * J), p + 2 * J - 1)
     return terms, rem
 
 
@@ -355,43 +402,30 @@ def _eval_remainder_split(family: str, s: int, p: int, cfg: OracleConfig, ctx) -
         rterms = [(c * Fraction(1, 2**pw), pw) for c, pw in rterms]
         rrem = rrem * Fraction(1, 2 ** (p + 2 * J - 1))
     pi2j = (const_pi(ctx) * 2) ** (-2 * J)
-    chosen = None
-    for N in _n_candidates(cfg):
+    rem_pow = p + 2 * J - 1 + s  # for sigma: (2n-1)^(1-p-2J) <= n^(1-p-2J)
+
+    def plan(N):
+        if family != "sigma":
+            return [(c, 0, pw + s) for c, pw in rterms], _abs_tail(rrem, 0, rem_pow, N, ctx) * pi2j
+        # powers of (2n-1): expand each into powers of n
         bounds = BigReal.zero(ctx)
-        pl: list[_PL] = []
-        if family == "sigma":
-            # powers of (2n-1): expand each into powers of n
-            expandable = True
-            for c, pw in rterms:
-                I = 4
-                while True:
-                    try:
-                        coeffs, rem = _kernel_expansion(pw, -1, I, N)
-                    except ValueError:
-                        expandable = False  # cutoff too small for this order
-                        break
-                    b_k = _abs_tail(abs(Fraction(c)) * rem, 0, pw + I + s, N, ctx)
-                    if _upper_float(b_k) <= tol / (16 * len(rterms)) or I >= 40:
-                        break
-                    I += 4
-                if not expandable:
+        pl = []
+        for c, pw in rterms:
+            I = 4
+            while True:
+                try:
+                    coeffs, rem = _kernel_expansion(pw, -1, I, N)
+                except ValueError:
+                    return None  # cutoff too small for this order
+                b_k = _abs_tail(abs(c) * rem, 0, pw + I + s, N, ctx)
+                if _upper_float(b_k) <= tol / (16 * len(rterms)) or I >= 40:
                     break
-                bounds = bounds + b_k
-                pl.extend(_PL(_br(c * ci, ctx), _br(0, ctx), pw + i + s) for i, ci in enumerate(coeffs) if ci)
-            if not expandable:
-                continue
-        else:
-            pl = [_PL(_br(c, ctx), _br(0, ctx), pw + s) for c, pw in rterms]
-        rem_pow = p + 2 * J - 1 + s  # for sigma: (2n-1)^(1-p-2J) <= n^(1-p-2J)
-        bounds = bounds + _abs_tail(rrem, 0, rem_pow, N, ctx) * pi2j
-        tail_val, em_bound = _em_tail(pl, N, K, ctx)
-        bounds = bounds + em_bound
-        if _upper_float(bounds) <= tol / 2:
-            chosen = (N, tail_val, bounds)
-            break
-    if chosen is None:
-        raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms")
-    N, tail_val, bounds = chosen
+                I += 4
+            bounds = bounds + b_k
+            pl.extend((c * ci, 0, pw + i + s) for i, ci in enumerate(coeffs) if ci)
+        return pl, bounds + _abs_tail(rrem, 0, rem_pow, N, ctx) * pi2j
+
+    N, pl, bounds = _select(cfg, plan, lambda terms, N: _em_bound(terms, N, K, ctx))
     acc = BigReal.zero(ctx)
     r = r0
     for n in range(1, N + 1):
@@ -402,68 +436,45 @@ def _eval_remainder_split(family: str, s: int, p: int, cfg: OracleConfig, ctx) -
         else:
             r = r - BigReal.inv_int_power(n, p, ctx)
         acc = acc + r * BigReal.inv_int_power(n, s, ctx)
-    return _finish(c0 - (acc + tail_val), bounds, N, cfg)
+    return _finish(c0 - (acc + _em_value(pl, N, K, ctx)), bounds, N, cfg)
 
 
 def _eval_alt_euler_star(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     s = 2 * a
-    tol = cfg.target_tolerance
     KB = max(4, 2 * cfg.tail_order)
     wterms, D = _weight_pl("H", ctx)
-    pl = [_PL(A, B, e + s) for A, B, e in wterms]
-    chosen = None
-    for M in _n_candidates(cfg):
-        tail_val, b_boole = _boole_tail(pl, M + 1, KB, ctx)
-        bounds = b_boole + _abs_tail(D, 0, s + 6, M, ctx)
-        if _upper_float(bounds) <= tol / 2:
-            chosen = (M, tail_val, bounds)
-            break
-    if chosen is None:
-        raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms")
-    M, tail_val, bounds = chosen  # M even: sign at n = M+1 is +1
+    pl = [(A, B, e + s) for A, B, e in wterms]
+    # the tail starts at n = M+1; M is even, so its sign is +1
+    M, _, bounds = _select(cfg, lambda M: (pl, _abs_tail(D, 0, s + 6, M, ctx)),
+                           lambda terms, M: _boole_bound(terms, M + 1, KB, ctx))
     acc = BigReal.zero(ctx)
     h = BigReal.zero(ctx)
     for n in range(1, M + 1):
         h = h + BigReal.inv_int_power(n, 1, ctx)
         term = h * BigReal.inv_int_power(n, s, ctx)
         acc = acc + (term if n % 2 else -term)
-    return _finish(acc + tail_val, bounds, M, cfg)
+    return _finish(acc + _boole_value(pl, M + 1, KB, ctx), bounds, M, cfg)
 
 
 def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     s = 2 * a
-    tol = cfg.target_tolerance
     K = cfg.tail_order
     KB = max(6, 2 * K + 2)
     eta = zeta_num(s, ctx) * (1 - Fraction(2, 2**s))
     lead = -(eta * const_log2(ctx))
-    # tau_n = sum_{j>=n} (-1)^(j-n) j^-s expanded by Boole summation at n
-    coeffs: list[tuple[Fraction, int]] = [(Fraction(1, 2), s)]
-    for k in range(1, KB):
-        if k % 2 == 0:
-            continue
-        e_k = Fraction(2) * (1 - Fraction(2 ** (k + 1))) * exact.bernoulli(k + 1) / (k + 1)
-        coeffs.append((e_k * Fraction((-1) ** k * _poch(s, k), 2 * factorial(k)), s + k))
-    rem_c = Fraction(4 * _poch(s, KB), s + KB - 1)
+    # tau_n = sum_{j>=n} (-1)^(j-n) j^-s expanded by Boole summation at n;
+    # the tail sums tau_n / n
+    pl = [(c * (-1) ** k * _pochhammer(s, k), 0, s + k + 1) for c, k in _boole_derivs(KB)]
+    rem_c = Fraction(4 * _pochhammer(s, KB), s + KB - 1)
     piKB = const_pi(ctx) ** (-KB)
-    pl = None
-    chosen = None
-    for N in _n_candidates(cfg):
-        pl = [_PL(_br(c, ctx), _br(0, ctx), pw + 1) for c, pw in coeffs]
-        tail_val, em_bound = _em_tail(pl, N, K, ctx)
-        bounds = em_bound + _abs_tail(rem_c, 0, s + KB, N, ctx) * piKB
-        if _upper_float(bounds) <= tol / 2:
-            chosen = (N, tail_val, bounds)
-            break
-    if chosen is None:
-        raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms")
-    N, tail_val, bounds = chosen
+    N, _, bounds = _select(cfg, lambda N: (pl, _abs_tail(rem_c, 0, s + KB, N, ctx) * piKB),
+                           lambda terms, N: _em_bound(terms, N, K, ctx))
     acc = BigReal.zero(ctx)
     tau = eta  # tau_1
     for n in range(1, N + 1):
         acc = acc + tau * BigReal.inv_int_power(n, 1, ctx)
         tau = BigReal.inv_int_power(n, s, ctx) - tau
-    return _finish(lead + acc + tail_val, bounds, N, cfg)
+    return _finish(lead + acc + _em_value(pl, N, K, ctx), bounds, N, cfg)
 
 
 def _finish(value: BigReal, math_bounds: BigReal, terms: int, cfg: OracleConfig) -> OracleResult:

@@ -82,12 +82,21 @@ class Relation:
     def residual(self, ctx: PrecisionContext = DEFAULT_CONTEXT,
                  cfg: Optional[OracleConfig] = None) -> float:
         """|sum_i c_i * oracle(sigma_i) - eval(rhs)| with oracle values."""
+        return self.residual_and_bound(ctx, cfg)[0]
+
+    def residual_and_bound(self, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                           cfg: Optional[OracleConfig] = None) -> tuple[float, float]:
+        """(residual, certified error of the combination).
+
+        The error folds in |c_i| times each oracle bound and the error of
+        eval(rhs), so a true relation has residual <= error.
+        """
         cfg = cfg or OracleConfig()
         acc = BigReal.zero(ctx)
         for sid, c in sorted(self.coeffs.items(), key=lambda i: i[0].sort_key()):
             acc = acc + oracle_eval(sid, cfg, ctx).value * c
         acc = acc - eval_sym(self.rhs, ctx)
-        return abs(float(acc))
+        return abs(float(acc)), acc.err_float()
 
 
 def gen_product_relation(k: int, l: int) -> Relation:
@@ -354,6 +363,7 @@ class SumTheoremReport(NamedTuple):
     numeric_residual: float
     symbolic_ok: Optional[bool]
     path: str  # "closed-forms" | "relation-span" | "numeric-only"
+    numeric_bound: float  # certified error of the numeric sum minus (w-1) lambda(w)
 
 
 def _sum_via_rowspace(w: int) -> Optional[SymExpr]:
@@ -424,8 +434,9 @@ def verify_sum_theorem(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     cfg: Optional[OracleConfig] = None,
 ) -> SumTheoremReport:
-    """Check sum_{i=1..w-2} sigma(w-i,i) = (w-1) lambda(w), numerically always,
-    symbolically when the closed forms or the relation row space determine the sum."""
+    """Check sum_{i=1..w-2} sigma(w-i,i) = (w-1) lambda(w), numerically always
+    (the residual holds when it is at most numeric_bound), symbolically when the
+    closed forms or the relation row space determine the sum."""
     if w < 3:
         raise ValueError(f"weight must be >= 3, got {w}")
     cfg = cfg or OracleConfig()
@@ -433,15 +444,16 @@ def verify_sum_theorem(
     acc = BigReal.zero(ctx)
     for i in range(1, w - 1):
         acc = acc + oracle_eval(SumId.sigma(w - i, i), cfg, ctx).value
-    numeric_residual = abs(float(acc - eval_sym(target, ctx)))
+    diff = acc - eval_sym(target, ctx)
+    residual, bound = abs(float(diff)), diff.err_float()
 
     values = [tabulated_sigma_values(SumId.sigma(w - i, i)) for i in range(1, w - 1)]
     if all(v is not None for v in values):
         total = SymExpr.zero()
         for v in values:
             total = total + v
-        return SumTheoremReport(w, numeric_residual, total == target, "closed-forms")
+        return SumTheoremReport(w, residual, total == target, "closed-forms", bound)
     span_sum = _sum_via_rowspace(w)
     if span_sum is not None:
-        return SumTheoremReport(w, numeric_residual, span_sum == target, "relation-span")
-    return SumTheoremReport(w, numeric_residual, None, "numeric-only")
+        return SumTheoremReport(w, residual, span_sum == target, "relation-span", bound)
+    return SumTheoremReport(w, residual, None, "numeric-only", bound)

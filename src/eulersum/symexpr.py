@@ -29,9 +29,6 @@ __all__ = [
     "zeta_sym",
     "lambda_sym",
     "eta_sym",
-    "add",
-    "mul",
-    "scale",
     "homogeneous_weight",
 ]
 
@@ -280,21 +277,6 @@ def eta_sym(s: int) -> SymExpr:
     if s < 2:
         raise ValueError(f"eta_sym needs s >= 2, got {s}")
     return zeta_sym(s).scaled(1 - Fraction(2, 2**s))
-
-
-# -- module-level functional aliases -----------------------------------------
-
-
-def add(a: SymExpr, b: SymExpr) -> SymExpr:
-    return a + b
-
-
-def mul(a: SymExpr, b: SymExpr) -> SymExpr:
-    return a * b
-
-
-def scale(c: Rat, a: SymExpr) -> SymExpr:
-    return a.scaled(c)
 
 
 def homogeneous_weight(a: SymExpr) -> Optional[int]:

@@ -92,6 +92,29 @@ def test_frozen_reference_values(ctx):
         assert got == digits, (sid, got)
 
 
+# head lengths of the benchmark's oracle ladder at (192 bits, 1e-20); the
+# cutoff search must keep choosing the same N
+PINNED_TERMS = {
+    SumId.J(2): 256,
+    SumId.J(4): 128,
+    SumId.Jbar(3): 128,
+    SumId.h(3): 256,
+    SumId.sigma(2, 3): 128,
+    SumId.zeta_star(3, 2): 128,
+    SumId.E(2, 3): 128,
+    SumId.alt_euler_star(1): 512,
+    SumId.alt_tilde_h(1): 128,
+}
+
+
+@pytest.mark.parametrize("sid", PINNED_TERMS, ids=str)
+def test_terms_used_pinned(sid, ctx):
+    cfg = OracleConfig(target_tolerance=1e-20)
+    res = oracle_eval(sid, cfg, ctx)
+    assert res.terms_used == PINNED_TERMS[sid]
+    assert res.achieved_bound <= cfg.target_tolerance
+
+
 def test_tolerance_monotonicity(ctx):
     loose = oracle_eval(SumId.sigma(2, 2), OracleConfig(1e-9), ctx)
     tight = oracle_eval(SumId.sigma(2, 2), OracleConfig(1e-18), ctx)

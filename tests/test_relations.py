@@ -4,6 +4,8 @@ import pytest
 
 from eulersum import closedform as cf
 from eulersum import (
+    OracleConfig,
+    PrecisionContext,
     Relation,
     eval_sym,
     even_order_relation,
@@ -157,6 +159,34 @@ def test_residual_within_combined_oracle_bounds(ctx, cfg):
             acc = acc + res.value * c
         acc = acc - eval_sym(rel.rhs, ctx)
         assert abs(float(acc)) <= acc.err_float(), rel
+
+
+TIGHT_CTX = PrecisionContext(working_bits=256)
+TIGHT_CFG = OracleConfig(target_tolerance=1e-25)
+
+
+@pytest.mark.parametrize("i", [5, 6, 7])
+def test_weight10_residual_within_certified_error(i):
+    # these residuals exceed 1e-25 although every sum in them is certified to
+    # 1e-25: the relation's coefficients scale the oracle errors
+    rel = relations_for_weight(10)[i]
+    residual, bound = rel.residual_and_bound(TIGHT_CTX, TIGHT_CFG)
+    assert residual <= bound, (i, residual, bound)
+    assert residual == rel.residual(TIGHT_CTX, TIGHT_CFG)
+
+
+def test_shifted_relation_exceeds_certified_error():
+    rel = relations_for_weight(10)[5]
+    _, bound = rel.residual_and_bound(TIGHT_CTX, TIGHT_CFG)
+    shifted = Relation(rel.coeffs, rel.rhs + SymExpr.rational(F(10 * bound)))
+    residual, shifted_bound = shifted.residual_and_bound(TIGHT_CTX, TIGHT_CFG)
+    assert residual > shifted_bound, (residual, shifted_bound)
+
+
+def test_sum_theorem_within_certified_error():
+    rep = verify_sum_theorem(10, TIGHT_CTX, TIGHT_CFG)
+    assert 0 < rep.numeric_bound < 1e-22
+    assert rep.numeric_residual <= rep.numeric_bound
 
 
 def test_solve_weight_7_exact(ctx, cfg):
