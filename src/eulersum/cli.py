@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import closedform, relations
@@ -34,7 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The parser, built on first use; parse_args leaves it unchanged, so every run shares it."""
     p = _Parser(prog="eulersum", description="Jordan and sigma-Euler sum calculator")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -7,16 +7,25 @@ every operation is a pure function of (inputs, ctx).  Error propagation is
 worst-case ulp counting: cheap, crude, and always valid, which is what
 identity verification needs.
 
+Long sums of many small terms (the oracle's heads, and the heads of zeta_num
+and li4_half_num) run in FixedPoint instead: Python integers scaled by 2^prec,
+prec = working_bits + ceil(log2 N) + guard bits, with every rounding a floor
+whose error bound is counted exactly, in units of 2^-prec, beside the value.
+The sum comes back as one BigReal whose error is that count plus the final
+rounding to working_bits.
+
 The constants pi, log 2 and gamma come from mpmath's proven algorithms
 (evaluated with 16 extra bits and assigned a 4-ulp bound); zeta values are
 computed here by Euler-Maclaurin summation with an explicit remainder bound,
 and li4(1/2) by its geometrically convergent defining series.  gamma is used
 only by oracle tail estimates; it is deliberately not a symbolic atom.
+Computed constants are kept in a bounded least-recently-used cache.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from fractions import Fraction
 from math import factorial, log2 as _flog2
 from typing import Optional, Union
@@ -35,6 +44,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_sub,
+    to_fixed,
     to_str,
 )
 
@@ -45,6 +55,7 @@ __all__ = [
     "PrecisionContext",
     "PrecisionExhausted",
     "BigReal",
+    "FixedPoint",
     "const_pi",
     "const_log2",
     "const_gamma",
@@ -294,20 +305,84 @@ class BigReal:
         return f"BigReal({self.decimal(min(self.certified_digits(), 30) or 6)} ± {self.err_decimal()})"
 
 
+# -- fixed-point sums ---------------------------------------------------------
+
+_FIX_GUARD = 8  # bits above working_bits + ceil(log2 N), so N roundings stay below 2^-working_bits
+
+
+class FixedPoint:
+    """Integer arithmetic at scale 2^prec for a sum of n_terms terms.
+
+    A value is a pair (x, e) of ints: x stands for x * 2^-prec and e bounds its
+    absolute error in units of 2^-prec.  Every rounding is a floor, which moves
+    a value by less than one unit, and each operation returns the error bound
+    of its result, so a loop keeps an exact count of all the rounding it did.
+    to_big turns the final pair into one BigReal.
+    """
+
+    __slots__ = ("ctx", "prec", "one")
+
+    def __init__(self, ctx: PrecisionContext, n_terms: int):
+        self.ctx = ctx
+        self.prec = ctx.working_bits + (n_terms - 1).bit_length() + _FIX_GUARD
+        self.one = 1 << self.prec
+
+    def recip(self, base: int, p: int = 1) -> int:
+        """base**(-p) for integer base >= 1, p >= 0, floored; its error is below 1 unit."""
+        return self.one // base**p
+
+    def mul(self, x: int, ex: int, y: int, ey: int) -> tuple[int, int]:
+        """Floored product of (x, ex) and (y, ey), with its error bound.
+
+        The inputs contribute at most |x| ey + |y| ex + ex ey and the floor
+        less than one unit; the shift of that sum floors, hence the + 2.
+        """
+        prec = self.prec
+        return (x * y) >> prec, (((abs(x) + ex) * ey + abs(y) * ex) >> prec) + 2
+
+    def from_big(self, v: BigReal) -> tuple[int, int]:
+        """v as a pair; its error gains one unit for each of the two floors."""
+        return to_fixed(v._v, self.prec), to_fixed(v._e, self.prec) + 2
+
+    def to_big(self, x: int, ex: int) -> BigReal:
+        """The pair (x, ex) rounded to working_bits, that rounding added to ex."""
+        wb = self.ctx.working_bits
+        v = from_man_exp(x, -self.prec, wb, "n")
+        return BigReal(self.ctx, v, _eadd(from_man_exp(ex, -self.prec), _ulp(v, wb)))
+
+
 # -- constants ----------------------------------------------------------------
 
-_const_cache: dict[tuple, BigReal] = {}
-_const_lock = threading.Lock()
+
+class LRUCache:
+    """Thread-safe map from key to built value that keeps the `size` most recently used."""
+
+    def __init__(self, size: int):
+        self._size = size
+        self._data: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build):
+        """The value cached under key, or build() cached under key.
+
+        build runs outside the lock; when two threads build the same key, both
+        return the value stored first.
+        """
+        with self._lock:
+            if key in self._data:
+                self._data.move_to_end(key)
+                return self._data[key]
+        val = build()
+        with self._lock:
+            val = self._data.setdefault(key, val)
+            self._data.move_to_end(key)
+            if len(self._data) > self._size:
+                self._data.popitem(last=False)
+            return val
 
 
-def _cached(key, build):
-    with _const_lock:
-        hit = _const_cache.get(key)
-        if hit is not None:
-            return hit
-    val = build()
-    with _const_lock:
-        return _const_cache.setdefault(key, val)
+# keys are (name, working_bits) and ("zeta", s, working_bits): a few dozen per precision
+_const_cache = LRUCache(256)
 
 
 def _lib_const(name: str, fn, ctx: PrecisionContext) -> BigReal:
@@ -317,7 +392,7 @@ def _lib_const(name: str, fn, ctx: PrecisionContext) -> BigReal:
         v = libmp.mpf_pos(v, wb, "n")
         return BigReal(ctx, v, _eadd(_ulp(v, wb), _ulp(v, wb + 14)))
 
-    br = _cached((name, ctx.working_bits), build)
+    br = _const_cache.get((name, ctx.working_bits), build)
     return BigReal(ctx, br._v, br._e)
 
 
@@ -360,9 +435,8 @@ def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
         while (2 - 2 * K * _flog2(6.283185307) + log2_poch
                + (1 - s - 2 * K) * _flog2(N) - _flog2(s + 2 * K - 1)) > target_log2:
             N *= 2
-        head = BigReal.zero(ctx)
-        for n in range(1, N + 1):
-            head = head + BigReal.inv_int_power(n, s, ctx)
+        fx = FixedPoint(ctx, N)
+        head = fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)), N)
         # tail over n > N: integral - f(N)/2 - sum B_2k/(2k)! f^(2k-1)(N) + R
         tail = BigReal.inv_int_power(N, s - 1, ctx) / (s - 1)
         tail = tail - BigReal.inv_int_power(N, s, ctx) / 2
@@ -376,7 +450,7 @@ def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
         )
         return (head + tail).widened(rem_t)
 
-    br = _cached(("zeta", s, ctx.working_bits), build)
+    br = _const_cache.get(("zeta", s, ctx.working_bits), build)
     return BigReal(ctx, br._v, br._e)
 
 
@@ -385,13 +459,11 @@ def li4_half_num(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
 
     def build():
         M = ctx.working_bits + 8
-        acc = BigReal.zero(ctx)
-        for n in range(1, M + 1):
-            v = from_rational(1, (1 << n) * n**4, ctx.working_bits, "n")
-            acc = acc + BigReal(ctx, v, _ulp(v, ctx.working_bits))
-        return acc.widened(from_man_exp(1, -M))
+        fx = FixedPoint(ctx, M)
+        acc = sum(fx.recip(n**4 << n) for n in range(1, M + 1))
+        return fx.to_big(acc, M).widened(from_man_exp(1, -M))
 
-    br = _cached(("li4half", ctx.working_bits), build)
+    br = _const_cache.get(("li4half", ctx.working_bits), build)
     return BigReal(ctx, br._v, br._e)
 
 

@@ -22,17 +22,20 @@ merged by power p: signed sums of A and B for the value, sums of |A| and |B|
 for the bound (which is linear in them, so merging leaves it unchanged).
 The per-power factors are exact rationals, rounded once into BigReal.
 
-Everything is computed in BigReal, so rounding is part of the reported
-bound; the remainder bounds are added on top.  Summation order is fixed
-(ascending n) and term counts are chosen deterministically from the bounds.
+The head is summed in numerics.FixedPoint: integers scaled by 2^prec, with
+prec = working_bits + ceil(log2 N) + guard bits, where every rounding is a
+floor whose error is counted exactly beside the value.  That count is the
+head's a-priori rounding bound; it comes back with the head as one BigReal,
+and the tail and the remainder bounds are computed in BigReal, so all
+rounding is part of the reported bound.  Summation order is fixed (ascending
+n) and term counts are chosen deterministically from the bounds.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, exp, factorial, log, log1p
 from typing import NamedTuple, Optional
 
 from mpmath.libmp import fzero, mpf_add, to_float
@@ -41,6 +44,8 @@ from . import exact
 from .numerics import (
     _EPREC,
     BigReal,
+    FixedPoint,
+    LRUCache,
     PrecisionContext,
     DEFAULT_CONTEXT,
     _pochhammer,
@@ -264,17 +269,18 @@ def _weight_pl(kind: str, ctx) -> tuple[list[tuple[BigReal, Fraction, int]], Fra
     return out, D
 
 
-def _weight_step(kind: str, n: int, ctx) -> BigReal:
+def _weight_step(kind: str, n: int, fx: FixedPoint) -> tuple[int, int]:
+    """w_n - w_(n-1) in fixed point, with its error bound."""
     if kind == "H":
-        return BigReal.inv_int_power(n, 1, ctx)
+        return fx.recip(n), 1
     if kind == "S":
-        return BigReal.inv_int_power(2 * n - 1, 1, ctx)
+        return fx.recip(2 * n - 1), 1
     if kind == "H2N":
-        return BigReal.inv_int_power(2 * n - 1, 1, ctx) + BigReal.inv_int_power(2 * n, 1, ctx)
+        return fx.recip(2 * n - 1) + fx.recip(2 * n), 2
     # H2N1: H_(2n-1) gains 1/(2n-2) + 1/(2n-1) after the first step
     if n == 1:
-        return BigReal.from_int(1, ctx)
-    return BigReal.inv_int_power(2 * n - 2, 1, ctx) + BigReal.inv_int_power(2 * n - 1, 1, ctx)
+        return fx.one, 0
+    return fx.recip(2 * n - 2) + fx.recip(2 * n - 1), 2
 
 
 def _kernel_expansion(s: int, c: int, I: int, N: int) -> tuple[list[Fraction], Fraction]:
@@ -285,6 +291,37 @@ def _kernel_expansion(s: int, c: int, I: int, N: int) -> tuple[list[Fraction], F
         raise ValueError("kernel expansion needs a larger cutoff")
     rem = Fraction(comb(s + I - 1, I), 2 ** (s + I)) / (1 - q)
     return coeffs, rem
+
+
+def _log_abs_tail(a: float, b: float, p: int, N: int) -> float:
+    """Natural log of _abs_tail(a, b, p, N) in floats, for a > 0 and b >= 0."""
+    lnN, lnN1 = log(N), log(N + 1)
+    t1 = log(a + b * (lnN + 1 / (p - 1))) - log(p - 1) - (p - 1) * lnN
+    t2 = log(a + b * lnN1) - p * lnN1
+    return max(t1, t2) + log1p(exp(-abs(t1 - t2)))
+
+
+def _kernel_order(k: int, c: int, N: int, a, b, shift: int, limit: float, ctx):
+    """Expansion of (2n+c)^-k to the lowest order I in 4, 8, ..., 40 whose truncation
+    bound _abs_tail(a rem, b rem, k + I + shift, N) is at most limit, or to order 40.
+
+    Returns (coeffs, bound), or None when N is too small for an order tried.
+    An order whose float estimate of the bound exceeds limit by far more than
+    float rounding is passed over; the certified bound decides for the others,
+    so the order chosen and the bound returned never rest on the float.
+    """
+    fa, fb = float(a), float(b)
+    log_limit = log(limit) + 1e-9
+    for I in range(4, 41, 4):
+        try:
+            coeffs, rem = _kernel_expansion(k, c, I, N)
+        except ValueError:
+            return None
+        if I < 40 and _log_abs_tail(fa * float(rem), fb * float(rem), k + I + shift, N) > log_limit:
+            continue
+        bound = _abs_tail(a * rem, b * rem, k + I + shift, N, ctx)
+        if _upper_float(bound) <= limit or I == 40:
+            return coeffs, bound
 
 
 def _upper_float(x: BigReal) -> float:
@@ -327,10 +364,23 @@ def _select(cfg: OracleConfig, plan, tail_bound) -> tuple[int, list, BigReal]:
     raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms")
 
 
+def _weighted_head(kind: str, kern_c: Optional[int], s: int, N: int, ctx) -> BigReal:
+    """sum_{n<=N} w_n * base(n)^-s with base = n (kern_c None) or 2n + kern_c."""
+    fx = FixedPoint(ctx, N)
+    acc = err = w = we = 0
+    for n in range(1, N + 1):
+        dw, de = _weight_step(kind, n, fx)
+        w += dw
+        we += de
+        t, te = fx.mul(w, we, fx.recip(n if kern_c is None else 2 * n + kern_c, s), 1)
+        acc += t
+        err += te
+    return fx.to_big(acc, err)
+
+
 def _eval_weighted(kind: str, kern_c: Optional[int], s: int, cfg: OracleConfig, ctx) -> OracleResult:
     """sum_{n>=1} w_n * base(n)^-s with base = n (kern_c None) or 2n + kern_c."""
     wterms, D = _weight_pl(kind, ctx)
-    tol = cfg.target_tolerance
     K = cfg.tail_order
     sum_a = sum((abs(A) for A, _, _ in wterms), BigReal.zero(ctx))
     sum_b = sum(abs(B) for _, B, _ in wterms)
@@ -339,27 +389,15 @@ def _eval_weighted(kind: str, kern_c: Optional[int], s: int, cfg: OracleConfig, 
         b_weight = _abs_tail(D, 0, s + 6, N, ctx)
         if kern_c is None:
             return [(A, B, e + s) for A, B, e in wterms], b_weight
-        I = 4
-        while True:
-            try:
-                coeffs, rem = _kernel_expansion(s, kern_c, I, N)
-            except ValueError:
-                return None  # cutoff too small for this order
-            b_kernel = _abs_tail(sum_a * rem, sum_b * rem, s + I, N, ctx)
-            if _upper_float(b_kernel) <= tol / 8 or I >= 40:
-                break
-            I += 4
+        kernel = _kernel_order(s, kern_c, N, sum_a, sum_b, 0, cfg.target_tolerance / 8, ctx)
+        if kernel is None:
+            return None
+        coeffs, b_kernel = kernel
         pl = [(A * ci, B * ci, e + s + i) for A, B, e in wterms for i, ci in enumerate(coeffs) if ci]
         return pl, b_kernel + b_weight
 
     N, pl, bounds = _select(cfg, plan, lambda terms, N: _em_bound(terms, N, K, ctx))
-    acc = BigReal.zero(ctx)
-    w = BigReal.zero(ctx)
-    for n in range(1, N + 1):
-        w = w + _weight_step(kind, n, ctx)
-        base = n if kern_c is None else 2 * n + kern_c
-        acc = acc + w * BigReal.inv_int_power(base, s, ctx)
-    return _finish(acc + _em_value(pl, N, K, ctx), bounds, N, cfg)
+    return _finish(_weighted_head(kind, kern_c, s, N, ctx) + _em_value(pl, N, K, ctx), bounds, N, cfg)
 
 
 def _remainder_series_pl(p: int, scale_base: int, J: int) -> tuple[list[tuple[Fraction, int]], Fraction]:
@@ -383,7 +421,6 @@ def _eval_remainder_split(family: str, s: int, p: int, cfg: OracleConfig, ctx) -
     family selects the inner tail: "sigma" r_n = sum_{k>n} (2k-1)^-p,
     "zetastar" r_n = sum_{k>n} k^-p, "E" r_n = sum_{k>2n} k^-p.
     """
-    tol = cfg.target_tolerance
     K = cfg.tail_order
     J = max(3, K)
     zs = zeta_num(s, ctx)
@@ -411,32 +448,45 @@ def _eval_remainder_split(family: str, s: int, p: int, cfg: OracleConfig, ctx) -
         bounds = BigReal.zero(ctx)
         pl = []
         for c, pw in rterms:
-            I = 4
-            while True:
-                try:
-                    coeffs, rem = _kernel_expansion(pw, -1, I, N)
-                except ValueError:
-                    return None  # cutoff too small for this order
-                b_k = _abs_tail(abs(c) * rem, 0, pw + I + s, N, ctx)
-                if _upper_float(b_k) <= tol / (16 * len(rterms)) or I >= 40:
-                    break
-                I += 4
+            kernel = _kernel_order(pw, -1, N, abs(c), 0, s, cfg.target_tolerance / (16 * len(rterms)), ctx)
+            if kernel is None:
+                return None
+            coeffs, b_k = kernel
             bounds = bounds + b_k
             pl.extend((c * ci, 0, pw + i + s) for i, ci in enumerate(coeffs) if ci)
         return pl, bounds + _abs_tail(rrem, 0, rem_pow, N, ctx) * pi2j
 
     N, pl, bounds = _select(cfg, plan, lambda terms, N: _em_bound(terms, N, K, ctx))
-    acc = BigReal.zero(ctx)
-    r = r0
+    # c0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
+    fx = FixedPoint(ctx, N)
+    acc, err = fx.from_big(c0)
+    r, re = fx.from_big(r0)
     for n in range(1, N + 1):
         if family == "sigma":
-            r = r - BigReal.inv_int_power(2 * n - 1, p, ctx)
+            r -= fx.recip(2 * n - 1, p)
+            re += 1
         elif family == "E":
-            r = r - BigReal.inv_int_power(2 * n - 1, p, ctx) - BigReal.inv_int_power(2 * n, p, ctx)
+            r -= fx.recip(2 * n - 1, p) + fx.recip(2 * n, p)
+            re += 2
         else:
-            r = r - BigReal.inv_int_power(n, p, ctx)
-        acc = acc + r * BigReal.inv_int_power(n, s, ctx)
-    return _finish(c0 - (acc + _em_value(pl, N, K, ctx)), bounds, N, cfg)
+            r -= fx.recip(n, p)
+            re += 1
+        t, te = fx.mul(r, re, fx.recip(n, s), 1)
+        acc -= t
+        err += te
+    return _finish(fx.to_big(acc, err) - _em_value(pl, N, K, ctx), bounds, N, cfg)
+
+
+def _alt_euler_star_head(s: int, M: int, ctx) -> BigReal:
+    """sum_{n<=M} (-1)^(n-1) H_n n^-s."""
+    fx = FixedPoint(ctx, M)
+    acc = err = h = 0
+    for n in range(1, M + 1):
+        h += fx.recip(n)  # h carries n units of error
+        t, te = fx.mul(h, n, fx.recip(n, s), 1)
+        acc += t if n % 2 else -t
+        err += te
+    return fx.to_big(acc, err)
 
 
 def _eval_alt_euler_star(a: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -447,13 +497,7 @@ def _eval_alt_euler_star(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     # the tail starts at n = M+1; M is even, so its sign is +1
     M, _, bounds = _select(cfg, lambda M: (pl, _abs_tail(D, 0, s + 6, M, ctx)),
                            lambda terms, M: _boole_bound(terms, M + 1, KB, ctx))
-    acc = BigReal.zero(ctx)
-    h = BigReal.zero(ctx)
-    for n in range(1, M + 1):
-        h = h + BigReal.inv_int_power(n, 1, ctx)
-        term = h * BigReal.inv_int_power(n, s, ctx)
-        acc = acc + (term if n % 2 else -term)
-    return _finish(acc + _boole_value(pl, M + 1, KB, ctx), bounds, M, cfg)
+    return _finish(_alt_euler_star_head(s, M, ctx) + _boole_value(pl, M + 1, KB, ctx), bounds, M, cfg)
 
 
 def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -469,12 +513,16 @@ def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     piKB = const_pi(ctx) ** (-KB)
     N, _, bounds = _select(cfg, lambda N: (pl, _abs_tail(rem_c, 0, s + KB, N, ctx) * piKB),
                            lambda terms, N: _em_bound(terms, N, K, ctx))
-    acc = BigReal.zero(ctx)
-    tau = eta  # tau_1
+    fx = FixedPoint(ctx, N)
+    acc = err = 0
+    tau, tau_e = fx.from_big(eta)  # tau_1
     for n in range(1, N + 1):
-        acc = acc + tau * BigReal.inv_int_power(n, 1, ctx)
-        tau = BigReal.inv_int_power(n, s, ctx) - tau
-    return _finish(lead + acc + _em_value(pl, N, K, ctx), bounds, N, cfg)
+        t, te = fx.mul(tau, tau_e, fx.recip(n), 1)
+        acc += t
+        err += te
+        tau = fx.recip(n, s) - tau
+        tau_e += 1
+    return _finish(lead + fx.to_big(acc, err) + _em_value(pl, N, K, ctx), bounds, N, cfg)
 
 
 def _finish(value: BigReal, math_bounds: BigReal, terms: int, cfg: OracleConfig) -> OracleResult:
@@ -493,8 +541,8 @@ def _finish(value: BigReal, math_bounds: BigReal, terms: int, cfg: OracleConfig)
 # public entry points
 # ---------------------------------------------------------------------------
 
-_cache: dict = {}
-_cache_lock = threading.Lock()
+# far above the distinct (sum, tolerance, precision) keys of one verify or solve run
+_cache = LRUCache(1024)
 
 
 def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
@@ -513,12 +561,7 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
         )
     key = (sid, cfg.target_tolerance, cfg.max_terms, cfg.tail_order,
            ctx.working_bits, ctx.guard_bits)
-    with _cache_lock:
-        if key in _cache:
-            return _cache[key]
-    res = _dispatch(sid, cfg, ctx)
-    with _cache_lock:
-        return _cache.setdefault(key, res)
+    return _cache.get(key, lambda: _dispatch(sid, cfg, ctx))
 
 
 def _dispatch(sid: SumId, cfg: OracleConfig, ctx) -> OracleResult:

@@ -212,9 +212,6 @@ def test_alt_tilde_vs_plain_bracketing(a, ctx, cfg):
     talt = np.where(k % 2 == 1, 1.0, -1.0) * k ** (-2.0 * a)
     ht = np.concatenate([[0.0], np.cumsum(talt)[:-1]])  # Ht_(n-1)
     partial = float(np.sum(np.where(k % 2 == 0, 1.0, -1.0) * ht / k))
-    eta = float((1 - F(2, 2 ** (2 * a))) * 0) + float(
-        (1 - 2.0 ** (1 - 2 * a))
-    ) * float(sum(1.0 / m ** (2 * a) for m in range(1, 200)))
     # |sum_{m>n}| <= eta/n + 1/(2 n^{2a}) style bound; keep it generous
     bracket = 2.0 / n
     val = float(oracle_eval(SumId.alt_tilde_h(a), cfg, ctx).value)
