@@ -14,13 +14,21 @@ weights use the enveloping expansion H_m = ln m + gamma + 1/(2m) - 1/(12 m^2)
 as sigma(s,t) = lambda(t) zeta(s) - sum_n r_n / n^s with r_n the lambda tail,
 which converges like n^(1-s-t).
 
-The cutoff N is chosen from the bounds alone: candidates N = 32, 64, ...
-are tried in turn, and each is judged by the remainder and truncation bounds
-at that N, without evaluating the tail.  The tail value is then built once,
-at the accepted N.  Both work on the tail's power-log terms (A + B ln x) x^-p
-merged by power p: signed sums of A and B for the value, sums of |A| and |B|
-for the bound (which is linear in them, so merging leaves it unchanged).
-The per-power factors are exact rationals, rounded once into BigReal.
+The cutoff N is chosen from the bounds alone, without evaluating the tail.
+Each evaluator describes its tail once, as data (_Plan): the power-log terms,
+the kernels that expand them, and every bound component as power-log specs
+with a scale factor.  That description is evaluated two ways.  Candidates
+N = 32, 64, ... are screened with float estimates in log space, which are
+lower estimates of the certified bound up to float rounding; a candidate
+whose estimate misses tol/2 by more than that is passed over.  The first
+candidate the screen lets through is certified in BigReal, and only if that
+bound misses tol/2 does the search go on.  So N and the bound are those a
+certified bound at every candidate would give, and no float enters them.
+The tail value is then built once, at the accepted N.  Value and bound work
+on the tail's power-log terms (A + B ln x) x^-p merged by power p: signed
+sums of A and B for the value, sums of |A| and |B| for the bound (which is
+linear in them, so merging leaves it unchanged).  The per-power factors are
+exact rationals, rounded once into BigReal.
 
 The head is summed in numerics.FixedPoint: integers scaled by 2^prec, with
 prec = working_bits + ceil(log2 N) + guard bits, where every rounding is a
@@ -35,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, factorial, log, log1p
+from math import comb, exp, factorial, inf, log, log1p
 from typing import NamedTuple, Optional
 
 from mpmath.libmp import fzero, mpf_add, to_float
@@ -180,15 +188,22 @@ def _abs_integral(terms, m: int, N: int, ctx) -> BigReal:
     return total
 
 
-# Each tail comes as a bound, evaluated at every candidate cutoff, and a value,
-# evaluated once at the cutoff the bound accepts.
+# Each tail comes as a remainder bound, scale * Int |f^(m)| over the tail terms
+# f (see _Plan), and a value, evaluated once at the cutoff the bound accepts.
 
 
-def _em_bound(terms, N: int, K: int, ctx) -> BigReal:
-    """Remainder bound of _em_value(terms, N, K)."""
+@lru_cache(maxsize=64)
+def _pi_power(base: int, k: int, ctx) -> BigReal:
+    """(base pi)^-k for base 1 or 2, built once per precision."""
+    pi = const_pi(ctx)
+    return (pi if base == 1 else pi * base) ** (-k)
+
+
+def _em_remainder(K: int, ctx) -> tuple:
+    """(m, scale) of the remainder bound of _em_value(terms, N, K)."""
     if K:
-        return _abs_integral(terms, 2 * K, N, ctx) * ((const_pi(ctx) * 2) ** (-2 * K) * 4)
-    return _abs_integral(terms, 1, N, ctx) * Fraction(1, 2)
+        return 2 * K, _pi_power(2, 2 * K, ctx) * 4
+    return 1, Fraction(1, 2)
 
 
 def _em_value(terms, N: int, K: int, ctx) -> BigReal:
@@ -199,9 +214,9 @@ def _em_value(terms, N: int, K: int, ctx) -> BigReal:
     return _pl_value(terms, N, derivs, True, ctx)
 
 
-def _boole_bound(terms, M: int, K: int, ctx) -> BigReal:
-    """Remainder bound of _boole_value(terms, M, K), K >= 1."""
-    return _abs_integral(terms, K, M, ctx) * (const_pi(ctx) ** (-K) * 4)
+def _boole_remainder(K: int, ctx) -> tuple:
+    """(m, scale) of the remainder bound of _boole_value(terms, M, K), K >= 1."""
+    return K, _pi_power(1, K, ctx) * 4
 
 
 def _boole_derivs(K: int) -> list[tuple[Fraction, int]]:
@@ -283,14 +298,65 @@ def _weight_step(kind: str, n: int, fx: FixedPoint) -> tuple[int, int]:
     return fx.recip(2 * n - 2) + fx.recip(2 * n - 1), 2
 
 
+@lru_cache(maxsize=1024)
+def _kernel_coeffs(s: int, c: int, I: int) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
+    """coeff_i for i < I of (2n+c)^-s = sum_i coeff_i n^(-s-i), exact and as floats."""
+    coeffs = tuple(Fraction((-c) ** i * comb(s + i - 1, i), 2 ** (s + i)) for i in range(I))
+    return coeffs, tuple(map(float, coeffs))
+
+
 def _kernel_expansion(s: int, c: int, I: int, N: int) -> tuple[list[Fraction], Fraction]:
-    """(2n+c)^-s = sum_i coeff_i n^(-s-i) + R, |R| <= rem * n^(-s-I) for n >= N."""
-    coeffs = [Fraction((-c) ** i * comb(s + i - 1, i), 2 ** (s + i)) for i in range(I)]
-    q = Fraction(s + I, 2 * (I + 1) * N)
-    if q >= Fraction(1, 2):
-        raise ValueError("kernel expansion needs a larger cutoff")
-    rem = Fraction(comb(s + I - 1, I), 2 ** (s + I)) / (1 - q)
-    return coeffs, rem
+    """(2n+c)^-s = sum_i coeff_i n^(-s-i) + R, |R| <= rem * n^(-s-I) for n >= N,
+    provided q = (s+I) / (2 (I+1) N) < 1/2."""
+    rem = Fraction(comb(s + I - 1, I), 2 ** (s + I)) / (1 - Fraction(s + I, 2 * (I + 1) * N))
+    return list(_kernel_coeffs(s, c, I)[0]), rem
+
+
+# Float twins of _abs_integral and _abs_tail, in natural logs so that no
+# N^-(p+m) underflows.  They estimate the BigReal bounds to float rounding and
+# only decide which bounds are worth certifying; they never enter a bound.
+
+_FLOAT_MARGIN = 1e-9  # far above the relative rounding of any float estimate here
+
+
+def _log_sum(logs) -> float:
+    """log(sum(exp(x) for x in logs)), -inf for no terms."""
+    logs = list(logs)
+    if not logs:
+        return -inf
+    top = max(logs)
+    return top + log(sum(exp(x - top) for x in logs))
+
+
+_LN2 = log(2)
+
+
+def _log_pos(x) -> float:
+    """Natural log of a positive BigReal or rational, without float underflow."""
+    if isinstance(x, BigReal):
+        _, man, e, _ = x.value_tuple()
+        return log(man) + e * _LN2
+    x = Fraction(x)
+    return log(x.numerator) - log(x.denominator)
+
+
+@lru_cache(maxsize=1024)
+def _log_poch_hslice(p: int, m: int) -> tuple[float, float]:
+    """log (p)_m and H(p, m) as floats."""
+    return log(_pochhammer(p, m)), float(_hslice(p, m))
+
+
+def _log_abs_integral(terms, m: int, N: int) -> float:
+    """Natural log of _abs_integral(terms, m, N) in floats, for float terms."""
+    lnN = log(N)
+    logs = []
+    for a, b, p in _merge(terms, absolute=True):
+        q = p + m
+        log_poch, h = _log_poch_hslice(p, m)
+        env = a + b * (lnN + h + 1 / (q - 1))
+        if env > 0:
+            logs.append(log_poch - log(q - 1) - (q - 1) * lnN + log(env))
+    return _log_sum(logs)
 
 
 def _log_abs_tail(a: float, b: float, p: int, N: int) -> float:
@@ -301,26 +367,40 @@ def _log_abs_tail(a: float, b: float, p: int, N: int) -> float:
     return max(t1, t2) + log1p(exp(-abs(t1 - t2)))
 
 
-def _kernel_order(k: int, c: int, N: int, a, b, shift: int, limit: float, ctx):
-    """Expansion of (2n+c)^-k to the lowest order I in 4, 8, ..., 40 whose truncation
-    bound _abs_tail(a rem, b rem, k + I + shift, N) is at most limit, or to order 40.
+def _kernel_orders(kern: _Kernel, N: int, first: int = 4):
+    """The orders I in first, first + 4, ..., 40 at which the float estimate of
+    the kernel truncation bound _abs_tail(a rem, b rem, k + I + shift, N) is
+    within limit, and order 40, ascending, as (I, log estimate); a None once N
+    is too small for the expansion of an order (q >= 1/2 in _kernel_expansion).
+    """
+    k = kern.k
+    log_limit = log(kern.limit) + _FLOAT_MARGIN
+    for I in range(first, 41, 4):
+        if k + I >= (I + 1) * N:
+            yield None
+            return
+        rem = comb(k + I - 1, I) / 2 ** (k + I) / (1 - (k + I) / (2 * (I + 1) * N))
+        est = _log_abs_tail(kern.fa * rem, kern.fb * rem, k + I + kern.shift, N)
+        if est <= log_limit or I == 40:
+            yield I, est
+
+
+def _kernel_order(kern: _Kernel, N: int, first: int, ctx):
+    """Expansion of (2n+c)^-k to the lowest order I in first, first + 4, ..., 40
+    whose truncation bound is at most limit, or to order 40.
 
     Returns (coeffs, bound), or None when N is too small for an order tried.
-    An order whose float estimate of the bound exceeds limit by far more than
-    float rounding is passed over; the certified bound decides for the others,
-    so the order chosen and the bound returned never rest on the float.
+    Orders the float estimate rules out are passed over; the certified bound
+    decides for the others, so the order chosen and the bound returned never
+    rest on the float.
     """
-    fa, fb = float(a), float(b)
-    log_limit = log(limit) + 1e-9
-    for I in range(4, 41, 4):
-        try:
-            coeffs, rem = _kernel_expansion(k, c, I, N)
-        except ValueError:
+    for order in _kernel_orders(kern, N, first):
+        if order is None:
             return None
-        if I < 40 and _log_abs_tail(fa * float(rem), fb * float(rem), k + I + shift, N) > log_limit:
-            continue
-        bound = _abs_tail(a * rem, b * rem, k + I + shift, N, ctx)
-        if _upper_float(bound) <= limit or I == 40:
+        I, _ = order
+        coeffs, rem = _kernel_expansion(kern.k, kern.c, I, N)
+        bound = _abs_tail(kern.a * rem, kern.b * rem, kern.k + I + kern.shift, N, ctx)
+        if _upper_float(bound) <= kern.limit or I == 40:
             return coeffs, bound
 
 
@@ -329,8 +409,115 @@ def _upper_float(x: BigReal) -> float:
 
 
 # ---------------------------------------------------------------------------
-# family evaluators
+# tail plans and the cutoff search
 # ---------------------------------------------------------------------------
+
+
+class _Kernel:
+    """Expansion of (2n + c)^-k in powers of n, for terms summing to at most
+    a + b ln n in absolute value that carry a further n^-shift; its truncation
+    bound must meet limit."""
+
+    __slots__ = ("k", "c", "shift", "a", "b", "limit", "fa", "fb")
+
+    def __init__(self, k: int, c: int, shift: int, a, b, limit: float):
+        self.k, self.c, self.shift, self.a, self.b, self.limit = k, c, shift, a, b, limit
+        self.fa, self.fb = float(a), float(b)
+
+
+class _Plan:
+    """An evaluator's tail and the components of its bound, as data.
+
+    groups: [(terms, kernel)].  The tail's power-log terms (A, B, e); with a
+      _Kernel, each term is multiplied by n^-shift and by the kernel's
+      expansion sum_i c_i n^(-k-i), giving (A c_i, B c_i, e + k + shift + i).
+    part: (name, (a, b, p), scale): the truncation made outside the kernels,
+      bounded by scale * _abs_tail(a, b, p, N); scale None stands for 1.
+    tail: (m, scale, at): the remainder of the tail formula, bounded by
+      scale * Int_(N+at)^inf |f^(m)| with f the sum of the tail terms.
+
+    _screen and _certify evaluate this one description in floats and in BigReal.
+    """
+
+    __slots__ = ("groups", "part", "tail")
+
+    def __init__(self, groups: list, part: tuple, tail: tuple):
+        self.groups, self.part, self.tail = groups, part, tail
+
+
+_KERNEL = "kernel truncation"
+
+
+def _expand(terms, kern: _Kernel, coeffs) -> list:
+    return [(A * ci, B * ci, e + kern.k + kern.shift + i)
+            for A, B, e in terms for i, ci in enumerate(coeffs) if ci]
+
+
+def _screen(plan: _Plan, N: int) -> Optional[tuple[dict, list[int]]]:
+    """Natural logs of float estimates of the plan's bound components at N, by
+    name, and the order each kernel was expanded to; None when N is too small
+    for a kernel expansion.
+
+    Each kernel is expanded to the lowest order its float estimate admits.  The
+    coefficient lists of the orders are prefixes of one another, so the tail
+    remainder estimated from those terms is never above the one certified at
+    the order _kernel_order picks, which is never lower.  The kernel estimate
+    itself falls as the order rises, so it is no lower estimate and is kept
+    apart under _KERNEL.
+    """
+    terms, kernel, orders = [], [], []
+    for group, kern in plan.groups:
+        group = [(abs(float(A)), abs(float(B)), e) for A, B, e in group]
+        if kern is None:
+            terms += group
+            continue
+        order = next(_kernel_orders(kern, N))
+        if order is None:
+            return None
+        I, est = order
+        kernel.append(est)
+        orders.append(I)
+        terms += _expand(group, kern, _kernel_coeffs(kern.k, kern.c, I)[1])
+    name, (a, b, p), scale = plan.part
+    m, tail_scale, at = plan.tail
+    est = {
+        name: _log_abs_tail(float(a), float(b), p, N) + (0.0 if scale is None else _log_pos(scale)),
+        "tail remainder": _log_abs_integral(terms, m, N + at) + _log_pos(tail_scale),
+    }
+    if kernel:
+        est[_KERNEL] = _log_sum(kernel)
+    return est, orders
+
+
+def _certify(plan: _Plan, N: int, orders: list[int], ctx) -> Optional[tuple[list, BigReal]]:
+    """(tail terms, bound) of the plan at N in BigReal, or None when N is too
+    small for a kernel expansion.  The bound sums the kernel truncations, the
+    plan's part and the tail remainder.
+
+    The search for each kernel's order starts at its entry in orders: the
+    order _screen found, below which the float estimate rules every order out.
+    """
+    terms, kernel = [], []
+    first = iter(orders)
+    for group, kern in plan.groups:
+        if kern is None:
+            terms += group
+            continue
+        order = _kernel_order(kern, N, next(first), ctx)
+        if order is None:
+            return None
+        coeffs, bound = order
+        kernel.append(bound)
+        terms += _expand(group, kern, coeffs)
+    _, (a, b, p), scale = plan.part
+    total = _abs_tail(a, b, p, N, ctx)
+    if scale is not None:
+        total = total * scale
+    if kernel:
+        total = (kernel[0] if len(kernel) == 1 else sum(kernel, BigReal.zero(ctx))) + total
+    m, tail_scale, at = plan.tail
+    return terms, total + _abs_integral(terms, m, N + at, ctx) * tail_scale
+
 
 _N_START = 32
 
@@ -344,24 +531,42 @@ def _n_candidates(cfg: OracleConfig):
         n *= 2
 
 
-def _select(cfg: OracleConfig, plan, tail_bound) -> tuple[int, list, BigReal]:
-    """(N, tail terms, bound) for the first candidate cutoff whose bound meets tol/2.
+def _select(cfg: OracleConfig, plan: _Plan, ctx) -> tuple[int, list, BigReal]:
+    """(N, tail terms, bound) for the first candidate cutoff whose certified bound
+    meets tol/2.
 
-    plan(N) gives the tail's power-log terms and the bound of every truncation
-    made to get them, or None when N is too small for them; tail_bound(terms,
-    N) bounds the remainder of the tail formula.  No tail value is computed
-    here, so a rejected cutoff costs only its bound.
+    Each candidate N = 32, 64, ... is first screened in floats (_screen): it is
+    passed over when the estimate of its bound without the kernel truncation
+    exceeds tol/2 by more than float rounding, since its certified bound, never
+    below that estimate, would too.  The first candidate the screen lets
+    through is certified in BigReal (_certify); if that bound misses tol/2,
+    the search goes on.  So N, the bound and the tail terms are those a
+    certified bound at every candidate would give, and no float enters them.
     """
     tol = cfg.target_tolerance
+    log_half = log(tol / 2) + _FLOAT_MARGIN
     for N in _n_candidates(cfg):
-        step = plan(N)
-        if step is None:
+        screened = _screen(plan, N)
+        if screened is None:
             continue
-        terms, bounds = step
-        bounds = bounds + tail_bound(terms, N)
-        if _upper_float(bounds) <= tol / 2:
-            return N, terms, bounds
-    raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms")
+        est, orders = screened
+        if _log_sum(v for k, v in est.items() if k != _KERNEL) > log_half:
+            continue
+        step = _certify(plan, N, orders, ctx)
+        if step is not None and _upper_float(step[1]) <= tol / 2:
+            return N, *step
+    msg = f"cannot certify {tol} within {cfg.max_terms} terms"
+    if screened is None:
+        raise BudgetExhausted(f"{msg}: N = {N} is too small for the kernel expansion")
+    est = screened[0]
+    name = max(est, key=est.get)
+    raise BudgetExhausted(f"{msg}: at N = {N} the largest bound component is the {name}, "
+                          f"about {exp(est[name]):.3e}, against tol/2 = {tol / 2:.3e}")
+
+
+# ---------------------------------------------------------------------------
+# family evaluators
+# ---------------------------------------------------------------------------
 
 
 def _weighted_head(kind: str, kern_c: Optional[int], s: int, N: int, ctx) -> BigReal:
@@ -382,21 +587,14 @@ def _eval_weighted(kind: str, kern_c: Optional[int], s: int, cfg: OracleConfig, 
     """sum_{n>=1} w_n * base(n)^-s with base = n (kern_c None) or 2n + kern_c."""
     wterms, D = _weight_pl(kind, ctx)
     K = cfg.tail_order
-    sum_a = sum((abs(A) for A, _, _ in wterms), BigReal.zero(ctx))
-    sum_b = sum(abs(B) for _, B, _ in wterms)
-
-    def plan(N):
-        b_weight = _abs_tail(D, 0, s + 6, N, ctx)
-        if kern_c is None:
-            return [(A, B, e + s) for A, B, e in wterms], b_weight
-        kernel = _kernel_order(s, kern_c, N, sum_a, sum_b, 0, cfg.target_tolerance / 8, ctx)
-        if kernel is None:
-            return None
-        coeffs, b_kernel = kernel
-        pl = [(A * ci, B * ci, e + s + i) for A, B, e in wterms for i, ci in enumerate(coeffs) if ci]
-        return pl, b_kernel + b_weight
-
-    N, pl, bounds = _select(cfg, plan, lambda terms, N: _em_bound(terms, N, K, ctx))
+    if kern_c is None:
+        group = ([(A, B, e + s) for A, B, e in wterms], None)
+    else:
+        sum_a = sum((abs(A) for A, _, _ in wterms), BigReal.zero(ctx))
+        sum_b = sum(abs(B) for _, B, _ in wterms)
+        group = (wterms, _Kernel(s, kern_c, 0, sum_a, sum_b, cfg.target_tolerance / 8))
+    plan = _Plan([group], ("weight-expansion truncation", (D, 0, s + 6), None), (*_em_remainder(K, ctx), 0))
+    N, pl, bounds = _select(cfg, plan, ctx)
     return _finish(_weighted_head(kind, kern_c, s, N, ctx) + _em_value(pl, N, K, ctx), bounds, N, cfg)
 
 
@@ -438,25 +636,16 @@ def _eval_remainder_split(family: str, s: int, p: int, cfg: OracleConfig, ctx) -
         # base variable is 2n: rescale coefficients and the remainder to n-powers
         rterms = [(c * Fraction(1, 2**pw), pw) for c, pw in rterms]
         rrem = rrem * Fraction(1, 2 ** (p + 2 * J - 1))
-    pi2j = (const_pi(ctx) * 2) ** (-2 * J)
+    pi2j = _pi_power(2, 2 * J, ctx)
     rem_pow = p + 2 * J - 1 + s  # for sigma: (2n-1)^(1-p-2J) <= n^(1-p-2J)
-
-    def plan(N):
-        if family != "sigma":
-            return [(c, 0, pw + s) for c, pw in rterms], _abs_tail(rrem, 0, rem_pow, N, ctx) * pi2j
+    if family == "sigma":
         # powers of (2n-1): expand each into powers of n
-        bounds = BigReal.zero(ctx)
-        pl = []
-        for c, pw in rterms:
-            kernel = _kernel_order(pw, -1, N, abs(c), 0, s, cfg.target_tolerance / (16 * len(rterms)), ctx)
-            if kernel is None:
-                return None
-            coeffs, b_k = kernel
-            bounds = bounds + b_k
-            pl.extend((c * ci, 0, pw + i + s) for i, ci in enumerate(coeffs) if ci)
-        return pl, bounds + _abs_tail(rrem, 0, rem_pow, N, ctx) * pi2j
-
-    N, pl, bounds = _select(cfg, plan, lambda terms, N: _em_bound(terms, N, K, ctx))
+        limit = cfg.target_tolerance / (16 * len(rterms))
+        groups = [([(c, 0, 0)], _Kernel(pw, -1, s, abs(c), 0, limit)) for c, pw in rterms]
+    else:
+        groups = [([(c, 0, pw + s) for c, pw in rterms], None)]
+    plan = _Plan(groups, ("inner-tail remainder", (rrem, 0, rem_pow), pi2j), (*_em_remainder(K, ctx), 0))
+    N, pl, bounds = _select(cfg, plan, ctx)
     # c0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
     fx = FixedPoint(ctx, N)
     acc, err = fx.from_big(c0)
@@ -495,8 +684,9 @@ def _eval_alt_euler_star(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     wterms, D = _weight_pl("H", ctx)
     pl = [(A, B, e + s) for A, B, e in wterms]
     # the tail starts at n = M+1; M is even, so its sign is +1
-    M, _, bounds = _select(cfg, lambda M: (pl, _abs_tail(D, 0, s + 6, M, ctx)),
-                           lambda terms, M: _boole_bound(terms, M + 1, KB, ctx))
+    plan = _Plan([(pl, None)], ("weight-expansion truncation", (D, 0, s + 6), None),
+                 (*_boole_remainder(KB, ctx), 1))
+    M, _, bounds = _select(cfg, plan, ctx)
     return _finish(_alt_euler_star_head(s, M, ctx) + _boole_value(pl, M + 1, KB, ctx), bounds, M, cfg)
 
 
@@ -510,9 +700,10 @@ def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     # the tail sums tau_n / n
     pl = [(c * (-1) ** k * _pochhammer(s, k), 0, s + k + 1) for c, k in _boole_derivs(KB)]
     rem_c = Fraction(4 * _pochhammer(s, KB), s + KB - 1)
-    piKB = const_pi(ctx) ** (-KB)
-    N, _, bounds = _select(cfg, lambda N: (pl, _abs_tail(rem_c, 0, s + KB, N, ctx) * piKB),
-                           lambda terms, N: _em_bound(terms, N, K, ctx))
+    # the Boole remainder of tau_n truncates the weight's expansion
+    plan = _Plan([(pl, None)], ("weight-expansion truncation", (rem_c, 0, s + KB), _pi_power(1, KB, ctx)),
+                 (*_em_remainder(K, ctx), 0))
+    N, _, bounds = _select(cfg, plan, ctx)
     fx = FixedPoint(ctx, N)
     acc = err = 0
     tau, tau_e = fx.from_big(eta)  # tau_1

@@ -1,9 +1,11 @@
+import math
 import time
 from fractions import Fraction as F
 
 import pytest
 
 from eulersum import (
+    BigReal,
     BudgetExhausted,
     OracleConfig,
     PrecisionContext,
@@ -11,6 +13,7 @@ from eulersum import (
     oracle_eval,
     partial_sum,
 )
+from eulersum import oracle
 from eulersum.closedform import closed_form_for
 from eulersum.oracle import _dispatch
 from eulersum.sums import SumId
@@ -216,3 +219,93 @@ def test_alt_tilde_vs_plain_bracketing(a, ctx, cfg):
     bracket = 2.0 / n
     val = float(oracle_eval(SumId.alt_tilde_h(a), cfg, ctx).value)
     assert abs(val - partial) <= bracket, (a, abs(val - partial))
+
+
+def test_budget_exhausted_names_the_largest_bound_component(ctx):
+    with pytest.raises(BudgetExhausted) as info:
+        oracle_eval(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-20, max_terms=16), ctx)
+    msg = str(info.value)
+    assert "N = 16" in msg
+    assert "inner-tail remainder" in msg
+    assert "tol/2 = 5.000e-21" in msg
+
+
+# head lengths of the benchmark's oracle ladder at (256 bits, 1e-32)
+PINNED_TERMS_256 = {
+    SumId.J(2): 16384,
+    SumId.J(4): 2048,
+    SumId.Jbar(3): 4096,
+    SumId.h(3): 8192,
+    SumId.sigma(2, 3): 1024,
+    SumId.zeta_star(3, 2): 1024,
+    SumId.E(2, 3): 1024,
+    SumId.alt_euler_star(1): 16384,
+    SumId.alt_tilde_h(1): 2048,
+}
+
+
+@pytest.mark.parametrize("sid", PINNED_TERMS_256, ids=str)
+def test_terms_used_pinned_at_256_bits(sid):
+    cfg = OracleConfig(target_tolerance=1e-32)
+    res = oracle_eval(sid, cfg, PrecisionContext(working_bits=256))
+    assert res.terms_used == PINNED_TERMS_256[sid]
+    assert res.achieved_bound <= cfg.target_tolerance
+
+
+class _Planned(Exception):
+    pass
+
+
+def _plan_of(sid, cfg, ctx, monkeypatch):
+    """The _Plan the evaluator of sid hands to the cutoff search."""
+    seen = []
+
+    def capture(cfg, plan, ctx):
+        seen.append(plan)
+        raise _Planned
+
+    monkeypatch.setattr(oracle, "_select", capture)
+    with pytest.raises(_Planned):
+        _dispatch(sid, cfg, ctx)
+    return seen[0]
+
+
+def _bits(terms):
+    """Tail terms with each BigReal replaced by its value and error tuples."""
+    return [tuple((x.value_tuple(), x.err_tuple()) if isinstance(x, BigReal) else x for x in t) for t in terms]
+
+
+@pytest.mark.parametrize("tail_order", [0, 2, 4])
+@pytest.mark.parametrize("bits,tol", [(192, 1e-20), (256, 1e-32)])
+@pytest.mark.parametrize("sid", PINNED_TERMS, ids=str)
+def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, tail_order, monkeypatch):
+    # every candidate up to the one a certified bound at each candidate accepts
+    ctx = PrecisionContext(working_bits=bits)
+    cfg = OracleConfig(target_tolerance=tol, tail_order=tail_order)
+    plan = _plan_of(sid, cfg, ctx, monkeypatch)
+    monkeypatch.undo()
+    kernels = sum(kern is not None for _, kern in plan.groups)
+    accepted = None
+    for N in oracle._n_candidates(cfg):
+        # certified with every kernel order searched from the lowest, 4
+        cert = oracle._certify(plan, N, [4] * kernels, ctx)
+        step = oracle._screen(plan, N)
+        assert (step is None) == (cert is None), N
+        if cert is None:
+            continue
+        est, orders = step
+        # certifying from the orders the screen found changes nothing
+        from_screen = oracle._certify(plan, N, orders, ctx)
+        assert _bits(from_screen[0]) == _bits(cert[0])
+        assert from_screen[1].upper_tuple() == cert[1].upper_tuple()
+        screened = oracle._log_sum(v for k, v in est.items() if k != oracle._KERNEL)
+        bound = oracle._upper_float(cert[1])
+        assert math.exp(screened) <= bound * (1 + 1e-9), (N, math.exp(screened), bound)
+        if bound <= tol / 2:
+            accepted = N
+            break
+    if accepted is None:
+        with pytest.raises(BudgetExhausted):
+            oracle._select(cfg, plan, ctx)
+    else:
+        assert oracle._select(cfg, plan, ctx)[0] == accepted
