@@ -22,6 +22,8 @@ from .sums import FAMILIES, SumId
 from .symexpr import SymExpr, lambda_sym
 
 SCHEMA = "eulersum/1"
+# every family's parameter names, each once, in registry order
+_PARAM_FLAGS = tuple(dict.fromkeys(n for fam in FAMILIES.values() for n in fam.params))
 
 __all__ = ["run", "main"]
 
@@ -51,7 +53,7 @@ def _build_parser() -> _Parser:
 
     def add_params(sp):
         sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
-        for name in ("s", "t", "a", "b", "q", "p"):
+        for name in _PARAM_FLAGS:
             sp.add_argument(f"--{name}", default=None)
 
     sp = sub.add_parser("eval", help="closed form of one sum, symbolic and numeric")
@@ -101,7 +103,7 @@ def _sum_id(args, ranged_ok: bool = False):
     With ranged_ok, exactly one parameter may be a range lo..hi; returns
     (template values, ranged name, lo, hi).
     """
-    names = FAMILIES[args.family][0]
+    names = FAMILIES[args.family].params
     vals: dict[str, object] = {}
     ranged: Optional[tuple[str, int, int]] = None
     for name in names:
@@ -119,7 +121,7 @@ def _sum_id(args, ranged_ok: bool = False):
                 vals[name] = int(raw)
             except ValueError:
                 raise _UsageError(f"--{name} must be an integer, got {raw!r}")
-    extra = [n for n in ("s", "t", "a", "b", "q", "p") if getattr(args, n) is not None and n not in names]
+    extra = [n for n in _PARAM_FLAGS if getattr(args, n) is not None and n not in names]
     if extra:
         raise _UsageError(f"family {args.family} does not take --{extra[0]}")
     if ranged_ok:
@@ -346,7 +348,7 @@ def _cmd_table(args) -> int:
     ctx = _context(args)
     cfg = OracleConfig(target_tolerance=args.tol, max_terms=args.max_terms)
     vals, ranged = _sum_id(args, ranged_ok=True)
-    names = FAMILIES[args.family][0]
+    names = FAMILIES[args.family].params
     if ranged is None:
         name0 = names[0]
         ranged = (name0, int(vals[name0]), int(vals[name0]))

@@ -14,9 +14,10 @@ cross-validation suite consume.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
-from .sums import SumId
+from .sums import FAMILIES, SumId
 from .symexpr import LI4_HALF, LOG2, SymExpr, eta_sym, lambda_sym, zeta_sym
 
 __all__ = [
@@ -340,25 +341,14 @@ def sigma_weight_sum(w: int) -> SymExpr:
 
 
 def known_closed_form_ids(max_weight: int) -> list["SumId"]:
-    """Every SumId of weight <= max_weight whose closed form is known."""
-    ids: list[SumId] = []
-    for b in range(2, max_weight):
-        ids.extend([SumId.J(b), SumId.Jbar(b), SumId.euler_star(b), SumId.h(b)])
-    for a in range(1, (max_weight - 1) // 2 + 1):
-        ids.extend(
-            [SumId.Z(a), SumId.hodd_over_odd(a), SumId.alt_euler_star(a), SumId.alt_tilde_h(a)]
-        )
-    for s in range(2, max_weight - 1):
-        for t in range(1, max_weight - s + 1):
-            ids.append(SumId.sigma(s, t))
-    for q in range(2, max_weight):
-        ids.append(SumId.zeta_star(q, 1))
-        if q + 2 <= max_weight:
-            ids.append(SumId.zeta_star(q, 2))
-            ids.append(SumId.E(2, q))
-        if q + 1 <= max_weight:
-            ids.append(SumId.E(1, q))
-    return [sid for sid in ids if sid.weight <= max_weight and closed_form_for(sid) is not None]
+    """Every SumId of weight <= max_weight whose closed form is known, ordered by
+    weight, then family (in registry order), then parameters."""
+    ids = [SumId(family, *params)
+           for family, fam in FAMILIES.items()
+           for params in product(range(1, max_weight + 1), repeat=len(fam.params))
+           if fam.valid(*params) and fam.weight(*params) <= max_weight]
+    ids.sort(key=lambda sid: sid.weight)  # stable, so family and parameter order stay
+    return [sid for sid in ids if closed_form_for(sid) is not None]
 
 
 _SPECIAL_SIGMA = {(2, 2), (3, 4)}

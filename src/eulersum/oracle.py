@@ -62,7 +62,7 @@ from .numerics import (
     const_pi,
     zeta_num,
 )
-from .sums import SumId
+from .sums import FAMILIES, SumId
 
 __all__ = [
     "OracleConfig",
@@ -284,14 +284,15 @@ def _weight_pl(kind: str, ctx) -> tuple[list[tuple[BigReal, Fraction, int]], Fra
     return out, D
 
 
-def _weight_step(kind: str, n: int, fx: FixedPoint) -> tuple[int, int]:
-    """w_n - w_(n-1) in fixed point, with its error bound."""
+def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int, int]:
+    """w_n - w_(n-1) in fixed point, with its error bound, for the weight of the
+    kind and order: H_n^(order), S_n^(order), H_2n^(order), or H_(2n-1)."""
     if kind == "H":
-        return fx.recip(n), 1
+        return fx.recip(n, order), 1
     if kind == "S":
-        return fx.recip(2 * n - 1), 1
+        return fx.recip(2 * n - 1, order), 1
     if kind == "H2N":
-        return fx.recip(2 * n - 1) + fx.recip(2 * n), 2
+        return fx.recip(2 * n - 1, order) + fx.recip(2 * n, order), 2
     # H2N1: H_(2n-1) gains 1/(2n-2) + 1/(2n-1) after the first step
     if n == 1:
         return fx.one, 0
@@ -523,12 +524,12 @@ _N_START = 32
 
 
 def _n_candidates(cfg: OracleConfig):
+    """N = 32, 64, ... below max_terms, then max_terms itself."""
     n = _N_START
-    while n <= max(cfg.max_terms, _N_START):
-        yield min(n, cfg.max_terms)
-        if n >= cfg.max_terms:
-            return
+    while n < cfg.max_terms:
+        yield n
         n *= 2
+    yield cfg.max_terms
 
 
 def _select(cfg: OracleConfig, plan: _Plan, ctx) -> tuple[int, list, BigReal]:
@@ -613,32 +614,32 @@ def _remainder_series_pl(p: int, scale_base: int, J: int) -> tuple[list[tuple[Fr
     return terms, rem
 
 
-def _eval_remainder_split(family: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
+def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
     """C0 - sum_n r_n / n^s for sigma(s,t>=2), ZetaStar(q,p>=2), E(p>=2,q).
 
-    family selects the inner tail: "sigma" r_n = sum_{k>n} (2k-1)^-p,
-    "zetastar" r_n = sum_{k>n} k^-p, "E" r_n = sum_{k>2n} k^-p.
+    The weight kind selects the inner tail: "S" r_n = sum_{k>n} (2k-1)^-p,
+    "H" r_n = sum_{k>n} k^-p, "H2N" r_n = sum_{k>2n} k^-p.
     """
     K = cfg.tail_order
     J = max(3, K)
     zs = zeta_num(s, ctx)
     zp = zeta_num(p, ctx)
-    if family == "sigma":
+    if kind == "S":
         c0 = zp * (1 - Fraction(1, 2**p)) * zs  # lambda(p) zeta(s)
         r0 = zp * (1 - Fraction(1, 2**p))
         inner_scale = 2  # r_n in powers of (2n-1)
     else:
         c0 = zp * zs
         r0 = zp
-        inner_scale = 1  # r_n in powers of n ("zetastar") or of 2n ("E")
+        inner_scale = 1  # r_n in powers of n ("H") or of 2n ("H2N")
     rterms, rrem = _remainder_series_pl(p, inner_scale, J)
-    if family == "E":
+    if kind == "H2N":
         # base variable is 2n: rescale coefficients and the remainder to n-powers
         rterms = [(c * Fraction(1, 2**pw), pw) for c, pw in rterms]
         rrem = rrem * Fraction(1, 2 ** (p + 2 * J - 1))
     pi2j = _pi_power(2, 2 * J, ctx)
     rem_pow = p + 2 * J - 1 + s  # for sigma: (2n-1)^(1-p-2J) <= n^(1-p-2J)
-    if family == "sigma":
+    if kind == "S":
         # powers of (2n-1): expand each into powers of n
         limit = cfg.target_tolerance / (16 * len(rterms))
         groups = [([(c, 0, 0)], _Kernel(pw, -1, s, abs(c), 0, limit)) for c, pw in rterms]
@@ -651,15 +652,9 @@ def _eval_remainder_split(family: str, s: int, p: int, cfg: OracleConfig, ctx) -
     acc, err = fx.from_big(c0)
     r, re = fx.from_big(r0)
     for n in range(1, N + 1):
-        if family == "sigma":
-            r -= fx.recip(2 * n - 1, p)
-            re += 1
-        elif family == "E":
-            r -= fx.recip(2 * n - 1, p) + fx.recip(2 * n, p)
-            re += 2
-        else:
-            r -= fx.recip(n, p)
-            re += 1
+        dr, de = _weight_step(kind, n, fx, p)
+        r -= dr
+        re += de
         t, te = fx.mul(r, re, fx.recip(n, s), 1)
         acc -= t
         err += te
@@ -755,40 +750,33 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
     return _cache.get(key, lambda: _dispatch(sid, cfg, ctx))
 
 
+# family -> parameters -> (weight kind, weight order, kernel shift or None, power)
+# for the series sum_n w_n base(n)^-power, w_n the weight of that kind and order
+# (see _weight_step) and base(n) = n, or 2n + shift with a kernel shift.  Order 1
+# is summed directly, higher orders by the remainder split.
+_ROUTES = {
+    "J": lambda b: ("S", 1, None, b),
+    "Jbar": lambda b: ("S", 1, -1, b),
+    "sigma": lambda s, t: ("S", t, None, s),
+    "h": lambda q: ("H", 1, +1, q),
+    "Z": lambda a: ("H2N", 1, None, 2 * a),
+    "HoddOverOdd": lambda a: ("H2N1", 1, -1, 2 * a),
+    "EulerStar": lambda b: ("H", 1, None, b),
+    "ZetaStar": lambda q, p: ("H", p, None, q),
+    "E": lambda p, q: ("H2N", p, None, q),
+}
+
+
 def _dispatch(sid: SumId, cfg: OracleConfig, ctx) -> OracleResult:
     fam, p = sid.family, sid.params
-    if fam == "J":
-        return _eval_weighted("S", None, p[0], cfg, ctx)
-    if fam == "Jbar":
-        return _eval_weighted("S", -1, p[0], cfg, ctx)
-    if fam == "sigma":
-        s, t = p
-        if t == 1:
-            return _eval_weighted("S", None, s, cfg, ctx)
-        return _eval_remainder_split("sigma", s, t, cfg, ctx)
-    if fam == "h":
-        return _eval_weighted("H", +1, p[0], cfg, ctx)
-    if fam == "Z":
-        return _eval_weighted("H2N", None, 2 * p[0], cfg, ctx)
-    if fam == "HoddOverOdd":
-        return _eval_weighted("H2N1", -1, 2 * p[0], cfg, ctx)
-    if fam == "EulerStar":
-        return _eval_weighted("H", None, p[0], cfg, ctx)
     if fam == "AltEulerStar":
         return _eval_alt_euler_star(p[0], cfg, ctx)
-    if fam == "ZetaStar":
-        q, pp = p
-        if pp == 1:
-            return _eval_weighted("H", None, q, cfg, ctx)
-        return _eval_remainder_split("zetastar", q, pp, cfg, ctx)
     if fam == "AltTildeH":
         return _eval_alt_tilde(p[0], cfg, ctx)
-    if fam == "E":
-        pp, q = p
-        if pp == 1:
-            return _eval_weighted("H2N", None, q, cfg, ctx)
-        return _eval_remainder_split("E", q, pp, cfg, ctx)
-    raise ValueError(f"no oracle for family {fam}")
+    kind, order, kern_c, s = _ROUTES[fam](*p)
+    if order == 1:
+        return _eval_weighted(kind, kern_c, s, cfg, ctx)
+    return _eval_remainder_split(kind, s, order, cfg, ctx)
 
 
 def oracle_value(sid: SumId, tol: float = 1e-10, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
@@ -805,32 +793,5 @@ def partial_sum(sid: SumId, n_terms: int) -> Fraction:
     """Exact value of the first n_terms terms of the defining series of sid."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    fam, p = sid.family, sid.params
-    H, S = exact.plain, exact.semi
-    acc = Fraction(0)
-    for n in range(1, n_terms + 1):
-        if fam == "J":
-            acc += exact.harmonic(n, S(1)) / Fraction(n) ** p[0]
-        elif fam == "Jbar":
-            acc += exact.harmonic(n, S(1)) / Fraction(2 * n - 1) ** p[0]
-        elif fam == "sigma":
-            acc += exact.harmonic(n, S(p[1])) / Fraction(n) ** p[0]
-        elif fam == "h":
-            acc += exact.harmonic(n, H(1)) / Fraction(2 * n + 1) ** p[0]
-        elif fam == "Z":
-            acc += exact.harmonic(2 * n, H(1)) / Fraction(n) ** (2 * p[0])
-        elif fam == "HoddOverOdd":
-            acc += exact.harmonic(2 * n - 1, H(1)) / Fraction(2 * n - 1) ** (2 * p[0])
-        elif fam == "EulerStar":
-            acc += exact.harmonic(n, H(1)) / Fraction(n) ** p[0]
-        elif fam == "AltEulerStar":
-            acc += Fraction((-1) ** (n - 1)) * exact.harmonic(n, H(1)) / Fraction(n) ** (2 * p[0])
-        elif fam == "ZetaStar":
-            acc += exact.harmonic(n, H(p[1])) / Fraction(n) ** p[0]
-        elif fam == "AltTildeH":
-            acc += Fraction((-1) ** n) * exact.harmonic(n - 1, exact.alternating(2 * p[0])) / n
-        elif fam == "E":
-            acc += exact.harmonic(2 * n, H(p[0])) / Fraction(n) ** p[1]
-        else:
-            raise ValueError(f"no partial sum for family {fam}")
-    return acc
+    term = FAMILIES[sid.family].term
+    return sum((term(*sid.params, n) for n in range(1, n_terms + 1)), Fraction(0))

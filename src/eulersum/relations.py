@@ -229,16 +229,15 @@ def folded_relation(variant: int, v: int, r: int) -> Relation:
     return Relation(coeffs, rhs)
 
 
-def relations_for_weight(w: int, include_reductions: bool = True) -> list[Relation]:
+def relations_for_weight(w: int) -> list[Relation]:
     """All generated relations of weight w: products (k <= l), plus reductions."""
     if w < 3:
         raise ValueError(f"weight must be >= 3, got {w}")
     rels = [gen_product_relation(k, w - k) for k in range(2, w // 2 + 1)]
-    if include_reductions:
-        for t in range(1, w - 1):
-            s = w - t
-            if s >= 2:
-                rels.append(reduction_relation(s, t))
+    for t in range(1, w - 1):
+        s = w - t
+        if s >= 2:
+            rels.append(reduction_relation(s, t))
     return rels
 
 
@@ -305,11 +304,26 @@ def _eliminate(rows: list[_Row], unknowns: list[SumId]):
     return pivots, remaining
 
 
+def _system(w: int, providers: Sequence[KnownProvider]) -> tuple[list[SumId], list[Relation], list[_Row]]:
+    """(unknowns, generated relations, rows) of the weight-w sigma system: the
+    rows are the generated relations, then one identity row per unknown whose
+    value the first provider that knows it gives."""
+    unknowns = [SumId.sigma(w - i, i) for i in range(1, w - 1)]
+    generated = [r for r in relations_for_weight(w) if not r.is_identity]
+    rows = [_Row(r.coeffs, r.rhs) for r in generated]
+    for u in unknowns:
+        for provider in providers:
+            val = provider(u)
+            if val is not None:
+                rows.append(_Row({u: Fraction(1)}, val))
+                break
+    return unknowns, generated, rows
+
+
 def solve_weight(
     w: int,
     known_providers: Optional[Sequence[KnownProvider]] = None,
     *,
-    include_reductions: bool = True,
     with_residuals: bool = True,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     cfg: Optional[OracleConfig] = None,
@@ -325,15 +339,7 @@ def solve_weight(
     if w < 3:
         raise ValueError(f"weight must be >= 3, got {w}")
     providers = list(known_providers) if known_providers is not None else [tabulated_sigma_values]
-    unknowns = [SumId.sigma(w - i, i) for i in range(1, w - 1)]
-    generated = [r for r in relations_for_weight(w, include_reductions) if not r.is_identity]
-    rows = [_Row(r.coeffs, r.rhs) for r in generated]
-    for u in unknowns:
-        for provider in providers:
-            val = provider(u)
-            if val is not None:
-                rows.append(_Row({u: Fraction(1)}, val))
-                break
+    unknowns, generated, rows = _system(w, providers)
     pivots, _ = _eliminate(rows, unknowns)
     solved: dict[SumId, SymExpr] = {}
     for u, row in pivots:
@@ -369,64 +375,18 @@ class SumTheoremReport(NamedTuple):
 def _sum_via_rowspace(w: int) -> Optional[SymExpr]:
     """Express sum_i sigma(w-i,i) from the relation row space, if possible.
 
-    Solves A^T y = (1,...,1) exactly over the rationals (A = relation matrix,
-    known closed forms included as identity rows); when consistent, the sum of
-    all sigma's of weight w equals sum_i y_i * rhs_i symbolically.
+    The system of solve_weight (known closed forms as identity rows) is
+    eliminated, and the row sum_i sigma_i = 0 is reduced against its pivots.
+    When no coefficient is left, the all-ones row lies in the row space, and
+    minus the reduced right-hand side is the sum symbolically.
     """
-    unknowns = [SumId.sigma(w - i, i) for i in range(1, w - 1)]
-    rels = [r for r in relations_for_weight(w) if not r.is_identity]
-    for u in unknowns:
-        val = tabulated_sigma_values(u)
-        if val is not None:
-            rels.append(Relation({u: Fraction(1)}, val))
-    n = len(rels)
-    # augmented system over y: one row per unknown
-    rows: list[tuple[dict[int, Fraction], Fraction]] = [
-        ({i: rels[i].coeffs[u] for i in range(n) if u in rels[i].coeffs}, Fraction(1))
-        for u in unknowns
-    ]
-    pivots: list[tuple[int, int]] = []  # (column, row index)
-    for ri in range(len(rows)):
-        c, t = rows[ri]
-        piv = min(c) if c else None
-        if piv is None:
-            if t:
-                return None  # 0 = 1: the all-ones vector is not in the row space
-            continue
-        inv = 1 / c[piv]
-        c = {j: v * inv for j, v in c.items()}
-        t = t * inv
-        rows[ri] = (c, t)
-        for rk in range(len(rows)):
-            if rk == ri:
-                continue
-            ck, tk = rows[rk]
-            f = ck.get(piv)
-            if f:
-                for j, v in c.items():
-                    nv = ck.get(j, Fraction(0)) - f * v
-                    if nv:
-                        ck[j] = nv
-                    else:
-                        ck.pop(j, None)
-                rows[rk] = (ck, tk - f * t)
-        pivots.append((piv, ri))
-    y = [Fraction(0)] * n  # free combination weights default to 0
-    for piv, ri in pivots:
-        c, t = rows[ri]
-        y[piv] = t - sum(v * y[j] for j, v in c.items() if j != piv)
-    # exact verification of the combination, then assemble the symbolic sum
-    check: dict[SumId, Fraction] = {}
-    total_rhs = SymExpr.zero()
-    for yi, rel in zip(y, rels):
-        if not yi:
-            continue
-        for u, cval in rel.coeffs.items():
-            check[u] = check.get(u, Fraction(0)) + yi * cval
-        total_rhs = total_rhs + rel.rhs.scaled(yi)
-    if any(check.get(u, Fraction(0)) != 1 for u in unknowns) or len(check) > len(unknowns):
-        return None
-    return total_rhs
+    unknowns, _, rows = _system(w, [tabulated_sigma_values])
+    pivots, _ = _eliminate(rows, unknowns)
+    ones = _Row(dict.fromkeys(unknowns, Fraction(1)), SymExpr.zero())
+    for u, row in pivots:
+        if u in ones.coeffs:
+            ones.submul(row, ones.coeffs[u])
+    return None if ones.coeffs else -ones.rhs
 
 
 def verify_sum_theorem(

@@ -1,27 +1,56 @@
-"""Identifiers for the series families the package evaluates.
+"""Identifiers for the series families the package evaluates, and the family registry.
 
 A SumId names one convergent series with integer parameters; it is the common
 currency between the closed-form table, the summation oracle, the linear
-relations and the CLI.
+relations and the CLI.  FAMILIES holds one Family record per family, from which
+the exact partial sums, the enumeration of known closed forms and the CLI's
+parameter flags are derived.
 """
 
 from __future__ import annotations
 
-__all__ = ["SumId", "FAMILIES"]
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
-# family -> (parameter names, validator, weight function)
+from .exact import alternating, harmonic, plain, semi
+
+__all__ = ["SumId", "Family", "FAMILIES"]
+
+
+class Family(NamedTuple):
+    """One series family: its parameter names, the validator and the weight of
+    a parameter tuple, and term(*params, n), the exact n-th term of the
+    defining series."""
+
+    params: tuple[str, ...]
+    valid: Callable[..., bool]
+    weight: Callable[..., int]
+    term: Callable[..., Fraction]
+
+
 FAMILIES = {
-    "J": (("b",), lambda b: b >= 2, lambda b: b + 1),
-    "Jbar": (("b",), lambda b: b >= 2, lambda b: b + 1),
-    "sigma": (("s", "t"), lambda s, t: s >= 2 and t >= 1, lambda s, t: s + t),
-    "h": (("q",), lambda q: q >= 2, lambda q: q + 1),
-    "Z": (("a",), lambda a: a >= 1, lambda a: 2 * a + 1),
-    "HoddOverOdd": (("a",), lambda a: a >= 1, lambda a: 2 * a + 1),
-    "EulerStar": (("b",), lambda b: b >= 2, lambda b: b + 1),
-    "AltEulerStar": (("a",), lambda a: a >= 1, lambda a: 2 * a + 1),
-    "ZetaStar": (("q", "p"), lambda q, p: q >= 2 and p >= 1, lambda q, p: q + p),
-    "AltTildeH": (("a",), lambda a: a >= 1, lambda a: 2 * a + 1),
-    "E": (("p", "q"), lambda p, q: p >= 1 and q >= 2, lambda p, q: p + q),
+    "J": Family(("b",), lambda b: b >= 2, lambda b: b + 1,
+                lambda b, n: harmonic(n, semi(1)) / Fraction(n) ** b),
+    "Jbar": Family(("b",), lambda b: b >= 2, lambda b: b + 1,
+                   lambda b, n: harmonic(n, semi(1)) / Fraction(2 * n - 1) ** b),
+    "sigma": Family(("s", "t"), lambda s, t: s >= 2 and t >= 1, lambda s, t: s + t,
+                    lambda s, t, n: harmonic(n, semi(t)) / Fraction(n) ** s),
+    "h": Family(("q",), lambda q: q >= 2, lambda q: q + 1,
+                lambda q, n: harmonic(n, plain(1)) / Fraction(2 * n + 1) ** q),
+    "Z": Family(("a",), lambda a: a >= 1, lambda a: 2 * a + 1,
+                lambda a, n: harmonic(2 * n, plain(1)) / Fraction(n) ** (2 * a)),
+    "HoddOverOdd": Family(("a",), lambda a: a >= 1, lambda a: 2 * a + 1,
+                          lambda a, n: harmonic(2 * n - 1, plain(1)) / Fraction(2 * n - 1) ** (2 * a)),
+    "EulerStar": Family(("b",), lambda b: b >= 2, lambda b: b + 1,
+                        lambda b, n: harmonic(n, plain(1)) / Fraction(n) ** b),
+    "AltEulerStar": Family(("a",), lambda a: a >= 1, lambda a: 2 * a + 1,
+                           lambda a, n: (-1) ** (n - 1) * harmonic(n, plain(1)) / Fraction(n) ** (2 * a)),
+    "ZetaStar": Family(("q", "p"), lambda q, p: q >= 2 and p >= 1, lambda q, p: q + p,
+                       lambda q, p, n: harmonic(n, plain(p)) / Fraction(n) ** q),
+    "AltTildeH": Family(("a",), lambda a: a >= 1, lambda a: 2 * a + 1,
+                        lambda a, n: (-1) ** n * harmonic(n - 1, alternating(2 * a)) / n),
+    "E": Family(("p", "q"), lambda p, q: p >= 1 and q >= 2, lambda p, q: p + q,
+                lambda p, q, n: harmonic(2 * n, plain(p)) / Fraction(n) ** q),
 }
 
 
@@ -47,12 +76,12 @@ class SumId:
     def __init__(self, family: str, *params: int):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        names, valid, _ = FAMILIES[family]
-        if len(params) != len(names):
-            raise ValueError(f"{family} takes parameters {names}, got {params}")
+        fam = FAMILIES[family]
+        if len(params) != len(fam.params):
+            raise ValueError(f"{family} takes parameters {fam.params}, got {params}")
         if not all(isinstance(p, int) for p in params):
             raise ValueError(f"{family} parameters must be integers, got {params}")
-        if not valid(*params):
+        if not fam.valid(*params):
             raise ValueError(f"parameters {params} out of range for family {family}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", tuple(params))
@@ -107,11 +136,11 @@ class SumId:
 
     @property
     def weight(self) -> int:
-        return FAMILIES[self.family][2](*self.params)
+        return FAMILIES[self.family].weight(*self.params)
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return FAMILIES[self.family][0]
+        return FAMILIES[self.family].params
 
     def sort_key(self):
         return (self.family, self.params)

@@ -125,6 +125,19 @@ def test_verify_small_scope(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_verify_checks_the_top_weight_sigma(capsys):
+    # sigma(w-1, 1) = J(w-1) is the sigma of weight w that the family enumeration reaches last
+    rc, out, err = _run(capsys, "verify", "--weight", "4")
+    assert rc == 0
+    assert "oracle-vs-closed-form sigma(3, 1)" in [c["name"] for c in json.loads(out)["checks"]]
+
+
+def test_verify_weight_3_to_10_check_count(capsys):
+    rc, out, err = _run(capsys, "verify", "--weight", "3..10")
+    doc = json.loads(out)
+    assert rc == 0 and doc["passed"] == 159 and doc["failed"] == 0
+
+
 def test_verify_failure_exits_2(capsys, monkeypatch):
     # a wrong closed form must be caught by the oracle cross-check
     wrong = lambda_sym(4)

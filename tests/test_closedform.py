@@ -333,3 +333,10 @@ def test_known_closed_form_ids_cover_expected_weights():
     assert all(sid.weight <= 11 for sid in ids)
     assert all(cf.closed_form_for(sid) is not None for sid in ids)
     assert len(ids) == len(set(ids))
+
+
+def test_known_closed_form_ids_reach_the_top_weight():
+    assert SumId.sigma(10, 1) in cf.known_closed_form_ids(11)
+    ids = cf.known_closed_form_ids(13)
+    assert len(ids) == 110
+    assert [sid.weight for sid in ids] == sorted(sid.weight for sid in ids)

@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,7 @@ from eulersum import (
 from eulersum import oracle
 from eulersum.closedform import closed_form_for
 from eulersum.oracle import _dispatch
-from eulersum.sums import SumId
+from eulersum.sums import FAMILIES, SumId
 
 
 def test_partial_sum_examples():
@@ -309,3 +310,47 @@ def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, tail_
             oracle._select(cfg, plan, ctx)
     else:
         assert oracle._select(cfg, plan, ctx)[0] == accepted
+
+
+def test_max_terms_is_the_last_candidate():
+    assert list(oracle._n_candidates(OracleConfig(max_terms=100))) == [32, 64, 100]
+    with pytest.raises(BudgetExhausted, match="at N = 100"):
+        oracle_eval(SumId.h(3), OracleConfig(1e-20, max_terms=100))
+
+
+# -- every family against exact partial sums of its defining series ----------------
+
+_SOUND_N = 64
+
+
+def _smallest(family: str) -> SumId:
+    fam = FAMILIES[family]
+    return next(SumId(family, *p) for p in product(range(1, 8), repeat=len(fam.params)) if fam.valid(*p))
+
+
+def _frac(t) -> F:
+    sign, man, exp, _ = t
+    v = F(man) * F(2) ** exp
+    return -v if sign else v
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_oracle_interval_is_consistent_with_exact_partial_sums(family):
+    sid = _smallest(family)
+    v = oracle_eval(sid, OracleConfig(1e-15), PrecisionContext(working_bits=192)).value
+    mid, err = _frac(v.value_tuple()), _frac(v.err_tuple())
+    lo, hi = mid - err, mid + err
+    N = _SOUND_N
+    terms = [FAMILIES[family].term(*sid.params, n) for n in range(1, N + 2)]
+    s_n = partial_sum(sid, N)
+    s_n1 = s_n + terms[N]
+    if all(t >= 0 for t in terms):
+        # Crude tail envelope: at their smallest parameters every family's terms
+        # are at most (1 + ln 2n) / n^2, which decreases, so the sum past N is at
+        # most Int_N^inf (1 + ln 2x) / x^2 dx = (2 + ln 2N) / N.
+        assert all(t <= (1 + math.log(2 * n)) / n**2 for n, t in enumerate(terms, 1))
+        assert s_n <= hi
+        assert lo <= s_n + F((2 + math.log(2 * N)) / N)
+    else:
+        # alternating, with terms falling in size: the sum lies between S_N and S_(N+1)
+        assert min(s_n, s_n1) <= lo and hi <= max(s_n, s_n1)
