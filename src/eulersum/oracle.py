@@ -8,15 +8,17 @@ of the summand, with worst-case remainder bounds
     |R_K^EM|    <= 4 (2 pi)^(-2K) Int |f^(2K)|,
     |R_K^Boole| <= 4 pi^(-K)      Int |f^(K)|,
 
-so raw O(log N / N^(s-1)) convergence never limits the tolerance.  Harmonic
-weights use the enveloping expansion H_m = ln m + gamma + 1/(2m) - 1/(12 m^2)
-+ 1/(120 m^4) - theta/(252 m^6), 0 < theta < 1.  For t >= 2 the sum is split
-as sigma(s,t) = lambda(t) zeta(s) - sum_n r_n / n^s with r_n the lambda tail,
-which converges like n^(1-s-t).
+so raw O(log N / N^(s-1)) convergence never limits the tolerance.  Every
+weight and inner tail comes from one generator: H_x^(p) expanded in powers of
+x from the Bernoulli numbers (enveloping for p = 1, zeta(p) minus the
+Euler-Maclaurin tail for p >= 2), taken in the weight's exact combination
+sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) - 2^-p H_n^(p), with the
+remainders added in absolute value.  For order p >= 2 the sum is split as
+C0 - sum_n r_n / n^s, r_n = r0 - w_n the weight's tail, of order n^(1-s-p).
 
 The cutoff N is chosen from the bounds alone, without evaluating the tail.
 Each evaluator describes its tail once, as data (_Plan): the power-log terms,
-the kernels that expand them, and every bound component as power-log specs
+the kernel that expands them, and every bound component as power-log specs
 with a scale factor.  That description is evaluated two ways.  Candidates
 N = 32, 64, ... are screened with float estimates in log space, which are
 lower estimates of the certified bound up to float rounding; a candidate
@@ -206,12 +208,15 @@ def _em_remainder(K: int, ctx) -> tuple:
     return 1, Fraction(1, 2)
 
 
+def _em_derivs(K: int) -> list[tuple[Fraction, int]]:
+    """[(c, m)] with Int_N^inf f + sum c f^(m)(N) the Euler-Maclaurin sum of order
+    K over n > N: Int_N^inf f - f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)."""
+    return [(Fraction(-1, 2), 0)] + [(-exact.bernoulli(2 * k) / factorial(2 * k), 2 * k - 1) for k in range(1, K + 1)]
+
+
 def _em_value(terms, N: int, K: int, ctx) -> BigReal:
-    """Sum over n > N of the terms by Euler-Maclaurin of order K:
-    Int_N^inf f - f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)."""
-    derivs = [(Fraction(-1, 2), 0)]
-    derivs += [(-exact.bernoulli(2 * k) / factorial(2 * k), 2 * k - 1) for k in range(1, K + 1)]
-    return _pl_value(terms, N, derivs, True, ctx)
+    """Sum over n > N of the terms by Euler-Maclaurin of order K."""
+    return _pl_value(terms, N, _em_derivs(K), True, ctx)
 
 
 def _boole_remainder(K: int, ctx) -> tuple:
@@ -245,43 +250,48 @@ def _abs_tail(a, b, p: int, N: int, ctx) -> BigReal:
 # asymptotics of the weight sequences and of the odd kernels
 # ---------------------------------------------------------------------------
 
-# weight kind -> ([(rational, gamma mult, log2 mult, B coeff, power)], |delta| <= D n^-6)
-_WEIGHTS = {
-    "H": (
-        [(Fraction(0), 1, 0, Fraction(1), 0), (Fraction(1, 2), 0, 0, 0, 1),
-         (Fraction(-1, 12), 0, 0, 0, 2), (Fraction(1, 120), 0, 0, 0, 4)],
-        Fraction(1, 252),
-    ),
-    "S": (
-        [(Fraction(0), Fraction(1, 2), 1, Fraction(1, 2), 0), (Fraction(1, 48), 0, 0, 0, 2),
-         (Fraction(-7, 1920), 0, 0, 0, 4)],
-        Fraction(33, 16128),
-    ),
-    "H2N": (
-        [(Fraction(0), 1, 1, Fraction(1), 0), (Fraction(1, 4), 0, 0, 0, 1),
-         (Fraction(-1, 48), 0, 0, 0, 2), (Fraction(1, 1920), 0, 0, 0, 4)],
-        Fraction(1, 16128),
-    ),
-    "H2N1": (
-        [(Fraction(0), 1, 1, Fraction(1), 0), (Fraction(-1, 4), 0, 0, 0, 1),
-         (Fraction(-1, 48), 0, 0, 0, 2), (Fraction(1, 1920), 0, 0, 0, 4)],
-        Fraction(1, 16128),
-    ),
-}
+def _harmonic_expansion(p: int, K: int) -> tuple[tuple[tuple[int, Fraction], ...], Fraction, int]:
+    """H_x^(p) minus its constant (gamma for p = 1, else zeta(p)) to order K, at
+    integers x >= 1: ((e, a_e), ...), rem and q with |H_x^(p) - const - [ln x
+    for p = 1] - sum_e a_e x^-e| <= rem x^-q, times (2 pi)^-2K for p >= 2.
+
+    The series is minus the Euler-Maclaurin expansion of sum_{k>x} k^-p, with
+    ln x for the integral when p = 1; then it envelops, so the first omitted
+    term bounds the error."""
+    a = tuple((p + m, -c * (-1) ** m * _pochhammer(p, m)) for c, m in _em_derivs(K))
+    if p == 1:
+        return a, abs(exact.bernoulli(2 * K + 2)) / (2 * K + 2), 2 * K + 2
+    q = p + 2 * K - 1
+    return ((p - 1, Fraction(-1, p - 1)), *a), Fraction(4 * _pochhammer(p, 2 * K), q), q
 
 
-def _weight_pl(kind: str, ctx) -> tuple[list[tuple[BigReal, Fraction, int]], Fraction]:
-    entries, D = _WEIGHTS[kind]
-    g, l2 = const_gamma(ctx), const_log2(ctx)
-    out = []
-    for rat, gm, lm, bc, e in entries:
-        A = _br(rat, ctx)
-        if gm:
-            A = A + g * Fraction(gm)
-        if lm:
-            A = A + l2 * Fraction(lm)
-        out.append((A, Fraction(bc), e))
-    return out, D
+@lru_cache(maxsize=256)
+def _weight_expansion(kind: str, p: int, K: int) -> tuple[tuple[tuple[Fraction, int], ...], tuple, Fraction, int]:
+    """(((c_i, d_i), ...), terms, rem, q): the weight of the kind and order p
+    (_weight_step) is sum_i c_i H_(d_i n)^(p), less 1/(2n) for H2N1 = H_(2n-1);
+    its expansion, the same combination of _harmonic_expansion's, has constant
+    sum_i c_i const(H^(p)) and, for p = 1, sum_i c_i ln(d_i n)."""
+    combo = ((Fraction(1), 2), (-Fraction(1, 2**p), 1)) if kind == "S" else ((Fraction(1), 1 if kind == "H" else 2),)
+    a, rem, q = _harmonic_expansion(p, K)
+    out: dict = {}
+    for c, d in combo:
+        for e, ae in a:
+            out[e] = out.get(e, 0) + c * ae / d**e
+    if kind == "H2N1":
+        out[1] -= Fraction(1, 2)
+    return combo, tuple((e, x) for e, x in out.items() if x), sum(abs(c) * rem / d**q for c, d in combo), q
+
+
+def _weight_pl(kind: str, ctx) -> tuple[list[tuple[BigReal, Fraction, int]], Fraction, int]:
+    """The order-1 weight of the kind as power-log terms (A, B, e) to n^-6, and D, q
+    with truncation at most D n^-q; at e = 0, sum_i c_i (gamma + ln d_i + ln n)."""
+    combo, terms, D, q = _weight_expansion(kind, 1, 2)
+    total = sum(c for c, _ in combo)
+    A = _br(0, ctx) + const_gamma(ctx) * total
+    log2 = sum(c for c, d in combo if d == 2)  # ln d_i = ln 2 or 0
+    if log2:
+        A = A + const_log2(ctx) * log2
+    return [(A, total, 0)] + [(_br(a, ctx), Fraction(0), e) for e, a in terms], D, q
 
 
 def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int, int]:
@@ -304,13 +314,6 @@ def _kernel_coeffs(s: int, c: int, I: int) -> tuple[tuple[Fraction, ...], tuple[
     """coeff_i for i < I of (2n+c)^-s = sum_i coeff_i n^(-s-i), exact and as floats."""
     coeffs = tuple(Fraction((-c) ** i * comb(s + i - 1, i), 2 ** (s + i)) for i in range(I))
     return coeffs, tuple(map(float, coeffs))
-
-
-def _kernel_expansion(s: int, c: int, I: int, N: int) -> tuple[list[Fraction], Fraction]:
-    """(2n+c)^-s = sum_i coeff_i n^(-s-i) + R, |R| <= rem * n^(-s-I) for n >= N,
-    provided q = (s+I) / (2 (I+1) N) < 1/2."""
-    rem = Fraction(comb(s + I - 1, I), 2 ** (s + I)) / (1 - Fraction(s + I, 2 * (I + 1) * N))
-    return list(_kernel_coeffs(s, c, I)[0]), rem
 
 
 # Float twins of _abs_integral and _abs_tail, in natural logs so that no
@@ -370,18 +373,18 @@ def _log_abs_tail(a: float, b: float, p: int, N: int) -> float:
 
 def _kernel_orders(kern: _Kernel, N: int, first: int = 4):
     """The orders I in first, first + 4, ..., 40 at which the float estimate of
-    the kernel truncation bound _abs_tail(a rem, b rem, k + I + shift, N) is
+    the kernel truncation bound _abs_tail(a rem, b rem, k + I, N) is
     within limit, and order 40, ascending, as (I, log estimate); a None once N
-    is too small for the expansion of an order (q >= 1/2 in _kernel_expansion).
+    is too small for the expansion of an order (q >= 1/2 in _kernel_order).
     """
-    k = kern.k
+    k, fa, fb = kern.k, float(kern.a), float(kern.b)
     log_limit = log(kern.limit) + _FLOAT_MARGIN
     for I in range(first, 41, 4):
         if k + I >= (I + 1) * N:
             yield None
             return
         rem = comb(k + I - 1, I) / 2 ** (k + I) / (1 - (k + I) / (2 * (I + 1) * N))
-        est = _log_abs_tail(kern.fa * rem, kern.fb * rem, k + I + kern.shift, N)
+        est = _log_abs_tail(fa * rem, fb * rem, k + I, N)
         if est <= log_limit or I == 40:
             yield I, est
 
@@ -395,12 +398,15 @@ def _kernel_order(kern: _Kernel, N: int, first: int, ctx):
     decides for the others, so the order chosen and the bound returned never
     rest on the float.
     """
+    k = kern.k
     for order in _kernel_orders(kern, N, first):
         if order is None:
             return None
         I, _ = order
-        coeffs, rem = _kernel_expansion(kern.k, kern.c, I, N)
-        bound = _abs_tail(kern.a * rem, kern.b * rem, kern.k + I + kern.shift, N, ctx)
+        coeffs = _kernel_coeffs(k, kern.c, I)[0]
+        # the remainder is at most rem n^(-k-I) for n >= N, as q = (k+I) / (2 (I+1) N) < 1/2
+        rem = Fraction(comb(k + I - 1, I), 2 ** (k + I)) / (1 - Fraction(k + I, 2 * (I + 1) * N))
+        bound = _abs_tail(kern.a * rem, kern.b * rem, k + I, N, ctx)
         if _upper_float(bound) <= kern.limit or I == 40:
             return coeffs, bound
 
@@ -416,23 +422,21 @@ def _upper_float(x: BigReal) -> float:
 
 class _Kernel:
     """Expansion of (2n + c)^-k in powers of n, for terms summing to at most
-    a + b ln n in absolute value that carry a further n^-shift; its truncation
-    bound must meet limit."""
+    a + b ln n in absolute value; its truncation bound must meet limit."""
 
-    __slots__ = ("k", "c", "shift", "a", "b", "limit", "fa", "fb")
+    __slots__ = ("k", "c", "a", "b", "limit")
 
-    def __init__(self, k: int, c: int, shift: int, a, b, limit: float):
-        self.k, self.c, self.shift, self.a, self.b, self.limit = k, c, shift, a, b, limit
-        self.fa, self.fb = float(a), float(b)
+    def __init__(self, k: int, c: int, a, b, limit: float):
+        self.k, self.c, self.a, self.b, self.limit = k, c, a, b, limit
 
 
 class _Plan:
     """An evaluator's tail and the components of its bound, as data.
 
-    groups: [(terms, kernel)].  The tail's power-log terms (A, B, e); with a
-      _Kernel, each term is multiplied by n^-shift and by the kernel's
-      expansion sum_i c_i n^(-k-i), giving (A c_i, B c_i, e + k + shift + i).
-    part: (name, (a, b, p), scale): the truncation made outside the kernels,
+    terms, kernel: the tail's power-log terms (A, B, e); with a _Kernel, each
+      term is multiplied by the kernel's expansion sum_i c_i n^(-k-i), giving
+      (A c_i, B c_i, e + k + i).
+    part: (name, (a, b, p), scale): the truncation made outside the kernel,
       bounded by scale * _abs_tail(a, b, p, N); scale None stands for 1.
     tail: (m, scale, at): the remainder of the tail formula, bounded by
       scale * Int_(N+at)^inf |f^(m)| with f the sum of the tail terms.
@@ -440,82 +444,71 @@ class _Plan:
     _screen and _certify evaluate this one description in floats and in BigReal.
     """
 
-    __slots__ = ("groups", "part", "tail")
+    __slots__ = ("terms", "kernel", "part", "tail")
 
-    def __init__(self, groups: list, part: tuple, tail: tuple):
-        self.groups, self.part, self.tail = groups, part, tail
+    def __init__(self, terms: list, kernel: Optional[_Kernel], part: tuple, tail: tuple):
+        self.terms, self.kernel, self.part, self.tail = terms, kernel, part, tail
 
 
 _KERNEL = "kernel truncation"
 
 
 def _expand(terms, kern: _Kernel, coeffs) -> list:
-    return [(A * ci, B * ci, e + kern.k + kern.shift + i)
-            for A, B, e in terms for i, ci in enumerate(coeffs) if ci]
+    return [(A * ci, B * ci, e + kern.k + i) for A, B, e in terms for i, ci in enumerate(coeffs) if ci]
 
 
-def _screen(plan: _Plan, N: int) -> Optional[tuple[dict, list[int]]]:
+def _screen(plan: _Plan, N: int) -> Optional[tuple[dict, Optional[int]]]:
     """Natural logs of float estimates of the plan's bound components at N, by
-    name, and the order each kernel was expanded to; None when N is too small
-    for a kernel expansion.
+    name, and the order the kernel was expanded to (None without a kernel);
+    None when N is too small for the kernel expansion.
 
-    Each kernel is expanded to the lowest order its float estimate admits.  The
+    The kernel is expanded to the lowest order its float estimate admits.  The
     coefficient lists of the orders are prefixes of one another, so the tail
     remainder estimated from those terms is never above the one certified at
     the order _kernel_order picks, which is never lower.  The kernel estimate
     itself falls as the order rises, so it is no lower estimate and is kept
     apart under _KERNEL.
     """
-    terms, kernel, orders = [], [], []
-    for group, kern in plan.groups:
-        group = [(abs(float(A)), abs(float(B)), e) for A, B, e in group]
-        if kern is None:
-            terms += group
-            continue
+    terms = [(abs(float(A)), abs(float(B)), e) for A, B, e in plan.terms]
+    kern, first = plan.kernel, None
+    if kern is not None:
         order = next(_kernel_orders(kern, N))
         if order is None:
             return None
-        I, est = order
-        kernel.append(est)
-        orders.append(I)
-        terms += _expand(group, kern, _kernel_coeffs(kern.k, kern.c, I)[1])
+        first, kernel = order
+        terms = _expand(terms, kern, _kernel_coeffs(kern.k, kern.c, first)[1])
     name, (a, b, p), scale = plan.part
     m, tail_scale, at = plan.tail
     est = {
         name: _log_abs_tail(float(a), float(b), p, N) + (0.0 if scale is None else _log_pos(scale)),
         "tail remainder": _log_abs_integral(terms, m, N + at) + _log_pos(tail_scale),
     }
-    if kernel:
-        est[_KERNEL] = _log_sum(kernel)
-    return est, orders
+    if kern is not None:
+        est[_KERNEL] = kernel
+    return est, first
 
 
-def _certify(plan: _Plan, N: int, orders: list[int], ctx) -> Optional[tuple[list, BigReal]]:
+def _certify(plan: _Plan, N: int, first: Optional[int], ctx) -> Optional[tuple[list, BigReal]]:
     """(tail terms, bound) of the plan at N in BigReal, or None when N is too
-    small for a kernel expansion.  The bound sums the kernel truncations, the
+    small for the kernel expansion.  The bound sums the kernel truncation, the
     plan's part and the tail remainder.
 
-    The search for each kernel's order starts at its entry in orders: the
-    order _screen found, below which the float estimate rules every order out.
+    The search for the kernel's order starts at first: the order _screen
+    found, below which the float estimate rules every order out.
     """
-    terms, kernel = [], []
-    first = iter(orders)
-    for group, kern in plan.groups:
-        if kern is None:
-            terms += group
-            continue
-        order = _kernel_order(kern, N, next(first), ctx)
+    terms, kernel = plan.terms, None
+    if plan.kernel is not None:
+        order = _kernel_order(plan.kernel, N, first, ctx)
         if order is None:
             return None
-        coeffs, bound = order
-        kernel.append(bound)
-        terms += _expand(group, kern, coeffs)
+        coeffs, kernel = order
+        terms = _expand(terms, plan.kernel, coeffs)
     _, (a, b, p), scale = plan.part
     total = _abs_tail(a, b, p, N, ctx)
     if scale is not None:
         total = total * scale
-    if kernel:
-        total = (kernel[0] if len(kernel) == 1 else sum(kernel, BigReal.zero(ctx))) + total
+    if kernel is not None:
+        total = kernel + total
     m, tail_scale, at = plan.tail
     return terms, total + _abs_integral(terms, m, N + at, ctx) * tail_scale
 
@@ -550,10 +543,10 @@ def _select(cfg: OracleConfig, plan: _Plan, ctx) -> tuple[int, list, BigReal]:
         screened = _screen(plan, N)
         if screened is None:
             continue
-        est, orders = screened
+        est, first = screened
         if _log_sum(v for k, v in est.items() if k != _KERNEL) > log_half:
             continue
-        step = _certify(plan, N, orders, ctx)
+        step = _certify(plan, N, first, ctx)
         if step is not None and _upper_float(step[1]) <= tol / 2:
             return N, *step
     msg = f"cannot certify {tol} within {cfg.max_terms} terms"
@@ -586,66 +579,33 @@ def _weighted_head(kind: str, kern_c: Optional[int], s: int, N: int, ctx) -> Big
 
 def _eval_weighted(kind: str, kern_c: Optional[int], s: int, cfg: OracleConfig, ctx) -> OracleResult:
     """sum_{n>=1} w_n * base(n)^-s with base = n (kern_c None) or 2n + kern_c."""
-    wterms, D = _weight_pl(kind, ctx)
+    wterms, D, q = _weight_pl(kind, ctx)
     K = cfg.tail_order
     if kern_c is None:
-        group = ([(A, B, e + s) for A, B, e in wterms], None)
+        terms, kern = [(A, B, e + s) for A, B, e in wterms], None
     else:
         sum_a = sum((abs(A) for A, _, _ in wterms), BigReal.zero(ctx))
         sum_b = sum(abs(B) for _, B, _ in wterms)
-        group = (wterms, _Kernel(s, kern_c, 0, sum_a, sum_b, cfg.target_tolerance / 8))
-    plan = _Plan([group], ("weight-expansion truncation", (D, 0, s + 6), None), (*_em_remainder(K, ctx), 0))
+        terms, kern = wterms, _Kernel(s, kern_c, sum_a, sum_b, cfg.target_tolerance / 8)
+    plan = _Plan(terms, kern, ("weight-expansion truncation", (D, 0, s + q), None), (*_em_remainder(K, ctx), 0))
     N, pl, bounds = _select(cfg, plan, ctx)
     return _finish(_weighted_head(kind, kern_c, s, N, ctx) + _em_value(pl, N, K, ctx), bounds, N, cfg)
 
 
-def _remainder_series_pl(p: int, scale_base: int, J: int) -> tuple[list[tuple[Fraction, int]], Fraction]:
-    """Asymptotics of r_n = sum_{k > n} (scale_base*k + c)^-p in powers of the base.
-
-    Returns ([(coeff, power)], rem) where the base is (2n-1), n, or (2n)
-    depending on the family; rem bounds |R_n| * base^(p+2J-1).
-    """
-    terms = [(Fraction(1, scale_base * (p - 1)), p - 1), (Fraction(-1, 2), p)]
-    for j in range(1, J + 1):
-        c = exact.bernoulli(2 * j) * Fraction(scale_base ** (2 * j - 1) * _pochhammer(p, 2 * j - 1), factorial(2 * j))
-        terms.append((c, p + 2 * j - 1))
-    # |R| <= 4 (2 pi)^(-2J) * scale^(2J) (p)_2J base^(1-p-2J) / (scale (p+2J-1))
-    rem = Fraction(4 * scale_base ** (2 * J - 1) * _pochhammer(p, 2 * J), p + 2 * J - 1)
-    return terms, rem
-
-
 def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
-    """C0 - sum_n r_n / n^s for sigma(s,t>=2), ZetaStar(q,p>=2), E(p>=2,q).
-
-    The weight kind selects the inner tail: "S" r_n = sum_{k>n} (2k-1)^-p,
-    "H" r_n = sum_{k>n} k^-p, "H2N" r_n = sum_{k>2n} k^-p.
-    """
+    """C0 - sum_n r_n / n^s for sigma(s,t>=2), ZetaStar(q,p>=2), E(p>=2,q), where
+    w_n = sum_i c_i H_(d_i n)^(p) is the weight of the kind and order p, r0 =
+    zeta(p) sum_i c_i its limit, C0 = r0 zeta(s), and the inner tail r_n = r0 - w_n
+    is minus the weight's expansion (_weight_expansion), in powers of n."""
     K = cfg.tail_order
     J = max(3, K)
-    zs = zeta_num(s, ctx)
-    zp = zeta_num(p, ctx)
-    if kind == "S":
-        c0 = zp * (1 - Fraction(1, 2**p)) * zs  # lambda(p) zeta(s)
-        r0 = zp * (1 - Fraction(1, 2**p))
-        inner_scale = 2  # r_n in powers of (2n-1)
-    else:
-        c0 = zp * zs
-        r0 = zp
-        inner_scale = 1  # r_n in powers of n ("H") or of 2n ("H2N")
-    rterms, rrem = _remainder_series_pl(p, inner_scale, J)
-    if kind == "H2N":
-        # base variable is 2n: rescale coefficients and the remainder to n-powers
-        rterms = [(c * Fraction(1, 2**pw), pw) for c, pw in rterms]
-        rrem = rrem * Fraction(1, 2 ** (p + 2 * J - 1))
-    pi2j = _pi_power(2, 2 * J, ctx)
-    rem_pow = p + 2 * J - 1 + s  # for sigma: (2n-1)^(1-p-2J) <= n^(1-p-2J)
-    if kind == "S":
-        # powers of (2n-1): expand each into powers of n
-        limit = cfg.target_tolerance / (16 * len(rterms))
-        groups = [([(c, 0, 0)], _Kernel(pw, -1, s, abs(c), 0, limit)) for c, pw in rterms]
-    else:
-        groups = [([(c, 0, pw + s) for c, pw in rterms], None)]
-    plan = _Plan(groups, ("inner-tail remainder", (rrem, 0, rem_pow), pi2j), (*_em_remainder(K, ctx), 0))
+    combo, wterms, rem, q = _weight_expansion(kind, p, J)
+    zp, total = zeta_num(p, ctx), sum(c for c, _ in combo)
+    r0 = zp if total == 1 else zp * total
+    c0 = r0 * zeta_num(s, ctx)
+    terms = [(-a, 0, e + s) for e, a in wterms]
+    plan = _Plan(terms, None, ("inner-tail remainder", (rem, 0, q + s), _pi_power(2, 2 * J, ctx)),
+                 (*_em_remainder(K, ctx), 0))
     N, pl, bounds = _select(cfg, plan, ctx)
     # c0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
     fx = FixedPoint(ctx, N)
@@ -676,11 +636,10 @@ def _alt_euler_star_head(s: int, M: int, ctx) -> BigReal:
 def _eval_alt_euler_star(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     s = 2 * a
     KB = max(4, 2 * cfg.tail_order)
-    wterms, D = _weight_pl("H", ctx)
+    wterms, D, q = _weight_pl("H", ctx)
     pl = [(A, B, e + s) for A, B, e in wterms]
     # the tail starts at n = M+1; M is even, so its sign is +1
-    plan = _Plan([(pl, None)], ("weight-expansion truncation", (D, 0, s + 6), None),
-                 (*_boole_remainder(KB, ctx), 1))
+    plan = _Plan(pl, None, ("weight-expansion truncation", (D, 0, s + q), None), (*_boole_remainder(KB, ctx), 1))
     M, _, bounds = _select(cfg, plan, ctx)
     return _finish(_alt_euler_star_head(s, M, ctx) + _boole_value(pl, M + 1, KB, ctx), bounds, M, cfg)
 
@@ -696,7 +655,7 @@ def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     pl = [(c * (-1) ** k * _pochhammer(s, k), 0, s + k + 1) for c, k in _boole_derivs(KB)]
     rem_c = Fraction(4 * _pochhammer(s, KB), s + KB - 1)
     # the Boole remainder of tau_n truncates the weight's expansion
-    plan = _Plan([(pl, None)], ("weight-expansion truncation", (rem_c, 0, s + KB), _pi_power(1, KB, ctx)),
+    plan = _Plan(pl, None, ("weight-expansion truncation", (rem_c, 0, s + KB), _pi_power(1, KB, ctx)),
                  (*_em_remainder(K, ctx), 0))
     N, _, bounds = _select(cfg, plan, ctx)
     fx = FixedPoint(ctx, N)

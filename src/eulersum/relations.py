@@ -19,6 +19,7 @@ zero SymExpr; anything else would falsify a formula and is reported.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -231,6 +232,12 @@ def folded_relation(variant: int, v: int, r: int) -> Relation:
 
 def relations_for_weight(w: int) -> list[Relation]:
     """All generated relations of weight w: products (k <= l), plus reductions."""
+    return list(_relations(w))
+
+
+# shared per weight (a Relation cannot change; _Row copies it); far above one run's weights
+@lru_cache(maxsize=64)
+def _relations(w: int) -> tuple[Relation, ...]:
     if w < 3:
         raise ValueError(f"weight must be >= 3, got {w}")
     rels = [gen_product_relation(k, w - k) for k in range(2, w // 2 + 1)]
@@ -238,7 +245,7 @@ def relations_for_weight(w: int) -> list[Relation]:
         s = w - t
         if s >= 2:
             rels.append(reduction_relation(s, t))
-    return rels
+    return tuple(rels)
 
 
 # ---------------------------------------------------------------------------

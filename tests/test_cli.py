@@ -138,6 +138,24 @@ def test_verify_weight_3_to_10_check_count(capsys):
     assert rc == 0 and doc["passed"] == 159 and doc["failed"] == 0
 
 
+def test_verify_generates_the_relations_of_each_weight_once(capsys, monkeypatch):
+    from eulersum import relations
+
+    calls = []
+    real = relations.gen_product_relation
+
+    def counted(k, l):
+        calls.append((k, l))
+        return real(k, l)
+
+    monkeypatch.setattr(relations, "gen_product_relation", counted)
+    relations._relations.cache_clear()
+    rc, out, err = _run(capsys, "verify", "--weight", "3..10")
+    assert rc == 0
+    # the residual checks and the sum theorem's row space share each weight's relations
+    assert len(calls) == len(set(calls)) == sum(w // 2 - 1 for w in range(4, 11))
+
+
 def test_verify_failure_exits_2(capsys, monkeypatch):
     # a wrong closed form must be caught by the oracle cross-check
     wrong = lambda_sym(4)

@@ -103,7 +103,7 @@ PINNED_TERMS = {
     SumId.J(4): 128,
     SumId.Jbar(3): 128,
     SumId.h(3): 256,
-    SumId.sigma(2, 3): 128,
+    SumId.sigma(2, 3): 64,
     SumId.zeta_star(3, 2): 128,
     SumId.E(2, 3): 128,
     SumId.alt_euler_star(1): 512,
@@ -222,13 +222,17 @@ def test_alt_tilde_vs_plain_bracketing(a, ctx, cfg):
     assert abs(val - partial) <= bracket, (a, abs(val - partial))
 
 
-def test_budget_exhausted_names_the_largest_bound_component(ctx):
+def test_budget_exhausted_names_the_largest_bound_component(ctx, monkeypatch):
     with pytest.raises(BudgetExhausted) as info:
         oracle_eval(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-20, max_terms=16), ctx)
     msg = str(info.value)
     assert "N = 16" in msg
-    assert "inner-tail remainder" in msg
+    assert "tail remainder" in msg and "inner-tail remainder" not in msg
     assert "tol/2 = 5.000e-21" in msg
+    # the name given is the argmax of the screen's estimates at that N
+    plan = _plan_of(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-20, max_terms=16), ctx, monkeypatch)
+    est, _ = oracle._screen(plan, 16)
+    assert f"the {max(est, key=est.get)}," in msg
 
 
 # head lengths of the benchmark's oracle ladder at (256 bits, 1e-32)
@@ -285,18 +289,17 @@ def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, tail_
     cfg = OracleConfig(target_tolerance=tol, tail_order=tail_order)
     plan = _plan_of(sid, cfg, ctx, monkeypatch)
     monkeypatch.undo()
-    kernels = sum(kern is not None for _, kern in plan.groups)
     accepted = None
     for N in oracle._n_candidates(cfg):
-        # certified with every kernel order searched from the lowest, 4
-        cert = oracle._certify(plan, N, [4] * kernels, ctx)
+        # certified with the kernel order searched from the lowest, 4
+        cert = oracle._certify(plan, N, 4, ctx)
         step = oracle._screen(plan, N)
         assert (step is None) == (cert is None), N
         if cert is None:
             continue
-        est, orders = step
-        # certifying from the orders the screen found changes nothing
-        from_screen = oracle._certify(plan, N, orders, ctx)
+        est, first = step
+        # certifying from the order the screen found changes nothing
+        from_screen = oracle._certify(plan, N, first, ctx)
         assert _bits(from_screen[0]) == _bits(cert[0])
         assert from_screen[1].upper_tuple() == cert[1].upper_tuple()
         screened = oracle._log_sum(v for k, v in est.items() if k != oracle._KERNEL)
@@ -334,9 +337,12 @@ def _frac(t) -> F:
     return -v if sign else v
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_oracle_interval_is_consistent_with_exact_partial_sums(family):
-    sid = _smallest(family)
+# every family at its smallest parameters, and the remainder split of each
+# family that has one, which the smallest parameters do not reach
+@pytest.mark.parametrize("case", [*FAMILIES, SumId.sigma(2, 2), SumId.zeta_star(2, 2), SumId.E(2, 2)], ids=str)
+def test_oracle_interval_is_consistent_with_exact_partial_sums(case):
+    sid = _smallest(case) if isinstance(case, str) else case
+    family = sid.family
     v = oracle_eval(sid, OracleConfig(1e-15), PrecisionContext(working_bits=192)).value
     mid, err = _frac(v.value_tuple()), _frac(v.err_tuple())
     lo, hi = mid - err, mid + err
@@ -345,8 +351,7 @@ def test_oracle_interval_is_consistent_with_exact_partial_sums(family):
     s_n = partial_sum(sid, N)
     s_n1 = s_n + terms[N]
     if all(t >= 0 for t in terms):
-        # Crude tail envelope: at their smallest parameters every family's terms
-        # are at most (1 + ln 2n) / n^2, which decreases, so the sum past N is at
+        # Crude tail envelope: in every case the terms are at most (1 + ln 2n) / n^2, which decreases, so the sum past N is at
         # most Int_N^inf (1 + ln 2x) / x^2 dx = (2 + ln 2N) / N.
         assert all(t <= (1 + math.log(2 * n)) / n**2 for n, t in enumerate(terms, 1))
         assert s_n <= hi
@@ -354,3 +359,62 @@ def test_oracle_interval_is_consistent_with_exact_partial_sums(family):
     else:
         # alternating, with terms falling in size: the sum lies between S_N and S_(N+1)
         assert min(s_n, s_n1) <= lo and hi <= max(s_n, s_n1)
+
+
+# -- the one power-sum generator behind every weight and inner tail -----------------
+
+
+def _exact_weight(kind: str, p: int, n: int) -> F:
+    if kind == "S":
+        return sum((F(1, (2 * k - 1) ** p) for k in range(1, n + 1)), F(0))
+    top = {"H": n, "H2N": 2 * n, "H2N1": 2 * n - 1}[kind]
+    return sum((F(1, k**p) for k in range(1, top + 1)), F(0))
+
+
+def _mp(x):
+    import mpmath
+
+    x = F(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+# every (kind, order) the routes use: order 1 summed directly, orders >= 2 by the split
+_EXPANSION_CASES = [(kind, 1, K) for kind in ("H", "S", "H2N", "H2N1") for K in (2, 5)] + [
+    (kind, p, K) for kind in ("H", "S", "H2N") for p in (2, 3, 5) for K in (3, 4, 8)
+]
+
+
+@pytest.mark.parametrize("kind,p,K", _EXPANSION_CASES)
+def test_weight_expansion_is_within_its_remainder(kind, p, K):
+    import mpmath
+
+    combo, terms, rem, q = oracle._weight_expansion(kind, p, K)
+    total = sum(c for c, _ in combo)
+    with mpmath.workprec(600):
+        if p == 1:
+            const = sum(_mp(c) * (mpmath.euler + mpmath.log(d)) for c, d in combo)
+            scale = 1
+        else:
+            const = _mp(total) * mpmath.zeta(p)
+            scale = (2 * mpmath.pi) ** (-2 * K)
+        for n in (1, 2, 3, 7, 30, 100):
+            approx = const + sum(_mp(a) * mpmath.mpf(n) ** -e for e, a in terms)
+            if p == 1:
+                approx += _mp(total) * mpmath.log(n)
+            bound = _mp(rem) * scale * mpmath.mpf(n) ** -q
+            err = abs(_mp(_exact_weight(kind, p, n)) - approx)
+            assert err <= bound, (n, float(err / bound))
+
+
+def test_order_one_expansion_reproduces_the_hand_table():
+    # kind -> ((gamma multiple, ln 2 multiple) of the constant, terms to n^-4, D of D n^-6)
+    table = {
+        "H": ((1, 0), ((1, F(1, 2)), (2, F(-1, 12)), (4, F(1, 120))), F(1, 252)),
+        "S": ((F(1, 2), 1), ((2, F(1, 48)), (4, F(-7, 1920))), F(33, 16128)),
+        "H2N": ((1, 1), ((1, F(1, 4)), (2, F(-1, 48)), (4, F(1, 1920))), F(1, 16128)),
+        "H2N1": ((1, 1), ((1, F(-1, 4)), (2, F(-1, 48)), (4, F(1, 1920))), F(1, 16128)),
+    }
+    for kind, (const, terms, D) in table.items():
+        combo, *expansion = oracle._weight_expansion(kind, 1, 2)
+        assert (sum(c for c, _ in combo), sum(c for c, d in combo if d == 2)) == const
+        assert expansion == [terms, D, 6]
