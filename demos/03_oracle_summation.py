@@ -36,6 +36,6 @@ print()
 print("The term budget is enforced, not silently ignored")
 print("=" * 64)
 try:
-    oracle_eval(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-24, max_terms=16), ctx)
+    oracle_eval(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-24, max_terms=8), ctx)
 except BudgetExhausted as e:
     print(f"BudgetExhausted: {e}")

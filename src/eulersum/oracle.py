@@ -16,36 +16,47 @@ sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) - 2^-p H_n^(p), with the
 remainders added in absolute value.  For order p >= 2 the sum is split as
 C0 - sum_n r_n / n^s, r_n = r0 - w_n the weight's tail, of order n^(1-s-p).
 
-The cutoff N is chosen from the bounds alone, without evaluating the tail.
-Each evaluator describes its tail once, as data (_Plan): the power-log terms,
-the kernel that expands them, and every bound component as power-log specs
-with a scale factor.  That description is evaluated two ways.  Candidates
-N = 32, 64, ... are screened with float estimates in log space, which are
-lower estimates of the certified bound up to float rounding; a candidate
-whose estimate misses tol/2 by more than that is passed over.  The first
-candidate the screen lets through is certified in BigReal, and only if that
-bound misses tol/2 does the search go on.  So N and the bound are those a
-certified bound at every candidate would give, and no float enters them.
-The tail value is then built once, at the accepted N.  Value and bound work
-on the tail's power-log terms (A + B ln x) x^-p merged by power p: signed
-sums of A and B for the value, sums of |A| and |B| for the bound (which is
-linear in them, so merging leaves it unchanged).  The per-power factors are
-exact rationals, rounded once into BigReal.
+Every order of a tail follows from one order K: Euler-Maclaurin order K,
+weights expanded to order max(2, K-2), inner tails to max(3, K), Boole order
+max(4, 2K) (max(6, 2K+2) for the tilde sum), and the kernel (2n+c)^-s, where
+there is one, to the lowest order in steps of 4 whose truncation meets tol/8.
+Each evaluator describes its tail at order K as data (_Plan): the power-log
+terms, the kernel, and every bound component as power-log terms with a scale.
+
+The cutoff N and the order K are chosen together, from the bounds alone
+(_select).  At each candidate N = 32, 64, ... the orders K = tail_order,
+tail_order + 1, ... are screened with float estimates in log space, which are
+lower estimates of the certified bound up to float rounding, while the
+estimate keeps falling.  Of the pairs whose estimate meets tol/2 the one of
+least work, N plus merged tail powers times derivative terms, is certified in
+BigReal, the next by work if it misses; the search stops once N alone exceeds
+the least work found.  So (N, K) and the bound are those a certified bound at
+every screened pair would give, and no float enters them.
+
+Value and bound of a tail are sums over its power-log terms (A + B ln x) x^-p
+merged by power p, of A R(N) + B (R(N) ln N + Q(N)): R and Q are sums
+c N^-j whose exact rational c do not depend on N (signed A and B for the
+value; |A| and |B| for the bound, which is linear in them, so merging leaves
+it unchanged).  They are summed in numerics.FixedPoint integers, a rational
+A or B folded into each floor, and rounded into BigReal once.
 
 The head is summed in numerics.FixedPoint: integers scaled by 2^prec, with
 prec = working_bits + ceil(log2 N) + guard bits, where every rounding is a
 floor whose error is counted exactly beside the value.  That count is the
 head's a-priori rounding bound; it comes back with the head as one BigReal,
-and the tail and the remainder bounds are computed in BigReal, so all
+and the tail and the remainder bounds carry their own counted rounding, so all
 rounding is part of the reported bound.  Summation order is fixed (ascending
-n) and term counts are chosen deterministically from the bounds.
+n) and N and K are chosen deterministically from the bounds.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, exp, factorial, inf, log, log1p
+from heapq import heapify, heappop, heappush
+from itertools import count
+from math import comb, exp, factorial, fsum, inf, log, log1p, pi
 from typing import NamedTuple, Optional
 
 from mpmath.libmp import fzero, mpf_add, to_float
@@ -81,6 +92,10 @@ class BudgetExhausted(RuntimeError):
 
 
 class OracleConfig:
+    """target_tolerance: the bound to certify; max_terms: the largest cutoff N;
+    tail_order: the least tail order K the cutoff search tries (higher orders
+    are tried when they cost less work)."""
+
     __slots__ = ("target_tolerance", "max_terms", "tail_order")
 
     def __init__(self, target_tolerance: float = 1e-10, max_terms: int = 10**7, tail_order: int = 4):
@@ -115,22 +130,25 @@ class OracleResult(NamedTuple):
 # ---------------------------------------------------------------------------
 #
 # A term (A, B, p) stands for (A + B ln x) x^-p; A and B are rationals or
-# BigReals, and rationals are kept exact as long as possible.  For such f,
+# BigReals.  For such f,
 #
 #     f^(m)(N)      = (-1)^m (p)_m (A + B (ln N - H(p, m))) N^-(p+m),
 #     Int_N^inf f   = ((A + B ln N) / (p-1) + B / (p-1)^2) N^(1-p),
 #
 # with H(p, m) = sum_{i<m} 1/(p+i), so every tail quantity below is
-# A R + B (R ln N + Q) per power, with exact rationals R and Q.
+# A R + B (R ln N + Q) per power, where R and Q are sums c N^-j over exact
+# rationals c that do not depend on N.
+
+_hslices = LRUCache(256)  # p -> [H(p, 0), H(p, 1), ...], extended as needed
+_hslice_lock = threading.Lock()
 
 
-@lru_cache(maxsize=1024)
 def _hslice(p: int, m: int) -> Fraction:
-    return sum((Fraction(1, p + i) for i in range(m)), Fraction(0))
-
-
-def _br(x, ctx) -> BigReal:
-    return x if isinstance(x, BigReal) else BigReal.from_fraction(Fraction(x), ctx)
+    table = _hslices.get(p, lambda: [Fraction(0)])
+    with _hslice_lock:
+        while len(table) <= m:
+            table.append(table[-1] + Fraction(1, p + len(table) - 1))
+        return table[m]
 
 
 def _merge(terms, absolute: bool = False) -> list[tuple]:
@@ -138,42 +156,92 @@ def _merge(terms, absolute: bool = False) -> list[tuple]:
 
     With absolute, |A| and |B| are summed instead; the bounds below are linear
     in (|A|, |B|) at fixed p, so a merged bound equals the sum of the
-    per-term bounds.
+    per-term bounds.  BigReal and rational coefficients are summed apart, so
+    rationals merge exactly.
     """
     merged: dict = {}
     for A, B, p in terms:
         if absolute:
             A, B = abs(A), abs(B)
-        if p in merged:
-            a, b = merged[p]
+        key = (p, isinstance(A, BigReal), isinstance(B, BigReal))
+        if key in merged:
+            a, b = merged[key]
             A, B = a + A, b + B
-        merged[p] = (A, B)
-    return [(A, B, p) for p, (A, B) in merged.items()]
+        merged[key] = (A, B)
+    return [(A, B, key[0]) for key, (A, B) in merged.items()]
 
 
-def _pl_combine(A, B, R: Fraction, Q: Fraction, lnN: BigReal, ctx) -> BigReal:
-    """A R + B (R ln N + Q)."""
-    out = _br(A * R, ctx)
-    if B:
-        out = out + B * (lnN * R + _br(Q, ctx))
-    return out
+def _fx_dot(fx: FixedPoint, x, coeffs, pows: list[int]) -> tuple[int, int]:
+    """x * sum (a/b) N^-j over (j, a, b) in coeffs as a fixed-point pair, pows[j] = N^j.
+
+    A rational x is folded into every floor, so each adds under one unit of
+    error whatever the size of x and a/b; a BigReal x multiplies the sum.
+    """
+    if isinstance(x, BigReal):
+        s, e = _fx_dot(fx, 1, coeffs, pows)
+        return fx.mul(*fx.from_big(x), s, e)
+    num, den = x.numerator << fx.prec, x.denominator
+    return sum(num * a // (den * b * pows[j]) for j, a, b in coeffs), len(coeffs)
 
 
-def _pl_value(terms, N: int, derivs, integral: bool, ctx) -> BigReal:
-    """[Int_N^inf f] + sum_m c f^(m)(N) over (c, m) in derivs, f the sum of the terms."""
-    lnN = BigReal.from_int(N, ctx).ln()
-    val = BigReal.zero(ctx)
-    for A, B, p in _merge(terms):
-        R = Q = Fraction(0)
-        if integral:
-            R = Fraction(1, (p - 1) * N ** (p - 1))
-            Q = R / (p - 1)
-        for c, m in derivs:
-            r = c * Fraction((-1) ** m * _pochhammer(p, m), N ** (p + m))
-            R += r
-            Q -= r * _hslice(p, m)
-        val = val + _pl_combine(A, B, R, Q, lnN, ctx)
-    return val
+@lru_cache(maxsize=64)
+def _ln(n: int, ctx) -> BigReal:
+    return BigReal.from_int(n, ctx).ln()
+
+
+def _pl_sum(terms, N: int, coeffs, ctx, absolute: bool = False) -> BigReal:
+    """Sum over the terms, merged by power p (_merge), of A R + B (R ln N + Q)
+    with (R, Q) = coeffs(p), each a tuple of integer triples (j, a, b) for
+    sum (a/b) N^-j; summed in FixedPoint and rounded into BigReal once."""
+    merged = [(A, B, *coeffs(p)) for A, B, p in _merge(terms, absolute)]
+    top = max((j for *_, R, Q in merged for j, _, _ in R + Q), default=0)
+    pows = [1]
+    for _ in range(top):
+        pows.append(pows[-1] * N)
+    fx = FixedPoint(ctx, 4 * sum(len(R) + len(Q) for *_, R, Q in merged) + 2)
+    ln = None
+    acc = err = 0
+    for A, B, R, Q in merged:
+        parts = [_fx_dot(fx, A, R, pows)] if A else []
+        if B:
+            ln = ln or fx.from_big(_ln(N, ctx))
+            parts += [fx.mul(*_fx_dot(fx, B, R, pows), *ln), _fx_dot(fx, B, Q, pows)]
+        for v, e in parts:
+            acc += v
+            err += e
+    return fx.to_big(acc, err)
+
+
+def _derivs(rule: str, K: int) -> tuple[tuple[Fraction, int], ...]:
+    return _em_derivs(K) if rule == "em" else _boole_derivs(K)
+
+
+@lru_cache(maxsize=1024)
+def _pl_coeffs(p: int, rule: str, K: int) -> tuple[tuple, tuple]:
+    """(R, Q) of the power p for the tail rule of order K, as for _pl_sum: with
+    rule "em", Int_N^inf f + sum c f^(m)(N) over (c, m) in _em_derivs(K); with
+    "boole", the sum over _boole_derivs(K) alone.  The fractions are left
+    unreduced."""
+    R, Q = [], []
+    if rule == "em":
+        R.append((p - 1, 1, p - 1))
+        Q.append((p - 1, 1, (p - 1) ** 2))
+    for c, m in _derivs(rule, K):
+        a, b = (-1) ** m * _pochhammer(p, m) * c.numerator, c.denominator
+        R.append((p + m, a, b))
+        if m:
+            h = _hslice(p, m)
+            Q.append((p + m, -a * h.numerator, b * h.denominator))
+    return tuple(R), tuple(Q)
+
+
+@lru_cache(maxsize=4096)
+def _abs_coeffs(p: int, m: int) -> tuple[tuple, tuple]:
+    """(R, Q) of the power p in _abs_integral, q = p + m:
+    (p)_m / (q-1) N^-(q-1) and that times H(p, m) + 1/(q-1)."""
+    q = p + m
+    poch, h = _pochhammer(p, m), _hslice(p, m) + Fraction(1, q - 1)
+    return ((q - 1, poch, q - 1),), ((q - 1, poch * h.numerator, (q - 1) * h.denominator),)
 
 
 def _abs_integral(terms, m: int, N: int, ctx) -> BigReal:
@@ -181,117 +249,150 @@ def _abs_integral(terms, m: int, N: int, ctx) -> BigReal:
 
     |f^(m)(x)| <= (p)_m (|A| + |B| H(p, m) + |B| ln x) x^-(p+m) for x >= 1.
     """
-    lnN = BigReal.from_int(N, ctx).ln()
-    total = BigReal.zero(ctx)
-    for a, b, p in _merge(terms, absolute=True):
-        q = p + m
-        R = Fraction(_pochhammer(p, m), (q - 1) * N ** (q - 1))
-        total = total + _pl_combine(a, b, R, R * (_hslice(p, m) + Fraction(1, q - 1)), lnN, ctx)
-    return total
+    return _pl_sum(terms, N, lambda p: _abs_coeffs(p, m), ctx, absolute=True)
+
+
+def _abs_tail(terms, N: int, ctx) -> BigReal:
+    """Upper bound for sum over n > N of the terms (a + b ln n) n^-p: the
+    integral from N plus the term at N + 1."""
+    first = _pl_sum(terms, N + 1, lambda p: (((p, 1, 1),), ()), ctx, absolute=True)
+    return _abs_integral(terms, 0, N, ctx) + first
 
 
 # Each tail comes as a remainder bound, scale * Int |f^(m)| over the tail terms
 # f (see _Plan), and a value, evaluated once at the cutoff the bound accepts.
+# A scale (c, base, k) stands for c (base pi)^-k.
 
 
 @lru_cache(maxsize=64)
 def _pi_power(base: int, k: int, ctx) -> BigReal:
     """(base pi)^-k for base 1 or 2, built once per precision."""
-    pi = const_pi(ctx)
-    return (pi if base == 1 else pi * base) ** (-k)
+    pi_ = const_pi(ctx)
+    return (pi_ if base == 1 else pi_ * base) ** (-k)
 
 
-def _em_remainder(K: int, ctx) -> tuple:
-    """(m, scale) of the remainder bound of _em_value(terms, N, K)."""
+def _scaled(x: BigReal, scale: tuple, ctx) -> BigReal:
+    c, base, k = scale
+    if k:
+        x = x * _pi_power(base, k, ctx)
+    return x if c == 1 else x * c
+
+
+def _log_scale(scale: tuple) -> float:
+    c, base, k = scale
+    return _log_pos(c) - k * log(base * pi)
+
+
+_ONE = (1, 1, 0)
+
+
+def _remainder(rule: str, K: int) -> tuple[int, tuple]:
+    """(m, scale) of the remainder bound of the tail rule of order K."""
+    if rule == "boole":
+        return K, (4, 1, K)
     if K:
-        return 2 * K, _pi_power(2, 2 * K, ctx) * 4
-    return 1, Fraction(1, 2)
+        return 2 * K, (4, 2, 2 * K)
+    return 1, (Fraction(1, 2), 1, 0)
 
 
-def _em_derivs(K: int) -> list[tuple[Fraction, int]]:
-    """[(c, m)] with Int_N^inf f + sum c f^(m)(N) the Euler-Maclaurin sum of order
-    K over n > N: Int_N^inf f - f(N)/2 - sum_k B_2k/(2k)! f^(2k-1)(N)."""
-    return [(Fraction(-1, 2), 0)] + [(-exact.bernoulli(2 * k) / factorial(2 * k), 2 * k - 1) for k in range(1, K + 1)]
+@lru_cache(maxsize=1024)
+def _em_deriv(k: int) -> tuple[Fraction, int]:
+    return -exact.bernoulli(2 * k) / factorial(2 * k), 2 * k - 1
+
+
+def _em_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
+    """((c, m), ...) with Int_N^inf f + sum c f^(m)(N) the Euler-Maclaurin sum of
+    order K over n > N: Int_N^inf f - f(N)/2 - sum B_2k/(2k)! f^(2k-1)(N)."""
+    return ((Fraction(-1, 2), 0), *map(_em_deriv, range(1, K + 1)))
 
 
 def _em_value(terms, N: int, K: int, ctx) -> BigReal:
     """Sum over n > N of the terms by Euler-Maclaurin of order K."""
-    return _pl_value(terms, N, _em_derivs(K), True, ctx)
+    return _pl_sum(terms, N, lambda p: _pl_coeffs(p, "em", K), ctx)
 
 
-def _boole_remainder(K: int, ctx) -> tuple:
-    """(m, scale) of the remainder bound of _boole_value(terms, M, K), K >= 1."""
-    return K, _pi_power(1, K, ctx) * 4
+@lru_cache(maxsize=1024)
+def _boole_deriv(k: int) -> tuple[Fraction, int]:
+    e_k = 2 * (1 - 2 ** (k + 1)) * exact.bernoulli(k + 1) / (k + 1)
+    return e_k / (2 * factorial(k)), k
 
 
-def _boole_derivs(K: int) -> list[tuple[Fraction, int]]:
-    """[(E_k(0)/(2 k!), k)] for k < K, skipping even k >= 2 where E_k(0) = 0."""
-    derivs = [(Fraction(1, 2), 0)]
-    for k in range(1, K, 2):
-        e_k = Fraction(2) * (1 - Fraction(2 ** (k + 1))) * exact.bernoulli(k + 1) / (k + 1)
-        derivs.append((e_k / (2 * factorial(k)), k))
-    return derivs
+def _boole_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
+    """((E_k(0)/(2 k!), k), ...) for k < K, skipping even k >= 2 where E_k(0) = 0."""
+    return ((Fraction(1, 2), 0), *map(_boole_deriv, range(1, K, 2)))
 
 
 def _boole_value(terms, M: int, K: int, ctx) -> BigReal:
     """Sum over n >= M of (-1)^(n-M) times the terms, by Boole summation of order K:
     sum_{k<K} E_k(0)/(2 k!) f^(k)(M)."""
-    return _pl_value(terms, M, _boole_derivs(K), False, ctx)
-
-
-def _abs_tail(a, b, p: int, N: int, ctx) -> BigReal:
-    """Upper bound for sum over n > N of (a + b ln n) n^-p with a, b >= 0."""
-    lnN1 = BigReal.from_int(N + 1, ctx).ln()
-    first = _pl_combine(a, b, Fraction(1, (N + 1) ** p), Fraction(0), lnN1, ctx)
-    return _abs_integral([(a, b, p)], 0, N, ctx) + first
+    return _pl_sum(terms, M, lambda p: _pl_coeffs(p, "boole", K), ctx)
 
 
 # ---------------------------------------------------------------------------
 # asymptotics of the weight sequences and of the odd kernels
 # ---------------------------------------------------------------------------
 
-def _harmonic_expansion(p: int, K: int) -> tuple[tuple[tuple[int, Fraction], ...], Fraction, int]:
-    """H_x^(p) minus its constant (gamma for p = 1, else zeta(p)) to order K, at
-    integers x >= 1: ((e, a_e), ...), rem and q with |H_x^(p) - const - [ln x
-    for p = 1] - sum_e a_e x^-e| <= rem x^-q, times (2 pi)^-2K for p >= 2.
+def _harmonic_expansion(p: int, k: int) -> tuple[tuple[tuple[int, Fraction], ...], Fraction, int]:
+    """((e, a_e), ...), rem and q: the terms the expansion of H_x^(p) minus its
+    constant (gamma for p = 1, else zeta(p)) gains at order k, and the bound of
+    the expansion to order k: summing a_e x^-e over the terms of orders 0..k,
+    |H_x^(p) - const - [ln x for p = 1] - sum_e a_e x^-e| <= rem x^-q at
+    integers x >= 1, times (2 pi)^-2k for p >= 2.
 
     The series is minus the Euler-Maclaurin expansion of sum_{k>x} k^-p, with
     ln x for the integral when p = 1; then it envelops, so the first omitted
     term bounds the error."""
-    a = tuple((p + m, -c * (-1) ** m * _pochhammer(p, m)) for c, m in _em_derivs(K))
+    c, m = _em_deriv(k) if k else (Fraction(-1, 2), 0)
+    a = ((p + m, -c * (-1) ** m * _pochhammer(p, m)),)
     if p == 1:
-        return a, abs(exact.bernoulli(2 * K + 2)) / (2 * K + 2), 2 * K + 2
-    q = p + 2 * K - 1
-    return ((p - 1, Fraction(-1, p - 1)), *a), Fraction(4 * _pochhammer(p, 2 * K), q), q
+        return a, abs(exact.bernoulli(2 * k + 2)) / (2 * k + 2), 2 * k + 2
+    q = p + 2 * k - 1
+    return ((p - 1, Fraction(-1, p - 1)), *a) if k == 0 else a, Fraction(4 * _pochhammer(p, 2 * k), q), q
+
+
+def _combo(kind: str, p: int) -> tuple[tuple[Fraction, int], ...]:
+    return ((Fraction(1), 2), (-Fraction(1, 2**p), 1)) if kind == "S" else ((Fraction(1), 1 if kind == "H" else 2),)
+
+
+@lru_cache(maxsize=4096)
+def _weight_terms(kind: str, p: int, k: int) -> tuple[tuple[int, Fraction], ...]:
+    """The terms the weight's expansion gains at order k: the combination of
+    those of _harmonic_expansion(p, k)."""
+    out: dict = {}
+    for c, d in _combo(kind, p):
+        for e, ae in _harmonic_expansion(p, k)[0]:
+            out[e] = out.get(e, 0) + c * ae / d**e
+    if kind == "H2N1" and k == 0:
+        out[1] -= Fraction(1, 2)
+    return tuple((e, x) for e, x in out.items() if x)
 
 
 @lru_cache(maxsize=256)
 def _weight_expansion(kind: str, p: int, K: int) -> tuple[tuple[tuple[Fraction, int], ...], tuple, Fraction, int]:
     """(((c_i, d_i), ...), terms, rem, q): the weight of the kind and order p
     (_weight_step) is sum_i c_i H_(d_i n)^(p), less 1/(2n) for H2N1 = H_(2n-1);
-    its expansion, the same combination of _harmonic_expansion's, has constant
-    sum_i c_i const(H^(p)) and, for p = 1, sum_i c_i ln(d_i n)."""
-    combo = ((Fraction(1), 2), (-Fraction(1, 2**p), 1)) if kind == "S" else ((Fraction(1), 1 if kind == "H" else 2),)
-    a, rem, q = _harmonic_expansion(p, K)
-    out: dict = {}
-    for c, d in combo:
-        for e, ae in a:
-            out[e] = out.get(e, 0) + c * ae / d**e
-    if kind == "H2N1":
-        out[1] -= Fraction(1, 2)
-    return combo, tuple((e, x) for e, x in out.items() if x), sum(abs(c) * rem / d**q for c, d in combo), q
+    its expansion to order K, the same combination of _harmonic_expansion's,
+    has constant sum_i c_i const(H^(p)) and, for p = 1, sum_i c_i ln(d_i n)."""
+    combo = _combo(kind, p)
+    _, rem, q = _harmonic_expansion(p, K)
+    terms = tuple(t for k in range(K + 1) for t in _weight_terms(kind, p, k))
+    return combo, terms, sum(abs(c) * rem / d**q for c, d in combo), q
 
 
-def _weight_pl(kind: str, ctx) -> tuple[list[tuple[BigReal, Fraction, int]], Fraction, int]:
-    """The order-1 weight of the kind as power-log terms (A, B, e) to n^-6, and D, q
-    with truncation at most D n^-q; at e = 0, sum_i c_i (gamma + ln d_i + ln n)."""
-    combo, terms, D, q = _weight_expansion(kind, 1, 2)
-    total = sum(c for c, _ in combo)
-    A = _br(0, ctx) + const_gamma(ctx) * total
+def _weight_constant(kind: str, ctx) -> BigReal:
+    """The constant of the order-1 weight of the kind: sum_i c_i (gamma + ln d_i)."""
+    combo = _combo(kind, 1)
+    A = const_gamma(ctx) * sum(c for c, _ in combo)
     log2 = sum(c for c, d in combo if d == 2)  # ln d_i = ln 2 or 0
-    if log2:
-        A = A + const_log2(ctx) * log2
-    return [(A, total, 0)] + [(_br(a, ctx), Fraction(0), e) for e, a in terms], D, q
+    return A + const_log2(ctx) * log2 if log2 else A
+
+
+def _weight_pl(kind: str, W: int, A0: BigReal) -> tuple[list[tuple], Fraction, int]:
+    """The order-1 weight of the kind expanded to order W (to n^-2W) as power-log
+    terms (A, B, e), and D, q with truncation at most D n^-q; the term at e = 0
+    is A0 + sum_i c_i ln n, A0 from _weight_constant."""
+    combo, terms, D, q = _weight_expansion(kind, 1, W)
+    return [(A0, sum(c for c, _ in combo), 0)] + [(a, 0, e) for e, a in terms], D, q
 
 
 def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int, int]:
@@ -311,21 +412,23 @@ def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int
 
 @lru_cache(maxsize=1024)
 def _kernel_coeffs(s: int, c: int, I: int) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
-    """coeff_i for i < I of (2n+c)^-s = sum_i coeff_i n^(-s-i), exact and as floats."""
+    """coeff_i for i < I of (2n+c)^-s = sum_i coeff_i n^(-s-i), exact and as
+    natural logs of their absolute values."""
     coeffs = tuple(Fraction((-c) ** i * comb(s + i - 1, i), 2 ** (s + i)) for i in range(I))
-    return coeffs, tuple(map(float, coeffs))
+    return coeffs, tuple(map(_log_pos, coeffs))
 
 
-# Float twins of _abs_integral and _abs_tail, in natural logs so that no
-# N^-(p+m) underflows.  They estimate the BigReal bounds to float rounding and
-# only decide which bounds are worth certifying; they never enter a bound.
+# Float twins of _abs_integral and _abs_tail, in natural logs of the terms'
+# coefficients (la, lb, p), so that no coefficient or N^-(p+m) leaves the float
+# range.  They estimate the BigReal bounds to float rounding and only decide
+# which bounds are worth certifying; they never enter a bound.
 
 _FLOAT_MARGIN = 1e-9  # far above the relative rounding of any float estimate here
 
 
 def _log_sum(logs) -> float:
     """log(sum(exp(x) for x in logs)), -inf for no terms."""
-    logs = list(logs)
+    logs = [x for x in logs if x > -inf]
     if not logs:
         return -inf
     top = max(logs)
@@ -336,79 +439,99 @@ _LN2 = log(2)
 
 
 def _log_pos(x) -> float:
-    """Natural log of a positive BigReal or rational, without float underflow."""
+    """Natural log of |x| for a BigReal or rational x (-inf at 0), without
+    float overflow or underflow."""
     if isinstance(x, BigReal):
         _, man, e, _ = x.value_tuple()
-        return log(man) + e * _LN2
-    x = Fraction(x)
-    return log(x.numerator) - log(x.denominator)
+        return log(man) + e * _LN2 if man else -inf
+    return log(abs(x.numerator)) - log(x.denominator) if x else -inf
 
 
-@lru_cache(maxsize=1024)
+def _log_terms(terms) -> list[tuple[float, float, int]]:
+    return [(_log_pos(A), _log_pos(B), p) for A, B, p in terms]
+
+
+@lru_cache(maxsize=4096)
 def _log_poch_hslice(p: int, m: int) -> tuple[float, float]:
     """log (p)_m and H(p, m) as floats."""
-    return log(_pochhammer(p, m)), float(_hslice(p, m))
+    return log(_pochhammer(p, m)), fsum(1 / (p + i) for i in range(m))
 
 
-def _log_abs_integral(terms, m: int, N: int) -> float:
-    """Natural log of _abs_integral(terms, m, N) in floats, for float terms."""
+def _log_abs_integral(logs, m: int, N: int) -> float:
+    """Natural log of _abs_integral(terms, m, N) in floats, for log terms."""
     lnN = log(N)
-    logs = []
-    for a, b, p in _merge(terms, absolute=True):
+    out = []
+    for la, lb, p in logs:
         q = p + m
         log_poch, h = _log_poch_hslice(p, m)
-        env = a + b * (lnN + h + 1 / (q - 1))
-        if env > 0:
-            logs.append(log_poch - log(q - 1) - (q - 1) * lnN + log(env))
-    return _log_sum(logs)
+        base = log_poch - log(q - 1) - (q - 1) * lnN
+        out.append(base + la)
+        if lb > -inf:
+            out.append(base + lb + log(lnN + h + 1 / (q - 1)))
+    return _log_sum(out)
 
 
-def _log_abs_tail(a: float, b: float, p: int, N: int) -> float:
-    """Natural log of _abs_tail(a, b, p, N) in floats, for a > 0 and b >= 0."""
-    lnN, lnN1 = log(N), log(N + 1)
-    t1 = log(a + b * (lnN + 1 / (p - 1))) - log(p - 1) - (p - 1) * lnN
-    t2 = log(a + b * lnN1) - p * lnN1
-    return max(t1, t2) + log1p(exp(-abs(t1 - t2)))
+def _log_merge(logs) -> list[tuple[float, float, int]]:
+    """The log terms merged by power, as _merge(terms, absolute=True) does; a
+    term below the largest by more than the float range is dropped, which
+    only lowers the estimate."""
+    logs = list(logs)
+    top = max(max(t[0] for t in logs), max(t[1] for t in logs))
+    by_power: dict = {}
+    for la, lb, p in logs:
+        a, b = by_power.get(p, (0.0, 0.0))
+        by_power[p] = (a + exp(la - top), b + exp(lb - top))
+    return [(log(a) + top if a else -inf, log(b) + top if b else -inf, p) for p, (a, b) in by_power.items()]
 
 
-def _kernel_orders(kern: _Kernel, N: int, first: int = 4):
-    """The orders I in first, first + 4, ..., 40 at which the float estimate of
-    the kernel truncation bound _abs_tail(a rem, b rem, k + I, N) is
-    within limit, and order 40, ascending, as (I, log estimate); a None once N
-    is too small for the expansion of an order (q >= 1/2 in _kernel_order).
+def _log_abs_tail(logs, N: int) -> float:
+    """Natural log of _abs_tail(terms, N) in floats, for log terms."""
+    lnN1 = log(N + 1)
+    first = [x - p * lnN1 for la, lb, p in logs for x in (la, lb + log(lnN1))]
+    return _log_sum([_log_abs_integral(logs, 0, N), *first])
+
+
+def _kernel_orders(kern: _Kernel, logs, N: int, first: int = 4):
+    """The orders I in first, first + 4, ... at which the float estimate of the
+    kernel truncation bound, rem * _abs_tail(terms at power k + I, N) for the
+    plan's log terms, is within limit, ascending, as (I, log estimate); a None
+    once N is too small for the expansion of an order (q >= 1/2 in
+    _kernel_order).  The estimate falls geometrically in I, so every order
+    the search needs comes.
     """
-    k, fa, fb = kern.k, float(kern.a), float(kern.b)
+    k = kern.k
     log_limit = log(kern.limit) + _FLOAT_MARGIN
-    for I in range(first, 41, 4):
+    la, lb, _ = _log_merge((la, lb, 0) for la, lb, _ in logs)[0]
+    for I in count(first, 4):
         if k + I >= (I + 1) * N:
             yield None
             return
-        rem = comb(k + I - 1, I) / 2 ** (k + I) / (1 - (k + I) / (2 * (I + 1) * N))
-        est = _log_abs_tail(fa * rem, fb * rem, k + I, N)
-        if est <= log_limit or I == 40:
+        log_rem = log(comb(k + I - 1, I)) - (k + I) * _LN2 - log1p(-(k + I) / (2 * (I + 1) * N))
+        est = log_rem + _log_abs_tail([(la, lb, k + I)], N)
+        if est <= log_limit:
             yield I, est
 
 
-def _kernel_order(kern: _Kernel, N: int, first: int, ctx):
-    """Expansion of (2n+c)^-k to the lowest order I in first, first + 4, ..., 40
-    whose truncation bound is at most limit, or to order 40.
+def _kernel_order(plan: _Plan, N: int, first: int, ctx):
+    """Expansion of the plan's kernel (2n+c)^-k to the lowest order I in first,
+    first + 4, ... whose truncation bound is at most limit.
 
     Returns (coeffs, bound), or None when N is too small for an order tried.
     Orders the float estimate rules out are passed over; the certified bound
     decides for the others, so the order chosen and the bound returned never
     rest on the float.
     """
+    kern = plan.kernel
     k = kern.k
-    for order in _kernel_orders(kern, N, first):
+    for order in _kernel_orders(kern, plan.logs, N, first):
         if order is None:
             return None
         I, _ = order
-        coeffs = _kernel_coeffs(k, kern.c, I)[0]
         # the remainder is at most rem n^(-k-I) for n >= N, as q = (k+I) / (2 (I+1) N) < 1/2
         rem = Fraction(comb(k + I - 1, I), 2 ** (k + I)) / (1 - Fraction(k + I, 2 * (I + 1) * N))
-        bound = _abs_tail(kern.a * rem, kern.b * rem, k + I, N, ctx)
-        if _upper_float(bound) <= kern.limit or I == 40:
-            return coeffs, bound
+        bound = _abs_tail([(A, B, k + I) for A, B, _ in plan.terms], N, ctx) * rem
+        if _upper_float(bound) <= kern.limit:
+            return _kernel_coeffs(k, kern.c, I)[0], bound
 
 
 def _upper_float(x: BigReal) -> float:
@@ -421,46 +544,56 @@ def _upper_float(x: BigReal) -> float:
 
 
 class _Kernel:
-    """Expansion of (2n + c)^-k in powers of n, for terms summing to at most
-    a + b ln n in absolute value; its truncation bound must meet limit."""
+    """Expansion of (2n + c)^-k in powers of n; its truncation bound must meet limit."""
 
-    __slots__ = ("k", "c", "a", "b", "limit")
+    __slots__ = ("k", "c", "limit")
 
-    def __init__(self, k: int, c: int, a, b, limit: float):
-        self.k, self.c, self.a, self.b, self.limit = k, c, a, b, limit
+    def __init__(self, k: int, c: int, limit: float):
+        self.k, self.c, self.limit = k, c, limit
 
 
 class _Plan:
-    """An evaluator's tail and the components of its bound, as data.
+    """An evaluator's tail at one order and the components of its bound, as data.
 
     terms, kernel: the tail's power-log terms (A, B, e); with a _Kernel, each
       term is multiplied by the kernel's expansion sum_i c_i n^(-k-i), giving
       (A c_i, B c_i, e + k + i).
-    part: (name, (a, b, p), scale): the truncation made outside the kernel,
-      bounded by scale * _abs_tail(a, b, p, N); scale None stands for 1.
-    tail: (m, scale, at): the remainder of the tail formula, bounded by
-      scale * Int_(N+at)^inf |f^(m)| with f the sum of the tail terms.
+    part: (name, terms, scale): the truncation made outside the kernel,
+      bounded by scale * _abs_tail(terms, N).
+    tail: (rule, K, at): the tail's value is _em_value ("em") or _boole_value
+      ("boole") of order K at N + at, and its remainder is bounded by
+      scale * Int_(N+at)^inf |f^(m)| with (m, scale) = _remainder(rule, K)
+      and f the sum of the tail terms.
+    logs: the terms as log coefficients, for the screen.
 
     _screen and _certify evaluate this one description in floats and in BigReal.
     """
 
-    __slots__ = ("terms", "kernel", "part", "tail")
+    __slots__ = ("terms", "kernel", "part", "tail", "logs")
 
     def __init__(self, terms: list, kernel: Optional[_Kernel], part: tuple, tail: tuple):
         self.terms, self.kernel, self.part, self.tail = terms, kernel, part, tail
+        self.logs = _log_terms(terms)
 
 
 _KERNEL = "kernel truncation"
 
 
 def _expand(terms, kern: _Kernel, coeffs) -> list:
-    return [(A * ci, B * ci, e + kern.k + i) for A, B, e in terms for i, ci in enumerate(coeffs) if ci]
+    return [(A * ci, B * ci, e + kern.k + i) for A, B, e in terms for i, ci in enumerate(coeffs)]
 
 
-def _screen(plan: _Plan, N: int) -> Optional[tuple[dict, Optional[int]]]:
+def _work(plan: _Plan, N: int, powers: int) -> int:
+    """N plus the tail's merged powers times its derivative terms."""
+    rule, K, _ = plan.tail
+    return N + powers * (len(_derivs(rule, K)) + (rule == "em"))
+
+
+def _screen(plan: _Plan, N: int) -> Optional[tuple[dict, Optional[int], int]]:
     """Natural logs of float estimates of the plan's bound components at N, by
-    name, and the order the kernel was expanded to (None without a kernel);
-    None when N is too small for the kernel expansion.
+    name, the order the kernel was expanded to (None without a kernel), and
+    the number of merged tail powers; None when N is too small for the kernel
+    expansion.
 
     The kernel is expanded to the lowest order its float estimate admits.  The
     coefficient lists of the orders are prefixes of one another, so the tail
@@ -469,23 +602,24 @@ def _screen(plan: _Plan, N: int) -> Optional[tuple[dict, Optional[int]]]:
     itself falls as the order rises, so it is no lower estimate and is kept
     apart under _KERNEL.
     """
-    terms = [(abs(float(A)), abs(float(B)), e) for A, B, e in plan.terms]
-    kern, first = plan.kernel, None
+    logs, kern, first = plan.logs, plan.kernel, None
     if kern is not None:
-        order = next(_kernel_orders(kern, N))
+        order = next(_kernel_orders(kern, logs, N))
         if order is None:
             return None
         first, kernel = order
-        terms = _expand(terms, kern, _kernel_coeffs(kern.k, kern.c, first)[1])
-    name, (a, b, p), scale = plan.part
-    m, tail_scale, at = plan.tail
+        lcs = _kernel_coeffs(kern.k, kern.c, first)[1]
+        logs = _log_merge((la + lc, lb + lc, e + kern.k + i) for la, lb, e in logs for i, lc in enumerate(lcs))
+    name, part, scale = plan.part
+    rule, K, at = plan.tail
+    m, tail_scale = _remainder(rule, K)
     est = {
-        name: _log_abs_tail(float(a), float(b), p, N) + (0.0 if scale is None else _log_pos(scale)),
-        "tail remainder": _log_abs_integral(terms, m, N + at) + _log_pos(tail_scale),
+        name: _log_abs_tail(_log_terms(part), N) + _log_scale(scale),
+        "tail remainder": _log_abs_integral(logs, m, N + at) + _log_scale(tail_scale),
     }
     if kern is not None:
         est[_KERNEL] = kernel
-    return est, first
+    return est, first, len({p for *_, p in logs})
 
 
 def _certify(plan: _Plan, N: int, first: Optional[int], ctx) -> Optional[tuple[list, BigReal]]:
@@ -496,21 +630,19 @@ def _certify(plan: _Plan, N: int, first: Optional[int], ctx) -> Optional[tuple[l
     The search for the kernel's order starts at first: the order _screen
     found, below which the float estimate rules every order out.
     """
-    terms, kernel = plan.terms, None
+    terms, total = plan.terms, None
     if plan.kernel is not None:
-        order = _kernel_order(plan.kernel, N, first, ctx)
+        order = _kernel_order(plan, N, first, ctx)
         if order is None:
             return None
-        coeffs, kernel = order
+        coeffs, total = order
         terms = _expand(terms, plan.kernel, coeffs)
-    _, (a, b, p), scale = plan.part
-    total = _abs_tail(a, b, p, N, ctx)
-    if scale is not None:
-        total = total * scale
-    if kernel is not None:
-        total = kernel + total
-    m, tail_scale, at = plan.tail
-    return terms, total + _abs_integral(terms, m, N + at, ctx) * tail_scale
+    _, part, scale = plan.part
+    part = _scaled(_abs_tail(part, N, ctx), scale, ctx)
+    total = part if total is None else total + part
+    rule, K, at = plan.tail
+    m, tail_scale = _remainder(rule, K)
+    return terms, total + _scaled(_abs_integral(terms, m, N + at, ctx), tail_scale, ctx)
 
 
 _N_START = 32
@@ -525,37 +657,69 @@ def _n_candidates(cfg: OracleConfig):
     yield cfg.max_terms
 
 
-def _select(cfg: OracleConfig, plan: _Plan, ctx) -> tuple[int, list, BigReal]:
-    """(N, tail terms, bound) for the first candidate cutoff whose certified bound
-    meets tol/2.
+def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, list, BigReal]:
+    """(N, plan, tail terms, bound) for the pair of cutoff N and order K, plan =
+    plans(K), of least work whose certified bound meets tol/2.
 
-    Each candidate N = 32, 64, ... is first screened in floats (_screen): it is
-    passed over when the estimate of its bound without the kernel truncation
-    exceeds tol/2 by more than float rounding, since its certified bound, never
-    below that estimate, would too.  The first candidate the screen lets
-    through is certified in BigReal (_certify); if that bound misses tol/2,
-    the search goes on.  So N, the bound and the tail terms are those a
-    certified bound at every candidate would give, and no float enters them.
+    At each candidate N = 32, 64, ... the orders K = tail_order, tail_order + 1,
+    ... are screened in floats (_screen) while the estimate of the bound
+    without the kernel truncation keeps falling, up to the first K whose
+    estimate meets tol/2 by float rounding.  Pairs are screened in order of a
+    lower bound on their work (the work of the pair before at the same N, and
+    the work without the kernel expansion, which only adds powers), so no pair
+    is screened whose work is above that of a pair the screen passed, and the
+    search stops once N alone exceeds it.  The pairs passed are certified in
+    BigReal (_certify), least work first, once no pair left to screen can do
+    less work; the first to meet tol/2 is taken.  A pair the screen passes
+    over would not certify either, since its certified bound is never below
+    the estimate.  So N, K, the bound and the tail terms are those a certified
+    bound at every screened pair would give, and no float enters them.
     """
     tol = cfg.target_tolerance
     log_half = log(tol / 2) + _FLOAT_MARGIN
-    for N in _n_candidates(cfg):
-        screened = _screen(plan, N)
+    by_order: dict = {}  # K -> plan, built once per call
+
+    def least_work(N: int, K: int, before: int = 0) -> int:
+        if K not in by_order:
+            by_order[K] = plans(K)
+        return max(before, _work(by_order[K], N, len({p for *_, p in by_order[K].terms})))
+
+    # pairs to screen as (least work, N, K, estimate at K - 1), and pairs the
+    # screen passed as (work, N, K, kernel order), each heap least work first
+    to_screen = [(least_work(N, cfg.tail_order), N, cfg.tail_order, inf) for N in _n_candidates(cfg)]
+    passed: list = []
+    heapify(to_screen)
+    last = None  # the last pair screened at the largest N, for the message
+    while to_screen or passed:
+        while passed and (not to_screen or passed[0][0] <= to_screen[0][0]):
+            _, N, K, first = heappop(passed)
+            step = _certify(by_order[K], N, first, ctx)
+            if step is not None and _upper_float(step[1]) <= tol / 2:
+                return N, by_order[K], *step
+        if not to_screen:
+            break
+        _, N, K, prev = heappop(to_screen)
+        screened = _screen(by_order[K], N)
+        if last is None or N >= last[0]:
+            last = (N, K, screened)
         if screened is None:
             continue
-        est, first = screened
-        if _log_sum(v for k, v in est.items() if k != _KERNEL) > log_half:
-            continue
-        step = _certify(plan, N, first, ctx)
-        if step is not None and _upper_float(step[1]) <= tol / 2:
-            return N, *step
+        est, first, powers = screened
+        work = _work(by_order[K], N, powers)
+        total = _log_sum(v for k, v in est.items() if k != _KERNEL)
+        if total <= log_half:
+            heappush(passed, (work, N, K, first))
+        elif total <= prev:
+            heappush(to_screen, (least_work(N, K + 1, work), N, K + 1, total))
+    N, K, screened = last
     msg = f"cannot certify {tol} within {cfg.max_terms} terms"
     if screened is None:
         raise BudgetExhausted(f"{msg}: N = {N} is too small for the kernel expansion")
-    est = screened[0]
+    est, first, _ = screened
     name = max(est, key=est.get)
-    raise BudgetExhausted(f"{msg}: at N = {N} the largest bound component is the {name}, "
-                          f"about {exp(est[name]):.3e}, against tol/2 = {tol / 2:.3e}")
+    kernel = "no kernel" if first is None else f"kernel order {first}"
+    raise BudgetExhausted(f"{msg}: at N = {N} (order K = {K}, {kernel}) the largest bound component is "
+                          f"the {name}, about {exp(est[name]):.3e}, against tol/2 = {tol / 2:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -579,17 +743,18 @@ def _weighted_head(kind: str, kern_c: Optional[int], s: int, N: int, ctx) -> Big
 
 def _eval_weighted(kind: str, kern_c: Optional[int], s: int, cfg: OracleConfig, ctx) -> OracleResult:
     """sum_{n>=1} w_n * base(n)^-s with base = n (kern_c None) or 2n + kern_c."""
-    wterms, D, q = _weight_pl(kind, ctx)
-    K = cfg.tail_order
-    if kern_c is None:
-        terms, kern = [(A, B, e + s) for A, B, e in wterms], None
-    else:
-        sum_a = sum((abs(A) for A, _, _ in wterms), BigReal.zero(ctx))
-        sum_b = sum(abs(B) for _, B, _ in wterms)
-        terms, kern = wterms, _Kernel(s, kern_c, sum_a, sum_b, cfg.target_tolerance / 8)
-    plan = _Plan(terms, kern, ("weight-expansion truncation", (D, 0, s + q), None), (*_em_remainder(K, ctx), 0))
-    N, pl, bounds = _select(cfg, plan, ctx)
-    return _finish(_weighted_head(kind, kern_c, s, N, ctx) + _em_value(pl, N, K, ctx), bounds, N, cfg)
+    A0 = _weight_constant(kind, ctx)
+
+    def plan(K: int) -> _Plan:
+        wterms, D, q = _weight_pl(kind, max(2, K - 2), A0)
+        if kern_c is None:
+            terms, kern = [(A, B, e + s) for A, B, e in wterms], None
+        else:
+            terms, kern = wterms, _Kernel(s, kern_c, cfg.target_tolerance / 8)
+        return _Plan(terms, kern, ("weight-expansion truncation", [(D, 0, s + q)], _ONE), ("em", K, 0))
+
+    N, chosen, pl, bounds = _select(cfg, plan, ctx)
+    return _finish(_weighted_head(kind, kern_c, s, N, ctx) + _em_value(pl, N, chosen.tail[1], ctx), bounds, N, cfg)
 
 
 def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -597,16 +762,18 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     w_n = sum_i c_i H_(d_i n)^(p) is the weight of the kind and order p, r0 =
     zeta(p) sum_i c_i its limit, C0 = r0 zeta(s), and the inner tail r_n = r0 - w_n
     is minus the weight's expansion (_weight_expansion), in powers of n."""
-    K = cfg.tail_order
-    J = max(3, K)
-    combo, wterms, rem, q = _weight_expansion(kind, p, J)
+    combo = _combo(kind, p)
     zp, total = zeta_num(p, ctx), sum(c for c, _ in combo)
     r0 = zp if total == 1 else zp * total
     c0 = r0 * zeta_num(s, ctx)
-    terms = [(-a, 0, e + s) for e, a in wterms]
-    plan = _Plan(terms, None, ("inner-tail remainder", (rem, 0, q + s), _pi_power(2, 2 * J, ctx)),
-                 (*_em_remainder(K, ctx), 0))
-    N, pl, bounds = _select(cfg, plan, ctx)
+
+    def plan(K: int) -> _Plan:
+        J = max(3, K)
+        _, wterms, rem, q = _weight_expansion(kind, p, J)
+        return _Plan([(-a, 0, e + s) for e, a in wterms], None,
+                     ("inner-tail remainder", [(rem, 0, q + s)], (1, 2, 2 * J)), ("em", K, 0))
+
+    N, chosen, pl, bounds = _select(cfg, plan, ctx)
     # c0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
     fx = FixedPoint(ctx, N)
     acc, err = fx.from_big(c0)
@@ -618,7 +785,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
         t, te = fx.mul(r, re, fx.recip(n, s), 1)
         acc -= t
         err += te
-    return _finish(fx.to_big(acc, err) - _em_value(pl, N, K, ctx), bounds, N, cfg)
+    return _finish(fx.to_big(acc, err) - _em_value(pl, N, chosen.tail[1], ctx), bounds, N, cfg)
 
 
 def _alt_euler_star_head(s: int, M: int, ctx) -> BigReal:
@@ -635,29 +802,33 @@ def _alt_euler_star_head(s: int, M: int, ctx) -> BigReal:
 
 def _eval_alt_euler_star(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     s = 2 * a
-    KB = max(4, 2 * cfg.tail_order)
-    wterms, D, q = _weight_pl("H", ctx)
-    pl = [(A, B, e + s) for A, B, e in wterms]
-    # the tail starts at n = M+1; M is even, so its sign is +1
-    plan = _Plan(pl, None, ("weight-expansion truncation", (D, 0, s + q), None), (*_boole_remainder(KB, ctx), 1))
-    M, _, bounds = _select(cfg, plan, ctx)
-    return _finish(_alt_euler_star_head(s, M, ctx) + _boole_value(pl, M + 1, KB, ctx), bounds, M, cfg)
+    A0 = _weight_constant("H", ctx)
+
+    def plan(K: int) -> _Plan:
+        wterms, D, q = _weight_pl("H", max(2, K - 2), A0)
+        # the tail starts at n = M+1; M is even, so its sign is +1
+        return _Plan([(A, B, e + s) for A, B, e in wterms], None,
+                     ("weight-expansion truncation", [(D, 0, s + q)], _ONE), ("boole", max(4, 2 * K), 1))
+
+    M, chosen, pl, bounds = _select(cfg, plan, ctx)
+    return _finish(_alt_euler_star_head(s, M, ctx) + _boole_value(pl, M + 1, chosen.tail[1], ctx), bounds, M, cfg)
 
 
 def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     s = 2 * a
-    K = cfg.tail_order
-    KB = max(6, 2 * K + 2)
     eta = zeta_num(s, ctx) * (1 - Fraction(2, 2**s))
     lead = -(eta * const_log2(ctx))
-    # tau_n = sum_{j>=n} (-1)^(j-n) j^-s expanded by Boole summation at n;
-    # the tail sums tau_n / n
-    pl = [(c * (-1) ** k * _pochhammer(s, k), 0, s + k + 1) for c, k in _boole_derivs(KB)]
-    rem_c = Fraction(4 * _pochhammer(s, KB), s + KB - 1)
-    # the Boole remainder of tau_n truncates the weight's expansion
-    plan = _Plan(pl, None, ("weight-expansion truncation", (rem_c, 0, s + KB), _pi_power(1, KB, ctx)),
-                 (*_em_remainder(K, ctx), 0))
-    N, _, bounds = _select(cfg, plan, ctx)
+
+    def plan(K: int) -> _Plan:
+        KB = max(6, 2 * K + 2)
+        # tau_n = sum_{j>=n} (-1)^(j-n) j^-s expanded by Boole summation at n;
+        # the tail sums tau_n / n
+        pl = [(c * (-1) ** k * _pochhammer(s, k), 0, s + k + 1) for c, k in _boole_derivs(KB)]
+        rem_c = Fraction(4 * _pochhammer(s, KB), s + KB - 1)
+        # the Boole remainder of tau_n truncates the weight's expansion
+        return _Plan(pl, None, ("weight-expansion truncation", [(rem_c, 0, s + KB)], (1, 1, KB)), ("em", K, 0))
+
+    N, chosen, pl, bounds = _select(cfg, plan, ctx)
     fx = FixedPoint(ctx, N)
     acc = err = 0
     tau, tau_e = fx.from_big(eta)  # tau_1
@@ -667,7 +838,7 @@ def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
         err += te
         tau = fx.recip(n, s) - tau
         tau_e += 1
-    return _finish(lead + fx.to_big(acc, err) + _em_value(pl, N, K, ctx), bounds, N, cfg)
+    return _finish(lead + fx.to_big(acc, err) + _em_value(pl, N, chosen.tail[1], ctx), bounds, N, cfg)
 
 
 def _finish(value: BigReal, math_bounds: BigReal, terms: int, cfg: OracleConfig) -> OracleResult:

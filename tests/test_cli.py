@@ -78,7 +78,7 @@ def test_oracle_command(capsys):
 def test_oracle_budget_exhaustion_exits_3(capsys):
     rc, out, err = _run(
         capsys, "oracle", "--family", "sigma", "--s", "2", "--t", "2",
-        "--tol", "1e-20", "--max-terms", "16",
+        "--tol", "1e-20", "--max-terms", "8",
     )
     assert rc == 3
     assert "budget" in err

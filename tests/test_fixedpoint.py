@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulersum import PrecisionContext, SumId, partial_sum
 from eulersum.numerics import BigReal, FixedPoint, LRUCache, li4_half_num, zeta_num
-from eulersum.oracle import _alt_euler_star_head, _weighted_head
+from eulersum.oracle import _abs_integral, _alt_euler_star_head, _boole_derivs, _boole_value, _em_derivs, _em_value, _weighted_head
 
 
 def _frac(t) -> F:
@@ -81,6 +81,70 @@ def test_fixed_from_big_and_to_big_keep_the_interval(bits, q, err):
     back = fx.to_big(x, ex)
     for end in (F(x - ex, fx.one), F(x + ex, fx.one)):
         assert _contains(back, end)
+
+
+def _poch(p: int, m: int) -> int:
+    out = 1
+    for i in range(m):
+        out *= p + i
+    return out
+
+
+def _tail_exact(terms, N: int, derivs, integral: bool) -> tuple[F, F]:
+    """(X, Y) with X + Y ln N = [Int_N^inf f] + sum_(c, m) c f^(m)(N), f the sum
+    of the terms (a + b ln x) x^-p, in exact rationals."""
+    X = Y = F(0)
+    for a, b, p in terms:
+        R = Q = F(0)
+        if integral:
+            R, Q = F(1, (p - 1) * N ** (p - 1)), F(1, (p - 1) ** 2 * N ** (p - 1))
+        for c, m in derivs:
+            r = c * (-1) ** m * _poch(p, m) / F(N) ** (p + m)
+            R += r
+            Q -= r * sum((F(1, p + i) for i in range(m)), F(0))
+        X += a * R + b * Q
+        Y += b * R
+    return X, Y
+
+
+def _encloses(v: BigReal, X: F, Y: F, ln: F, eps: F) -> bool:
+    """Whether v's interval holds X + Y l for every l within eps of ln."""
+    mid, err = _frac(v.value_tuple()), _frac(v.err_tuple())
+    return all(mid - err <= X + Y * (ln + d) <= mid + err for d in (-eps, eps))
+
+
+_coeff = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.sampled_from([64, 192, 512]),
+    K=st.integers(0, 40),
+    N=st.sampled_from([32, 100, 4096]),
+    m=st.integers(0, 80),
+    terms=st.lists(st.tuples(_coeff, _coeff, st.integers(2, 12), st.booleans(), st.booleans()), min_size=1, max_size=3),
+)
+def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, m, terms):
+    # the tail values and the remainder integral, summed in FixedPoint from
+    # coefficients that do not depend on N, against exact rationals; a and b
+    # given as rationals or as BigReals, whose intervals hold them
+    ctx = PrecisionContext(working_bits=bits)
+    exact = [(a, b, p) for a, b, p, _, _ in terms]
+    tail = [(BigReal.from_fraction(a, ctx) if big_a else a, BigReal.from_fraction(b, ctx) if big_b else b, p)
+            for a, b, p, big_a, big_b in terms]
+    with mpmath.workprec(2000):
+        ln = _frac(mpmath.log(N)._mpf_)
+    eps = F(1, 2**1980)
+    assert _encloses(_em_value(tail, N, K, ctx), *_tail_exact(exact, N, _em_derivs(K), True), ln, eps)
+    assert _encloses(_boole_value(tail, N, K, ctx), *_tail_exact(exact, N, _boole_derivs(K), False), ln, eps)
+    # Int_N^inf |f^(m)| <= sum (p)_m / (q-1) N^(1-q) (|a| + |b| (H(p, m) + 1/(q-1) + ln N)), q = p + m
+    X = Y = F(0)
+    for a, b, p in exact:
+        q = p + m
+        r = F(_poch(p, m), (q - 1) * N ** (q - 1))
+        X += r * (abs(a) + abs(b) * (sum((F(1, p + i) for i in range(m)), F(0)) + F(1, q - 1)))
+        Y += r * abs(b)
+    assert _encloses(_abs_integral(tail, m, N, ctx), X, Y, ln, eps)
 
 
 # (SumId, _weighted_head arguments) for each family the oracle sums with a plain weight

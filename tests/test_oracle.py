@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction as F
 from itertools import product
@@ -15,7 +16,7 @@ from eulersum import (
     partial_sum,
 )
 from eulersum import oracle
-from eulersum.closedform import closed_form_for
+from eulersum.closedform import closed_form_for, known_closed_form_ids
 from eulersum.oracle import _dispatch
 from eulersum.sums import FAMILIES, SumId
 
@@ -99,6 +100,19 @@ def test_frozen_reference_values(ctx):
 # head lengths of the benchmark's oracle ladder at (192 bits, 1e-20); the
 # cutoff search must keep choosing the same N
 PINNED_TERMS = {
+    SumId.J(2): 32,
+    SumId.J(4): 32,
+    SumId.Jbar(3): 64,
+    SumId.h(3): 64,
+    SumId.sigma(2, 3): 32,
+    SumId.zeta_star(3, 2): 32,
+    SumId.E(2, 3): 32,
+    SumId.alt_euler_star(1): 64,
+    SumId.alt_tilde_h(1): 32,
+}
+
+# the same cutoffs with K held at tail_order = 4; choosing N and K together never exceeds them
+FIXED_ORDER_TERMS = {
     SumId.J(2): 256,
     SumId.J(4): 128,
     SumId.Jbar(3): 128,
@@ -116,6 +130,7 @@ def test_terms_used_pinned(sid, ctx):
     cfg = OracleConfig(target_tolerance=1e-20)
     res = oracle_eval(sid, cfg, ctx)
     assert res.terms_used == PINNED_TERMS[sid]
+    assert PINNED_TERMS[sid] <= FIXED_ORDER_TERMS[sid]
     assert res.achieved_bound <= cfg.target_tolerance
 
 
@@ -135,7 +150,7 @@ def test_oracle_is_deterministic(ctx, cfg):
 
 def test_budget_exhausted(ctx):
     with pytest.raises(BudgetExhausted):
-        oracle_eval(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-20, max_terms=16), ctx)
+        oracle_eval(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-20, max_terms=8), ctx)
 
 
 def test_tolerance_floor_validation():
@@ -223,20 +238,39 @@ def test_alt_tilde_vs_plain_bracketing(a, ctx, cfg):
 
 
 def test_budget_exhausted_names_the_largest_bound_component(ctx, monkeypatch):
+    cfg = OracleConfig(target_tolerance=1e-20, max_terms=8)
     with pytest.raises(BudgetExhausted) as info:
-        oracle_eval(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-20, max_terms=16), ctx)
+        oracle_eval(SumId.sigma(2, 2), cfg, ctx)
     msg = str(info.value)
-    assert "N = 16" in msg
+    assert "N = 8" in msg
     assert "tail remainder" in msg and "inner-tail remainder" not in msg
     assert "tol/2 = 5.000e-21" in msg
-    # the name given is the argmax of the screen's estimates at that N
-    plan = _plan_of(SumId.sigma(2, 2), OracleConfig(target_tolerance=1e-20, max_terms=16), ctx, monkeypatch)
-    est, _ = oracle._screen(plan, 16)
+    # the name given is the argmax of the screen's estimates at the pair named
+    K = int(re.search(r"\(order K = (\d+), no kernel\)", msg).group(1))
+    est, _, _ = oracle._screen(_plan_of(SumId.sigma(2, 2), cfg, ctx, monkeypatch)(K), 8)
     assert f"the {max(est, key=est.get)}," in msg
+
+
+def test_budget_exhausted_names_the_kernel_order():
+    cfg = OracleConfig(target_tolerance=1e-20, max_terms=8)
+    with pytest.raises(BudgetExhausted, match=r"at N = 8 \(order K = \d+, kernel order \d+\)"):
+        oracle_eval(SumId.h(3), cfg, PrecisionContext(working_bits=192))
 
 
 # head lengths of the benchmark's oracle ladder at (256 bits, 1e-32)
 PINNED_TERMS_256 = {
+    SumId.J(2): 64,
+    SumId.J(4): 64,
+    SumId.Jbar(3): 128,
+    SumId.h(3): 64,
+    SumId.sigma(2, 3): 64,
+    SumId.zeta_star(3, 2): 64,
+    SumId.E(2, 3): 64,
+    SumId.alt_euler_star(1): 128,
+    SumId.alt_tilde_h(1): 128,
+}
+
+FIXED_ORDER_TERMS_256 = {
     SumId.J(2): 16384,
     SumId.J(4): 2048,
     SumId.Jbar(3): 4096,
@@ -254,6 +288,7 @@ def test_terms_used_pinned_at_256_bits(sid):
     cfg = OracleConfig(target_tolerance=1e-32)
     res = oracle_eval(sid, cfg, PrecisionContext(working_bits=256))
     assert res.terms_used == PINNED_TERMS_256[sid]
+    assert PINNED_TERMS_256[sid] <= FIXED_ORDER_TERMS_256[sid]
     assert res.achieved_bound <= cfg.target_tolerance
 
 
@@ -262,11 +297,12 @@ class _Planned(Exception):
 
 
 def _plan_of(sid, cfg, ctx, monkeypatch):
-    """The _Plan the evaluator of sid hands to the cutoff search."""
+    """The function of K to the _Plan of order K that the evaluator of sid hands
+    to the cutoff search."""
     seen = []
 
-    def capture(cfg, plan, ctx):
-        seen.append(plan)
+    def capture(cfg, plans, ctx):
+        seen.append(plans)
         raise _Planned
 
     monkeypatch.setattr(oracle, "_select", capture)
@@ -280,24 +316,45 @@ def _bits(terms):
     return [tuple((x.value_tuple(), x.err_tuple()) if isinstance(x, BigReal) else x for x in t) for t in terms]
 
 
+def _screened_pairs(cfg, plans, ctx, monkeypatch):
+    """Every (N, plan) pair _select screens, in order, and what it returns (None
+    for BudgetExhausted)."""
+    seen = []
+    screen = oracle._screen
+
+    def record(plan, N):
+        seen.append((N, plan))
+        return screen(plan, N)
+
+    monkeypatch.setattr(oracle, "_screen", record)
+    try:
+        got = oracle._select(cfg, plans, ctx)
+    except BudgetExhausted:
+        got = None
+    monkeypatch.undo()
+    return seen, got
+
+
 @pytest.mark.parametrize("tail_order", [0, 2, 4])
 @pytest.mark.parametrize("bits,tol", [(192, 1e-20), (256, 1e-32)])
 @pytest.mark.parametrize("sid", PINNED_TERMS, ids=str)
 def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, tail_order, monkeypatch):
-    # every candidate up to the one a certified bound at each candidate accepts
+    # every (N, K) pair the search screens
     ctx = PrecisionContext(working_bits=bits)
     cfg = OracleConfig(target_tolerance=tol, tail_order=tail_order)
-    plan = _plan_of(sid, cfg, ctx, monkeypatch)
+    plans = _plan_of(sid, cfg, ctx, monkeypatch)
     monkeypatch.undo()
+    pairs, got = _screened_pairs(cfg, plans, ctx, monkeypatch)
+    assert pairs
     accepted = None
-    for N in oracle._n_candidates(cfg):
+    for N, plan in pairs:
         # certified with the kernel order searched from the lowest, 4
         cert = oracle._certify(plan, N, 4, ctx)
         step = oracle._screen(plan, N)
         assert (step is None) == (cert is None), N
         if cert is None:
             continue
-        est, first = step
+        est, first, powers = step
         # certifying from the order the screen found changes nothing
         from_screen = oracle._certify(plan, N, first, ctx)
         assert _bits(from_screen[0]) == _bits(cert[0])
@@ -306,19 +363,19 @@ def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, tail_
         bound = oracle._upper_float(cert[1])
         assert math.exp(screened) <= bound * (1 + 1e-9), (N, math.exp(screened), bound)
         if bound <= tol / 2:
-            accepted = N
-            break
+            pair = (oracle._work(plan, N, powers), N, plan.tail[1])
+            accepted = min(accepted or pair, pair)
+    # the search takes the pair of least work a certification at every screened pair accepts
     if accepted is None:
-        with pytest.raises(BudgetExhausted):
-            oracle._select(cfg, plan, ctx)
+        assert got is None
     else:
-        assert oracle._select(cfg, plan, ctx)[0] == accepted
+        assert (got[0], got[1].tail[1]) == accepted[1:]
 
 
 def test_max_terms_is_the_last_candidate():
     assert list(oracle._n_candidates(OracleConfig(max_terms=100))) == [32, 64, 100]
     with pytest.raises(BudgetExhausted, match="at N = 100"):
-        oracle_eval(SumId.h(3), OracleConfig(1e-20, max_terms=100))
+        oracle_eval(SumId.alt_euler_star(1), OracleConfig(1e-140, max_terms=100), PrecisionContext(working_bits=512))
 
 
 # -- every family against exact partial sums of its defining series ----------------
@@ -418,3 +475,35 @@ def test_order_one_expansion_reproduces_the_hand_table():
         combo, *expansion = oracle._weight_expansion(kind, 1, 2)
         assert (sum(c for c, _ in combo), sum(c for c, d in combo if d == 2)) == const
         assert expansion == [terms, D, 6]
+
+
+# -- tails of any order: N and K chosen together -------------------------------------
+
+
+def _agrees_with_closed_form(sid, res) -> bool:
+    """|oracle - closed form at 1,024 bits| within the sum of the two bounds."""
+    ref = eval_sym(closed_form_for(sid), PrecisionContext(working_bits=1024))
+    diff = abs(_frac(res.value.value_tuple()) - _frac(ref.value_tuple()))
+    return diff <= _frac(res.value.err_tuple()) + _frac(ref.err_tuple())
+
+
+# every closed form of weight <= 11, the benchmark ladder's nine sums among them
+@pytest.mark.parametrize("sid", known_closed_form_ids(11), ids=str)
+def test_closed_forms_agree_with_the_oracle_at_1e_100_and_512_bits(sid):
+    res = oracle_eval(sid, OracleConfig(1e-100), PrecisionContext(working_bits=512))
+    assert res.achieved_bound <= 1e-100
+    assert _agrees_with_closed_form(sid, res)
+
+
+def test_j2_at_1e_50_sums_a_short_head():
+    res = oracle_eval(SumId.J(2), OracleConfig(1e-50), PrecisionContext(working_bits=256))
+    assert res.terms_used <= 1024
+    assert _agrees_with_closed_form(SumId.J(2), res)
+
+
+@pytest.mark.parametrize("bits", [192, 256, 384, 512])
+def test_cutoff_stays_short_at_the_precision_contract(bits):
+    # tol = 2^-(bits - 40), 2^8 times the floor 2^-(bits - 32) of the default 32 guard bits
+    ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(2.0 ** -(bits - 40))
+    for sid in PINNED_TERMS:
+        assert oracle_eval(sid, cfg, ctx).terms_used <= 4096, sid
