@@ -15,23 +15,25 @@ Euler-Maclaurin tail for p >= 2), taken in the weight's exact combination
 sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) - 2^-p H_n^(p), with the
 remainders added in absolute value.  For order p >= 2 the sum is split as
 C0 - sum_n r_n / n^s, r_n = r0 - w_n the weight's tail, of order n^(1-s-p).
+The families over an odd base 2n + c are summed in m = 2n + c, on the odd
+lattice with Euler-Maclaurin step 2, their weights being combinations of
+H_m and H_(m/2) and ln 2 (Legendre's duplication of psi).
 
 Every order of a tail follows from one order K: Euler-Maclaurin order K,
-weights expanded to order max(2, K-2), inner tails to max(3, K), Boole order
-max(4, 2K) (max(6, 2K+2) for the tilde sum), and the kernel (2n+c)^-s, where
-there is one, to the lowest order in steps of 4 whose truncation meets tol/8.
-Each evaluator describes its tail at order K as data (_Plan): the power-log
-terms, the kernel, and every bound component as power-log terms with a scale.
+weights expanded to order max(2, K-2), inner tails to max(3, K), and Boole
+order max(4, 2K) (max(6, 2K+2) for the tilde sum).  Each evaluator describes
+its tail at order K as data (_Plan): the power-log terms and every bound
+component as power-log terms with a scale.
 
 The cutoff N and the order K are chosen together, from the bounds alone
 (_select).  At each candidate N = 32, 64, ... the orders K = tail_order,
 tail_order + 1, ... are screened with float estimates in log space, which are
 lower estimates of the certified bound up to float rounding, while the
-estimate keeps falling.  Of the pairs whose estimate meets tol/2 the one of
-least work, N plus merged tail powers times derivative terms, is certified in
-BigReal, the next by work if it misses; the search stops once N alone exceeds
-the least work found.  So (N, K) and the bound are those a certified bound at
-every screened pair would give, and no float enters them.
+estimate keeps falling, least work first: N plus merged tail powers times
+derivative terms.  A pair whose estimate meets tol/2 is certified in BigReal
+at once, and the first to certify is taken.  So (N, K) and the bound are
+those a certified bound at every screened pair would give, and no float
+enters them.
 
 Value and bound of a tail are sums over its power-log terms (A + B ln x) x^-p
 merged by power p, of A R(N) + B (R(N) ln N + Q(N)): R and Q are sums
@@ -55,8 +57,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import count
-from math import comb, exp, factorial, fsum, inf, log, log1p, pi
+from math import exp, factorial, fsum, inf, log, pi
 from typing import NamedTuple, Optional
 
 from mpmath.libmp import fzero, mpf_add, to_float
@@ -217,21 +218,22 @@ def _derivs(rule: str, K: int) -> tuple[tuple[Fraction, int], ...]:
 
 
 @lru_cache(maxsize=1024)
-def _pl_coeffs(p: int, rule: str, K: int) -> tuple[tuple, tuple]:
-    """(R, Q) of the power p for the tail rule of order K, as for _pl_sum: with
-    rule "em", Int_N^inf f + sum c f^(m)(N) over (c, m) in _em_derivs(K); with
-    "boole", the sum over _boole_derivs(K) alone.  The fractions are left
-    unreduced."""
+def _pl_coeffs(p: int, rule: str, K: int, h: int = 1) -> tuple[tuple, tuple]:
+    """(R, Q) of the power p for the tail rule of order K and step h, as for
+    _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N) over (c, m)
+    in _em_derivs(K); with "boole", the sum over _boole_derivs(K) alone.  The
+    rule of step h at N is that of step 1 for g(j) = f(N + h j) at j = 0.  The
+    fractions are left unreduced."""
     R, Q = [], []
     if rule == "em":
-        R.append((p - 1, 1, p - 1))
-        Q.append((p - 1, 1, (p - 1) ** 2))
+        R.append((p - 1, 1, h * (p - 1)))
+        Q.append((p - 1, 1, h * (p - 1) ** 2))
     for c, m in _derivs(rule, K):
-        a, b = (-1) ** m * _pochhammer(p, m) * c.numerator, c.denominator
+        a, b = (-1) ** m * _pochhammer(p, m) * c.numerator * h**m, c.denominator
         R.append((p + m, a, b))
         if m:
-            h = _hslice(p, m)
-            Q.append((p + m, -a * h.numerator, b * h.denominator))
+            hs = _hslice(p, m)
+            Q.append((p + m, -a * hs.numerator, b * hs.denominator))
     return tuple(R), tuple(Q)
 
 
@@ -286,12 +288,15 @@ def _log_scale(scale: tuple) -> float:
 _ONE = (1, 1, 0)
 
 
-def _remainder(rule: str, K: int) -> tuple[int, tuple]:
-    """(m, scale) of the remainder bound of the tail rule of order K."""
+def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
+    """(m, scale) of the remainder bound of the tail rule of order K and step h
+    (1 for Boole); for Euler-Maclaurin of order K >= 1 the scale is
+    4 h^(2K-1) (2 pi)^-2K, as Int_0^inf |g^(2K)| = h^(2K-1) Int_N^inf |f^(2K)|
+    for g(j) = f(N + h j)."""
     if rule == "boole":
         return K, (4, 1, K)
     if K:
-        return 2 * K, (4, 2, 2 * K)
+        return 2 * K, (4 * h ** (2 * K - 1), 2, 2 * K)
     return 1, (Fraction(1, 2), 1, 0)
 
 
@@ -306,9 +311,9 @@ def _em_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
     return ((Fraction(-1, 2), 0), *map(_em_deriv, range(1, K + 1)))
 
 
-def _em_value(terms, N: int, K: int, ctx) -> BigReal:
-    """Sum over n > N of the terms by Euler-Maclaurin of order K."""
-    return _pl_sum(terms, N, lambda p: _pl_coeffs(p, "em", K), ctx)
+def _em_value(terms, N: int, K: int, ctx, h: int = 1) -> BigReal:
+    """Sum over x = N + h, N + 2h, ... of the terms by Euler-Maclaurin of order K."""
+    return _pl_sum(terms, N, lambda p: _pl_coeffs(p, "em", K, h), ctx)
 
 
 @lru_cache(maxsize=1024)
@@ -329,19 +334,22 @@ def _boole_value(terms, M: int, K: int, ctx) -> BigReal:
 
 
 # ---------------------------------------------------------------------------
-# asymptotics of the weight sequences and of the odd kernels
+# asymptotics of the weight sequences
 # ---------------------------------------------------------------------------
 
 def _harmonic_expansion(p: int, k: int) -> tuple[tuple[tuple[int, Fraction], ...], Fraction, int]:
     """((e, a_e), ...), rem and q: the terms the expansion of H_x^(p) minus its
     constant (gamma for p = 1, else zeta(p)) gains at order k, and the bound of
     the expansion to order k: summing a_e x^-e over the terms of orders 0..k,
-    |H_x^(p) - const - [ln x for p = 1] - sum_e a_e x^-e| <= rem x^-q at
-    integers x >= 1, times (2 pi)^-2k for p >= 2.
+    |H_x^(p) - const - [ln x for p = 1] - sum_e a_e x^-e| <= rem x^-q, times
+    (2 pi)^-2k for p >= 2, at integers x >= 1, and for p = 1 at every real
+    x > 0.
 
     The series is minus the Euler-Maclaurin expansion of sum_{k>x} k^-p, with
     ln x for the integral when p = 1; then it envelops, so the first omitted
-    term bounds the error."""
+    term bounds the error.  For p = 1 it is the asymptotic series of
+    psi(x) + 1/x = H_x - gamma, which envelops at every real x > 0 (DLMF
+    5.11(ii))."""
     c, m = _em_deriv(k) if k else (Fraction(-1, 2), 0)
     a = ((p + m, -c * (-1) ** m * _pochhammer(p, m)),)
     if p == 1:
@@ -350,48 +358,72 @@ def _harmonic_expansion(p: int, k: int) -> tuple[tuple[tuple[int, Fraction], ...
     return ((p - 1, Fraction(-1, p - 1)), *a) if k == 0 else a, Fraction(4 * _pochhammer(p, 2 * k), q), q
 
 
-def _combo(kind: str, p: int) -> tuple[tuple[Fraction, int], ...]:
-    return ((Fraction(1), 2), (-Fraction(1, 2**p), 1)) if kind == "S" else ((Fraction(1), 1 if kind == "H" else 2),)
+_HALF = Fraction(1, 2)
+
+# (kind, shift) -> ((c_i, d_i), ...), l: the order-1 weight of the kind at n as
+# sum_i c_i H_(d_i m) + l ln 2 in m = 2n + shift, from H_x = psi(x+1) + gamma
+# and Legendre's psi(z + 1/2) = 2 psi(2z) - psi(z) - 2 ln 2
+_ODD_COMBOS = {
+    ("S", -1): (((_HALF, _HALF),), 1),  # S_n = H_(m/2) / 2 + ln 2
+    ("H", 1): (((Fraction(2), 1), (Fraction(-1), _HALF)), -2),  # H_n = 2 H_m - H_(m/2) - 2 ln 2
+    ("H2N1", -1): (((Fraction(1), 1),), 0),  # H_(2n-1) = H_m
+}
+
+
+def _combo(kind: str, p: int, shift: Optional[int] = None) -> tuple[tuple[Fraction, int], ...]:
+    """((c_i, d_i), ...) with the weight of the kind and order p equal to
+    sum_i c_i H_(d_i x)^(p) in x = n, or, for order 1 on the odd lattice, to
+    that sum in x = m = 2n + shift plus l ln 2 (_ODD_COMBOS)."""
+    if shift is not None:
+        return _ODD_COMBOS[kind, shift][0]
+    if kind == "S":
+        return (Fraction(1), 2), (-Fraction(1, 2**p), 1)
+    return ((Fraction(1), {"H": 1, "H2N": 2}[kind]),)
 
 
 @lru_cache(maxsize=4096)
-def _weight_terms(kind: str, p: int, k: int) -> tuple[tuple[int, Fraction], ...]:
+def _weight_terms(kind: str, p: int, k: int, shift: Optional[int] = None) -> tuple[tuple[int, Fraction], ...]:
     """The terms the weight's expansion gains at order k: the combination of
     those of _harmonic_expansion(p, k)."""
     out: dict = {}
-    for c, d in _combo(kind, p):
+    for c, d in _combo(kind, p, shift):
         for e, ae in _harmonic_expansion(p, k)[0]:
             out[e] = out.get(e, 0) + c * ae / d**e
-    if kind == "H2N1" and k == 0:
-        out[1] -= Fraction(1, 2)
     return tuple((e, x) for e, x in out.items() if x)
 
 
 @lru_cache(maxsize=256)
-def _weight_expansion(kind: str, p: int, K: int) -> tuple[tuple[tuple[Fraction, int], ...], tuple, Fraction, int]:
+def _weight_expansion(kind: str, p: int, K: int, shift: Optional[int] = None
+                      ) -> tuple[tuple[tuple[Fraction, int], ...], tuple, Fraction, int]:
     """(((c_i, d_i), ...), terms, rem, q): the weight of the kind and order p
-    (_weight_step) is sum_i c_i H_(d_i n)^(p), less 1/(2n) for H2N1 = H_(2n-1);
-    its expansion to order K, the same combination of _harmonic_expansion's,
-    has constant sum_i c_i const(H^(p)) and, for p = 1, sum_i c_i ln(d_i n)."""
-    combo = _combo(kind, p)
+    (_weight_step), in x = n or x = 2n + shift, is sum_i c_i H_(d_i x)^(p)
+    (_combo); its expansion to order K, the same combination of
+    _harmonic_expansion's, has constant sum_i c_i const(H^(p)) and, for p = 1,
+    sum_i c_i ln(d_i x)."""
+    combo = _combo(kind, p, shift)
     _, rem, q = _harmonic_expansion(p, K)
-    terms = tuple(t for k in range(K + 1) for t in _weight_terms(kind, p, k))
+    terms = tuple(t for k in range(K + 1) for t in _weight_terms(kind, p, k, shift))
     return combo, terms, sum(abs(c) * rem / d**q for c, d in combo), q
 
 
-def _weight_constant(kind: str, ctx) -> BigReal:
-    """The constant of the order-1 weight of the kind: sum_i c_i (gamma + ln d_i)."""
-    combo = _combo(kind, 1)
+_LOG2_OF = {1: 0, 2: 1, _HALF: -1}
+
+
+def _weight_constant(kind: str, shift: Optional[int], ctx) -> BigReal:
+    """The constant of the order-1 weight of the kind in x = n or x = 2n + shift:
+    sum_i c_i (gamma + ln d_i) plus the ln 2 multiple of _ODD_COMBOS."""
+    combo = _combo(kind, 1, shift)
     A = const_gamma(ctx) * sum(c for c, _ in combo)
-    log2 = sum(c for c, d in combo if d == 2)  # ln d_i = ln 2 or 0
+    log2 = sum(c * _LOG2_OF[d] for c, d in combo) + (0 if shift is None else _ODD_COMBOS[kind, shift][1])
     return A + const_log2(ctx) * log2 if log2 else A
 
 
-def _weight_pl(kind: str, W: int, A0: BigReal) -> tuple[list[tuple], Fraction, int]:
-    """The order-1 weight of the kind expanded to order W (to n^-2W) as power-log
-    terms (A, B, e), and D, q with truncation at most D n^-q; the term at e = 0
-    is A0 + sum_i c_i ln n, A0 from _weight_constant."""
-    combo, terms, D, q = _weight_expansion(kind, 1, W)
+def _weight_pl(kind: str, shift: Optional[int], W: int, A0: BigReal) -> tuple[list[tuple], Fraction, int]:
+    """The order-1 weight of the kind in x = n or x = 2n + shift expanded to
+    order W (to x^-2W) as power-log terms (A, B, e), and D, q with truncation
+    at most D x^-q; the term at e = 0 is A0 + sum_i c_i ln x, A0 from
+    _weight_constant."""
+    combo, terms, D, q = _weight_expansion(kind, 1, W, shift)
     return [(A0, sum(c for c, _ in combo), 0)] + [(a, 0, e) for e, a in terms], D, q
 
 
@@ -408,14 +440,6 @@ def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int
     if n == 1:
         return fx.one, 0
     return fx.recip(2 * n - 2) + fx.recip(2 * n - 1), 2
-
-
-@lru_cache(maxsize=1024)
-def _kernel_coeffs(s: int, c: int, I: int) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
-    """coeff_i for i < I of (2n+c)^-s = sum_i coeff_i n^(-s-i), exact and as
-    natural logs of their absolute values."""
-    coeffs = tuple(Fraction((-c) ** i * comb(s + i - 1, i), 2 ** (s + i)) for i in range(I))
-    return coeffs, tuple(map(_log_pos, coeffs))
 
 
 # Float twins of _abs_integral and _abs_tail, in natural logs of the terms'
@@ -471,67 +495,11 @@ def _log_abs_integral(logs, m: int, N: int) -> float:
     return _log_sum(out)
 
 
-def _log_merge(logs) -> list[tuple[float, float, int]]:
-    """The log terms merged by power, as _merge(terms, absolute=True) does; a
-    term below the largest by more than the float range is dropped, which
-    only lowers the estimate."""
-    logs = list(logs)
-    top = max(max(t[0] for t in logs), max(t[1] for t in logs))
-    by_power: dict = {}
-    for la, lb, p in logs:
-        a, b = by_power.get(p, (0.0, 0.0))
-        by_power[p] = (a + exp(la - top), b + exp(lb - top))
-    return [(log(a) + top if a else -inf, log(b) + top if b else -inf, p) for p, (a, b) in by_power.items()]
-
-
 def _log_abs_tail(logs, N: int) -> float:
     """Natural log of _abs_tail(terms, N) in floats, for log terms."""
     lnN1 = log(N + 1)
     first = [x - p * lnN1 for la, lb, p in logs for x in (la, lb + log(lnN1))]
     return _log_sum([_log_abs_integral(logs, 0, N), *first])
-
-
-def _kernel_orders(kern: _Kernel, logs, N: int, first: int = 4):
-    """The orders I in first, first + 4, ... at which the float estimate of the
-    kernel truncation bound, rem * _abs_tail(terms at power k + I, N) for the
-    plan's log terms, is within limit, ascending, as (I, log estimate); a None
-    once N is too small for the expansion of an order (q >= 1/2 in
-    _kernel_order).  The estimate falls geometrically in I, so every order
-    the search needs comes.
-    """
-    k = kern.k
-    log_limit = log(kern.limit) + _FLOAT_MARGIN
-    la, lb, _ = _log_merge((la, lb, 0) for la, lb, _ in logs)[0]
-    for I in count(first, 4):
-        if k + I >= (I + 1) * N:
-            yield None
-            return
-        log_rem = log(comb(k + I - 1, I)) - (k + I) * _LN2 - log1p(-(k + I) / (2 * (I + 1) * N))
-        est = log_rem + _log_abs_tail([(la, lb, k + I)], N)
-        if est <= log_limit:
-            yield I, est
-
-
-def _kernel_order(plan: _Plan, N: int, first: int, ctx):
-    """Expansion of the plan's kernel (2n+c)^-k to the lowest order I in first,
-    first + 4, ... whose truncation bound is at most limit.
-
-    Returns (coeffs, bound), or None when N is too small for an order tried.
-    Orders the float estimate rules out are passed over; the certified bound
-    decides for the others, so the order chosen and the bound returned never
-    rest on the float.
-    """
-    kern = plan.kernel
-    k = kern.k
-    for order in _kernel_orders(kern, plan.logs, N, first):
-        if order is None:
-            return None
-        I, _ = order
-        # the remainder is at most rem n^(-k-I) for n >= N, as q = (k+I) / (2 (I+1) N) < 1/2
-        rem = Fraction(comb(k + I - 1, I), 2 ** (k + I)) / (1 - Fraction(k + I, 2 * (I + 1) * N))
-        bound = _abs_tail([(A, B, k + I) for A, B, _ in plan.terms], N, ctx) * rem
-        if _upper_float(bound) <= kern.limit:
-            return _kernel_coeffs(k, kern.c, I)[0], bound
 
 
 def _upper_float(x: BigReal) -> float:
@@ -543,106 +511,57 @@ def _upper_float(x: BigReal) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Kernel:
-    """Expansion of (2n + c)^-k in powers of n; its truncation bound must meet limit."""
-
-    __slots__ = ("k", "c", "limit")
-
-    def __init__(self, k: int, c: int, limit: float):
-        self.k, self.c, self.limit = k, c, limit
-
-
 class _Plan:
     """An evaluator's tail at one order and the components of its bound, as data.
 
-    terms, kernel: the tail's power-log terms (A, B, e); with a _Kernel, each
-      term is multiplied by the kernel's expansion sum_i c_i n^(-k-i), giving
-      (A c_i, B c_i, e + k + i).
-    part: (name, terms, scale): the truncation made outside the kernel,
-      bounded by scale * _abs_tail(terms, N).
-    tail: (rule, K, at): the tail's value is _em_value ("em") or _boole_value
-      ("boole") of order K at N + at, and its remainder is bounded by
-      scale * Int_(N+at)^inf |f^(m)| with (m, scale) = _remainder(rule, K)
-      and f the sum of the tail terms.
+    terms: the tail's power-log terms (A, B, e) in the summation variable
+      x = h n + c, (h, c) = lattice: the head ends at X = h N + c and the tail
+      sums x = X + h, X + 2h, ...
+    part: (name, terms, scale): the truncation made in the tail terms, bounded
+      by scale * _abs_tail(terms, X), which covers every x > X.
+    tail: (rule, K, at): the tail's value is _em_value of step h ("em") or
+      _boole_value ("boole") of order K at X + at, and its remainder is
+      bounded by scale * Int_(X+at)^inf |f^(m)| with (m, scale) =
+      _remainder(rule, K, h) and f the sum of the tail terms.
     logs: the terms as log coefficients, for the screen.
 
     _screen and _certify evaluate this one description in floats and in BigReal.
     """
 
-    __slots__ = ("terms", "kernel", "part", "tail", "logs")
+    __slots__ = ("terms", "part", "tail", "lattice", "logs")
 
-    def __init__(self, terms: list, kernel: Optional[_Kernel], part: tuple, tail: tuple):
-        self.terms, self.kernel, self.part, self.tail = terms, kernel, part, tail
+    def __init__(self, terms: list, part: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)):
+        self.terms, self.part, self.tail, self.lattice = terms, part, tail, lattice
         self.logs = _log_terms(terms)
 
 
-_KERNEL = "kernel truncation"
-
-
-def _expand(terms, kern: _Kernel, coeffs) -> list:
-    return [(A * ci, B * ci, e + kern.k + i) for A, B, e in terms for i, ci in enumerate(coeffs)]
-
-
-def _work(plan: _Plan, N: int, powers: int) -> int:
-    """N plus the tail's merged powers times its derivative terms."""
+def _work(plan: _Plan, N: int) -> int:
+    """N plus the tail's merged powers times its derivative terms; it does not
+    fall as the order K rises."""
     rule, K, _ = plan.tail
-    return N + powers * (len(_derivs(rule, K)) + (rule == "em"))
+    return N + len({p for *_, p in plan.terms}) * (len(_derivs(rule, K)) + (rule == "em"))
 
 
-def _screen(plan: _Plan, N: int) -> Optional[tuple[dict, Optional[int], int]]:
-    """Natural logs of float estimates of the plan's bound components at N, by
-    name, the order the kernel was expanded to (None without a kernel), and
-    the number of merged tail powers; None when N is too small for the kernel
-    expansion.
-
-    The kernel is expanded to the lowest order its float estimate admits.  The
-    coefficient lists of the orders are prefixes of one another, so the tail
-    remainder estimated from those terms is never above the one certified at
-    the order _kernel_order picks, which is never lower.  The kernel estimate
-    itself falls as the order rises, so it is no lower estimate and is kept
-    apart under _KERNEL.
-    """
-    logs, kern, first = plan.logs, plan.kernel, None
-    if kern is not None:
-        order = next(_kernel_orders(kern, logs, N))
-        if order is None:
-            return None
-        first, kernel = order
-        lcs = _kernel_coeffs(kern.k, kern.c, first)[1]
-        logs = _log_merge((la + lc, lb + lc, e + kern.k + i) for la, lb, e in logs for i, lc in enumerate(lcs))
+def _screen(plan: _Plan, N: int) -> dict:
+    """Natural logs of float estimates of the plan's bound components at N, by name."""
     name, part, scale = plan.part
     rule, K, at = plan.tail
-    m, tail_scale = _remainder(rule, K)
-    est = {
-        name: _log_abs_tail(_log_terms(part), N) + _log_scale(scale),
-        "tail remainder": _log_abs_integral(logs, m, N + at) + _log_scale(tail_scale),
+    h, c = plan.lattice
+    m, tail_scale = _remainder(rule, K, h)
+    return {
+        name: _log_abs_tail(_log_terms(part), h * N + c) + _log_scale(scale),
+        "tail remainder": _log_abs_integral(plan.logs, m, h * N + c + at) + _log_scale(tail_scale),
     }
-    if kern is not None:
-        est[_KERNEL] = kernel
-    return est, first, len({p for *_, p in logs})
 
 
-def _certify(plan: _Plan, N: int, first: Optional[int], ctx) -> Optional[tuple[list, BigReal]]:
-    """(tail terms, bound) of the plan at N in BigReal, or None when N is too
-    small for the kernel expansion.  The bound sums the kernel truncation, the
-    plan's part and the tail remainder.
-
-    The search for the kernel's order starts at first: the order _screen
-    found, below which the float estimate rules every order out.
-    """
-    terms, total = plan.terms, None
-    if plan.kernel is not None:
-        order = _kernel_order(plan, N, first, ctx)
-        if order is None:
-            return None
-        coeffs, total = order
-        terms = _expand(terms, plan.kernel, coeffs)
+def _certify(plan: _Plan, N: int, ctx) -> BigReal:
+    """The plan's bound at N in BigReal: its part plus the tail remainder."""
     _, part, scale = plan.part
-    part = _scaled(_abs_tail(part, N, ctx), scale, ctx)
-    total = part if total is None else total + part
     rule, K, at = plan.tail
-    m, tail_scale = _remainder(rule, K)
-    return terms, total + _scaled(_abs_integral(terms, m, N + at, ctx), tail_scale, ctx)
+    h, c = plan.lattice
+    m, tail_scale = _remainder(rule, K, h)
+    part = _scaled(_abs_tail(part, h * N + c, ctx), scale, ctx)
+    return part + _scaled(_abs_integral(plan.terms, m, h * N + c + at, ctx), tail_scale, ctx)
 
 
 _N_START = 32
@@ -657,69 +576,50 @@ def _n_candidates(cfg: OracleConfig):
     yield cfg.max_terms
 
 
-def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, list, BigReal]:
-    """(N, plan, tail terms, bound) for the pair of cutoff N and order K, plan =
-    plans(K), of least work whose certified bound meets tol/2.
+def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, BigReal]:
+    """(N, plan, bound) for the pair of cutoff N and order K, plan = plans(K),
+    of least work whose certified bound meets tol/2.
 
     At each candidate N = 32, 64, ... the orders K = tail_order, tail_order + 1,
-    ... are screened in floats (_screen) while the estimate of the bound
-    without the kernel truncation keeps falling, up to the first K whose
-    estimate meets tol/2 by float rounding.  Pairs are screened in order of a
-    lower bound on their work (the work of the pair before at the same N, and
-    the work without the kernel expansion, which only adds powers), so no pair
-    is screened whose work is above that of a pair the screen passed, and the
-    search stops once N alone exceeds it.  The pairs passed are certified in
-    BigReal (_certify), least work first, once no pair left to screen can do
-    less work; the first to meet tol/2 is taken.  A pair the screen passes
-    over would not certify either, since its certified bound is never below
-    the estimate.  So N, K, the bound and the tail terms are those a certified
-    bound at every screened pair would give, and no float enters them.
+    ... are screened in floats (_screen) while the estimate of the bound keeps
+    falling, up to the first K whose estimate meets tol/2 by float rounding.
+    Pairs are screened least work (_work) first, so a pair the screen passes
+    is of the least work left and is certified in BigReal (_certify) at once;
+    the first to meet tol/2 is taken.  A pair the screen passes over would not
+    certify either, since its certified bound is never below the estimate.
+    So N, K and the bound are those a certified bound at every screened pair
+    would give, and no float enters them.
     """
     tol = cfg.target_tolerance
     log_half = log(tol / 2) + _FLOAT_MARGIN
     by_order: dict = {}  # K -> plan, built once per call
 
-    def least_work(N: int, K: int, before: int = 0) -> int:
+    def pair(N: int, K: int, prev: float) -> tuple:
         if K not in by_order:
             by_order[K] = plans(K)
-        return max(before, _work(by_order[K], N, len({p for *_, p in by_order[K].terms})))
+        return _work(by_order[K], N), N, K, prev
 
-    # pairs to screen as (least work, N, K, estimate at K - 1), and pairs the
-    # screen passed as (work, N, K, kernel order), each heap least work first
-    to_screen = [(least_work(N, cfg.tail_order), N, cfg.tail_order, inf) for N in _n_candidates(cfg)]
-    passed: list = []
+    # pairs to screen as (work, N, K, estimate at K - 1), least work first
+    to_screen = [pair(N, cfg.tail_order, inf) for N in _n_candidates(cfg)]
     heapify(to_screen)
     last = None  # the last pair screened at the largest N, for the message
-    while to_screen or passed:
-        while passed and (not to_screen or passed[0][0] <= to_screen[0][0]):
-            _, N, K, first = heappop(passed)
-            step = _certify(by_order[K], N, first, ctx)
-            if step is not None and _upper_float(step[1]) <= tol / 2:
-                return N, by_order[K], *step
-        if not to_screen:
-            break
+    while to_screen:
         _, N, K, prev = heappop(to_screen)
-        screened = _screen(by_order[K], N)
+        est = _screen(by_order[K], N)
         if last is None or N >= last[0]:
-            last = (N, K, screened)
-        if screened is None:
-            continue
-        est, first, powers = screened
-        work = _work(by_order[K], N, powers)
-        total = _log_sum(v for k, v in est.items() if k != _KERNEL)
+            last = (N, K, est)
+        total = _log_sum(est.values())
         if total <= log_half:
-            heappush(passed, (work, N, K, first))
+            bound = _certify(by_order[K], N, ctx)
+            if _upper_float(bound) <= tol / 2:
+                return N, by_order[K], bound
         elif total <= prev:
-            heappush(to_screen, (least_work(N, K + 1, work), N, K + 1, total))
-    N, K, screened = last
-    msg = f"cannot certify {tol} within {cfg.max_terms} terms"
-    if screened is None:
-        raise BudgetExhausted(f"{msg}: N = {N} is too small for the kernel expansion")
-    est, first, _ = screened
+            heappush(to_screen, pair(N, K + 1, total))
+    N, K, est = last
     name = max(est, key=est.get)
-    kernel = "no kernel" if first is None else f"kernel order {first}"
-    raise BudgetExhausted(f"{msg}: at N = {N} (order K = {K}, {kernel}) the largest bound component is "
-                          f"the {name}, about {exp(est[name]):.3e}, against tol/2 = {tol / 2:.3e}")
+    raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms: at N = {N} (order K = {K}) "
+                          f"the largest bound component is the {name}, about {exp(est[name]):.3e}, "
+                          f"against tol/2 = {tol / 2:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -727,34 +627,34 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, list, BigReal]:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_head(kind: str, kern_c: Optional[int], s: int, N: int, ctx) -> BigReal:
-    """sum_{n<=N} w_n * base(n)^-s with base = n (kern_c None) or 2n + kern_c."""
+def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, ctx) -> BigReal:
+    """sum_{n<=N} w_n * base(n)^-s with base = n (shift None) or 2n + shift."""
     fx = FixedPoint(ctx, N)
     acc = err = w = we = 0
     for n in range(1, N + 1):
         dw, de = _weight_step(kind, n, fx)
         w += dw
         we += de
-        t, te = fx.mul(w, we, fx.recip(n if kern_c is None else 2 * n + kern_c, s), 1)
+        t, te = fx.mul(w, we, fx.recip(n if shift is None else 2 * n + shift, s), 1)
         acc += t
         err += te
     return fx.to_big(acc, err)
 
 
-def _eval_weighted(kind: str, kern_c: Optional[int], s: int, cfg: OracleConfig, ctx) -> OracleResult:
-    """sum_{n>=1} w_n * base(n)^-s with base = n (kern_c None) or 2n + kern_c."""
-    A0 = _weight_constant(kind, ctx)
+def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, ctx) -> OracleResult:
+    """sum_{n>=1} w_n * base(n)^-s with base = n (shift None) or m = 2n + shift,
+    the tail then summed over the odd m with step 2."""
+    A0 = _weight_constant(kind, shift, ctx)
+    h, c = (1, 0) if shift is None else (2, shift)
 
     def plan(K: int) -> _Plan:
-        wterms, D, q = _weight_pl(kind, max(2, K - 2), A0)
-        if kern_c is None:
-            terms, kern = [(A, B, e + s) for A, B, e in wterms], None
-        else:
-            terms, kern = wterms, _Kernel(s, kern_c, cfg.target_tolerance / 8)
-        return _Plan(terms, kern, ("weight-expansion truncation", [(D, 0, s + q)], _ONE), ("em", K, 0))
+        wterms, D, q = _weight_pl(kind, shift, max(2, K - 2), A0)
+        return _Plan([(A, B, e + s) for A, B, e in wterms],
+                     ("weight-expansion truncation", [(D, 0, s + q)], _ONE), ("em", K, 0), (h, c))
 
-    N, chosen, pl, bounds = _select(cfg, plan, ctx)
-    return _finish(_weighted_head(kind, kern_c, s, N, ctx) + _em_value(pl, N, chosen.tail[1], ctx), bounds, N, cfg)
+    N, chosen, bounds = _select(cfg, plan, ctx)
+    tail = _em_value(chosen.terms, h * N + c, chosen.tail[1], ctx, h)
+    return _finish(_weighted_head(kind, shift, s, N, ctx) + tail, bounds, N, cfg)
 
 
 def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -770,10 +670,10 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     def plan(K: int) -> _Plan:
         J = max(3, K)
         _, wterms, rem, q = _weight_expansion(kind, p, J)
-        return _Plan([(-a, 0, e + s) for e, a in wterms], None,
+        return _Plan([(-a, 0, e + s) for e, a in wterms],
                      ("inner-tail remainder", [(rem, 0, q + s)], (1, 2, 2 * J)), ("em", K, 0))
 
-    N, chosen, pl, bounds = _select(cfg, plan, ctx)
+    N, chosen, bounds = _select(cfg, plan, ctx)
     # c0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
     fx = FixedPoint(ctx, N)
     acc, err = fx.from_big(c0)
@@ -785,7 +685,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
         t, te = fx.mul(r, re, fx.recip(n, s), 1)
         acc -= t
         err += te
-    return _finish(fx.to_big(acc, err) - _em_value(pl, N, chosen.tail[1], ctx), bounds, N, cfg)
+    return _finish(fx.to_big(acc, err) - _em_value(chosen.terms, N, chosen.tail[1], ctx), bounds, N, cfg)
 
 
 def _alt_euler_star_head(s: int, M: int, ctx) -> BigReal:
@@ -802,16 +702,17 @@ def _alt_euler_star_head(s: int, M: int, ctx) -> BigReal:
 
 def _eval_alt_euler_star(a: int, cfg: OracleConfig, ctx) -> OracleResult:
     s = 2 * a
-    A0 = _weight_constant("H", ctx)
+    A0 = _weight_constant("H", None, ctx)
 
     def plan(K: int) -> _Plan:
-        wterms, D, q = _weight_pl("H", max(2, K - 2), A0)
+        wterms, D, q = _weight_pl("H", None, max(2, K - 2), A0)
         # the tail starts at n = M+1; M is even, so its sign is +1
-        return _Plan([(A, B, e + s) for A, B, e in wterms], None,
+        return _Plan([(A, B, e + s) for A, B, e in wterms],
                      ("weight-expansion truncation", [(D, 0, s + q)], _ONE), ("boole", max(4, 2 * K), 1))
 
-    M, chosen, pl, bounds = _select(cfg, plan, ctx)
-    return _finish(_alt_euler_star_head(s, M, ctx) + _boole_value(pl, M + 1, chosen.tail[1], ctx), bounds, M, cfg)
+    M, chosen, bounds = _select(cfg, plan, ctx)
+    tail = _boole_value(chosen.terms, M + 1, chosen.tail[1], ctx)
+    return _finish(_alt_euler_star_head(s, M, ctx) + tail, bounds, M, cfg)
 
 
 def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -826,9 +727,9 @@ def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
         pl = [(c * (-1) ** k * _pochhammer(s, k), 0, s + k + 1) for c, k in _boole_derivs(KB)]
         rem_c = Fraction(4 * _pochhammer(s, KB), s + KB - 1)
         # the Boole remainder of tau_n truncates the weight's expansion
-        return _Plan(pl, None, ("weight-expansion truncation", [(rem_c, 0, s + KB)], (1, 1, KB)), ("em", K, 0))
+        return _Plan(pl, ("weight-expansion truncation", [(rem_c, 0, s + KB)], (1, 1, KB)), ("em", K, 0))
 
-    N, chosen, pl, bounds = _select(cfg, plan, ctx)
+    N, chosen, bounds = _select(cfg, plan, ctx)
     fx = FixedPoint(ctx, N)
     acc = err = 0
     tau, tau_e = fx.from_big(eta)  # tau_1
@@ -838,7 +739,7 @@ def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
         err += te
         tau = fx.recip(n, s) - tau
         tau_e += 1
-    return _finish(lead + fx.to_big(acc, err) + _em_value(pl, N, chosen.tail[1], ctx), bounds, N, cfg)
+    return _finish(lead + fx.to_big(acc, err) + _em_value(chosen.terms, N, chosen.tail[1], ctx), bounds, N, cfg)
 
 
 def _finish(value: BigReal, math_bounds: BigReal, terms: int, cfg: OracleConfig) -> OracleResult:
@@ -880,10 +781,11 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
     return _cache.get(key, lambda: _dispatch(sid, cfg, ctx))
 
 
-# family -> parameters -> (weight kind, weight order, kernel shift or None, power)
-# for the series sum_n w_n base(n)^-power, w_n the weight of that kind and order
-# (see _weight_step) and base(n) = n, or 2n + shift with a kernel shift.  Order 1
-# is summed directly, higher orders by the remainder split.
+# family -> parameters -> (weight kind, weight order, shift or None, power) for
+# the series sum_n w_n base(n)^-power, w_n the weight of that kind and order
+# (see _weight_step) and base(n) = n, or the odd m = 2n + shift, in which the
+# tail is summed (_ODD_COMBOS).  Order 1 is summed directly, higher orders by
+# the remainder split.
 _ROUTES = {
     "J": lambda b: ("S", 1, None, b),
     "Jbar": lambda b: ("S", 1, -1, b),
@@ -903,9 +805,9 @@ def _dispatch(sid: SumId, cfg: OracleConfig, ctx) -> OracleResult:
         return _eval_alt_euler_star(p[0], cfg, ctx)
     if fam == "AltTildeH":
         return _eval_alt_tilde(p[0], cfg, ctx)
-    kind, order, kern_c, s = _ROUTES[fam](*p)
+    kind, order, shift, s = _ROUTES[fam](*p)
     if order == 1:
-        return _eval_weighted(kind, kern_c, s, cfg, ctx)
+        return _eval_weighted(kind, shift, s, cfg, ctx)
     return _eval_remainder_split(kind, s, order, cfg, ctx)
 
 

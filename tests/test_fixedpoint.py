@@ -90,16 +90,16 @@ def _poch(p: int, m: int) -> int:
     return out
 
 
-def _tail_exact(terms, N: int, derivs, integral: bool) -> tuple[F, F]:
-    """(X, Y) with X + Y ln N = [Int_N^inf f] + sum_(c, m) c f^(m)(N), f the sum
-    of the terms (a + b ln x) x^-p, in exact rationals."""
+def _tail_exact(terms, N: int, derivs, integral: bool, h: int = 1) -> tuple[F, F]:
+    """(X, Y) with X + Y ln N = [Int_N^inf f / h] + sum_(c, m) c h^m f^(m)(N), f
+    the sum of the terms (a + b ln x) x^-p, in exact rationals."""
     X = Y = F(0)
     for a, b, p in terms:
         R = Q = F(0)
         if integral:
-            R, Q = F(1, (p - 1) * N ** (p - 1)), F(1, (p - 1) ** 2 * N ** (p - 1))
+            R, Q = F(1, h * (p - 1) * N ** (p - 1)), F(1, h * (p - 1) ** 2 * N ** (p - 1))
         for c, m in derivs:
-            r = c * (-1) ** m * _poch(p, m) / F(N) ** (p + m)
+            r = c * h**m * (-1) ** m * _poch(p, m) / F(N) ** (p + m)
             R += r
             Q -= r * sum((F(1, p + i) for i in range(m)), F(0))
         X += a * R + b * Q
@@ -121,13 +121,15 @@ _coeff = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6
     bits=st.sampled_from([64, 192, 512]),
     K=st.integers(0, 40),
     N=st.sampled_from([32, 100, 4096]),
+    h=st.sampled_from([1, 2]),
     m=st.integers(0, 80),
     terms=st.lists(st.tuples(_coeff, _coeff, st.integers(2, 12), st.booleans(), st.booleans()), min_size=1, max_size=3),
 )
-def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, m, terms):
-    # the tail values and the remainder integral, summed in FixedPoint from
-    # coefficients that do not depend on N, against exact rationals; a and b
-    # given as rationals or as BigReals, whose intervals hold them
+def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, h, m, terms):
+    # the tail values (Euler-Maclaurin of step h) and the remainder integral,
+    # summed in FixedPoint from coefficients that do not depend on N, against
+    # exact rationals; a and b given as rationals or as BigReals, whose
+    # intervals hold them
     ctx = PrecisionContext(working_bits=bits)
     exact = [(a, b, p) for a, b, p, _, _ in terms]
     tail = [(BigReal.from_fraction(a, ctx) if big_a else a, BigReal.from_fraction(b, ctx) if big_b else b, p)
@@ -135,7 +137,7 @@ def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, m, terms):
     with mpmath.workprec(2000):
         ln = _frac(mpmath.log(N)._mpf_)
     eps = F(1, 2**1980)
-    assert _encloses(_em_value(tail, N, K, ctx), *_tail_exact(exact, N, _em_derivs(K), True), ln, eps)
+    assert _encloses(_em_value(tail, N, K, ctx, h), *_tail_exact(exact, N, _em_derivs(K), True, h), ln, eps)
     assert _encloses(_boole_value(tail, N, K, ctx), *_tail_exact(exact, N, _boole_derivs(K), False), ln, eps)
     # Int_N^inf |f^(m)| <= sum (p)_m / (q-1) N^(1-q) (|a| + |b| (H(p, m) + 1/(q-1) + ln N)), q = p + m
     X = Y = F(0)
@@ -162,8 +164,8 @@ _WEIGHTED = [
 @pytest.mark.parametrize("N", [1, 37, 300])
 @pytest.mark.parametrize("sid,args", _WEIGHTED, ids=[str(s) for s, _ in _WEIGHTED])
 def test_weighted_head_brackets_partial_sum(sid, args, N, ctx):
-    kind, kern_c, s = args
-    assert _contains(_weighted_head(kind, kern_c, s, N, ctx), partial_sum(sid, N))
+    kind, shift, s = args
+    assert _contains(_weighted_head(kind, shift, s, N, ctx), partial_sum(sid, N))
 
 
 @pytest.mark.parametrize("N", [1, 37, 300])
