@@ -14,6 +14,7 @@ cross-validation suite consume.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -354,6 +355,8 @@ def known_closed_form_ids(max_weight: int) -> list["SumId"]:
 _SPECIAL_SIGMA = {(2, 2), (3, 4)}
 
 
+# one entry per id asked for; a SymExpr never changes, so callers may share it
+@lru_cache(maxsize=1024)
 def closed_form_for(sid: SumId) -> Optional[SymExpr]:
     """Known closed form for a SumId, or None when the value is not elementary."""
     fam, p = sid.family, sid.params

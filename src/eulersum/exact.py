@@ -20,6 +20,7 @@ __all__ = [
     "harmonic",
     "bernoulli",
     "binomial",
+    "as_fraction",
 ]
 
 
@@ -132,3 +133,16 @@ def binomial(n: int, k: int) -> Fraction:
     if k < 0 or k > n:
         return Fraction(0)
     return Fraction(comb(n, k))
+
+
+def as_fraction(c) -> Fraction:
+    """c as a Fraction, for an int or a Fraction only.
+
+    A float would convert to its binary value (0.1 becomes
+    3602879701896397/36028797018963968), so anything else raises TypeError.
+    """
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"exact coefficient must be an int or a Fraction, got {type(c).__name__} {c!r}")

@@ -477,20 +477,38 @@ def atom_num(atom: Atom, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     return zeta_num(atom.arg, ctx)
 
 
+# keys are (monomial, working_bits): a few hundred monomials per precision
+_monomial_cache = LRUCache(1024)
+
+
+def _monomial_num(mono, ctx: PrecisionContext) -> BigReal:
+    """The value of a non-empty monomial, a product of atom powers, at ctx's precision."""
+
+    def build():
+        value = None
+        for atom, exp in mono:
+            p = atom_num(atom, ctx) ** exp
+            value = p if value is None else value * p
+        return value
+
+    return _monomial_cache.get((mono, ctx.working_bits), build)
+
+
 def eval_sym(e: SymExpr, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """Evaluate a SymExpr numerically; the result carries its achieved error bound.
 
     The empty expression evaluates to exact 0.  For nonzero expressions the
     result must retain ctx.contract_bits of relative accuracy, otherwise the
-    cancellation is reported as PrecisionExhausted.
+    cancellation is reported as PrecisionExhausted.  Each term is its
+    coefficient times its monomial's value, which is cached per working_bits.
     """
     if e.is_zero:
         return BigReal.zero(ctx)
     acc = BigReal.zero(ctx)
     for mono, coeff in e.terms():
         term = BigReal.from_fraction(coeff, ctx)
-        for atom, exp in mono:
-            term = term * atom_num(atom, ctx) ** exp
+        if mono:
+            term = term * _monomial_num(mono, ctx)
         acc = acc + term
     if not acc.meets_contract():
         raise PrecisionExhausted(

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from . import closedform
+from . import closedform, exact
 from .numerics import BigReal, DEFAULT_CONTEXT, PrecisionContext, eval_sym
 from .oracle import OracleConfig, oracle_eval
 from .sums import SumId
@@ -55,7 +55,8 @@ class Relation:
     __slots__ = ("coeffs", "rhs")
 
     def __init__(self, coeffs: dict[SumId, Fraction], rhs: SymExpr):
-        clean = {k: Fraction(v) for k, v in coeffs.items() if v}
+        clean = {k: exact.as_fraction(v) for k, v in coeffs.items()}
+        clean = {k: c for k, c in clean.items() if c}
         weights = {k.weight for k in clean}
         if len(weights) > 1:
             raise ValueError(f"mixed weights in relation: {sorted(weights)}")
@@ -107,18 +108,10 @@ def gen_product_relation(k: int, l: int) -> Relation:
     w = k + l
     coeffs: dict[SumId, Fraction] = {}
     for i in range(1, w - 1):
-        c = Fraction(2**i * (comb2(w - i - 1, l - 1) + comb2(w - i - 1, k - 1)), 2**w)
+        c = Fraction(2**i * (comb(w - i - 1, l - 1) + comb(w - i - 1, k - 1)), 2**w)
         if c:
             coeffs[SumId.sigma(w - i, i)] = c
     return Relation(coeffs, lambda_sym(k) * lambda_sym(l))
-
-
-def comb2(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
-
-
-def _h_closed(q: int) -> SymExpr:
-    return closedform.h_sum(q)
 
 
 def reduction_relation(s: int, t: int) -> Relation:
@@ -144,7 +137,7 @@ def reduction_relation(s: int, t: int) -> Relation:
             Fraction((-1) ** t * (-1) ** j * 2**s * comb(s + j - 1, j))
         )
     c_edge = comb(s + t - 2, s - 1)
-    rhs = rhs - _h_closed(s + t - 1).scaled(Fraction(2 ** (s - 1) * c_edge))
+    rhs = rhs - closedform.h_sum(s + t - 1).scaled(Fraction(2 ** (s - 1) * c_edge))
     rhs = rhs - (lambda_sym(s + t - 1) * SymExpr.atom(LOG2)).scaled(Fraction(2**s * c_edge))
     return Relation(coeffs, rhs)
 
@@ -168,7 +161,7 @@ def even_order_relation(s: int, r: int) -> Relation:
             Fraction((-1) ** j * 2 ** (s - 1) * comb(s + j - 1, j))
         )
     c_edge = comb(s + 2 * r - 2, s - 1)
-    rhs = rhs + _h_closed(s + 2 * r - 1).scaled(Fraction(2 ** (s - 2) * c_edge))
+    rhs = rhs + closedform.h_sum(s + 2 * r - 1).scaled(Fraction(2 ** (s - 2) * c_edge))
     rhs = rhs + (lambda_sym(s + 2 * r - 1) * SymExpr.atom(LOG2)).scaled(Fraction(2 ** (s - 1) * c_edge))
     return Relation(coeffs, rhs)
 

@@ -9,11 +9,18 @@ normal forms, not numeric coincidences.
 Equality of SymExpr is equality of normal forms.  The atoms are treated as
 algebraically independent (the standard conjecture); numerical evaluation in
 ``numerics`` is the safety net.
+
+The public constructors normalise their input and accept only exact
+coefficients (int or Fraction).  The ring operations build their results in
+normal form directly, without a second normalising pass.  A SymExpr never
+changes after it is built, so ``zeta_sym``, ``lambda_sym`` and ``eta_sym``
+keep their values in bounded caches and hand the same object to every caller.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Optional, Union
 
@@ -101,6 +108,8 @@ def _monomial_weight(mono: Monomial) -> int:
     return sum(atom.weight * e for atom, e in mono)
 
 
+# the monomials of one run number in the hundreds
+@lru_cache(maxsize=4096)
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     exps: dict[Atom, int] = dict(a)
     for atom, e in b:
@@ -108,19 +117,42 @@ def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(exps.items(), key=lambda it: it[0].sort_key))
 
 
+def _add_into(acc: dict[Monomial, Fraction], items) -> dict[Monomial, Fraction]:
+    """Add the (monomial, non-zero coefficient) pairs into acc, dropping sums that cancel."""
+    for mono, c in items:
+        s = acc.get(mono)
+        if s is None:
+            acc[mono] = c
+        else:
+            s += c
+            if s:
+                acc[mono] = s
+            else:
+                del acc[mono]
+    return acc
+
+
 class SymExpr:
     """Normalized rational-linear combination of monomials (zero coeffs dropped)."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Optional[dict[Monomial, Fraction]] = None):
+    def __init__(self, terms: Optional[dict[Monomial, Rat]] = None):
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = exact.as_fraction(coeff)
                 if c:
                     clean[mono] = c
         object.__setattr__(self, "_terms", clean)
+
+    @staticmethod
+    def _of(terms: dict[Monomial, Fraction]) -> "SymExpr":
+        """Trusted constructor: terms is already normal (every value a non-zero
+        Fraction) and is kept, not copied, so the caller must not change it."""
+        e = object.__new__(SymExpr)
+        object.__setattr__(e, "_terms", terms)
+        return e
 
     def __setattr__(self, *a):
         raise AttributeError("SymExpr is immutable")
@@ -129,42 +161,40 @@ class SymExpr:
 
     @staticmethod
     def zero() -> "SymExpr":
-        return SymExpr()
+        return SymExpr._of({})
 
     @staticmethod
     def rational(c: Rat) -> "SymExpr":
-        return SymExpr({(): Fraction(c)})
+        return SymExpr({(): c})
 
     @staticmethod
     def atom(a: Atom, exp: int = 1, coeff: Rat = 1) -> "SymExpr":
         if exp < 1:
             raise ValueError("exponent must be >= 1")
-        return SymExpr({((a, exp),): Fraction(coeff)})
+        return SymExpr({((a, exp),): coeff})
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "SymExpr") -> "SymExpr":
         if not isinstance(other, SymExpr):
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, c in other._terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + c
-        return SymExpr(terms)
+        return SymExpr._of(_add_into(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "SymExpr") -> "SymExpr":
-        return self + (-other)
+        if not isinstance(other, SymExpr):
+            return NotImplemented
+        return SymExpr._of(_add_into(dict(self._terms), ((m, -c) for m, c in other._terms.items())))
 
     def __neg__(self) -> "SymExpr":
-        return SymExpr({m: -c for m, c in self._terms.items()})
+        return SymExpr._of({m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SymExpr):
-            out: dict[Monomial, Fraction] = {}
-            for ma, ca in self._terms.items():
-                for mb, cb in other._terms.items():
-                    m = _mul_monomials(ma, mb)
-                    out[m] = out.get(m, Fraction(0)) + ca * cb
-            return SymExpr(out)
+            return SymExpr._of(_add_into({}, (
+                (_mul_monomials(ma, mb), ca * cb)
+                for ma, ca in self._terms.items()
+                for mb, cb in other._terms.items()
+            )))
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         return NotImplemented
@@ -172,8 +202,10 @@ class SymExpr:
     __rmul__ = __mul__
 
     def scaled(self, c: Rat) -> "SymExpr":
-        c = Fraction(c)
-        return SymExpr({m: c * v for m, v in self._terms.items()})
+        c = exact.as_fraction(c)
+        if not c:
+            return SymExpr._of({})
+        return SymExpr._of({m: c * v for m, v in self._terms.items()})
 
     # -- queries -----------------------------------------------------------
 
@@ -251,6 +283,8 @@ def _mono_sort_key(mono: Monomial):
 # -- the zeta/lambda/eta family ---------------------------------------------
 
 
+# one entry per s in each of the zeta/lambda/eta caches
+@lru_cache(maxsize=256)
 def zeta_sym(s: int) -> SymExpr:
     """zeta(s) over the basis: the odd atom itself, or a rational multiple of pi^s.
 
@@ -265,6 +299,7 @@ def zeta_sym(s: int) -> SymExpr:
     return SymExpr.atom(PI, s, coeff)
 
 
+@lru_cache(maxsize=256)
 def lambda_sym(s: int) -> SymExpr:
     """Sum over odd integers (2n-1)^(-s) = (1 - 2^-s) zeta(s)."""
     if s < 2:
@@ -272,6 +307,7 @@ def lambda_sym(s: int) -> SymExpr:
     return zeta_sym(s).scaled(1 - Fraction(1, 2**s))
 
 
+@lru_cache(maxsize=256)
 def eta_sym(s: int) -> SymExpr:
     """Alternating zeta sum (-1)^(n-1) n^(-s) = (1 - 2^(1-s)) zeta(s)."""
     if s < 2:

@@ -15,6 +15,9 @@ from eulersum import (
     li4_half_num,
     zeta_num,
 )
+from eulersum.closedform import closed_form_for, known_closed_form_ids
+from eulersum.numerics import atom_num
+from eulersum.sums import SumId
 from eulersum.symexpr import LOG2, PI, SymExpr, lambda_sym, zeta_sym
 
 
@@ -169,6 +172,41 @@ def test_eval_sym_linearity_randomized(ctx):
         except PrecisionExhausted:
             continue  # a + b normalized into a catastrophic cancellation; fine
         assert abs(float(lhs - rhs)) <= lhs.err_float() + rhs.err_float() + 1e-50
+
+
+def _eval_sym_per_term(e: SymExpr, ctx: PrecisionContext) -> BigReal:
+    """Reference: every atom power rebuilt for every term, nothing cached."""
+    acc = BigReal.zero(ctx)
+    for mono, coeff in e.terms():
+        term = BigReal.from_fraction(coeff, ctx)
+        for atom, exp in mono:
+            term = term * atom_num(atom, ctx) ** exp
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("bits", [192, 1024])
+def test_eval_sym_agrees_with_per_term_reference(bits):
+    ctx = PrecisionContext(working_bits=bits)
+    for sid in known_closed_form_ids(13):
+        e = closed_form_for(sid)
+        got, ref = eval_sym(e, ctx), _eval_sym_per_term(e, ctx)
+        diff = abs(_tuple_to_fraction(got.value_tuple()) - _tuple_to_fraction(ref.value_tuple()))
+        assert diff <= _tuple_to_fraction(got.err_tuple()) + _tuple_to_fraction(ref.err_tuple()), sid
+
+
+def test_eval_sym_builds_each_result_at_its_own_precision():
+    # monomial values are cached per working_bits; guard_bits only sets the contract
+    e = closed_form_for(SumId.J(3))
+    contexts = [PrecisionContext(working_bits=192), PrecisionContext(working_bits=256),
+                PrecisionContext(working_bits=256, guard_bits=16)]
+    vals = [eval_sym(e, c) for c in contexts]
+    for c, v in zip(contexts, vals):
+        assert v.ctx is c and v.meets_contract()
+    lo, hi = vals[0], vals[1]
+    assert abs(_tuple_to_fraction(lo.value_tuple()) - _tuple_to_fraction(hi.value_tuple())) <= _tuple_to_fraction(lo.err_tuple())
+    assert hi.err_float() < lo.err_float() * 2.0**-60
+    assert vals[2].value_tuple() == hi.value_tuple() and vals[2].err_tuple() == hi.err_tuple()
 
 
 def test_monotone_precision():

@@ -45,6 +45,12 @@ def test_product_relation_rejects_bad_params():
         gen_product_relation(1, 5)
 
 
+@pytest.mark.parametrize("bad", [0.5, 0.0, "1/2"])
+def test_relation_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        Relation({SumId.sigma(2, 2): bad}, SymExpr.zero())
+
+
 def test_reduction_relation_small_cases():
     r21 = reduction_relation(2, 1)
     assert r21.coeffs == {SumId.sigma(2, 1): F(-2)}

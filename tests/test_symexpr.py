@@ -1,8 +1,12 @@
 import random
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eulersum.closedform import closed_form_for, known_closed_form_ids
 from eulersum.symexpr import (
     LI4_HALF,
     LOG2,
@@ -174,3 +178,92 @@ def test_str_rendering():
     assert str(zeta_sym(3).scaled(Fraction(7, 4))) == "7/4*zeta(3)"
     assert str(lambda_sym(2) - lambda_sym(2)) == "0"
     assert str(SymExpr.atom(PI, 2, -1) + zeta_sym(3)) == "-pi^2 + zeta(3)"
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.1, 0.0, Decimal("0.5"), "1/2", None])
+@pytest.mark.parametrize("entry", ["constructor", "atom", "rational", "scaled"])
+def test_inexact_coefficients_are_rejected(entry, bad):
+    build = {
+        "constructor": lambda: SymExpr({((PI, 2),): bad}),
+        "atom": lambda: SymExpr.atom(PI, 2, bad),
+        "rational": lambda: SymExpr.rational(bad),
+        "scaled": lambda: zeta_sym(3).scaled(bad),
+    }[entry]
+    with pytest.raises(TypeError):
+        build()
+
+
+# -- the fast ring against plain Fraction dict arithmetic ----------------------
+
+_ATOMS = [PI, LOG2, LI4_HALF, odd_zeta(3), odd_zeta(5)]
+# few monomials and coefficients, so that sums and products often cancel
+_monomials = st.lists(st.tuples(st.sampled_from(_ATOMS), st.integers(1, 2)), max_size=2).map(
+    lambda pairs: tuple(sorted(dict(pairs).items(), key=lambda it: it[0].sort_key))
+)
+_coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_exprs = st.dictionaries(_monomials, _coeffs, max_size=5).map(SymExpr)
+
+
+def _ref_mono_mul(a, b):
+    exps = Counter(dict(a))
+    exps.update(dict(b))
+    return tuple(sorted(exps.items(), key=lambda it: it[0].sort_key))
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a.terms())
+    for m, c in b.terms():
+        out[m] = out.get(m, Fraction(0)) + sign * c
+    return SymExpr(out)
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ma, ca in a.terms():
+        for mb, cb in b.terms():
+            m = _ref_mono_mul(ma, mb)
+            out[m] = out.get(m, Fraction(0)) + ca * cb
+    return SymExpr(out)
+
+
+def _is_normal(e):
+    return all(type(c) is Fraction and c != 0 for _, c in e.terms())
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_exprs, b=_exprs, r=_coeffs)
+def test_ring_operations_match_fraction_dict_reference(a, b, r):
+    cases = [
+        (a + b, _ref_add(a, b)),
+        (a - b, _ref_add(a, b, -1)),
+        (a * b, _ref_mul(a, b)),
+        (a.scaled(r), SymExpr({m: r * c for m, c in a.terms()})),
+        (a * r, SymExpr({m: r * c for m, c in a.terms()})),
+        (-a, SymExpr({m: -c for m, c in a.terms()})),
+    ]
+    for got, want in cases:
+        assert got == want
+        assert _is_normal(got)
+    assert (a - a).is_zero and a - a == SymExpr.zero()
+    assert (a.scaled(0)).is_zero
+    assert hash(a + b) == hash(b + a) and hash(a * b) == hash(b * a)
+    assert hash(a) == hash(SymExpr(dict(a.terms())))
+
+
+_CACHED_IDS = known_closed_form_ids(8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.integers(2, 12), idx=st.integers(0, len(_CACHED_IDS) - 1), b=_exprs, r=_coeffs)
+def test_memoized_values_are_never_changed(s, idx, b, r):
+    sid = _CACHED_IDS[idx]
+    for cached, fresh in (
+        (lambda: zeta_sym(s), lambda: zeta_sym.__wrapped__(s)),
+        (lambda: lambda_sym(s), lambda: lambda_sym.__wrapped__(s)),
+        (lambda: eta_sym(s), lambda: eta_sym.__wrapped__(s)),
+        (lambda: closed_form_for(sid), lambda: closed_form_for.__wrapped__(sid)),
+    ):
+        x = cached()
+        assert cached() is x
+        _ = (x + b, x - b, b - x, x * b, b * x, x.scaled(r), -x, x + x, x - x)
+        assert x == fresh() and cached() == fresh()
