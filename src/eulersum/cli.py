@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -220,10 +221,6 @@ def _verify_checks(args, ctx, cfg):
 
     # exact structural identities (independent of scope weight, cheap)
     if fam is None:
-        from fractions import Fraction as F
-
-        from .symexpr import SymExpr as SE
-
         for a in range(1, 6):
             yield (
                 f"jordan-even-two-forms a={a}",
@@ -232,20 +229,20 @@ def _verify_checks(args, ctx, cfg):
             )
             yield (
                 f"reflection-consistency a={a}",
-                closedform.jordan_bar_even(a) - closedform.jordan_even(a).scaled(F(1, 4**a))
+                closedform.jordan_bar_even(a) - closedform.jordan_even(a).scaled(Fraction(1, 4**a))
                 == closedform.jordan_reflection(2 * a),
                 "exact",
             )
         yield (
             "reflection-consistency b=3",
-            closedform.jordan_bar_3() + closedform.jordan_3().scaled(F(1, 8))
+            closedform.jordan_bar_3() + closedform.jordan_3().scaled(Fraction(1, 8))
             == closedform.jordan_reflection(3),
             "exact",
         )
         for a in range(2, 6):
             yield (
                 f"sigma-zetastar-E-triangle a={a}",
-                closedform.sigma_odd_2(a) + closedform.zeta_star_odd_2(a).scaled(F(1, 4))
+                closedform.sigma_odd_2(a) + closedform.zeta_star_odd_2(a).scaled(Fraction(1, 4))
                 == closedform.e_2_odd(a),
                 "exact",
             )
@@ -255,12 +252,12 @@ def _verify_checks(args, ctx, cfg):
             "exact",
         )
         for n in range(2, 11):
-            lhs = SE.zero()
+            lhs = SymExpr.zero()
             for j in range(1, n):
                 lhs = lhs + lambda_sym(2 * j) * lambda_sym(2 * n - 2 * j)
             yield (
                 f"lambda-convolution n={n}",
-                lhs == lambda_sym(2 * n).scaled(F(2 * n - 1, 2)),
+                lhs == lambda_sym(2 * n).scaled(Fraction(2 * n - 1, 2)),
                 "exact",
             )
 
@@ -391,26 +388,17 @@ def _cmd_table(args) -> int:
     return 0
 
 
+_COMMANDS = {"eval": _cmd_eval, "oracle": _cmd_oracle, "verify": _cmd_verify,
+             "solve": _cmd_solve, "table": _cmd_table}
+
+
 def run(argv: list[str]) -> int:
     """Entry point; returns the process exit code instead of raising SystemExit."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
+        return _COMMANDS[args.command](args)
+    except (_UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PrecisionExhausted as e:

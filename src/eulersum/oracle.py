@@ -21,9 +21,11 @@ H_m and H_(m/2) and ln 2 (Legendre's duplication of psi).
 
 Every order of a tail follows from one order K: Euler-Maclaurin order K,
 weights expanded to order max(2, K-2), inner tails to max(3, K), and Boole
-order max(4, 2K) (max(6, 2K+2) for the tilde sum).  Each evaluator describes
-its tail at order K as data (_Plan): the power-log terms and every bound
-component as power-log terms with a scale.
+order max(4, 2K) (max(6, 2K+2) for the tilde sum).  Each evaluator is a head
+of N terms and its tail at order K as data (_Plan): the power-log terms, the
+rule and where it starts, and every bound component as power-log terms with a
+scale.  One driver (_sum) adds the chosen plan's tail value, signed (-1)^N for
+an alternating (Boole) tail, to the head.
 
 The cutoff N and the order K are chosen together, from the bounds alone
 (_select).  At each candidate N = 32, 64, ... the orders K = tail_order,
@@ -285,9 +287,6 @@ def _log_scale(scale: tuple) -> float:
     return _log_pos(c) - k * log(base * pi)
 
 
-_ONE = (1, 1, 0)
-
-
 def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
     """(m, scale) of the remainder bound of the tail rule of order K and step h
     (1 for Boole); for Euler-Maclaurin of order K >= 1 the scale is
@@ -311,11 +310,6 @@ def _em_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
     return ((Fraction(-1, 2), 0), *map(_em_deriv, range(1, K + 1)))
 
 
-def _em_value(terms, N: int, K: int, ctx, h: int = 1) -> BigReal:
-    """Sum over x = N + h, N + 2h, ... of the terms by Euler-Maclaurin of order K."""
-    return _pl_sum(terms, N, lambda p: _pl_coeffs(p, "em", K, h), ctx)
-
-
 @lru_cache(maxsize=1024)
 def _boole_deriv(k: int) -> tuple[Fraction, int]:
     e_k = 2 * (1 - 2 ** (k + 1)) * exact.bernoulli(k + 1) / (k + 1)
@@ -327,10 +321,12 @@ def _boole_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
     return ((Fraction(1, 2), 0), *map(_boole_deriv, range(1, K, 2)))
 
 
-def _boole_value(terms, M: int, K: int, ctx) -> BigReal:
-    """Sum over n >= M of (-1)^(n-M) times the terms, by Boole summation of order K:
-    sum_{k<K} E_k(0)/(2 k!) f^(k)(M)."""
-    return _pl_sum(terms, M, lambda p: _pl_coeffs(p, "boole", K), ctx)
+def _tail_value(rule: str, terms, X: int, K: int, ctx, h: int = 1) -> BigReal:
+    """The tail rule of order K over the terms at X: with "em", their sum over
+    x = X + h, X + 2h, ... by Euler-Maclaurin of step h; with "boole", the sum
+    over n >= X of (-1)^(n-X) times them by Boole summation,
+    sum_{k<K} E_k(0)/(2 k!) f^(k)(X)."""
+    return _pl_sum(terms, X, lambda p: _pl_coeffs(p, rule, K, h), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +511,18 @@ class _Plan:
     """An evaluator's tail at one order and the components of its bound, as data.
 
     terms: the tail's power-log terms (A, B, e) in the summation variable
-      x = h n + c, (h, c) = lattice: the head ends at X = h N + c and the tail
-      sums x = X + h, X + 2h, ...
+      x = h n + c, (h, c) = lattice: the head ends at X = h N + c (start) and
+      the tail sums x = X + h, X + 2h, ...
     part: (name, terms, scale): the truncation made in the tail terms, bounded
       by scale * _abs_tail(terms, X), which covers every x > X.
-    tail: (rule, K, at): the tail's value is _em_value of step h ("em") or
-      _boole_value ("boole") of order K at X + at, and its remainder is
-      bounded by scale * Int_(X+at)^inf |f^(m)| with (m, scale) =
-      _remainder(rule, K, h) and f the sum of the tail terms.
+    tail: (rule, K, at): the tail's value (value) is _tail_value of the rule,
+      order K and step h at X + at, and its remainder is bounded by
+      scale * Int_(X+at)^inf |f^(m)| with (m, scale) = _remainder(rule, K, h)
+      and f the sum of the tail terms.  A "boole" tail (h = 1, at = 1) sums
+      (-1)^(n-1) times the terms, which is (-1)^N times the Boole sum from N + 1.
     logs: the terms as log coefficients, for the screen.
 
-    _screen and _certify evaluate this one description in floats and in BigReal.
+    value, _screen and _certify evaluate this one description in BigReal and floats.
     """
 
     __slots__ = ("terms", "part", "tail", "lattice", "logs")
@@ -533,6 +530,17 @@ class _Plan:
     def __init__(self, terms: list, part: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)):
         self.terms, self.part, self.tail, self.lattice = terms, part, tail, lattice
         self.logs = _log_terms(terms)
+
+    def start(self, N: int) -> int:
+        """X = h N + c, the last x of the head."""
+        h, c = self.lattice
+        return h * N + c
+
+    def value(self, N: int, ctx) -> BigReal:
+        """The tail's value after a head of N terms."""
+        rule, K, at = self.tail
+        v = _tail_value(rule, self.terms, self.start(N) + at, K, ctx, self.lattice[0])
+        return -v if rule == "boole" and N % 2 else v
 
 
 def _work(plan: _Plan, N: int) -> int:
@@ -546,11 +554,11 @@ def _screen(plan: _Plan, N: int) -> dict:
     """Natural logs of float estimates of the plan's bound components at N, by name."""
     name, part, scale = plan.part
     rule, K, at = plan.tail
-    h, c = plan.lattice
-    m, tail_scale = _remainder(rule, K, h)
+    X = plan.start(N)
+    m, tail_scale = _remainder(rule, K, plan.lattice[0])
     return {
-        name: _log_abs_tail(_log_terms(part), h * N + c) + _log_scale(scale),
-        "tail remainder": _log_abs_integral(plan.logs, m, h * N + c + at) + _log_scale(tail_scale),
+        name: _log_abs_tail(_log_terms(part), X) + _log_scale(scale),
+        "tail remainder": _log_abs_integral(plan.logs, m, X + at) + _log_scale(tail_scale),
     }
 
 
@@ -558,10 +566,10 @@ def _certify(plan: _Plan, N: int, ctx) -> BigReal:
     """The plan's bound at N in BigReal: its part plus the tail remainder."""
     _, part, scale = plan.part
     rule, K, at = plan.tail
-    h, c = plan.lattice
-    m, tail_scale = _remainder(rule, K, h)
-    part = _scaled(_abs_tail(part, h * N + c, ctx), scale, ctx)
-    return part + _scaled(_abs_integral(plan.terms, m, h * N + c + at, ctx), tail_scale, ctx)
+    X = plan.start(N)
+    m, tail_scale = _remainder(rule, K, plan.lattice[0])
+    part = _scaled(_abs_tail(part, X, ctx), scale, ctx)
+    return part + _scaled(_abs_integral(plan.terms, m, X + at, ctx), tail_scale, ctx)
 
 
 _N_START = 32
@@ -627,8 +635,26 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, BigReal]:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, ctx) -> BigReal:
-    """sum_{n<=N} w_n * base(n)^-s with base = n (shift None) or 2n + shift."""
+def _sum(cfg: OracleConfig, plans, head, ctx) -> OracleResult:
+    """head(N), the first N terms as a BigReal, plus the tail value of the plan
+    _select chooses, bounded by the value's rounding plus the plan's bound."""
+    N, plan, bound = _select(cfg, plans, ctx)
+    value = head(N) + plan.value(N, ctx)
+    total = mpf_add(value.err_tuple(), bound.upper_tuple(), _EPREC, "u")
+    achieved = to_float(total, rnd="u")
+    if achieved == 0.0 and total != fzero:
+        achieved = 1e-300  # float underflow guard; the BigReal keeps the true bound
+    if achieved > cfg.target_tolerance:
+        raise BudgetExhausted(
+            f"achieved bound {achieved:.3e} exceeds target {cfg.target_tolerance:.3e}"
+        )
+    return OracleResult(value.widened(total), achieved, N)
+
+
+def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, ctx,
+                   alternating: bool = False) -> BigReal:
+    """sum_{n<=N} w_n * base(n)^-s with base = n (shift None) or 2n + shift,
+    each term signed (-1)^(n-1) when alternating."""
     fx = FixedPoint(ctx, N)
     acc = err = w = we = 0
     for n in range(1, N + 1):
@@ -636,32 +662,34 @@ def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, ctx) -> BigR
         w += dw
         we += de
         t, te = fx.mul(w, we, fx.recip(n if shift is None else 2 * n + shift, s), 1)
-        acc += t
+        acc += -t if alternating and not n % 2 else t
         err += te
     return fx.to_big(acc, err)
 
 
-def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, ctx) -> OracleResult:
+def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, ctx,
+                   alternating: bool = False) -> OracleResult:
     """sum_{n>=1} w_n * base(n)^-s with base = n (shift None) or m = 2n + shift,
-    the tail then summed over the odd m with step 2."""
+    the tail then summed over the odd m with step 2; with alternating (base n),
+    sum_{n>=1} (-1)^(n-1) w_n n^-s, the tail by Boole summation."""
     A0 = _weight_constant(kind, shift, ctx)
-    h, c = (1, 0) if shift is None else (2, shift)
+    lattice = (1, 0) if shift is None else (2, shift)
 
     def plan(K: int) -> _Plan:
         wterms, D, q = _weight_pl(kind, shift, max(2, K - 2), A0)
         return _Plan([(A, B, e + s) for A, B, e in wterms],
-                     ("weight-expansion truncation", [(D, 0, s + q)], _ONE), ("em", K, 0), (h, c))
+                     ("weight-expansion truncation", [(D, 0, s + q)], (1, 1, 0)),
+                     ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0), lattice)
 
-    N, chosen, bounds = _select(cfg, plan, ctx)
-    tail = _em_value(chosen.terms, h * N + c, chosen.tail[1], ctx, h)
-    return _finish(_weighted_head(kind, shift, s, N, ctx) + tail, bounds, N, cfg)
+    return _sum(cfg, plan, lambda N: _weighted_head(kind, shift, s, N, ctx, alternating), ctx)
 
 
 def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
     """C0 - sum_n r_n / n^s for sigma(s,t>=2), ZetaStar(q,p>=2), E(p>=2,q), where
     w_n = sum_i c_i H_(d_i n)^(p) is the weight of the kind and order p, r0 =
     zeta(p) sum_i c_i its limit, C0 = r0 zeta(s), and the inner tail r_n = r0 - w_n
-    is minus the weight's expansion (_weight_expansion), in powers of n."""
+    is minus the weight's expansion (_weight_expansion), in powers of n, so the
+    tail -sum_{n>N} r_n / n^s sums the expansion's terms over n^s."""
     combo = _combo(kind, p)
     zp, total = zeta_num(p, ctx), sum(c for c, _ in combo)
     r0 = zp if total == 1 else zp * total
@@ -670,49 +698,24 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     def plan(K: int) -> _Plan:
         J = max(3, K)
         _, wterms, rem, q = _weight_expansion(kind, p, J)
-        return _Plan([(-a, 0, e + s) for e, a in wterms],
+        return _Plan([(a, 0, e + s) for e, a in wterms],
                      ("inner-tail remainder", [(rem, 0, q + s)], (1, 2, 2 * J)), ("em", K, 0))
 
-    N, chosen, bounds = _select(cfg, plan, ctx)
-    # c0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
-    fx = FixedPoint(ctx, N)
-    acc, err = fx.from_big(c0)
-    r, re = fx.from_big(r0)
-    for n in range(1, N + 1):
-        dr, de = _weight_step(kind, n, fx, p)
-        r -= dr
-        re += de
-        t, te = fx.mul(r, re, fx.recip(n, s), 1)
-        acc -= t
-        err += te
-    return _finish(fx.to_big(acc, err) - _em_value(chosen.terms, N, chosen.tail[1], ctx), bounds, N, cfg)
+    def head(N: int) -> BigReal:
+        # c0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
+        fx = FixedPoint(ctx, N)
+        acc, err = fx.from_big(c0)
+        r, re = fx.from_big(r0)
+        for n in range(1, N + 1):
+            dr, de = _weight_step(kind, n, fx, p)
+            r -= dr
+            re += de
+            t, te = fx.mul(r, re, fx.recip(n, s), 1)
+            acc -= t
+            err += te
+        return fx.to_big(acc, err)
 
-
-def _alt_euler_star_head(s: int, M: int, ctx) -> BigReal:
-    """sum_{n<=M} (-1)^(n-1) H_n n^-s."""
-    fx = FixedPoint(ctx, M)
-    acc = err = h = 0
-    for n in range(1, M + 1):
-        h += fx.recip(n)  # h carries n units of error
-        t, te = fx.mul(h, n, fx.recip(n, s), 1)
-        acc += t if n % 2 else -t
-        err += te
-    return fx.to_big(acc, err)
-
-
-def _eval_alt_euler_star(a: int, cfg: OracleConfig, ctx) -> OracleResult:
-    s = 2 * a
-    A0 = _weight_constant("H", None, ctx)
-
-    def plan(K: int) -> _Plan:
-        wterms, D, q = _weight_pl("H", None, max(2, K - 2), A0)
-        # the tail starts at n = M+1; M is even, so its sign is +1
-        return _Plan([(A, B, e + s) for A, B, e in wterms],
-                     ("weight-expansion truncation", [(D, 0, s + q)], _ONE), ("boole", max(4, 2 * K), 1))
-
-    M, chosen, bounds = _select(cfg, plan, ctx)
-    tail = _boole_value(chosen.terms, M + 1, chosen.tail[1], ctx)
-    return _finish(_alt_euler_star_head(s, M, ctx) + tail, bounds, M, cfg)
+    return _sum(cfg, plan, head, ctx)
 
 
 def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -729,29 +732,19 @@ def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
         # the Boole remainder of tau_n truncates the weight's expansion
         return _Plan(pl, ("weight-expansion truncation", [(rem_c, 0, s + KB)], (1, 1, KB)), ("em", K, 0))
 
-    N, chosen, bounds = _select(cfg, plan, ctx)
-    fx = FixedPoint(ctx, N)
-    acc = err = 0
-    tau, tau_e = fx.from_big(eta)  # tau_1
-    for n in range(1, N + 1):
-        t, te = fx.mul(tau, tau_e, fx.recip(n), 1)
-        acc += t
-        err += te
-        tau = fx.recip(n, s) - tau
-        tau_e += 1
-    return _finish(lead + fx.to_big(acc, err) + _em_value(chosen.terms, N, chosen.tail[1], ctx), bounds, N, cfg)
+    def head(N: int) -> BigReal:
+        fx = FixedPoint(ctx, N)
+        acc = err = 0
+        tau, tau_e = fx.from_big(eta)  # tau_1
+        for n in range(1, N + 1):
+            t, te = fx.mul(tau, tau_e, fx.recip(n), 1)
+            acc += t
+            err += te
+            tau = fx.recip(n, s) - tau
+            tau_e += 1
+        return lead + fx.to_big(acc, err)
 
-
-def _finish(value: BigReal, math_bounds: BigReal, terms: int, cfg: OracleConfig) -> OracleResult:
-    total = mpf_add(value.err_tuple(), math_bounds.upper_tuple(), _EPREC, "u")
-    achieved = to_float(total, rnd="u")
-    if achieved == 0.0 and total != fzero:
-        achieved = 1e-300  # float underflow guard; the BigReal keeps the true bound
-    if achieved > cfg.target_tolerance:
-        raise BudgetExhausted(
-            f"achieved bound {achieved:.3e} exceeds target {cfg.target_tolerance:.3e}"
-        )
-    return OracleResult(value.widened(total), achieved, terms)
+    return _sum(cfg, plan, head, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +795,7 @@ _ROUTES = {
 def _dispatch(sid: SumId, cfg: OracleConfig, ctx) -> OracleResult:
     fam, p = sid.family, sid.params
     if fam == "AltEulerStar":
-        return _eval_alt_euler_star(p[0], cfg, ctx)
+        return _eval_weighted("H", None, 2 * p[0], cfg, ctx, alternating=True)
     if fam == "AltTildeH":
         return _eval_alt_tilde(p[0], cfg, ctx)
     kind, order, shift, s = _ROUTES[fam](*p)

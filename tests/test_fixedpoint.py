@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulersum import PrecisionContext, SumId, partial_sum
 from eulersum.numerics import BigReal, FixedPoint, LRUCache, li4_half_num, zeta_num
-from eulersum.oracle import _abs_integral, _alt_euler_star_head, _boole_derivs, _boole_value, _em_derivs, _em_value, _weighted_head
+from eulersum.oracle import _abs_integral, _boole_derivs, _em_derivs, _tail_value, _weighted_head
 
 
 def _frac(t) -> F:
@@ -137,8 +137,8 @@ def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, h, m, terms):
     with mpmath.workprec(2000):
         ln = _frac(mpmath.log(N)._mpf_)
     eps = F(1, 2**1980)
-    assert _encloses(_em_value(tail, N, K, ctx, h), *_tail_exact(exact, N, _em_derivs(K), True, h), ln, eps)
-    assert _encloses(_boole_value(tail, N, K, ctx), *_tail_exact(exact, N, _boole_derivs(K), False), ln, eps)
+    assert _encloses(_tail_value("em", tail, N, K, ctx, h), *_tail_exact(exact, N, _em_derivs(K), True, h), ln, eps)
+    assert _encloses(_tail_value("boole", tail, N, K, ctx), *_tail_exact(exact, N, _boole_derivs(K), False), ln, eps)
     # Int_N^inf |f^(m)| <= sum (p)_m / (q-1) N^(1-q) (|a| + |b| (H(p, m) + 1/(q-1) + ln N)), q = p + m
     X = Y = F(0)
     for a, b, p in exact:
@@ -149,7 +149,8 @@ def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, h, m, terms):
     assert _encloses(_abs_integral(tail, m, N, ctx), X, Y, ln, eps)
 
 
-# (SumId, _weighted_head arguments) for each family the oracle sums with a plain weight
+# (SumId, _weighted_head arguments) for each family the oracle sums with a plain
+# weight, alternating or not
 _WEIGHTED = [
     (SumId.J(2), ("S", None, 2)),
     (SumId.Jbar(3), ("S", -1, 3)),
@@ -158,20 +159,16 @@ _WEIGHTED = [
     (SumId.Z(1), ("H2N", None, 2)),
     (SumId.hodd_over_odd(2), ("H2N1", -1, 4)),
     (SumId.euler_star(3), ("H", None, 3)),
+    (SumId.alt_euler_star(1), ("H", None, 2, True)),
+    (SumId.alt_euler_star(2), ("H", None, 4, True)),
 ]
 
 
 @pytest.mark.parametrize("N", [1, 37, 300])
 @pytest.mark.parametrize("sid,args", _WEIGHTED, ids=[str(s) for s, _ in _WEIGHTED])
 def test_weighted_head_brackets_partial_sum(sid, args, N, ctx):
-    kind, shift, s = args
-    assert _contains(_weighted_head(kind, shift, s, N, ctx), partial_sum(sid, N))
-
-
-@pytest.mark.parametrize("N", [1, 37, 300])
-@pytest.mark.parametrize("a", [1, 2])
-def test_alt_euler_star_head_brackets_partial_sum(a, N, ctx):
-    assert _contains(_alt_euler_star_head(2 * a, N, ctx), partial_sum(SumId.alt_euler_star(a), N))
+    kind, shift, s, *alternating = args
+    assert _contains(_weighted_head(kind, shift, s, N, ctx, *alternating), partial_sum(sid, N))
 
 
 @pytest.mark.parametrize("bits", [1024, 4096])

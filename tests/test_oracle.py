@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import time
@@ -465,7 +466,7 @@ def test_step_two_tail_encloses_the_hurwitz_zeta(p):
     ctx, terms = PrecisionContext(working_bits=256), [(F(1), 0, p)]
     for N, c, K in product((1, 8, 32), (-1, 1), range(21)):
         M = 2 * N + c
-        value = oracle._em_value(terms, M, K, ctx, 2)
+        value = oracle._tail_value("em", terms, M, K, ctx, 2)
         m, scale = oracle._remainder("em", K, 2)
         bound = oracle._scaled(oracle._abs_integral(terms, m, M, ctx), scale, ctx)
         with mpmath.workprec(600):
@@ -517,3 +518,34 @@ def test_cutoff_stays_short_at_the_precision_contract(bits):
     ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(2.0 ** -(bits - 40))
     for sid in PINNED_TERMS:
         assert oracle_eval(sid, cfg, ctx).terms_used <= 4096, sid
+
+
+# per odd max_terms, a tolerance certified at N = max_terms
+_ODD_CUTOFF_TOL = {1: 2.0, 3: 1e-3, 17: 1e-20, 31: 1e-30, 33: 1e-30, 47: 1e-30}
+
+
+@pytest.mark.parametrize("max_terms", _ODD_CUTOFF_TOL)
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_alt_euler_star_is_sound_at_odd_cutoffs(a, max_terms, ctx):
+    # after an odd cutoff N the alternating tail starts with a negative term
+    sid = SumId.alt_euler_star(a)
+    res = oracle_eval(sid, OracleConfig(_ODD_CUTOFF_TOL[max_terms], max_terms), ctx)
+    assert res.terms_used == max_terms
+    ref = eval_sym(closed_form_for(sid), PrecisionContext(working_bits=1024))
+    diff = abs(_frac(res.value.value_tuple()) - _frac(ref.value_tuple()))
+    assert diff <= F(res.achieved_bound) + _frac(ref.err_tuple()), (a, max_terms, float(diff))
+
+
+def test_cli_oracle_alt_euler_star_at_an_odd_cutoff(capsys):
+    from eulersum import cli
+
+    argv = ["oracle", "--family", "AltEulerStar", "--a", "1", "--tol", "1e-30", "--max-terms", "33"]
+    assert cli.run([*argv, "--bits", "192"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["terms"] == 33
+    ref = eval_sym(closed_form_for(SumId.alt_euler_star(1)), PrecisionContext(working_bits=1024))
+    # the printed value is within the printed bound (rounded to 4 digits), plus
+    # half a unit of its last digit, of the closed form
+    half_ulp = F(1, 2 * 10 ** len(doc["value"].split(".")[1]))
+    slack = F(doc["bound"]) * F(1001, 1000) + half_ulp + _frac(ref.err_tuple())
+    assert abs(F(doc["value"]) - _frac(ref.value_tuple())) <= slack
