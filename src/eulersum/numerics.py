@@ -7,9 +7,10 @@ every operation is a pure function of (inputs, ctx).  Error propagation is
 worst-case ulp counting: cheap, crude, and always valid, which is what
 identity verification needs.
 
-Long sums of many small terms (the oracle's heads, and the heads of zeta_num
-and li4_half_num) run in FixedPoint instead: Python integers scaled by 2^prec,
-prec = working_bits + ceil(log2 N) + guard bits, with every rounding a floor
+Long sums of many small terms (the oracle's heads, the heads of zeta_num and
+li4_half_num, and relation residuals through fixed_dot) run in FixedPoint
+instead: Python integers scaled by 2^prec, prec = working_bits +
+ceil(log2 N) + guard bits, with every rounding a floor
 whose error bound is counted exactly, in units of 2^-prec, beside the value.
 The sum comes back as one BigReal whose error is that count plus the final
 rounding to working_bits.
@@ -56,7 +57,9 @@ __all__ = [
     "PrecisionExhausted",
     "BigReal",
     "FixedPoint",
+    "fixed_dot",
     "const_pi",
+    "pi_power",
     "const_log2",
     "const_gamma",
     "zeta_num",
@@ -351,6 +354,28 @@ class FixedPoint:
         return BigReal(self.ctx, v, _eadd(from_man_exp(ex, -self.prec), _ulp(v, wb)))
 
 
+def fixed_dot(pairs, ctx: PrecisionContext) -> BigReal:
+    """sum of c * v over the (c, v) pairs, c rational and v a BigReal, as one FixedPoint sum.
+
+    Each v becomes floor(v 2^prec) and its error bound a ceiling; each c * x is
+    one floor of the exact rational product.  The error count adds |c| times
+    the error of x, rounded up, and one unit for each floor that was inexact, so
+    exact inputs give an exact result.
+    """
+    pairs = list(pairs)
+    fx = FixedPoint(ctx, len(pairs))
+    prec = fx.prec
+    acc = err = 0
+    for c, v in pairs:
+        x = to_fixed(v._v, prec)
+        ex = -to_fixed(mpf_neg(v._e), prec) + (v._v != fzero and v._v[2] + prec < 0)
+        a, b = c.numerator, c.denominator
+        q, r = divmod(a * x, b)
+        acc += q
+        err += -(-abs(a) * ex // b) + (r != 0)
+    return fx.to_big(acc, err)
+
+
 # -- constants ----------------------------------------------------------------
 
 
@@ -381,7 +406,8 @@ class LRUCache:
             return val
 
 
-# keys are (name, working_bits) and ("zeta", s, working_bits): a few dozen per precision
+# keys are (name, working_bits), ("zeta", s, working_bits) and ("pi_power", base, k,
+# working_bits): a few dozen per precision
 _const_cache = LRUCache(256)
 
 
@@ -406,6 +432,24 @@ def const_log2(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
 
 def const_gamma(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     return _lib_const("gamma", libmp.mpf_euler, ctx)
+
+
+def pi_power(base: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+    """(base pi)^-k for integers base, k >= 1, the power built by repeated squaring."""
+    if base < 1 or k < 1:
+        raise ValueError(f"pi_power needs base, k >= 1, got ({base}, {k})")
+
+    def build():
+        x = const_pi(ctx) if base == 1 else const_pi(ctx) * base
+        out = x
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * x
+        return BigReal.from_int(1, ctx) / out
+
+    br = _const_cache.get(("pi_power", base, k, ctx.working_bits), build)
+    return BigReal(ctx, br._v, br._e)
 
 
 def _pochhammer(s: int, m: int) -> int:
@@ -446,7 +490,7 @@ def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
         rem = Fraction(4 * _pochhammer(s, 2 * K), (s + 2 * K - 1) * N ** (s + 2 * K - 1))
         rem_t = _emul(
             BigReal.from_fraction(rem, ctx).upper_tuple(),
-            (const_pi(ctx) * 2).__pow__(-2 * K).upper_tuple(),
+            pi_power(2, 2 * K, ctx).upper_tuple(),
         )
         return (head + tail).widened(rem_t)
 

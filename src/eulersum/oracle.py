@@ -75,7 +75,7 @@ from .numerics import (
     _pochhammer,
     const_gamma,
     const_log2,
-    const_pi,
+    pi_power,
     zeta_num,
 )
 from .sums import FAMILIES, SumId
@@ -268,17 +268,10 @@ def _abs_tail(terms, N: int, ctx) -> BigReal:
 # A scale (c, base, k) stands for c (base pi)^-k.
 
 
-@lru_cache(maxsize=64)
-def _pi_power(base: int, k: int, ctx) -> BigReal:
-    """(base pi)^-k for base 1 or 2, built once per precision."""
-    pi_ = const_pi(ctx)
-    return (pi_ if base == 1 else pi_ * base) ** (-k)
-
-
 def _scaled(x: BigReal, scale: tuple, ctx) -> BigReal:
     c, base, k = scale
     if k:
-        x = x * _pi_power(base, k, ctx)
+        x = x * pi_power(base, k, ctx)
     return x if c == 1 else x * c
 
 
@@ -521,15 +514,18 @@ class _Plan:
       and f the sum of the tail terms.  A "boole" tail (h = 1, at = 1) sums
       (-1)^(n-1) times the terms, which is (-1)^N times the Boole sum from N + 1.
     logs: the terms as log coefficients, for the screen.
+    tail_work: the tail's merged powers times its derivative terms, for _work.
 
     value, _screen and _certify evaluate this one description in BigReal and floats.
     """
 
-    __slots__ = ("terms", "part", "tail", "lattice", "logs")
+    __slots__ = ("terms", "part", "tail", "lattice", "logs", "tail_work")
 
     def __init__(self, terms: list, part: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)):
         self.terms, self.part, self.tail, self.lattice = terms, part, tail, lattice
         self.logs = _log_terms(terms)
+        rule, K, _ = tail
+        self.tail_work = len({p for *_, p in terms}) * (len(_derivs(rule, K)) + (rule == "em"))
 
     def start(self, N: int) -> int:
         """X = h N + c, the last x of the head."""
@@ -546,8 +542,7 @@ class _Plan:
 def _work(plan: _Plan, N: int) -> int:
     """N plus the tail's merged powers times its derivative terms; it does not
     fall as the order K rises."""
-    rule, K, _ = plan.tail
-    return N + len({p for *_, p in plan.terms}) * (len(_derivs(rule, K)) + (rule == "em"))
+    return N + plan.tail_work
 
 
 def _screen(plan: _Plan, N: int) -> dict:

@@ -11,23 +11,29 @@ side.  Three generator families produce them:
   * its even-t specialization and the two pre-folded variants.
 
 solve_weight assembles the relations of one weight, injects known closed
-forms as identity rows, and runs exact fraction-wise Gaussian elimination
-with SymExpr-valued right-hand sides.  Degenerate rows must reduce to the
+forms as identity rows, and solves them by exact Gauss-Jordan elimination over
+integer rows: each row is one map from the unknowns and the monomials of its
+right-hand side to integers, a common-denominator multiple of the relation.
+Row operations stay in integers and divide each row by its content; only the
+solved values are divided by their pivots.  Degenerate rows must reduce to the
 zero SymExpr; anything else would falsify a formula and is reported.
+
+Residuals combine the oracle values and the evaluated right-hand side in one
+fixed-point dot product (numerics.fixed_dot).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
-from typing import Callable, NamedTuple, Optional, Sequence
+from math import comb, gcd, lcm
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from . import closedform, exact
-from .numerics import BigReal, DEFAULT_CONTEXT, PrecisionContext, eval_sym
+from .numerics import BigReal, DEFAULT_CONTEXT, PrecisionContext, eval_sym, fixed_dot
 from .oracle import OracleConfig, oracle_eval
 from .sums import SumId
-from .symexpr import LOG2, SymExpr, lambda_sym
+from .symexpr import LOG2, SymExpr, _add_into, lambda_sym
 
 __all__ = [
     "Relation",
@@ -88,17 +94,31 @@ class Relation:
 
     def residual_and_bound(self, ctx: PrecisionContext = DEFAULT_CONTEXT,
                            cfg: Optional[OracleConfig] = None) -> tuple[float, float]:
-        """(residual, certified error of the combination).
+        """(residual, certified error of the combination), from difference."""
+        d = self.difference(ctx, cfg)
+        return abs(float(d)), d.err_float()
+
+    def difference(self, ctx: PrecisionContext = DEFAULT_CONTEXT,
+                   cfg: Optional[OracleConfig] = None) -> BigReal:
+        """sum_i c_i * oracle(sigma_i) - eval(rhs), as one fixed-point dot product.
 
         The error folds in |c_i| times each oracle bound and the error of
-        eval(rhs), so a true relation has residual <= error.
+        eval(rhs), so a true relation has |value| <= error.
         """
         cfg = cfg or OracleConfig()
-        acc = BigReal.zero(ctx)
-        for sid, c in sorted(self.coeffs.items(), key=lambda i: i[0].sort_key()):
-            acc = acc + oracle_eval(sid, cfg, ctx).value * c
-        acc = acc - eval_sym(self.rhs, ctx)
-        return abs(float(acc)), acc.err_float()
+        pairs = [(c, oracle_eval(sid, cfg, ctx).value)
+                 for sid, c in sorted(self.coeffs.items(), key=lambda i: i[0].sort_key())]
+        pairs.append((-1, eval_sym(self.rhs, ctx)))
+        return fixed_dot(pairs, ctx)
+
+
+def _combination(*parts: tuple[Fraction | int, SymExpr]) -> SymExpr:
+    """sum of c * e over the (c, e) pairs, accumulated in one dict."""
+    acc: dict = {}
+    for c, e in parts:
+        if c:
+            _add_into(acc, ((m, c * v) for m, v in e.items()))
+    return SymExpr._of(acc)
 
 
 def gen_product_relation(k: int, l: int) -> Relation:
@@ -131,14 +151,13 @@ def reduction_relation(s: int, t: int) -> Relation:
         coeffs[SumId.sigma(s - i, t + i)] = coeffs.get(SumId.sigma(s - i, t + i), Fraction(0)) - Fraction(
             2**i * comb(t + i - 1, i)
         )
-    rhs = SymExpr.zero()
-    for j in range(0, t - 1):
-        rhs = rhs + (lambda_sym(s + j) * lambda_sym(t - j)).scaled(
-            Fraction((-1) ** t * (-1) ** j * 2**s * comb(s + j - 1, j))
-        )
     c_edge = comb(s + t - 2, s - 1)
-    rhs = rhs - closedform.h_sum(s + t - 1).scaled(Fraction(2 ** (s - 1) * c_edge))
-    rhs = rhs - (lambda_sym(s + t - 1) * SymExpr.atom(LOG2)).scaled(Fraction(2**s * c_edge))
+    rhs = _combination(
+        *(((-1) ** (t + j) * 2**s * comb(s + j - 1, j), lambda_sym(s + j) * lambda_sym(t - j))
+          for j in range(0, t - 1)),
+        (-(2 ** (s - 1)) * c_edge, closedform.closed_form_for(SumId.h(s + t - 1))),
+        (-(2**s) * c_edge, lambda_sym(s + t - 1) * SymExpr.atom(LOG2)),
+    )
     return Relation(coeffs, rhs)
 
 
@@ -155,14 +174,13 @@ def even_order_relation(s: int, r: int) -> Relation:
     coeffs: dict[SumId, Fraction] = {}
     for i in range(1, s - 1):
         coeffs[SumId.sigma(s - i, 2 * r + i)] = Fraction(2 ** (i - 1) * comb(2 * r + i - 1, i))
-    rhs = SymExpr.zero()
-    for j in range(0, 2 * r - 1):
-        rhs = rhs - (lambda_sym(s + j) * lambda_sym(2 * r - j)).scaled(
-            Fraction((-1) ** j * 2 ** (s - 1) * comb(s + j - 1, j))
-        )
     c_edge = comb(s + 2 * r - 2, s - 1)
-    rhs = rhs + closedform.h_sum(s + 2 * r - 1).scaled(Fraction(2 ** (s - 2) * c_edge))
-    rhs = rhs + (lambda_sym(s + 2 * r - 1) * SymExpr.atom(LOG2)).scaled(Fraction(2 ** (s - 1) * c_edge))
+    rhs = _combination(
+        *((-((-1) ** j) * 2 ** (s - 1) * comb(s + j - 1, j), lambda_sym(s + j) * lambda_sym(2 * r - j))
+          for j in range(0, 2 * r - 1)),
+        (2 ** (s - 2) * c_edge, closedform.closed_form_for(SumId.h(s + 2 * r - 1))),
+        (2 ** (s - 1) * c_edge, lambda_sym(s + 2 * r - 1) * SymExpr.atom(LOG2)),
+    )
     return Relation(coeffs, rhs)
 
 
@@ -188,38 +206,27 @@ def folded_relation(variant: int, v: int, r: int) -> Relation:
         raise ValueError("variant must be 1 or 2")
     if v < 1 or r < 1:
         raise ValueError(f"folded_relation needs v >= 1, r >= 1, got ({v}, {r})")
-    coeffs: dict[SumId, Fraction] = {}
-    rhs = SymExpr.zero()
+    s = 2 * v if variant == 1 else 2 * v + 1
+    coeffs = {SumId.sigma(s - i, 2 * r + i): Fraction(2 ** (i - 1) * comb(2 * r + i - 1, i))
+              for i in range(1, s - 1)}
     if variant == 1:
-        s = 2 * v
-        for i in range(1, s - 1):
-            coeffs[SumId.sigma(s - i, 2 * r + i)] = Fraction(2 ** (i - 1) * comb(2 * r + i - 1, i))
-        for j in range(0, 2 * r - 1):
-            rhs = rhs - (lambda_sym(s + j) * lambda_sym(2 * r - j)).scaled(
-                Fraction((-1) ** j * 2 ** (s - 1) * comb(s + j - 1, j))
-            )
         c_edge = comb(2 * v + 2 * r - 2, 2 * v - 1)
-        rhs = rhs + lambda_sym(2 * v + 2 * r).scaled(
-            Fraction(c_edge * (2 * v + 2 * r - 1) * 2 ** (2 * v - 3))
+        rhs = _combination(
+            *((-((-1) ** j) * 2 ** (s - 1) * comb(s + j - 1, j), lambda_sym(s + j) * lambda_sym(2 * r - j))
+              for j in range(0, 2 * r - 1)),
+            (Fraction(c_edge * (2 * v + 2 * r - 1) * 2 ** (2 * v), 8), lambda_sym(2 * v + 2 * r)),
+            *((-(2 ** (2 * v - 2)) * c_edge, lambda_sym(2 * j + 1) * lambda_sym(2 * v + 2 * r - 2 * j - 1))
+              for j in range(1, r + v - 1)),
         )
-        for j in range(1, r + v - 1):
-            rhs = rhs - (lambda_sym(2 * j + 1) * lambda_sym(2 * v + 2 * r - 2 * j - 1)).scaled(
-                Fraction(2 ** (2 * v - 2) * c_edge)
-            )
         return Relation(coeffs, rhs)
-    s = 2 * v + 1
-    for i in range(1, s - 1):
-        coeffs[SumId.sigma(s - i, 2 * r + i)] = Fraction(2 ** (i - 1) * comb(2 * r + i - 1, i))
-    for j in range(0, 2 * r - 1):
-        rhs = rhs - (lambda_sym(s + j) * lambda_sym(2 * r - j)).scaled(
-            Fraction((-1) ** j * 2 ** (2 * v) * comb(2 * v + j, j))
-        )
     c_edge = comb(2 * v + 2 * r - 1, 2 * v)
-    rhs = rhs + lambda_sym(2 * v + 2 * r + 1).scaled(Fraction(c_edge * (v + r) * 2 ** (2 * v)))
-    for j in range(1, r + v):
-        rhs = rhs - (lambda_sym(2 * j) * lambda_sym(2 * v + 2 * r - 2 * j + 1)).scaled(
-            Fraction(2 ** (2 * v) * c_edge)
-        )
+    rhs = _combination(
+        *((-((-1) ** j) * 2 ** (2 * v) * comb(2 * v + j, j), lambda_sym(s + j) * lambda_sym(2 * r - j))
+          for j in range(0, 2 * r - 1)),
+        (c_edge * (v + r) * 2 ** (2 * v), lambda_sym(2 * v + 2 * r + 1)),
+        *((-(2 ** (2 * v)) * c_edge, lambda_sym(2 * j) * lambda_sym(2 * v + 2 * r - 2 * j + 1))
+          for j in range(1, r + v)),
+    )
     return Relation(coeffs, rhs)
 
 
@@ -228,7 +235,7 @@ def relations_for_weight(w: int) -> list[Relation]:
     return list(_relations(w))
 
 
-# shared per weight (a Relation cannot change; _Row copies it); far above one run's weights
+# shared per weight (a Relation cannot change); far above one run's weights
 @lru_cache(maxsize=64)
 def _relations(w: int) -> tuple[Relation, ...]:
     if w < 3:
@@ -265,57 +272,102 @@ class SolveReport(NamedTuple):
     inconsistent: list[int]  # indices of rows that reduced to 0 = nonzero
 
 
-class _Row:
-    __slots__ = ("coeffs", "rhs")
-
-    def __init__(self, coeffs: dict[SumId, Fraction], rhs: SymExpr):
-        self.coeffs = dict(coeffs)
-        self.rhs = rhs
-
-    def scale(self, c: Fraction):
-        self.coeffs = {k: c * v for k, v in self.coeffs.items()}
-        self.rhs = self.rhs.scaled(c)
-
-    def submul(self, other: "_Row", c: Fraction):
-        for k, v in other.coeffs.items():
-            nv = self.coeffs.get(k, Fraction(0)) - c * v
-            if nv:
-                self.coeffs[k] = nv
-            else:
-                self.coeffs.pop(k, None)
-        self.rhs = self.rhs - other.rhs.scaled(c)
-
-
-def _eliminate(rows: list[_Row], unknowns: list[SumId]):
-    """Exact Gauss-Jordan; pivots on the first unknown (smallest index) with a
-    nonzero coefficient, scanning rows in input order for determinism."""
-    pivots: list[tuple[SumId, _Row]] = []
-    remaining = list(rows)
-    for u in unknowns:
-        pick = next((r for r in remaining if u in r.coeffs), None)
-        if pick is None:
-            continue
-        remaining.remove(pick)
-        pick.scale(1 / pick.coeffs[u])
-        for r in rows:
-            if r is not pick and u in r.coeffs:
-                r.submul(pick, r.coeffs[u])
-        pivots.append((u, pick))
-    return pivots, remaining
+def _reduce(row: dict[int, int], pivot: dict[int, int], u: int) -> None:
+    """row := (p/g) row - (a/g) pivot, with a and p their entries at column u and
+    g = gcd(a, p), then divided by its content; column u drops out."""
+    a, p = row[u], pivot[u]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    if p != 1:
+        for k in row:
+            row[k] *= p
+    for k, v in pivot.items():
+        nv = row.get(k, 0) - a * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+    content = gcd(*row.values())
+    if content > 1:
+        for k in row:
+            row[k] //= content
 
 
-def _system(w: int, providers: Sequence[KnownProvider]) -> tuple[list[SumId], list[Relation], list[_Row]]:
+class _Echelon:
+    """Exact Gauss-Jordan elimination of rows sum_u a_u u = rhs over integer rows.
+
+    A row is one dict from column to non-zero int: unknown i at column i >= 0,
+    each monomial of the right-hand sides at a column < 0.  It stands for the
+    relation times a common denominator, divided by the content, so every row
+    operation (_reduce) stays in integers; rhs divides by a pivot.
+
+    The pivot of each unknown, in the given order, is the first row not yet a
+    pivot, in input order, with a non-zero entry there; it is then eliminated
+    from every other row.  pivots lists (column, row) in that order.
+    """
+
+    __slots__ = ("unknowns", "rows", "pivots", "_col", "_monos")
+
+    def __init__(self, unknowns: Sequence[Hashable], rows: Sequence[tuple[dict, SymExpr]]):
+        self.unknowns = list(unknowns)
+        self._col = {u: i for i, u in enumerate(self.unknowns)}
+        self._monos: dict = {}  # monomial -> column -1, -2, ... in order of first use
+        self.rows = [self._row(coeffs, rhs) for coeffs, rhs in rows]
+        self.pivots: list[tuple[int, dict[int, int]]] = []
+        remaining = list(self.rows)
+        for u in range(len(self.unknowns)):
+            i = next((i for i, r in enumerate(remaining) if u in r), None)
+            if i is None:
+                continue
+            pick = remaining.pop(i)
+            for r in self.rows:
+                if r is not pick and u in r:
+                    _reduce(r, pick, u)
+            self.pivots.append((u, pick))
+
+    def _row(self, coeffs: dict, rhs: SymExpr) -> dict[int, int]:
+        """The integer row of sum_u coeffs[u] u = rhs."""
+        entries = [(self._col[u], c) for u, c in coeffs.items()]
+        entries += [(self._monos.setdefault(m, -1 - len(self._monos)), c) for m, c in rhs.items()]
+        den = lcm(*(c.denominator for _, c in entries))
+        row = {k: c.numerator * (den // c.denominator) for k, c in entries}
+        content = gcd(*row.values())
+        return {k: v // content for k, v in row.items()} if content > 1 else row
+
+    def rhs(self, row: dict[int, int], d: int) -> SymExpr:
+        """The right-hand side of row divided by d."""
+        monos = list(self._monos)
+        return SymExpr._of({monos[-1 - k]: Fraction(v, d) for k, v in row.items() if k < 0})
+
+    def unknowns_sum(self) -> Optional[SymExpr]:
+        """The sum of all unknowns from the row space, or None if it is not determined.
+
+        The row sum_u u - S = 0, with S one more unknown at the next column, is
+        reduced against the pivots.  When S alone is left, the all-ones row lies
+        in the row space and the reduced row gives S.
+        """
+        n = len(self.unknowns)
+        ones = dict.fromkeys(range(n), 1)
+        ones[n] = -1
+        for u, pivot in self.pivots:
+            if u in ones:
+                _reduce(ones, pivot, u)
+        return None if any(0 <= k < n for k in ones) else self.rhs(ones, ones[n])
+
+
+def _system(w: int, providers: Sequence[KnownProvider]) -> tuple[list[SumId], list[Relation], list[tuple]]:
     """(unknowns, generated relations, rows) of the weight-w sigma system: the
-    rows are the generated relations, then one identity row per unknown whose
-    value the first provider that knows it gives."""
+    rows, as (coefficients, right-hand side), are the generated relations, then
+    one identity row per unknown whose value the first provider that knows it
+    gives."""
     unknowns = [SumId.sigma(w - i, i) for i in range(1, w - 1)]
     generated = [r for r in relations_for_weight(w) if not r.is_identity]
-    rows = [_Row(r.coeffs, r.rhs) for r in generated]
+    rows = [(r.coeffs, r.rhs) for r in generated]
     for u in unknowns:
         for provider in providers:
             val = provider(u)
             if val is not None:
-                rows.append(_Row({u: Fraction(1)}, val))
+                rows.append(({u: Fraction(1)}, val))
                 break
     return unknowns, generated, rows
 
@@ -340,15 +392,13 @@ def solve_weight(
         raise ValueError(f"weight must be >= 3, got {w}")
     providers = list(known_providers) if known_providers is not None else [tabulated_sigma_values]
     unknowns, generated, rows = _system(w, providers)
-    pivots, _ = _eliminate(rows, unknowns)
+    ech = _Echelon(unknowns, rows)
     solved: dict[SumId, SymExpr] = {}
-    for u, row in pivots:
-        if set(row.coeffs) == {u}:
-            solved[u] = row.rhs
+    for u, row in ech.pivots:
+        if all(k < 0 or k == u for k in row):
+            solved[unknowns[u]] = ech.rhs(row, row[u])
     unresolved = [u for u in unknowns if u not in solved]
-    inconsistent = [
-        i for i, r in enumerate(rows) if not r.coeffs and not r.rhs.is_zero
-    ]
+    inconsistent = [i for i, r in enumerate(ech.rows) if r and max(r) < 0]
     residuals: list[tuple[int, float]] = []
     if with_residuals:
         for i, rel in enumerate(generated):
@@ -357,7 +407,7 @@ def solve_weight(
         weight=w,
         solved=solved,
         unresolved=unresolved,
-        rank=len(pivots),
+        rank=len(ech.pivots),
         relations_used=len(rows),
         residual_checks=residuals,
         inconsistent=inconsistent,
@@ -376,17 +426,10 @@ def _sum_via_rowspace(w: int) -> Optional[SymExpr]:
     """Express sum_i sigma(w-i,i) from the relation row space, if possible.
 
     The system of solve_weight (known closed forms as identity rows) is
-    eliminated, and the row sum_i sigma_i = 0 is reduced against its pivots.
-    When no coefficient is left, the all-ones row lies in the row space, and
-    minus the reduced right-hand side is the sum symbolically.
+    eliminated, and the sum of its unknowns is read from the row space.
     """
     unknowns, _, rows = _system(w, [tabulated_sigma_values])
-    pivots, _ = _eliminate(rows, unknowns)
-    ones = _Row(dict.fromkeys(unknowns, Fraction(1)), SymExpr.zero())
-    for u, row in pivots:
-        if u in ones.coeffs:
-            ones.submul(row, ones.coeffs[u])
-    return None if ones.coeffs else -ones.rhs
+    return _Echelon(unknowns, rows).unknowns_sum()
 
 
 def verify_sum_theorem(
@@ -401,10 +444,8 @@ def verify_sum_theorem(
         raise ValueError(f"weight must be >= 3, got {w}")
     cfg = cfg or OracleConfig()
     target = closedform.sigma_weight_sum(w)
-    acc = BigReal.zero(ctx)
-    for i in range(1, w - 1):
-        acc = acc + oracle_eval(SumId.sigma(w - i, i), cfg, ctx).value
-    diff = acc - eval_sym(target, ctx)
+    pairs = [(1, oracle_eval(SumId.sigma(w - i, i), cfg, ctx).value) for i in range(1, w - 1)]
+    diff = fixed_dot([*pairs, (-1, eval_sym(target, ctx))], ctx)
     residual, bound = abs(float(diff)), diff.err_float()
 
     values = [tabulated_sigma_values(SumId.sigma(w - i, i)) for i in range(1, w - 1)]

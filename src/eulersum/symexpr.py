@@ -219,6 +219,10 @@ class SymExpr:
     def terms(self) -> Iterable[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items(), key=lambda it: _mono_sort_key(it[0]))
 
+    def items(self) -> Iterable[tuple[Monomial, Fraction]]:
+        """The (monomial, coefficient) pairs in no fixed order; terms() sorts them."""
+        return self._terms.items()
+
     def atoms(self) -> set[Atom]:
         return {a for mono in self._terms for a, _ in mono}
 

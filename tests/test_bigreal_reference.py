@@ -1,6 +1,6 @@
 """BigReal and the library constants against independent references: exact
 rationals for the four field operations, mpmath at twice the precision for
-ln, integer powers, pi, log 2 and Euler's gamma."""
+ln, integer powers, pi, log 2, Euler's gamma and the powers of pi."""
 
 from fractions import Fraction as F
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eulersum import PrecisionContext, PrecisionExhausted
-from eulersum.numerics import BigReal, const_gamma, const_log2, const_pi
+from eulersum.numerics import BigReal, const_gamma, const_log2, const_pi, pi_power
 
 
 def _frac(t) -> F:
@@ -95,3 +95,19 @@ def test_constants_contain_mpmath_at_twice_the_precision(bits):
         assert _near_mpmath(const_pi(ctx), mpmath.pi())
         assert _near_mpmath(const_log2(ctx), mpmath.log(2))
         assert _near_mpmath(const_gamma(ctx), mpmath.euler())
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.sampled_from([64, 192, 1024, 4096]), base=st.integers(1, 4), k=st.integers(1, 600))
+def test_pi_power_contains_mpmath_at_twice_the_precision(bits, base, k):
+    ctx = PrecisionContext(working_bits=bits)
+    v = pi_power(base, k, ctx)
+    assert v.ctx is ctx and pi_power(base, k, ctx).value_tuple() == v.value_tuple()
+    with mpmath.workprec(2 * bits):
+        assert _near_mpmath(v, (base * mpmath.pi()) ** -k)
+
+
+@pytest.mark.parametrize("base, k", [(1, 0), (2, -1), (0, 3)])
+def test_pi_power_rejects_non_positive_arguments(base, k):
+    with pytest.raises(ValueError):
+        pi_power(base, k, PrecisionContext(working_bits=128))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulersum import PrecisionContext, SumId, partial_sum
-from eulersum.numerics import BigReal, FixedPoint, LRUCache, li4_half_num, zeta_num
+from eulersum.numerics import BigReal, FixedPoint, LRUCache, fixed_dot, li4_half_num, zeta_num
 from eulersum.oracle import _abs_integral, _boole_derivs, _em_derivs, _tail_value, _weighted_head
 
 
@@ -45,6 +45,46 @@ def test_fixed_sum_of_reciprocal_products_contains_exact(bits, seed, terms):
         err += ex
         exact += prod
     assert _contains(fx.to_big(acc, err), exact)
+
+
+_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    bits=st.integers(64, 1024),
+    pairs=st.lists(st.tuples(_rationals, _rationals, st.integers(0, 3)), max_size=12),
+)
+def test_fixed_dot_contains_the_exact_combination(bits, pairs):
+    # each v is a BigReal rounding of a rational, widened by up to 3 of its ulps
+    # plus a rounded product, so some errors are not fixed-point units
+    ctx = PrecisionContext(working_bits=bits)
+    terms, exact = [], F(0)
+    for c, q, widen in pairs:
+        v = BigReal.from_fraction(q, ctx)
+        for _ in range(widen):
+            v = v * BigReal.from_fraction(F(1, 3), ctx) * 3
+        terms.append((c, v))
+        exact += c * q
+    d = fixed_dot(terms, ctx)
+    assert _contains(d, exact)
+    # the bound is the inputs' errors scaled by |c|, plus at most 2 |c| + 2
+    # units of the sum for each term's roundings, plus the final rounding
+    inputs = sum((abs(c) * _frac(v.err_tuple()) for c, v in terms), F(0))
+    unit = F(1, 2 ** FixedPoint(ctx, len(terms)).prec)
+    rounding = sum((2 * abs(c) + 2) * unit for c, _ in terms) + abs(_frac(d.value_tuple())) * F(2) ** (1 - bits)
+    assert inputs <= _frac(d.err_tuple()) <= (inputs + rounding) * (1 + F(1, 2**70))
+
+
+def test_fixed_dot_of_exact_inputs_is_exact():
+    ctx = PrecisionContext(working_bits=128)
+    d = fixed_dot([(F(3, 4), BigReal.from_int(8, ctx)), (-1, BigReal.from_int(6, ctx))], ctx)
+    assert d.is_exact and float(d) == 0
+    seven = BigReal.from_int(7, ctx)
+    d = fixed_dot([(F(1, 3), seven)], ctx)
+    assert not d.is_exact and _contains(d, F(7, 3))
+    # the two floors are one unit apart: only their counted error covers 0
+    assert _contains(fixed_dot([(F(1, 3), seven), (F(-1, 3), seven)], ctx), F(0))
 
 
 @settings(max_examples=300, deadline=None)
