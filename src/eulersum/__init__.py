@@ -24,7 +24,7 @@ from .numerics import (
     li4_half_num,
     zeta_num,
 )
-from .oracle import BudgetExhausted, OracleConfig, OracleResult, oracle_eval, oracle_value, partial_sum
+from .oracle import BudgetExhausted, OracleConfig, OracleResult, oracle_eval, partial_sum
 from .relations import (
     Relation,
     SolveReport,

@@ -15,12 +15,23 @@ whose error bound is counted exactly, in units of 2^-prec, beside the value.
 The sum comes back as one BigReal whose error is that count plus the final
 rounding to working_bits.
 
+Certified tails are sums of power-log terms (A + B ln x) x^-p.  Their
+Euler-Maclaurin and Boole sums and the integrals that bound the remainders
+are, per power p, A R(N) + B (R(N) ln N + Q(N)): R and Q are sums c N^-j
+whose exact rational c do not depend on N (signed A and B for a value; |A|
+and |B| for a bound, which is linear in them, so terms sharing p merge into
+one).  They are summed in FixedPoint integers, a rational A or B folded into
+each floor, and rounded into BigReal once.  The oracle builds every tail from
+this layer.
+
 The constants pi, log 2 and gamma come from mpmath's proven algorithms
-(evaluated with 16 extra bits and assigned a 4-ulp bound); zeta values are
-computed here by Euler-Maclaurin summation with an explicit remainder bound,
-and li4(1/2) by its geometrically convergent defining series.  gamma is used
-only by oracle tail estimates; it is deliberately not a symbolic atom.
-Computed constants are kept in a bounded least-recently-used cache.
+(evaluated with 16 extra bits and assigned a 4-ulp bound).  zeta(s) is the
+sum of the one power-log term n^-s: a FixedPoint head of N terms and its
+Euler-Maclaurin tail, N the least power of two from 32 whose certified
+remainder is below 2^-(working_bits + 4).  li4(1/2) comes from its
+geometrically convergent defining series.  gamma is used only by oracle tail
+estimates; it is deliberately not a symbolic atom.  Computed constants are
+kept in a bounded least-recently-used cache.
 """
 
 from __future__ import annotations
@@ -28,18 +39,21 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from fractions import Fraction
-from math import factorial, log2 as _flog2
+from functools import lru_cache
+from math import factorial, inf, nextafter
 from typing import Optional, Union
 
 from mpmath import libmp
 from mpmath.libmp import (
     fzero,
     from_int,
+    from_float,
     from_man_exp,
     from_rational,
     mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_le,
     mpf_log,
     mpf_lt,
     mpf_mul,
@@ -135,6 +149,16 @@ def _eadd(*errs):
 
 def _emul(a, b):
     return mpf_mul(a, b, _EPREC, "u")
+
+
+def _float_up(t) -> float:
+    """The least float at or above the raw mpf t (inf above the float range).
+
+    libmp.to_float truncates t to 53 bits and ends in math.ldexp, which rounds
+    a subnormal to nearest, so the float can lie one step below t or be 0.0.
+    """
+    f = libmp.to_float(t)
+    return nextafter(f, inf) if mpf_lt(from_float(f), t) else f
 
 
 class BigReal:
@@ -267,7 +291,7 @@ class BigReal:
         return libmp.to_float(self._v)
 
     def err_float(self) -> float:
-        return libmp.to_float(self._e, rnd="u")
+        return _float_up(self._e)
 
     @property
     def is_exact(self) -> bool:
@@ -459,40 +483,211 @@ def _pochhammer(s: int, m: int) -> int:
     return out
 
 
-def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """zeta(s) for integer s >= 2 by direct Euler-Maclaurin summation.
+# -- power-log tails ------------------------------------------------------------
+#
+# A term (A, B, p) stands for (A + B ln x) x^-p; A and B are rationals or
+# BigReals.  For such f,
+#
+#     f^(m)(N)      = (-1)^m (p)_m (A + B (ln N - H(p, m))) N^-(p+m),
+#     Int_N^inf f   = ((A + B ln N) / (p-1) + B / (p-1)^2) N^(1-p),
+#
+# with H(p, m) = sum_{i<m} 1/(p+i), so every tail quantity below is
+# A R + B (R ln N + Q) per power, where R and Q are sums c N^-j over exact
+# rationals c that do not depend on N.  Q, the log part, is built only for a
+# power whose B is not zero.
 
-    The remainder after K Bernoulli corrections at cutoff N is bounded by
-    4 (2 pi)^(-2K) (s)_2K N^(1-s-2K) / (s+2K-1); N is chosen from that bound,
-    not from a fixed term count.
+_hslices = LRUCache(256)  # p -> [H(p, 0), H(p, 1), ...], extended as needed
+_hslice_lock = threading.Lock()
+
+
+def _hslice(p: int, m: int) -> Fraction:
+    table = _hslices.get(p, lambda: [Fraction(0)])
+    with _hslice_lock:
+        while len(table) <= m:
+            table.append(table[-1] + Fraction(1, p + len(table) - 1))
+        return table[m]
+
+
+def _merge(terms, absolute: bool = False) -> list[tuple]:
+    """One term per power: A and B summed over the terms sharing p.
+
+    With absolute, |A| and |B| are summed instead; the bounds below are linear
+    in (|A|, |B|) at fixed p, so a merged bound equals the sum of the
+    per-term bounds.  BigReal and rational coefficients are summed apart, so
+    rationals merge exactly.
+    """
+    merged: dict = {}
+    for A, B, p in terms:
+        if absolute:
+            A, B = abs(A), abs(B)
+        key = (p, isinstance(A, BigReal), isinstance(B, BigReal))
+        if key in merged:
+            a, b = merged[key]
+            A, B = a + A, b + B
+        merged[key] = (A, B)
+    return [(A, B, key[0]) for key, (A, B) in merged.items()]
+
+
+def _fx_dot(fx: FixedPoint, x, coeffs, N: int) -> tuple[int, int]:
+    """x * sum (a/b) N^-j over (j, a, b) in coeffs as a fixed-point pair.
+
+    A rational x is folded into every floor, so each adds under one unit of
+    error whatever the size of x and a/b; a BigReal x multiplies the sum.
+    """
+    if isinstance(x, BigReal):
+        s, e = _fx_dot(fx, 1, coeffs, N)
+        return fx.mul(*fx.from_big(x), s, e)
+    num, den = x.numerator << fx.prec, x.denominator
+    return sum(num * a // (den * b * N**j) for j, a, b in coeffs), len(coeffs)
+
+
+@lru_cache(maxsize=64)
+def _ln(n: int, ctx) -> BigReal:
+    return BigReal.from_int(n, ctx).ln()
+
+
+def _pl_sum(terms, N: int, coeffs, ctx, absolute: bool = False) -> BigReal:
+    """Sum over the terms, merged by power p (_merge), of A R + B (R ln N + Q)
+    with R = coeffs(p, False) and, only where B is not zero, Q = coeffs(p, True),
+    each a tuple of integer triples (j, a, b) for sum (a/b) N^-j; summed in
+    FixedPoint and rounded into BigReal once."""
+    merged = [(A, B, coeffs(p, False), coeffs(p, True) if B else ()) for A, B, p in _merge(terms, absolute)]
+    fx = FixedPoint(ctx, 4 * sum(len(R) + len(Q) for *_, R, Q in merged) + 2)
+    ln = None
+    acc = err = 0
+    for A, B, R, Q in merged:
+        parts = [_fx_dot(fx, A, R, N)] if A else []
+        if B:
+            ln = ln or fx.from_big(_ln(N, ctx))
+            parts += [fx.mul(*_fx_dot(fx, B, R, N), *ln), _fx_dot(fx, B, Q, N)]
+        for v, e in parts:
+            acc += v
+            err += e
+    return fx.to_big(acc, err)
+
+
+def _derivs(rule: str, K: int) -> tuple[tuple[Fraction, int], ...]:
+    return _em_derivs(K) if rule == "em" else _boole_derivs(K)
+
+
+@lru_cache(maxsize=1024)
+def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
+    """R, or Q with log, of the power p for the tail rule of order K and step
+    h, as for _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N)
+    over (c, m) in _em_derivs(K); with "boole", the sum over _boole_derivs(K)
+    alone.  The rule of step h at N is that of step 1 for g(j) = f(N + h j) at
+    j = 0.  Each coefficient is a reduced fraction: (p)_m and the factorial in
+    c mostly cancel, so the tables of high order stay small."""
+    out = []
+    if rule == "em":
+        out.append((p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)))
+    for c, m in _derivs(rule, K):
+        a = (-1) ** m * _pochhammer(p, m) * h**m * c
+        if log and m:
+            a *= -_hslice(p, m)
+        if m or not log:
+            out.append((p + m, a.numerator, a.denominator))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _abs_coeffs(p: int, m: int, log: bool) -> tuple:
+    """R, or Q with log, of the power p in _abs_integral, q = p + m:
+    (p)_m / (q-1) N^-(q-1), and that times H(p, m) + 1/(q-1)."""
+    q = p + m
+    h = _hslice(p, m) + Fraction(1, q - 1) if log else 1
+    return ((q - 1, _pochhammer(p, m) * h.numerator, (q - 1) * h.denominator),)
+
+
+def _abs_integral(terms, m: int, N: int, ctx) -> BigReal:
+    """Upper bound for Int_N^inf |d^m/dx^m sum of the terms| dx.
+
+    |f^(m)(x)| <= (p)_m (|A| + |B| H(p, m) + |B| ln x) x^-(p+m) for x >= 1.
+    """
+    return _pl_sum(terms, N, lambda p, log: _abs_coeffs(p, m, log), ctx, absolute=True)
+
+
+def _abs_tail(terms, N: int, ctx) -> BigReal:
+    """Upper bound for sum over n > N of the terms (a + b ln n) n^-p: the
+    integral from N plus the term at N + 1."""
+    first = _pl_sum(terms, N + 1, lambda p, log: () if log else ((p, 1, 1),), ctx, absolute=True)
+    return _abs_integral(terms, 0, N, ctx) + first
+
+
+def _scaled(x: BigReal, scale: tuple, ctx) -> BigReal:
+    """x times a remainder bound's scale (c, base, k), which stands for c (base pi)^-k."""
+    c, base, k = scale
+    if k:
+        x = x * pi_power(base, k, ctx)
+    return x if c == 1 else x * c
+
+
+def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
+    """(m, scale) of the remainder bound of the tail rule of order K and step h
+    (1 for Boole); for Euler-Maclaurin of order K >= 1 the scale is
+    4 h^(2K-1) (2 pi)^-2K, as Int_0^inf |g^(2K)| = h^(2K-1) Int_N^inf |f^(2K)|
+    for g(j) = f(N + h j)."""
+    if rule == "boole":
+        return K, (4, 1, K)
+    if K:
+        return 2 * K, (4 * h ** (2 * K - 1), 2, 2 * K)
+    return 1, (Fraction(1, 2), 1, 0)
+
+
+@lru_cache(maxsize=1024)
+def _em_deriv(k: int) -> tuple[Fraction, int]:
+    return -exact.bernoulli(2 * k) / factorial(2 * k), 2 * k - 1
+
+
+def _em_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
+    """((c, m), ...) with Int_N^inf f + sum c f^(m)(N) the Euler-Maclaurin sum of
+    order K over n > N: Int_N^inf f - f(N)/2 - sum B_2k/(2k)! f^(2k-1)(N)."""
+    return ((Fraction(-1, 2), 0), *map(_em_deriv, range(1, K + 1)))
+
+
+@lru_cache(maxsize=1024)
+def _boole_deriv(k: int) -> tuple[Fraction, int]:
+    e_k = 2 * (1 - 2 ** (k + 1)) * exact.bernoulli(k + 1) / (k + 1)
+    return e_k / (2 * factorial(k)), k
+
+
+def _boole_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
+    """((E_k(0)/(2 k!), k), ...) for k < K, skipping even k >= 2 where E_k(0) = 0."""
+    return ((Fraction(1, 2), 0), *map(_boole_deriv, range(1, K, 2)))
+
+
+def _tail_value(rule: str, terms, X: int, K: int, ctx, h: int = 1, cached: bool = True) -> BigReal:
+    """The tail rule of order K over the terms at X: with "em", their sum over
+    x = X + h, X + 2h, ... by Euler-Maclaurin of step h; with "boole", the sum
+    over n >= X of (-1)^(n-X) times them by Boole summation,
+    sum_{k<K} E_k(0)/(2 k!) f^(k)(X).  With cached False the coefficient
+    tables are built for this call only, not kept in _pl_coeffs' cache."""
+    coeffs = _pl_coeffs if cached else _pl_coeffs.__wrapped__
+    return _pl_sum(terms, X, lambda p, log: coeffs(p, rule, K, h, log), ctx)
+
+
+def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+    """zeta(s) for integer s >= 2: the sum of the power-log term n^-s, a head of
+    N terms plus its Euler-Maclaurin tail of order K = max(8, working_bits / 16).
+
+    N is the least of 32, 64, ... whose certified remainder is at most
+    2^-(working_bits + 4); the value is widened by that remainder.
     """
     if s < 2:
         raise ValueError(f"zeta_num needs s >= 2, got {s}")
 
     def build():
         wb = ctx.working_bits
-        K = max(8, wb // 16)
-        target_log2 = -(wb + 4)
-        # pick N from the log of the remainder bound
-        log2_poch = _flog2(_pochhammer(s, 2 * K))
+        K, terms = max(8, wb // 16), [(1, 0, s)]
+        m, scale = _remainder("em", K)
+        target = from_man_exp(1, -(wb + 4))
         N = 32
-        while (2 - 2 * K * _flog2(6.283185307) + log2_poch
-               + (1 - s - 2 * K) * _flog2(N) - _flog2(s + 2 * K - 1)) > target_log2:
+        while not mpf_le((rem := _scaled(_abs_integral(terms, m, N, ctx), scale, ctx)).upper_tuple(), target):
             N *= 2
         fx = FixedPoint(ctx, N)
         head = fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)), N)
-        # tail over n > N: integral - f(N)/2 - sum B_2k/(2k)! f^(2k-1)(N) + R
-        tail = BigReal.inv_int_power(N, s - 1, ctx) / (s - 1)
-        tail = tail - BigReal.inv_int_power(N, s, ctx) / 2
-        for k in range(1, K + 1):
-            c = exact.bernoulli(2 * k) * Fraction(_pochhammer(s, 2 * k - 1), factorial(2 * k))
-            tail = tail + c * BigReal.inv_int_power(N, s + 2 * k - 1, ctx)
-        rem = Fraction(4 * _pochhammer(s, 2 * K), (s + 2 * K - 1) * N ** (s + 2 * K - 1))
-        rem_t = _emul(
-            BigReal.from_fraction(rem, ctx).upper_tuple(),
-            pi_power(2, 2 * K, ctx).upper_tuple(),
-        )
-        return (head + tail).widened(rem_t)
+        # the table of order K serves this one value, which is cached itself
+        return (head + _tail_value("em", terms, N, K, ctx, cached=False)).widened(rem)
 
     br = _const_cache.get(("zeta", s, ctx.working_bits), build)
     return BigReal(ctx, br._v, br._e)

@@ -28,21 +28,17 @@ scale.  One driver (_sum) adds the chosen plan's tail value, signed (-1)^N for
 an alternating (Boole) tail, to the head.
 
 The cutoff N and the order K are chosen together, from the bounds alone
-(_select).  At each candidate N = 32, 64, ... the orders K = tail_order,
-tail_order + 1, ... are screened with float estimates in log space, which are
-lower estimates of the certified bound up to float rounding, while the
-estimate keeps falling, least work first: N plus merged tail powers times
-derivative terms.  A pair whose estimate meets tol/2 is certified in BigReal
-at once, and the first to certify is taken.  So (N, K) and the bound are
-those a certified bound at every screened pair would give, and no float
-enters them.
+(_select).  At each candidate N = 32, 64, ... the orders K = 4, 5, ... are
+screened with float estimates in log space, which are lower estimates of the
+certified bound up to float rounding, while the estimate keeps falling, least
+work first: N plus merged tail powers times derivative terms.  A pair whose
+estimate meets tol/2 is certified in BigReal at once, and the first to certify
+is taken.  So (N, K) and the bound are those a certified bound at every
+screened pair would give, and no float enters them.
 
-Value and bound of a tail are sums over its power-log terms (A + B ln x) x^-p
-merged by power p, of A R(N) + B (R(N) ln N + Q(N)): R and Q are sums
-c N^-j whose exact rational c do not depend on N (signed A and B for the
-value; |A| and |B| for the bound, which is linear in them, so merging leaves
-it unchanged).  They are summed in numerics.FixedPoint integers, a rational
-A or B folded into each floor, and rounded into BigReal once.
+Value and bound of a tail are sums of its power-log terms (A + B ln x) x^-p
+in numerics' power-log layer (_tail_value, _abs_integral, _abs_tail), which
+zeta_num shares.
 
 The head is summed in numerics.FixedPoint: integers scaled by 2^prec, with
 prec = working_bits + ceil(log2 N) + guard bits, where every rounding is a
@@ -55,14 +51,13 @@ n) and N and K are chosen deterministically from the bounds.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import exp, factorial, fsum, inf, log, pi
+from math import exp, fsum, inf, log, pi
 from typing import NamedTuple, Optional
 
-from mpmath.libmp import fzero, mpf_add, to_float
+from mpmath.libmp import mpf_add
 
 from . import exact
 from .numerics import (
@@ -72,10 +67,18 @@ from .numerics import (
     LRUCache,
     PrecisionContext,
     DEFAULT_CONTEXT,
+    _abs_integral,
+    _abs_tail,
+    _boole_derivs,
+    _derivs,
+    _em_deriv,
+    _float_up,
     _pochhammer,
+    _remainder,
+    _scaled,
+    _tail_value,
     const_gamma,
     const_log2,
-    pi_power,
     zeta_num,
 )
 from .sums import FAMILIES, SumId
@@ -85,7 +88,6 @@ __all__ = [
     "OracleResult",
     "BudgetExhausted",
     "oracle_eval",
-    "oracle_value",
     "partial_sum",
 ]
 
@@ -95,22 +97,17 @@ class BudgetExhausted(RuntimeError):
 
 
 class OracleConfig:
-    """target_tolerance: the bound to certify; max_terms: the largest cutoff N;
-    tail_order: the least tail order K the cutoff search tries (higher orders
-    are tried when they cost less work)."""
+    """target_tolerance: the bound to certify; max_terms: the largest cutoff N."""
 
-    __slots__ = ("target_tolerance", "max_terms", "tail_order")
+    __slots__ = ("target_tolerance", "max_terms")
 
-    def __init__(self, target_tolerance: float = 1e-10, max_terms: int = 10**7, tail_order: int = 4):
+    def __init__(self, target_tolerance: float = 1e-10, max_terms: int = 10**7):
         if not target_tolerance > 0:
             raise ValueError("target_tolerance must be positive")
         if max_terms < 1:
             raise ValueError("max_terms must be positive")
-        if tail_order < 0:
-            raise ValueError("tail_order must be >= 0")
         object.__setattr__(self, "target_tolerance", float(target_tolerance))
         object.__setattr__(self, "max_terms", int(max_terms))
-        object.__setattr__(self, "tail_order", int(tail_order))
 
     def __setattr__(self, *a):
         raise AttributeError("OracleConfig is immutable")
@@ -118,7 +115,7 @@ class OracleConfig:
     def __repr__(self):
         return (
             f"OracleConfig(target_tolerance={self.target_tolerance!r}, "
-            f"max_terms={self.max_terms}, tail_order={self.tail_order})"
+            f"max_terms={self.max_terms})"
         )
 
 
@@ -126,200 +123,6 @@ class OracleResult(NamedTuple):
     value: BigReal
     achieved_bound: float
     terms_used: int
-
-
-# ---------------------------------------------------------------------------
-# power-log tail machinery: finite sums of (A + B ln n) n^-p
-# ---------------------------------------------------------------------------
-#
-# A term (A, B, p) stands for (A + B ln x) x^-p; A and B are rationals or
-# BigReals.  For such f,
-#
-#     f^(m)(N)      = (-1)^m (p)_m (A + B (ln N - H(p, m))) N^-(p+m),
-#     Int_N^inf f   = ((A + B ln N) / (p-1) + B / (p-1)^2) N^(1-p),
-#
-# with H(p, m) = sum_{i<m} 1/(p+i), so every tail quantity below is
-# A R + B (R ln N + Q) per power, where R and Q are sums c N^-j over exact
-# rationals c that do not depend on N.
-
-_hslices = LRUCache(256)  # p -> [H(p, 0), H(p, 1), ...], extended as needed
-_hslice_lock = threading.Lock()
-
-
-def _hslice(p: int, m: int) -> Fraction:
-    table = _hslices.get(p, lambda: [Fraction(0)])
-    with _hslice_lock:
-        while len(table) <= m:
-            table.append(table[-1] + Fraction(1, p + len(table) - 1))
-        return table[m]
-
-
-def _merge(terms, absolute: bool = False) -> list[tuple]:
-    """One term per power: A and B summed over the terms sharing p.
-
-    With absolute, |A| and |B| are summed instead; the bounds below are linear
-    in (|A|, |B|) at fixed p, so a merged bound equals the sum of the
-    per-term bounds.  BigReal and rational coefficients are summed apart, so
-    rationals merge exactly.
-    """
-    merged: dict = {}
-    for A, B, p in terms:
-        if absolute:
-            A, B = abs(A), abs(B)
-        key = (p, isinstance(A, BigReal), isinstance(B, BigReal))
-        if key in merged:
-            a, b = merged[key]
-            A, B = a + A, b + B
-        merged[key] = (A, B)
-    return [(A, B, key[0]) for key, (A, B) in merged.items()]
-
-
-def _fx_dot(fx: FixedPoint, x, coeffs, pows: list[int]) -> tuple[int, int]:
-    """x * sum (a/b) N^-j over (j, a, b) in coeffs as a fixed-point pair, pows[j] = N^j.
-
-    A rational x is folded into every floor, so each adds under one unit of
-    error whatever the size of x and a/b; a BigReal x multiplies the sum.
-    """
-    if isinstance(x, BigReal):
-        s, e = _fx_dot(fx, 1, coeffs, pows)
-        return fx.mul(*fx.from_big(x), s, e)
-    num, den = x.numerator << fx.prec, x.denominator
-    return sum(num * a // (den * b * pows[j]) for j, a, b in coeffs), len(coeffs)
-
-
-@lru_cache(maxsize=64)
-def _ln(n: int, ctx) -> BigReal:
-    return BigReal.from_int(n, ctx).ln()
-
-
-def _pl_sum(terms, N: int, coeffs, ctx, absolute: bool = False) -> BigReal:
-    """Sum over the terms, merged by power p (_merge), of A R + B (R ln N + Q)
-    with (R, Q) = coeffs(p), each a tuple of integer triples (j, a, b) for
-    sum (a/b) N^-j; summed in FixedPoint and rounded into BigReal once."""
-    merged = [(A, B, *coeffs(p)) for A, B, p in _merge(terms, absolute)]
-    top = max((j for *_, R, Q in merged for j, _, _ in R + Q), default=0)
-    pows = [1]
-    for _ in range(top):
-        pows.append(pows[-1] * N)
-    fx = FixedPoint(ctx, 4 * sum(len(R) + len(Q) for *_, R, Q in merged) + 2)
-    ln = None
-    acc = err = 0
-    for A, B, R, Q in merged:
-        parts = [_fx_dot(fx, A, R, pows)] if A else []
-        if B:
-            ln = ln or fx.from_big(_ln(N, ctx))
-            parts += [fx.mul(*_fx_dot(fx, B, R, pows), *ln), _fx_dot(fx, B, Q, pows)]
-        for v, e in parts:
-            acc += v
-            err += e
-    return fx.to_big(acc, err)
-
-
-def _derivs(rule: str, K: int) -> tuple[tuple[Fraction, int], ...]:
-    return _em_derivs(K) if rule == "em" else _boole_derivs(K)
-
-
-@lru_cache(maxsize=1024)
-def _pl_coeffs(p: int, rule: str, K: int, h: int = 1) -> tuple[tuple, tuple]:
-    """(R, Q) of the power p for the tail rule of order K and step h, as for
-    _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N) over (c, m)
-    in _em_derivs(K); with "boole", the sum over _boole_derivs(K) alone.  The
-    rule of step h at N is that of step 1 for g(j) = f(N + h j) at j = 0.  The
-    fractions are left unreduced."""
-    R, Q = [], []
-    if rule == "em":
-        R.append((p - 1, 1, h * (p - 1)))
-        Q.append((p - 1, 1, h * (p - 1) ** 2))
-    for c, m in _derivs(rule, K):
-        a, b = (-1) ** m * _pochhammer(p, m) * c.numerator * h**m, c.denominator
-        R.append((p + m, a, b))
-        if m:
-            hs = _hslice(p, m)
-            Q.append((p + m, -a * hs.numerator, b * hs.denominator))
-    return tuple(R), tuple(Q)
-
-
-@lru_cache(maxsize=4096)
-def _abs_coeffs(p: int, m: int) -> tuple[tuple, tuple]:
-    """(R, Q) of the power p in _abs_integral, q = p + m:
-    (p)_m / (q-1) N^-(q-1) and that times H(p, m) + 1/(q-1)."""
-    q = p + m
-    poch, h = _pochhammer(p, m), _hslice(p, m) + Fraction(1, q - 1)
-    return ((q - 1, poch, q - 1),), ((q - 1, poch * h.numerator, (q - 1) * h.denominator),)
-
-
-def _abs_integral(terms, m: int, N: int, ctx) -> BigReal:
-    """Upper bound for Int_N^inf |d^m/dx^m sum of the terms| dx.
-
-    |f^(m)(x)| <= (p)_m (|A| + |B| H(p, m) + |B| ln x) x^-(p+m) for x >= 1.
-    """
-    return _pl_sum(terms, N, lambda p: _abs_coeffs(p, m), ctx, absolute=True)
-
-
-def _abs_tail(terms, N: int, ctx) -> BigReal:
-    """Upper bound for sum over n > N of the terms (a + b ln n) n^-p: the
-    integral from N plus the term at N + 1."""
-    first = _pl_sum(terms, N + 1, lambda p: (((p, 1, 1),), ()), ctx, absolute=True)
-    return _abs_integral(terms, 0, N, ctx) + first
-
-
-# Each tail comes as a remainder bound, scale * Int |f^(m)| over the tail terms
-# f (see _Plan), and a value, evaluated once at the cutoff the bound accepts.
-# A scale (c, base, k) stands for c (base pi)^-k.
-
-
-def _scaled(x: BigReal, scale: tuple, ctx) -> BigReal:
-    c, base, k = scale
-    if k:
-        x = x * pi_power(base, k, ctx)
-    return x if c == 1 else x * c
-
-
-def _log_scale(scale: tuple) -> float:
-    c, base, k = scale
-    return _log_pos(c) - k * log(base * pi)
-
-
-def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
-    """(m, scale) of the remainder bound of the tail rule of order K and step h
-    (1 for Boole); for Euler-Maclaurin of order K >= 1 the scale is
-    4 h^(2K-1) (2 pi)^-2K, as Int_0^inf |g^(2K)| = h^(2K-1) Int_N^inf |f^(2K)|
-    for g(j) = f(N + h j)."""
-    if rule == "boole":
-        return K, (4, 1, K)
-    if K:
-        return 2 * K, (4 * h ** (2 * K - 1), 2, 2 * K)
-    return 1, (Fraction(1, 2), 1, 0)
-
-
-@lru_cache(maxsize=1024)
-def _em_deriv(k: int) -> tuple[Fraction, int]:
-    return -exact.bernoulli(2 * k) / factorial(2 * k), 2 * k - 1
-
-
-def _em_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
-    """((c, m), ...) with Int_N^inf f + sum c f^(m)(N) the Euler-Maclaurin sum of
-    order K over n > N: Int_N^inf f - f(N)/2 - sum B_2k/(2k)! f^(2k-1)(N)."""
-    return ((Fraction(-1, 2), 0), *map(_em_deriv, range(1, K + 1)))
-
-
-@lru_cache(maxsize=1024)
-def _boole_deriv(k: int) -> tuple[Fraction, int]:
-    e_k = 2 * (1 - 2 ** (k + 1)) * exact.bernoulli(k + 1) / (k + 1)
-    return e_k / (2 * factorial(k)), k
-
-
-def _boole_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
-    """((E_k(0)/(2 k!), k), ...) for k < K, skipping even k >= 2 where E_k(0) = 0."""
-    return ((Fraction(1, 2), 0), *map(_boole_deriv, range(1, K, 2)))
-
-
-def _tail_value(rule: str, terms, X: int, K: int, ctx, h: int = 1) -> BigReal:
-    """The tail rule of order K over the terms at X: with "em", their sum over
-    x = X + h, X + 2h, ... by Euler-Maclaurin of step h; with "boole", the sum
-    over n >= X of (-1)^(n-X) times them by Boole summation,
-    sum_{k<K} E_k(0)/(2 k!) f^(k)(X)."""
-    return _pl_sum(terms, X, lambda p: _pl_coeffs(p, rule, K, h), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +263,11 @@ def _log_pos(x) -> float:
     return log(abs(x.numerator)) - log(x.denominator) if x else -inf
 
 
+def _log_scale(scale: tuple) -> float:
+    c, base, k = scale
+    return _log_pos(c) - k * log(base * pi)
+
+
 def _log_terms(terms) -> list[tuple[float, float, int]]:
     return [(_log_pos(A), _log_pos(B), p) for A, B, p in terms]
 
@@ -492,7 +300,7 @@ def _log_abs_tail(logs, N: int) -> float:
 
 
 def _upper_float(x: BigReal) -> float:
-    return to_float(x.upper_tuple(), rnd="u")
+    return _float_up(x.upper_tuple())
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +376,7 @@ def _certify(plan: _Plan, N: int, ctx) -> BigReal:
 
 
 _N_START = 32
+_K_START = 4  # the least tail order K the search tries; higher orders are tried when they cost less work
 
 
 def _n_candidates(cfg: OracleConfig):
@@ -583,9 +392,9 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, BigReal]:
     """(N, plan, bound) for the pair of cutoff N and order K, plan = plans(K),
     of least work whose certified bound meets tol/2.
 
-    At each candidate N = 32, 64, ... the orders K = tail_order, tail_order + 1,
-    ... are screened in floats (_screen) while the estimate of the bound keeps
-    falling, up to the first K whose estimate meets tol/2 by float rounding.
+    At each candidate N = 32, 64, ... the orders K = 4, 5, ... are screened
+    in floats (_screen) while the estimate of the bound keeps falling, up to
+    the first K whose estimate meets tol/2 by float rounding.
     Pairs are screened least work (_work) first, so a pair the screen passes
     is of the least work left and is certified in BigReal (_certify) at once;
     the first to meet tol/2 is taken.  A pair the screen passes over would not
@@ -603,7 +412,7 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, BigReal]:
         return _work(by_order[K], N), N, K, prev
 
     # pairs to screen as (work, N, K, estimate at K - 1), least work first
-    to_screen = [pair(N, cfg.tail_order, inf) for N in _n_candidates(cfg)]
+    to_screen = [pair(N, _K_START, inf) for N in _n_candidates(cfg)]
     heapify(to_screen)
     last = None  # the last pair screened at the largest N, for the message
     while to_screen:
@@ -636,9 +445,7 @@ def _sum(cfg: OracleConfig, plans, head, ctx) -> OracleResult:
     N, plan, bound = _select(cfg, plans, ctx)
     value = head(N) + plan.value(N, ctx)
     total = mpf_add(value.err_tuple(), bound.upper_tuple(), _EPREC, "u")
-    achieved = to_float(total, rnd="u")
-    if achieved == 0.0 and total != fzero:
-        achieved = 1e-300  # float underflow guard; the BigReal keeps the true bound
+    achieved = _float_up(total)
     if achieved > cfg.target_tolerance:
         raise BudgetExhausted(
             f"achieved bound {achieved:.3e} exceeds target {cfg.target_tolerance:.3e}"
@@ -764,8 +571,7 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
             f"target_tolerance {cfg.target_tolerance:.3e} below the precision "
             f"contract 2^-{ctx.working_bits - ctx.guard_bits}"
         )
-    key = (sid, cfg.target_tolerance, cfg.max_terms, cfg.tail_order,
-           ctx.working_bits, ctx.guard_bits)
+    key = (sid, cfg.target_tolerance, cfg.max_terms, ctx.working_bits, ctx.guard_bits)
     return _cache.get(key, lambda: _dispatch(sid, cfg, ctx))
 
 
@@ -797,11 +603,6 @@ def _dispatch(sid: SumId, cfg: OracleConfig, ctx) -> OracleResult:
     if order == 1:
         return _eval_weighted(kind, shift, s, cfg, ctx)
     return _eval_remainder_split(kind, s, order, cfg, ctx)
-
-
-def oracle_value(sid: SumId, tol: float = 1e-10, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """Convenience wrapper returning just the BigReal (bound folded into its err)."""
-    return oracle_eval(sid, OracleConfig(target_tolerance=tol), ctx).value
 
 
 # ---------------------------------------------------------------------------

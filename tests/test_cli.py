@@ -1,4 +1,6 @@
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -73,6 +75,25 @@ def test_oracle_command(capsys):
     assert isinstance(doc["terms"], int)
     assert float(doc["bound"]) <= 1e-9
     assert doc["value"].startswith("1.6734373144")
+
+
+def _half_ulp(printed: str) -> Fraction:
+    """Half a unit in the last printed digit of a decimal string."""
+    return Fraction(1, 2) * Fraction(Decimal(1).scaleb(Decimal(printed).as_tuple().exponent))
+
+
+def test_oracle_certifies_tolerances_below_the_normal_float_range(capsys):
+    # 1e-320 is a subnormal float; the bound once underflowed to a 1e-300 guard
+    rc, out, err = _run(capsys, "oracle", "--family", "J", "--b", "2", "--tol", "1e-320", "--bits", "1100")
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert 0 < float(doc["bound"]) <= 1e-320
+    rc, out, _ = _run(capsys, "eval", "--family", "J", "--b", "2", "--bits", "1100")
+    assert rc == 0
+    ev = json.loads(out)["numeric"]
+    gap = abs(Fraction(Decimal(doc["value"])) - Fraction(Decimal(ev["value"])))
+    slack = Fraction(Decimal(ev["bound"])) + _half_ulp(doc["value"]) + _half_ulp(ev["value"])
+    assert gap <= Fraction(Decimal(doc["bound"])) + slack
 
 
 def test_oracle_budget_exhaustion_exits_3(capsys):

@@ -1,14 +1,29 @@
 """The fixed-point head layer: its intervals contain the exact sums it stands for."""
 
+import math
+import sys
 from fractions import Fraction as F
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp
 from hypothesis import given, settings, strategies as st
 
 from eulersum import PrecisionContext, SumId, partial_sum
-from eulersum.numerics import BigReal, FixedPoint, LRUCache, fixed_dot, li4_half_num, zeta_num
-from eulersum.oracle import _abs_integral, _boole_derivs, _em_derivs, _tail_value, _weighted_head
+from eulersum.numerics import (
+    BigReal,
+    FixedPoint,
+    LRUCache,
+    _abs_integral,
+    _boole_derivs,
+    _em_derivs,
+    _float_up,
+    _tail_value,
+    fixed_dot,
+    li4_half_num,
+    zeta_num,
+)
+from eulersum.oracle import _weighted_head
 
 
 def _frac(t) -> F:
@@ -211,13 +226,43 @@ def test_weighted_head_brackets_partial_sum(sid, args, N, ctx):
     assert _contains(_weighted_head(kind, shift, s, N, ctx, *alternating), partial_sum(sid, N))
 
 
-@pytest.mark.parametrize("bits", [1024, 4096])
+@pytest.mark.parametrize("bits", [1024, 2048, 4096])
 def test_constants_contain_mpmath_at_twice_the_precision(bits):
+    # each bound is also below 2^(3 - bits); zeta's counts two roundings to
+    # working_bits (the head's and the sum's, 2^(1 - bits) each for a value
+    # in [1, 2)), the remainder, at most 2^-(bits + 4), and the fixed-point
+    # roundings, so a bound that counts more than that fails here
     ctx = PrecisionContext(working_bits=bits)
+    tight = F(2) ** (3 - bits)
     with mpmath.workprec(2 * bits):
-        for s in (2, 3, 5, 12):
-            assert _contains(zeta_num(s, ctx), _frac(mpmath.zeta(s)._mpf_)), s
-        assert _contains(li4_half_num(ctx), _frac(mpmath.polylog(4, mpmath.mpf(1) / 2)._mpf_))
+        for s in range(2, 14):
+            z = zeta_num(s, ctx)
+            assert _contains(z, _frac(mpmath.zeta(s)._mpf_)), s
+            assert _frac(z.err_tuple()) <= F(2) ** (2 - bits) + F(2) ** -(bits + 3) < tight, s
+        li4 = li4_half_num(ctx)
+        assert _contains(li4, _frac(mpmath.polylog(4, mpmath.mpf(1) / 2)._mpf_))
+        assert _frac(li4.err_tuple()) < tight
+
+
+def _is_least_float_at_or_above(man: int, exp: int) -> bool:
+    t = from_man_exp(man, exp)
+    up, exact = _float_up(t), _frac(t)
+    if math.isinf(up):
+        return exact > F(sys.float_info.max)
+    return F(math.nextafter(up, -math.inf)) < exact <= F(up)
+
+
+@pytest.mark.parametrize("man,exp", [(1, -1000), (3, -1075), (5, -1076), (1, -1080), (0, 0)])
+def test_float_up_is_the_least_float_at_or_above(man, exp):
+    # subnormal values that libmp.to_float(rnd="u") rounds below themselves
+    # (5 2^-1076 to 2^-1074) or flushes to 0.0 (2^-1080)
+    assert _is_least_float_at_or_above(man, exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(man=st.integers(1, 2**80), exp=st.integers(-1200, 1000))
+def test_float_up_bounds_any_positive_value(man, exp):
+    assert _is_least_float_at_or_above(man, exp)
 
 
 def test_lru_cache_keeps_the_most_recently_used():

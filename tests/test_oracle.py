@@ -15,7 +15,7 @@ from eulersum import (
     oracle_eval,
     partial_sum,
 )
-from eulersum import oracle
+from eulersum import numerics, oracle
 from eulersum.closedform import closed_form_for, known_closed_form_ids
 from eulersum.oracle import _dispatch
 from eulersum.sums import FAMILIES, SumId
@@ -111,7 +111,7 @@ PINNED_TERMS = {
     SumId.alt_tilde_h(1): 32,
 }
 
-# the same cutoffs with K held at tail_order = 4; choosing N and K together never exceeds them
+# the same cutoffs with K held at 4; choosing N and K together never exceeds them
 FIXED_ORDER_TERMS = {
     SumId.J(2): 256,
     SumId.J(4): 128,
@@ -164,8 +164,6 @@ def test_config_validation():
         OracleConfig(target_tolerance=0)
     with pytest.raises(ValueError):
         OracleConfig(max_terms=0)
-    with pytest.raises(ValueError):
-        OracleConfig(tail_order=-1)
 
 
 def test_sigma_t1_equals_jordan_route(ctx, cfg):
@@ -324,15 +322,17 @@ def _screened_pairs(cfg, plans, ctx, monkeypatch):
     return seen, got
 
 
-@pytest.mark.parametrize("tail_order", [0, 2, 4])
+@pytest.mark.parametrize("k_start", [0, 2, 4])
 @pytest.mark.parametrize("bits,tol", [(192, 1e-20), (256, 1e-32)])
 @pytest.mark.parametrize("sid", PINNED_TERMS, ids=str)
-def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, tail_order, monkeypatch):
-    # every (N, K) pair the search screens
+def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, k_start, monkeypatch):
+    # every (N, K) pair the search screens, from its own least order 4 and,
+    # with the module constant lowered, from orders 0 and 2
     ctx = PrecisionContext(working_bits=bits)
-    cfg = OracleConfig(target_tolerance=tol, tail_order=tail_order)
+    cfg = OracleConfig(target_tolerance=tol)
     plans = _plan_of(sid, cfg, ctx, monkeypatch)
     monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_K_START", k_start)
     pairs, got = _screened_pairs(cfg, plans, ctx, monkeypatch)
     assert pairs
     accepted = None
@@ -466,9 +466,9 @@ def test_step_two_tail_encloses_the_hurwitz_zeta(p):
     ctx, terms = PrecisionContext(working_bits=256), [(F(1), 0, p)]
     for N, c, K in product((1, 8, 32), (-1, 1), range(21)):
         M = 2 * N + c
-        value = oracle._tail_value("em", terms, M, K, ctx, 2)
-        m, scale = oracle._remainder("em", K, 2)
-        bound = oracle._scaled(oracle._abs_integral(terms, m, M, ctx), scale, ctx)
+        value = numerics._tail_value("em", terms, M, K, ctx, 2)
+        m, scale = numerics._remainder("em", K, 2)
+        bound = numerics._scaled(numerics._abs_integral(terms, m, M, ctx), scale, ctx)
         with mpmath.workprec(600):
             exact = _frac((mpmath.zeta(p, N + 1 + mpmath.mpf(c) / 2) / 2**p)._mpf_)
         slack = _frac(value.err_tuple()) + _frac(bound.upper_tuple())
