@@ -12,7 +12,7 @@ The package has three layers:
 A CLI (`eulersum ...` or `python -m eulersum.cli ...`) exposes all of it.
 """
 
-from .exact import HarmonicKind, alternating, bernoulli, binomial, harmonic, plain, semi
+from .exact import HarmonicKind, alternating, bernoulli, harmonic, plain, semi
 from .numerics import (
     BigReal,
     PrecisionContext,
@@ -45,7 +45,6 @@ from .symexpr import (
     PI,
     SymExpr,
     eta_sym,
-    homogeneous_weight,
     lambda_sym,
     odd_zeta,
     zeta_sym,

@@ -1,4 +1,4 @@
-"""Exact rational building blocks: harmonic-type numbers, Bernoulli numbers, binomials.
+"""Exact rational building blocks: harmonic-type numbers, Bernoulli numbers.
 
 Everything here is a pure function returning `fractions.Fraction` (always stored
 reduced, denominator > 0), which is the coefficient domain for the whole package.
@@ -19,7 +19,6 @@ __all__ = [
     "alternating",
     "harmonic",
     "bernoulli",
-    "binomial",
     "as_fraction",
 ]
 
@@ -124,15 +123,6 @@ def bernoulli(n: int) -> Fraction:
             )
             _bernoulli_cache.append(-acc / (m + 1))
         return _bernoulli_cache[n]
-
-
-def binomial(n: int, k: int) -> Fraction:
-    """C(n, k) as a Fraction; 0 outside 0 <= k <= n (null binomials convention)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(comb(n, k))
 
 
 def as_fraction(c) -> Fraction:

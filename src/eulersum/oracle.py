@@ -1,9 +1,10 @@
 """Independent ground truth: direct summation of every series family.
 
-Each family is summed at its definition: an exactly-evaluated head of N terms
-plus a certified tail.  Tails come from Euler-Maclaurin (monotone series) or
-Boole summation (alternating series) applied to the explicit asymptotic form
-of the summand, with worst-case remainder bounds
+Each series is summed at its definition, by the evaluator its shape (sums.Series)
+calls for: an exactly-evaluated head of N terms plus a certified tail.  Tails
+come from Euler-Maclaurin (monotone series) or Boole summation (alternating
+series) applied to the explicit asymptotic form of the summand, with
+worst-case remainder bounds
 
     |R_K^EM|    <= 4 (2 pi)^(-2K) Int |f^(2K)|,
     |R_K^Boole| <= 4 pi^(-K)      Int |f^(K)|,
@@ -81,7 +82,7 @@ from .numerics import (
     const_log2,
     zeta_num,
 )
-from .sums import FAMILIES, SumId
+from .sums import FAMILIES, Series, SumId
 
 __all__ = [
     "OracleConfig",
@@ -487,7 +488,7 @@ def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, c
 
 
 def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
-    """C0 - sum_n r_n / n^s for sigma(s,t>=2), ZetaStar(q,p>=2), E(p>=2,q), where
+    """sum_{n>=1} w_n / n^s as C0 - sum_n r_n / n^s, for a weight of order p >= 2:
     w_n = sum_i c_i H_(d_i n)^(p) is the weight of the kind and order p, r0 =
     zeta(p) sum_i c_i its limit, C0 = r0 zeta(s), and the inner tail r_n = r0 - w_n
     is minus the weight's expansion (_weight_expansion), in powers of n, so the
@@ -520,8 +521,8 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     return _sum(cfg, plan, head, ctx)
 
 
-def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
-    s = 2 * a
+def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
+    """sum_{n>=1} (-1)^n Ht_(n-1)^(s) / n, as -eta(s) ln 2 plus sum_n tau_n / n."""
     eta = zeta_num(s, ctx) * (1 - Fraction(2, 2**s))
     lead = -(eta * const_log2(ctx))
 
@@ -553,7 +554,18 @@ def _eval_alt_tilde(a: int, cfg: OracleConfig, ctx) -> OracleResult:
 # public entry points
 # ---------------------------------------------------------------------------
 
-# far above the distinct (sum, tolerance, precision) keys of one verify or solve run
+def _evaluate(series: Series, cfg: OracleConfig, ctx) -> OracleResult:
+    """The certified sum of the series by the evaluator for its shape: the tilde
+    sum's own, order 1 summed directly, higher orders by the remainder split."""
+    kind, order, shift, s, alternating = series
+    if kind == "Ht":
+        return _eval_alt_tilde(order, cfg, ctx)
+    if order == 1:
+        return _eval_weighted(kind, shift, s, cfg, ctx, alternating)
+    return _eval_remainder_split(kind, s, order, cfg, ctx)
+
+
+# far above the distinct (series, tolerance, precision) keys of one verify or solve run
 _cache = LRUCache(1024)
 
 
@@ -562,7 +574,7 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
     """Certified numerical value of the series named by sid.
 
     |value - true sum| <= achieved_bound <= cfg.target_tolerance, or
-    BudgetExhausted.  Deterministic for fixed (sid, cfg, ctx).
+    BudgetExhausted.  Deterministic for fixed (sid, cfg, ctx); cached by sid.series.
     """
     cfg = cfg or OracleConfig()
     floor = 2.0 ** -(ctx.working_bits - ctx.guard_bits)
@@ -571,38 +583,8 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
             f"target_tolerance {cfg.target_tolerance:.3e} below the precision "
             f"contract 2^-{ctx.working_bits - ctx.guard_bits}"
         )
-    key = (sid, cfg.target_tolerance, cfg.max_terms, ctx.working_bits, ctx.guard_bits)
-    return _cache.get(key, lambda: _dispatch(sid, cfg, ctx))
-
-
-# family -> parameters -> (weight kind, weight order, shift or None, power) for
-# the series sum_n w_n base(n)^-power, w_n the weight of that kind and order
-# (see _weight_step) and base(n) = n, or the odd m = 2n + shift, in which the
-# tail is summed (_ODD_COMBOS).  Order 1 is summed directly, higher orders by
-# the remainder split.
-_ROUTES = {
-    "J": lambda b: ("S", 1, None, b),
-    "Jbar": lambda b: ("S", 1, -1, b),
-    "sigma": lambda s, t: ("S", t, None, s),
-    "h": lambda q: ("H", 1, +1, q),
-    "Z": lambda a: ("H2N", 1, None, 2 * a),
-    "HoddOverOdd": lambda a: ("H2N1", 1, -1, 2 * a),
-    "EulerStar": lambda b: ("H", 1, None, b),
-    "ZetaStar": lambda q, p: ("H", p, None, q),
-    "E": lambda p, q: ("H2N", p, None, q),
-}
-
-
-def _dispatch(sid: SumId, cfg: OracleConfig, ctx) -> OracleResult:
-    fam, p = sid.family, sid.params
-    if fam == "AltEulerStar":
-        return _eval_weighted("H", None, 2 * p[0], cfg, ctx, alternating=True)
-    if fam == "AltTildeH":
-        return _eval_alt_tilde(p[0], cfg, ctx)
-    kind, order, shift, s = _ROUTES[fam](*p)
-    if order == 1:
-        return _eval_weighted(kind, shift, s, cfg, ctx)
-    return _eval_remainder_split(kind, s, order, cfg, ctx)
+    key = (sid.series, cfg.target_tolerance, cfg.max_terms, ctx.working_bits, ctx.guard_bits)
+    return _cache.get(key, lambda: _evaluate(key[0], cfg, ctx))
 
 
 # ---------------------------------------------------------------------------

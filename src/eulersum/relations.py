@@ -442,11 +442,9 @@ def verify_sum_theorem(
     closed forms or the relation row space determine the sum."""
     if w < 3:
         raise ValueError(f"weight must be >= 3, got {w}")
-    cfg = cfg or OracleConfig()
     target = closedform.sigma_weight_sum(w)
-    pairs = [(1, oracle_eval(SumId.sigma(w - i, i), cfg, ctx).value) for i in range(1, w - 1)]
-    diff = fixed_dot([*pairs, (-1, eval_sym(target, ctx))], ctx)
-    residual, bound = abs(float(diff)), diff.err_float()
+    rel = Relation({SumId.sigma(w - i, i): 1 for i in range(1, w - 1)}, target)
+    residual, bound = rel.residual_and_bound(ctx, cfg)
 
     values = [tabulated_sigma_values(SumId.sigma(w - i, i)) for i in range(1, w - 1)]
     if all(v is not None for v in values):

@@ -2,54 +2,81 @@
 
 A SumId names one convergent series with integer parameters; it is the common
 currency between the closed-form table, the summation oracle, the linear
-relations and the CLI.  FAMILIES holds one Family record per family, from which
-the exact partial sums, the enumeration of known closed forms and the CLI's
-parameter flags are derived.
+relations and the CLI.  FAMILIES holds one Family record per family: its
+parameter names, the shape of its series (Series) and its exact n-th term.
+Validity, weight, the oracle's evaluator and cache key, the exact partial
+sums, the enumeration of known closed forms and the CLI's parameter flags
+follow from the record.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 from .exact import alternating, harmonic, plain, semi
 
-__all__ = ["SumId", "Family", "FAMILIES"]
+__all__ = ["SumId", "Series", "Family", "FAMILIES"]
+
+
+class Series(NamedTuple):
+    """The shape sum_{n>=1} sign_n w_n / base_n^power of a family's series.
+
+    w_n, by kind, is H_n^(order) ("H"), S_n^(order) ("S"), H_2n^(order)
+    ("H2N"), H_(2n-1)^(order) ("H2N1") or -Ht_(n-1)^(order) ("Ht"); base_n
+    is n (shift None) or the odd 2n + shift; sign_n is (-1)^(n-1) when
+    alternating, else 1.  So AltTildeH(a), sum (-1)^n Ht_(n-1)^(2a) / n, is
+    Series("Ht", 2a, None, 1, True): the sign times the weight's minus.
+    """
+
+    kind: str
+    order: int
+    shift: Optional[int]
+    power: int
+    alternating: bool = False
 
 
 class Family(NamedTuple):
-    """One series family: its parameter names, the validator and the weight of
-    a parameter tuple, and term(*params, n), the exact n-th term of the
-    defining series."""
+    """One series family: its parameter names, series(*params), the shape of
+    its series, and term(*params, n), the exact n-th term of the defining
+    series, written out by hand as the reference the shape is tested against."""
 
     params: tuple[str, ...]
-    valid: Callable[..., bool]
-    weight: Callable[..., int]
+    series: Callable[..., Series]
     term: Callable[..., Fraction]
+
+    def valid(self, *params: int) -> bool:
+        """Every parameter is >= 1, and the power is >= 2 or the series alternates."""
+        s = self.series(*params)
+        return min(params) >= 1 and (s.power >= 2 or s.alternating)
+
+    def weight(self, *params: int) -> int:
+        s = self.series(*params)
+        return s.order + s.power
 
 
 FAMILIES = {
-    "J": Family(("b",), lambda b: b >= 2, lambda b: b + 1,
+    "J": Family(("b",), lambda b: Series("S", 1, None, b),
                 lambda b, n: harmonic(n, semi(1)) / Fraction(n) ** b),
-    "Jbar": Family(("b",), lambda b: b >= 2, lambda b: b + 1,
+    "Jbar": Family(("b",), lambda b: Series("S", 1, -1, b),
                    lambda b, n: harmonic(n, semi(1)) / Fraction(2 * n - 1) ** b),
-    "sigma": Family(("s", "t"), lambda s, t: s >= 2 and t >= 1, lambda s, t: s + t,
+    "sigma": Family(("s", "t"), lambda s, t: Series("S", t, None, s),
                     lambda s, t, n: harmonic(n, semi(t)) / Fraction(n) ** s),
-    "h": Family(("q",), lambda q: q >= 2, lambda q: q + 1,
+    "h": Family(("q",), lambda q: Series("H", 1, 1, q),
                 lambda q, n: harmonic(n, plain(1)) / Fraction(2 * n + 1) ** q),
-    "Z": Family(("a",), lambda a: a >= 1, lambda a: 2 * a + 1,
+    "Z": Family(("a",), lambda a: Series("H2N", 1, None, 2 * a),
                 lambda a, n: harmonic(2 * n, plain(1)) / Fraction(n) ** (2 * a)),
-    "HoddOverOdd": Family(("a",), lambda a: a >= 1, lambda a: 2 * a + 1,
+    "HoddOverOdd": Family(("a",), lambda a: Series("H2N1", 1, -1, 2 * a),
                           lambda a, n: harmonic(2 * n - 1, plain(1)) / Fraction(2 * n - 1) ** (2 * a)),
-    "EulerStar": Family(("b",), lambda b: b >= 2, lambda b: b + 1,
+    "EulerStar": Family(("b",), lambda b: Series("H", 1, None, b),
                         lambda b, n: harmonic(n, plain(1)) / Fraction(n) ** b),
-    "AltEulerStar": Family(("a",), lambda a: a >= 1, lambda a: 2 * a + 1,
+    "AltEulerStar": Family(("a",), lambda a: Series("H", 1, None, 2 * a, True),
                            lambda a, n: (-1) ** (n - 1) * harmonic(n, plain(1)) / Fraction(n) ** (2 * a)),
-    "ZetaStar": Family(("q", "p"), lambda q, p: q >= 2 and p >= 1, lambda q, p: q + p,
+    "ZetaStar": Family(("q", "p"), lambda q, p: Series("H", p, None, q),
                        lambda q, p, n: harmonic(n, plain(p)) / Fraction(n) ** q),
-    "AltTildeH": Family(("a",), lambda a: a >= 1, lambda a: 2 * a + 1,
+    "AltTildeH": Family(("a",), lambda a: Series("Ht", 2 * a, None, 1, True),
                         lambda a, n: (-1) ** n * harmonic(n - 1, alternating(2 * a)) / n),
-    "E": Family(("p", "q"), lambda p, q: p >= 1 and q >= 2, lambda p, q: p + q,
+    "E": Family(("p", "q"), lambda p, q: Series("H2N", p, None, q),
                 lambda p, q, n: harmonic(2 * n, plain(p)) / Fraction(n) ** q),
 }
 
@@ -69,6 +96,9 @@ class SumId:
       ZetaStar(q, p)  sum H_n^(p) / n^q
       AltTildeH(a)    sum (-1)^n Ht_(n-1)^(2a) / n
       E(p, q)         sum (sum_{k<=2n} k^-p) / n^q
+
+    Its shape is series (FAMILIES[family].series); two ids of one shape, such
+    as sigma(s, 1) and J(s), name the same series.
     """
 
     __slots__ = ("family", "params")
@@ -137,6 +167,10 @@ class SumId:
     @property
     def weight(self) -> int:
         return FAMILIES[self.family].weight(*self.params)
+
+    @property
+    def series(self) -> Series:
+        return FAMILIES[self.family].series(*self.params)
 
     @property
     def param_names(self) -> tuple[str, ...]:

@@ -36,7 +36,6 @@ __all__ = [
     "zeta_sym",
     "lambda_sym",
     "eta_sym",
-    "homogeneous_weight",
 ]
 
 Rat = Union[Fraction, int]
@@ -317,7 +316,3 @@ def eta_sym(s: int) -> SymExpr:
     if s < 2:
         raise ValueError(f"eta_sym needs s >= 2, got {s}")
     return zeta_sym(s).scaled(1 - Fraction(2, 2**s))
-
-
-def homogeneous_weight(a: SymExpr) -> Optional[int]:
-    return a.homogeneous_weight()

@@ -84,16 +84,3 @@ def test_bernoulli_defining_recurrence():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         exact.bernoulli(-1)
-
-
-def test_binomial_examples():
-    assert exact.binomial(5, 2) == 10
-    assert exact.binomial(4, 7) == 0
-    assert exact.binomial(6, 0) == 1
-    assert exact.binomial(3, -1) == 0
-
-
-def test_binomial_pascal_rule():
-    for n in range(1, 20):
-        for k in range(-2, n + 3):
-            assert exact.binomial(n, k) == exact.binomial(n - 1, k - 1) + exact.binomial(n - 1, k)

@@ -17,7 +17,7 @@ from eulersum import (
 )
 from eulersum import numerics, oracle
 from eulersum.closedform import closed_form_for, known_closed_form_ids
-from eulersum.oracle import _dispatch
+from eulersum.oracle import _evaluate
 from eulersum.sums import FAMILIES, SumId
 
 
@@ -142,8 +142,8 @@ def test_tolerance_monotonicity(ctx):
 
 
 def test_oracle_is_deterministic(ctx, cfg):
-    a = _dispatch(SumId.h(5), cfg, ctx)
-    b = _dispatch(SumId.h(5), cfg, ctx)
+    a = _evaluate(SumId.h(5).series, cfg, ctx)
+    b = _evaluate(SumId.h(5).series, cfg, ctx)
     assert a.value.value_tuple() == b.value.value_tuple()
     assert a.achieved_bound == b.achieved_bound and a.terms_used == b.terms_used
 
@@ -299,7 +299,7 @@ def _plan_of(sid, cfg, ctx, monkeypatch):
 
     monkeypatch.setattr(oracle, "_select", capture)
     with pytest.raises(_Planned):
-        _dispatch(sid, cfg, ctx)
+        _evaluate(sid.series, cfg, ctx)
     return seen[0]
 
 
@@ -402,8 +402,61 @@ def test_oracle_interval_is_consistent_with_exact_partial_sums(case):
 def _exact_weight(kind: str, p: int, n: int) -> F:
     if kind == "S":
         return sum((F(1, (2 * k - 1) ** p) for k in range(1, n + 1)), F(0))
+    if kind == "Ht":
+        return -sum((F((-1) ** (k - 1), k**p) for k in range(1, n)), F(0))
     top = {"H": n, "H2N": 2 * n, "H2N1": 2 * n - 1}[kind]
     return sum((F(1, k**p) for k in range(1, top + 1)), F(0))
+
+
+# -- the registry: each family is one shape ------------------------------------------
+
+# the validators and weights the families spelled out one by one before both
+# followed from the shape
+_SPELLED_OUT = {
+    "J": (lambda b: b >= 2, lambda b: b + 1),
+    "Jbar": (lambda b: b >= 2, lambda b: b + 1),
+    "sigma": (lambda s, t: s >= 2 and t >= 1, lambda s, t: s + t),
+    "h": (lambda q: q >= 2, lambda q: q + 1),
+    "Z": (lambda a: a >= 1, lambda a: 2 * a + 1),
+    "HoddOverOdd": (lambda a: a >= 1, lambda a: 2 * a + 1),
+    "EulerStar": (lambda b: b >= 2, lambda b: b + 1),
+    "AltEulerStar": (lambda a: a >= 1, lambda a: 2 * a + 1),
+    "ZetaStar": (lambda q, p: q >= 2 and p >= 1, lambda q, p: q + p),
+    "AltTildeH": (lambda a: a >= 1, lambda a: 2 * a + 1),
+    "E": (lambda p, q: p >= 1 and q >= 2, lambda p, q: p + q),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_validity_and_weight_of_the_shape_match_the_spelled_out_rules(family):
+    fam = FAMILIES[family]
+    valid, weight = _SPELLED_OUT[family]
+    for p in product(range(-3, 15), repeat=len(fam.params)):
+        assert fam.valid(*p) == valid(*p), p
+        assert fam.weight(*p) == weight(*p), p
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_term_is_the_nth_term_of_the_shape(family):
+    # the shape the oracle sums, rebuilt from direct weight sums, against the
+    # hand-written exact term
+    fam = FAMILIES[family]
+    cases = [p for p in product(range(1, 5), repeat=len(fam.params)) if fam.valid(*p)]
+    assert cases
+    for p in cases:
+        kind, order, shift, power, alternating = fam.series(*p)
+        for n in range(1, 31):
+            base = n if shift is None else 2 * n + shift
+            sign = -1 if alternating and n % 2 == 0 else 1
+            assert fam.term(*p, n) == sign * _exact_weight(kind, order, n) / F(base) ** power, (p, n)
+
+
+@pytest.mark.parametrize("alias,sid", [(SumId.sigma(4, 1), SumId.J(4)),
+                                       (SumId.zeta_star(3, 1), SumId.euler_star(3)),
+                                       (SumId.E(1, 4), SumId.Z(2))], ids=str)
+def test_ids_of_one_series_share_one_cached_result(alias, sid, ctx, cfg):
+    assert alias.series == sid.series
+    assert oracle_eval(alias, cfg, ctx) is oracle_eval(sid, cfg, ctx)
 
 
 def _mp(x):

@@ -14,7 +14,6 @@ from eulersum.symexpr import (
     Atom,
     SymExpr,
     eta_sym,
-    homogeneous_weight,
     lambda_sym,
     odd_zeta,
     zeta_sym,
@@ -83,14 +82,14 @@ def test_scale_example():
 
 
 def test_homogeneous_weight_examples():
-    assert homogeneous_weight(zeta_sym(3).scaled(Fraction(7, 4))) == 3
+    assert zeta_sym(3).scaled(Fraction(7, 4)).homogeneous_weight() == 3
     jbar4 = (
         (zeta_sym(4) * SymExpr.atom(LOG2)).scaled(Fraction(15, 16))
         + zeta_sym(5).scaled(Fraction(31, 64))
         - (zeta_sym(2) * zeta_sym(3)).scaled(Fraction(3, 32))
     )
-    assert homogeneous_weight(jbar4) == 5
-    assert homogeneous_weight(zeta_sym(3) + SymExpr.atom(PI, 2)) is None
+    assert jbar4.homogeneous_weight() == 5
+    assert (zeta_sym(3) + SymExpr.atom(PI, 2)).homogeneous_weight() is None
 
 
 def test_zero_expr_is_vacuously_homogeneous():
