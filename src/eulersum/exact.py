@@ -2,14 +2,16 @@
 
 Everything here is a pure function returning `fractions.Fraction` (always stored
 reduced, denominator > 0), which is the coefficient domain for the whole package.
-Speed is secondary to exactness; the memo caches are only ever appended to, so
-concurrent readers are safe under CPython.
+Speed is secondary to exactness.  Harmonic prefixes are memoized per kind in a
+bounded lru_cache (_prefixes), Bernoulli numbers in one list; both lists are
+extended only under one lock.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 __all__ = [
@@ -72,8 +74,12 @@ def alternating(b: int = 1) -> HarmonicKind:
     return HarmonicKind("alternating", b)
 
 
-# memo: kind -> list of prefix values [v_0, v_1, ..., v_m] (v_0 = 0)
-_harmonic_cache: dict[HarmonicKind, list[Fraction]] = {}
+@lru_cache(maxsize=64)
+def _prefixes(kind: HarmonicKind) -> list[Fraction]:
+    """[v_0, v_1, ...] (v_0 = 0) of the kind, extended by harmonic under _cache_lock."""
+    return [Fraction(0)]
+
+
 _cache_lock = threading.Lock()
 
 
@@ -87,7 +93,7 @@ def harmonic(n: int, kind: HarmonicKind) -> Fraction:
     if not isinstance(kind, HarmonicKind):
         raise TypeError("kind must be a HarmonicKind")
     with _cache_lock:
-        vals = _harmonic_cache.setdefault(kind, [Fraction(0)])
+        vals = _prefixes(kind)
         p = kind.order
         while len(vals) <= n:
             k = len(vals)

@@ -30,14 +30,17 @@ sum of the one power-log term n^-s: a FixedPoint head of N terms and its
 Euler-Maclaurin tail, N the least power of two from 32 whose certified
 remainder is below 2^-(working_bits + 4).  li4(1/2) comes from its
 geometrically convergent defining series.  gamma is used only by oracle tail
-estimates; it is deliberately not a symbolic atom.  Computed constants are
-kept in a bounded least-recently-used cache.
+estimates; it is deliberately not a symbolic atom.
+
+Every memo here is a bounded functools.lru_cache keyed on plain values.
+Constants and monomial values are cached as raw (value, error) pairs keyed on
+working_bits, since guard_bits only sets a contract; the public functions wrap
+a pair in the caller's context.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, inf, nextafter
@@ -403,77 +406,42 @@ def fixed_dot(pairs, ctx: PrecisionContext) -> BigReal:
 # -- constants ----------------------------------------------------------------
 
 
-class LRUCache:
-    """Thread-safe map from key to built value that keeps the `size` most recently used."""
-
-    def __init__(self, size: int):
-        self._size = size
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, build):
-        """The value cached under key, or build() cached under key.
-
-        build runs outside the lock; when two threads build the same key, both
-        return the value stored first.
-        """
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
-        val = build()
-        with self._lock:
-            val = self._data.setdefault(key, val)
-            self._data.move_to_end(key)
-            if len(self._data) > self._size:
-                self._data.popitem(last=False)
-            return val
-
-
-# keys are (name, working_bits), ("zeta", s, working_bits) and ("pi_power", base, k,
-# working_bits): a few dozen per precision
-_const_cache = LRUCache(256)
-
-
-def _lib_const(name: str, fn, ctx: PrecisionContext) -> BigReal:
-    def build():
-        wb = ctx.working_bits
-        v = fn(wb + 16, "n")
-        v = libmp.mpf_pos(v, wb, "n")
-        return BigReal(ctx, v, _eadd(_ulp(v, wb), _ulp(v, wb + 14)))
-
-    br = _const_cache.get((name, ctx.working_bits), build)
-    return BigReal(ctx, br._v, br._e)
+@lru_cache(maxsize=64)
+def _lib_const(fn, wb: int) -> tuple:
+    v = libmp.mpf_pos(fn(wb + 16, "n"), wb, "n")
+    return v, _eadd(_ulp(v, wb), _ulp(v, wb + 14))
 
 
 def const_pi(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return _lib_const("pi", libmp.mpf_pi, ctx)
+    return BigReal(ctx, *_lib_const(libmp.mpf_pi, ctx.working_bits))
 
 
 def const_log2(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return _lib_const("log2", libmp.mpf_ln2, ctx)
+    return BigReal(ctx, *_lib_const(libmp.mpf_ln2, ctx.working_bits))
 
 
 def const_gamma(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return _lib_const("gamma", libmp.mpf_euler, ctx)
+    return BigReal(ctx, *_lib_const(libmp.mpf_euler, ctx.working_bits))
+
+
+@lru_cache(maxsize=256)
+def _pi_power(base: int, k: int, wb: int) -> tuple:
+    ctx = PrecisionContext(wb)
+    x = const_pi(ctx) if base == 1 else const_pi(ctx) * base
+    out = x
+    for bit in bin(k)[3:]:
+        out = out * out
+        if bit == "1":
+            out = out * x
+    out = BigReal.from_int(1, ctx) / out
+    return out._v, out._e
 
 
 def pi_power(base: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """(base pi)^-k for integers base, k >= 1, the power built by repeated squaring."""
     if base < 1 or k < 1:
         raise ValueError(f"pi_power needs base, k >= 1, got ({base}, {k})")
-
-    def build():
-        x = const_pi(ctx) if base == 1 else const_pi(ctx) * base
-        out = x
-        for bit in bin(k)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * x
-        return BigReal.from_int(1, ctx) / out
-
-    br = _const_cache.get(("pi_power", base, k, ctx.working_bits), build)
-    return BigReal(ctx, br._v, br._e)
+    return BigReal(ctx, *_pi_power(base, k, ctx.working_bits))
 
 
 def _pochhammer(s: int, m: int) -> int:
@@ -496,12 +464,17 @@ def _pochhammer(s: int, m: int) -> int:
 # rationals c that do not depend on N.  Q, the log part, is built only for a
 # power whose B is not zero.
 
-_hslices = LRUCache(256)  # p -> [H(p, 0), H(p, 1), ...], extended as needed
+@lru_cache(maxsize=256)
+def _hslices(p: int) -> list[Fraction]:
+    """[H(p, 0), H(p, 1), ...], extended by _hslice under _hslice_lock as needed."""
+    return [Fraction(0)]
+
+
 _hslice_lock = threading.Lock()
 
 
 def _hslice(p: int, m: int) -> Fraction:
-    table = _hslices.get(p, lambda: [Fraction(0)])
+    table = _hslices(p)
     with _hslice_lock:
         while len(table) <= m:
             table.append(table[-1] + Fraction(1, p + len(table) - 1))
@@ -666,6 +639,22 @@ def _tail_value(rule: str, terms, X: int, K: int, ctx, h: int = 1, cached: bool 
     return _pl_sum(terms, X, lambda p, log: coeffs(p, rule, K, h, log), ctx)
 
 
+@lru_cache(maxsize=256)
+def _zeta(s: int, wb: int) -> tuple:
+    ctx = PrecisionContext(wb)
+    K, terms = max(8, wb // 16), [(1, 0, s)]
+    m, scale = _remainder("em", K)
+    target = from_man_exp(1, -(wb + 4))
+    N = 32
+    while not mpf_le((rem := _scaled(_abs_integral(terms, m, N, ctx), scale, ctx)).upper_tuple(), target):
+        N *= 2
+    fx = FixedPoint(ctx, N)
+    head = fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)), N)
+    # the table of order K serves this one value, which is cached itself
+    out = (head + _tail_value("em", terms, N, K, ctx, cached=False)).widened(rem)
+    return out._v, out._e
+
+
 def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """zeta(s) for integer s >= 2: the sum of the power-log term n^-s, a head of
     N terms plus its Euler-Maclaurin tail of order K = max(8, working_bits / 16).
@@ -675,35 +664,21 @@ def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """
     if s < 2:
         raise ValueError(f"zeta_num needs s >= 2, got {s}")
+    return BigReal(ctx, *_zeta(s, ctx.working_bits))
 
-    def build():
-        wb = ctx.working_bits
-        K, terms = max(8, wb // 16), [(1, 0, s)]
-        m, scale = _remainder("em", K)
-        target = from_man_exp(1, -(wb + 4))
-        N = 32
-        while not mpf_le((rem := _scaled(_abs_integral(terms, m, N, ctx), scale, ctx)).upper_tuple(), target):
-            N *= 2
-        fx = FixedPoint(ctx, N)
-        head = fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)), N)
-        # the table of order K serves this one value, which is cached itself
-        return (head + _tail_value("em", terms, N, K, ctx, cached=False)).widened(rem)
 
-    br = _const_cache.get(("zeta", s, ctx.working_bits), build)
-    return BigReal(ctx, br._v, br._e)
+@lru_cache(maxsize=64)
+def _li4_half(wb: int) -> tuple:
+    M = wb + 8
+    fx = FixedPoint(PrecisionContext(wb), M)
+    acc = sum(fx.recip(n**4 << n) for n in range(1, M + 1))
+    out = fx.to_big(acc, M).widened(from_man_exp(1, -M))
+    return out._v, out._e
 
 
 def li4_half_num(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """li4(1/2) = sum 1/(2^n n^4); truncating at M leaves a tail < 2^-M."""
-
-    def build():
-        M = ctx.working_bits + 8
-        fx = FixedPoint(ctx, M)
-        acc = sum(fx.recip(n**4 << n) for n in range(1, M + 1))
-        return fx.to_big(acc, M).widened(from_man_exp(1, -M))
-
-    br = _const_cache.get(("li4half", ctx.working_bits), build)
-    return BigReal(ctx, br._v, br._e)
+    return BigReal(ctx, *_li4_half(ctx.working_bits))
 
 
 def atom_num(atom: Atom, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
@@ -716,21 +691,15 @@ def atom_num(atom: Atom, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     return zeta_num(atom.arg, ctx)
 
 
-# keys are (monomial, working_bits): a few hundred monomials per precision
-_monomial_cache = LRUCache(1024)
-
-
-def _monomial_num(mono, ctx: PrecisionContext) -> BigReal:
-    """The value of a non-empty monomial, a product of atom powers, at ctx's precision."""
-
-    def build():
-        value = None
-        for atom, exp in mono:
-            p = atom_num(atom, ctx) ** exp
-            value = p if value is None else value * p
-        return value
-
-    return _monomial_cache.get((mono, ctx.working_bits), build)
+@lru_cache(maxsize=1024)
+def _monomial_num(mono, wb: int) -> tuple:
+    """The (value, error) pair of a non-empty monomial, a product of atom powers, at wb bits."""
+    ctx = PrecisionContext(wb)
+    value = None
+    for atom, exp in mono:
+        p = atom_num(atom, ctx) ** exp
+        value = p if value is None else value * p
+    return value._v, value._e
 
 
 def eval_sym(e: SymExpr, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
@@ -747,7 +716,7 @@ def eval_sym(e: SymExpr, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     for mono, coeff in e.terms():
         term = BigReal.from_fraction(coeff, ctx)
         if mono:
-            term = term * _monomial_num(mono, ctx)
+            term = term * BigReal(ctx, *_monomial_num(mono, ctx.working_bits))
         acc = acc + term
     if not acc.meets_contract():
         raise PrecisionExhausted(

@@ -65,7 +65,6 @@ from .numerics import (
     _EPREC,
     BigReal,
     FixedPoint,
-    LRUCache,
     PrecisionContext,
     DEFAULT_CONTEXT,
     _abs_integral,
@@ -566,7 +565,9 @@ def _evaluate(series: Series, cfg: OracleConfig, ctx) -> OracleResult:
 
 
 # far above the distinct (series, tolerance, precision) keys of one verify or solve run
-_cache = LRUCache(1024)
+@lru_cache(maxsize=1024)
+def _cached(series: Series, tol: float, max_terms: int, wb: int, guard: int) -> OracleResult:
+    return _evaluate(series, OracleConfig(tol, max_terms), PrecisionContext(wb, guard))
 
 
 def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
@@ -583,8 +584,7 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
             f"target_tolerance {cfg.target_tolerance:.3e} below the precision "
             f"contract 2^-{ctx.working_bits - ctx.guard_bits}"
         )
-    key = (sid.series, cfg.target_tolerance, cfg.max_terms, ctx.working_bits, ctx.guard_bits)
-    return _cache.get(key, lambda: _evaluate(key[0], cfg, ctx))
+    return _cached(sid.series, cfg.target_tolerance, cfg.max_terms, ctx.working_bits, ctx.guard_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from eulersum import cli
 from eulersum import closedform
-from eulersum.symexpr import lambda_sym
+from eulersum.symexpr import SymExpr, lambda_sym
 
 
 def _run(capsys, *argv):
@@ -194,6 +194,19 @@ def test_verify_failure_exits_2(capsys, monkeypatch):
     assert doc["failed"] >= 1
 
 
+@pytest.mark.parametrize("shift, status", [(Fraction(1, 10**25), "pass"), (Fraction(1, 10**21), "FAIL")])
+def test_verify_holds_closed_forms_to_the_certified_bound(capsys, monkeypatch, shift, status):
+    # at tol 1e-20 the certified bound of J(3) is about 5e-23: a shift of 1e-21
+    # lies within the tolerance but outside the bound, one of 1e-25 inside both
+    real = closedform.closed_form_for
+    monkeypatch.setattr(closedform, "closed_form_for",
+                        lambda sid: real(sid) + SymExpr.rational(shift) if str(sid) == "J(3)" else real(sid))
+    rc, out, err = _run(capsys, "verify", "--family", "J", "--weight", "4", "--tol", "1e-20", "--bits", "256")
+    [check] = json.loads(out)["checks"]
+    assert check["name"] == "oracle-vs-closed-form J(3)" and check["status"] == status
+    assert rc == (0 if status == "pass" else 2)
+
+
 def test_verify_pretty_output(capsys):
     rc, out, err = _run(capsys, "verify", "--family", "Z", "--weight", "3..5", "--pretty")
     assert rc == 0
@@ -208,6 +221,18 @@ def test_table_tsv(capsys):
     assert len(lines) == 5
     row5 = dict(zip(lines[0].split("\t"), lines[4].split("\t")))
     assert row5["params"] == "b=5" and row5["symbolic"] == ""  # oracle fallback
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--family", "J", "--b", "4"],
+    ["oracle", "--family", "J", "--b", "2"],
+    ["verify", "--weight", "4"],
+    ["solve", "--weight", "5"],
+])
+def test_tsv_is_rejected_outside_table(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_context", lambda args: pytest.fail("the command started work"))
+    rc, out, err = _run(capsys, *argv, "--format", "tsv")
+    assert rc == 1 and out == "" and "tsv" in err
 
 
 def test_table_json(capsys):

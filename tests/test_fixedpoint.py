@@ -13,7 +13,6 @@ from eulersum import PrecisionContext, SumId, partial_sum
 from eulersum.numerics import (
     BigReal,
     FixedPoint,
-    LRUCache,
     _abs_integral,
     _boole_derivs,
     _em_derivs,
@@ -263,14 +262,3 @@ def test_float_up_is_the_least_float_at_or_above(man, exp):
 @given(man=st.integers(1, 2**80), exp=st.integers(-1200, 1000))
 def test_float_up_bounds_any_positive_value(man, exp):
     assert _is_least_float_at_or_above(man, exp)
-
-
-def test_lru_cache_keeps_the_most_recently_used():
-    cache = LRUCache(2)
-    cache.get("a", lambda: 1)
-    cache.get("b", lambda: 2)
-    assert cache.get("a", lambda: -1) == 1  # hit; "b" is now the oldest
-    cache.get("c", lambda: 3)
-    assert cache.get("c", lambda: -3) == 3
-    assert cache.get("b", lambda: -2) == -2  # evicted by "c", so rebuilt; this evicts "a"
-    assert cache.get("a", lambda: -1) == -1

@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
+import eulersum
 from eulersum import (
     BigReal,
     PrecisionContext,
@@ -16,7 +19,7 @@ from eulersum import (
     zeta_num,
 )
 from eulersum.closedform import closed_form_for, known_closed_form_ids
-from eulersum.numerics import atom_num
+from eulersum.numerics import atom_num, pi_power
 from eulersum.sums import SumId
 from eulersum.symexpr import LOG2, PI, SymExpr, lambda_sym, zeta_sym
 
@@ -207,6 +210,28 @@ def test_eval_sym_builds_each_result_at_its_own_precision():
     assert abs(_tuple_to_fraction(lo.value_tuple()) - _tuple_to_fraction(hi.value_tuple())) <= _tuple_to_fraction(lo.err_tuple())
     assert hi.err_float() < lo.err_float() * 2.0**-60
     assert vals[2].value_tuple() == hi.value_tuple() and vals[2].err_tuple() == hi.err_tuple()
+
+
+@pytest.mark.parametrize("bits", [192, 1024])
+def test_cached_constants_do_not_depend_on_guard_bits(bits):
+    # the caches key on working_bits alone; each call returns its caller's ctx
+    a, b = PrecisionContext(working_bits=bits), PrecisionContext(working_bits=bits, guard_bits=8)
+    for make in (const_pi, lambda c: pi_power(2, 3, c), lambda c: zeta_num(5, c), li4_half_num):
+        x, y = make(a), make(b)
+        assert x.ctx is a and y.ctx is b
+        assert (x.value_tuple(), x.err_tuple()) == (y.value_tuple(), y.err_tuple())
+
+
+def test_every_module_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(eulersum.__path__):
+        module = importlib.import_module(f"eulersum.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"numerics._lib_const", "numerics._pi_power", "numerics._zeta", "numerics._li4_half",
+            "numerics._monomial_num", "numerics._hslices", "oracle._cached", "exact._prefixes"} <= set(caches)
+    assert all(size is not None for size in caches.values()), caches
 
 
 def test_monotone_precision():
