@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -38,6 +40,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _tolerance(text: str) -> float:
+    """--tol as a finite double; zero and negative values are left to OracleConfig.
+
+    A non-zero decimal that rounds to 0.0 is refused rather than read as 0:
+    tolerances below a double's range need an exact tolerance (ROADMAP item 2).
+    """
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}")
+    if not math.isfinite(tol):
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not a finite double")
+    if tol == 0 and Decimal(text) != 0:
+        raise argparse.ArgumentTypeError(
+            f"tolerance {text!r} is below a double's range; such tolerances wait for "
+            "an exact tolerance (ROADMAP item 2)")
+    return tol
+
+
 @lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
     """The parser, built on first use; parse_args leaves it unchanged, so every run shares it."""
@@ -49,7 +70,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=formats, default="json")
         sp.add_argument("--pretty", action="store_true", help="same as --format pretty")
         if tol_default is not None:
-            sp.add_argument("--tol", type=float, default=tol_default)
+            sp.add_argument("--tol", type=_tolerance, default=tol_default)
             sp.add_argument("--max-terms", type=int, default=10**7, dest="max_terms")
 
     def add_params(sp):

@@ -82,6 +82,7 @@ __all__ = [
     "zeta_num",
     "li4_half_num",
     "atom_num",
+    "monomial_num",
     "eval_sym",
 ]
 
@@ -702,13 +703,21 @@ def _monomial_num(mono, wb: int) -> tuple:
     return value._v, value._e
 
 
+def monomial_num(mono, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
+    """The value of a monomial, a product of atom powers, cached per working_bits;
+    the constant monomial () is exact 1."""
+    if not mono:
+        return BigReal.from_int(1, ctx)
+    return BigReal(ctx, *_monomial_num(mono, ctx.working_bits))
+
+
 def eval_sym(e: SymExpr, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """Evaluate a SymExpr numerically; the result carries its achieved error bound.
 
     The empty expression evaluates to exact 0.  For nonzero expressions the
     result must retain ctx.contract_bits of relative accuracy, otherwise the
     cancellation is reported as PrecisionExhausted.  Each term is its
-    coefficient times its monomial's value, which is cached per working_bits.
+    coefficient times its monomial's value (monomial_num).
     """
     if e.is_zero:
         return BigReal.zero(ctx)
@@ -716,7 +725,7 @@ def eval_sym(e: SymExpr, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     for mono, coeff in e.terms():
         term = BigReal.from_fraction(coeff, ctx)
         if mono:
-            term = term * BigReal(ctx, *_monomial_num(mono, ctx.working_bits))
+            term = term * monomial_num(mono, ctx)
         acc = acc + term
     if not acc.meets_contract():
         raise PrecisionExhausted(

@@ -55,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import exp, fsum, inf, log, pi
+from math import exp, fsum, inf, isfinite, log, pi
 from typing import NamedTuple, Optional
 
 from mpmath.libmp import mpf_add
@@ -102,6 +102,8 @@ class OracleConfig:
     __slots__ = ("target_tolerance", "max_terms")
 
     def __init__(self, target_tolerance: float = 1e-10, max_terms: int = 10**7):
+        if not isfinite(target_tolerance):
+            raise ValueError(f"target_tolerance must be finite, got {target_tolerance!r}")
         if not target_tolerance > 0:
             raise ValueError("target_tolerance must be positive")
         if max_terms < 1:

@@ -18,8 +18,9 @@ Row operations stay in integers and divide each row by its content; only the
 solved values are divided by their pivots.  Degenerate rows must reduce to the
 zero SymExpr; anything else would falsify a formula and is reported.
 
-Residuals combine the oracle values and the evaluated right-hand side in one
-fixed-point dot product (numerics.fixed_dot).
+A residual is one fixed-point dot product (numerics.fixed_dot) of the
+oracle values of the sigma terms and the monomial values of the right-hand
+side, each with its coefficient.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import comb, gcd, lcm
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from . import closedform, exact
-from .numerics import BigReal, DEFAULT_CONTEXT, PrecisionContext, eval_sym, fixed_dot
+from .numerics import BigReal, DEFAULT_CONTEXT, PrecisionContext, fixed_dot, monomial_num
 from .oracle import OracleConfig, oracle_eval
 from .sums import SumId
 from .symexpr import LOG2, SymExpr, _add_into, lambda_sym
@@ -89,7 +90,7 @@ class Relation:
 
     def residual(self, ctx: PrecisionContext = DEFAULT_CONTEXT,
                  cfg: Optional[OracleConfig] = None) -> float:
-        """|sum_i c_i * oracle(sigma_i) - eval(rhs)| with oracle values."""
+        """|sum_i c_i * oracle(sigma_i) - rhs|, the absolute value of difference."""
         return self.residual_and_bound(ctx, cfg)[0]
 
     def residual_and_bound(self, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -100,16 +101,26 @@ class Relation:
 
     def difference(self, ctx: PrecisionContext = DEFAULT_CONTEXT,
                    cfg: Optional[OracleConfig] = None) -> BigReal:
-        """sum_i c_i * oracle(sigma_i) - eval(rhs), as one fixed-point dot product.
+        """sum_i c_i * oracle(sigma_i) - sum_m r_m * m over the terms r_m * m of
+        rhs, as one fixed-point dot product of the oracle values and the
+        monomial values (numerics.monomial_num).
 
-        The error folds in |c_i| times each oracle bound and the error of
-        eval(rhs), so a true relation has |value| <= error.
+        The error folds in |c_i| times each oracle bound and |r_m| times each
+        monomial's error, so a true relation has |value| <= error.
         """
         cfg = cfg or OracleConfig()
         pairs = [(c, oracle_eval(sid, cfg, ctx).value)
                  for sid, c in sorted(self.coeffs.items(), key=lambda i: i[0].sort_key())]
-        pairs.append((-1, eval_sym(self.rhs, ctx)))
+        pairs += [(-r, monomial_num(mono, ctx)) for mono, r in self.rhs.items()]
         return fixed_dot(pairs, ctx)
+
+
+# the weights 3..20 name 171 pairs
+@lru_cache(maxsize=1024)
+def _lambda_product(a: int, b: int) -> SymExpr:
+    """lambda(a) lambda(b), or lambda(a) ln 2 for b = 1, where lambda diverges;
+    one shared value per pair for every relation that names it."""
+    return lambda_sym(a) * (SymExpr.atom(LOG2) if b == 1 else lambda_sym(b))
 
 
 def _combination(*parts: tuple[Fraction | int, SymExpr]) -> SymExpr:
@@ -131,7 +142,7 @@ def gen_product_relation(k: int, l: int) -> Relation:
         c = Fraction(2**i * (comb(w - i - 1, l - 1) + comb(w - i - 1, k - 1)), 2**w)
         if c:
             coeffs[SumId.sigma(w - i, i)] = c
-    return Relation(coeffs, lambda_sym(k) * lambda_sym(l))
+    return Relation(coeffs, _lambda_product(k, l))
 
 
 def reduction_relation(s: int, t: int) -> Relation:
@@ -146,17 +157,15 @@ def reduction_relation(s: int, t: int) -> Relation:
     """
     if s < 2 or t < 1 or s + t < 3:
         raise ValueError(f"reduction_relation needs s >= 2, t >= 1, s+t >= 3, got ({s}, {t})")
-    coeffs: dict[SumId, Fraction] = {SumId.sigma(s, t): Fraction((-1) ** t - 1)}
+    coeffs = {SumId.sigma(s, t): (-1) ** t - 1}
     for i in range(1, s - 1):
-        coeffs[SumId.sigma(s - i, t + i)] = coeffs.get(SumId.sigma(s - i, t + i), Fraction(0)) - Fraction(
-            2**i * comb(t + i - 1, i)
-        )
+        coeffs[SumId.sigma(s - i, t + i)] = -(2**i) * comb(t + i - 1, i)
     c_edge = comb(s + t - 2, s - 1)
     rhs = _combination(
-        *(((-1) ** (t + j) * 2**s * comb(s + j - 1, j), lambda_sym(s + j) * lambda_sym(t - j))
+        *(((-1) ** (t + j) * 2**s * comb(s + j - 1, j), _lambda_product(s + j, t - j))
           for j in range(0, t - 1)),
         (-(2 ** (s - 1)) * c_edge, closedform.closed_form_for(SumId.h(s + t - 1))),
-        (-(2**s) * c_edge, lambda_sym(s + t - 1) * SymExpr.atom(LOG2)),
+        (-(2**s) * c_edge, _lambda_product(s + t - 1, 1)),
     )
     return Relation(coeffs, rhs)
 
@@ -176,10 +185,10 @@ def even_order_relation(s: int, r: int) -> Relation:
         coeffs[SumId.sigma(s - i, 2 * r + i)] = Fraction(2 ** (i - 1) * comb(2 * r + i - 1, i))
     c_edge = comb(s + 2 * r - 2, s - 1)
     rhs = _combination(
-        *((-((-1) ** j) * 2 ** (s - 1) * comb(s + j - 1, j), lambda_sym(s + j) * lambda_sym(2 * r - j))
+        *((-((-1) ** j) * 2 ** (s - 1) * comb(s + j - 1, j), _lambda_product(s + j, 2 * r - j))
           for j in range(0, 2 * r - 1)),
         (2 ** (s - 2) * c_edge, closedform.closed_form_for(SumId.h(s + 2 * r - 1))),
-        (2 ** (s - 1) * c_edge, lambda_sym(s + 2 * r - 1) * SymExpr.atom(LOG2)),
+        (2 ** (s - 1) * c_edge, _lambda_product(s + 2 * r - 1, 1)),
     )
     return Relation(coeffs, rhs)
 
@@ -212,19 +221,19 @@ def folded_relation(variant: int, v: int, r: int) -> Relation:
     if variant == 1:
         c_edge = comb(2 * v + 2 * r - 2, 2 * v - 1)
         rhs = _combination(
-            *((-((-1) ** j) * 2 ** (s - 1) * comb(s + j - 1, j), lambda_sym(s + j) * lambda_sym(2 * r - j))
+            *((-((-1) ** j) * 2 ** (s - 1) * comb(s + j - 1, j), _lambda_product(s + j, 2 * r - j))
               for j in range(0, 2 * r - 1)),
             (Fraction(c_edge * (2 * v + 2 * r - 1) * 2 ** (2 * v), 8), lambda_sym(2 * v + 2 * r)),
-            *((-(2 ** (2 * v - 2)) * c_edge, lambda_sym(2 * j + 1) * lambda_sym(2 * v + 2 * r - 2 * j - 1))
+            *((-(2 ** (2 * v - 2)) * c_edge, _lambda_product(2 * j + 1, 2 * v + 2 * r - 2 * j - 1))
               for j in range(1, r + v - 1)),
         )
         return Relation(coeffs, rhs)
     c_edge = comb(2 * v + 2 * r - 1, 2 * v)
     rhs = _combination(
-        *((-((-1) ** j) * 2 ** (2 * v) * comb(2 * v + j, j), lambda_sym(s + j) * lambda_sym(2 * r - j))
+        *((-((-1) ** j) * 2 ** (2 * v) * comb(2 * v + j, j), _lambda_product(s + j, 2 * r - j))
           for j in range(0, 2 * r - 1)),
         (c_edge * (v + r) * 2 ** (2 * v), lambda_sym(2 * v + 2 * r + 1)),
-        *((-(2 ** (2 * v)) * c_edge, lambda_sym(2 * j) * lambda_sym(2 * v + 2 * r - 2 * j + 1))
+        *((-(2 ** (2 * v)) * c_edge, _lambda_product(2 * j, 2 * v + 2 * r - 2 * j + 1))
           for j in range(1, r + v)),
     )
     return Relation(coeffs, rhs)

@@ -12,6 +12,7 @@ follow from the record.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .exact import alternating, harmonic, plain, semi
@@ -128,7 +129,9 @@ class SumId:
     def Jbar(b: int) -> "SumId":
         return SumId("Jbar", b)
 
+    # one shared id per (s, t), checked once; typed, so 2.0 is not served as 2
     @staticmethod
+    @lru_cache(maxsize=1024, typed=True)
     def sigma(s: int, t: int) -> "SumId":
         return SumId("sigma", s, t)
 

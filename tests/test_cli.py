@@ -235,6 +235,27 @@ def test_tsv_is_rejected_outside_table(capsys, monkeypatch, argv):
     assert rc == 1 and out == "" and "tsv" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--family", "J", "--b", "2"],
+    ["verify", "--weight", "4"],
+    ["solve", "--weight", "5"],
+    ["table", "--family", "h", "--q", "2..4"],
+])
+@pytest.mark.parametrize("tol, reason", [
+    ("inf", "not a finite double"),
+    ("nan", "not a finite double"),
+    ("1e400", "not a finite double"),
+    ("1e-400", "below a double's range"),
+])
+def test_tolerance_outside_the_finite_doubles_is_rejected(capsys, monkeypatch, argv, tol, reason):
+    # inf would print "tolerance": Infinity, which is not JSON; 1e-400 would
+    # round to 0.0 and fail as "must be positive"
+    monkeypatch.setattr(cli, "_context", lambda args: pytest.fail("the command started work"))
+    rc, out, err = _run(capsys, *argv, "--tol", tol)
+    assert rc == 1 and out == ""
+    assert f"tolerance {tol!r}" in err and reason in err
+
+
 def test_table_json(capsys):
     rc, out, err = _run(capsys, "table", "--family", "h", "--q", "2..4")
     assert rc == 0

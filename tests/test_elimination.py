@@ -4,7 +4,8 @@ the Fraction arithmetic they replace.
 The reference below is Gauss-Jordan elimination with Fraction rows: each pivot
 row is scaled to 1 at its unknown and subtracted from every other row.  The
 integer rows must give the same pivots, pivot rows, degenerate rows and
-row-space sums, and the residuals the same intervals as BigReal sums.
+row-space sums, and the residuals the same intervals as BigReal sums and as
+the oracle sum minus eval_sym of the right-hand side.
 """
 
 from fractions import Fraction as F
@@ -12,10 +13,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eulersum import BigReal, SumId, eval_sym, oracle_eval, relations_for_weight, solve_weight, verify_sum_theorem
+from eulersum import (BigReal, OracleConfig, PrecisionContext, Relation, SumId, eval_sym, oracle_eval,
+                      relations_for_weight, solve_weight, verify_sum_theorem)
 from eulersum import closedform as cf
 from eulersum import relations
-from eulersum.numerics import fixed_dot
+from eulersum.numerics import fixed_dot, monomial_num
 from eulersum.relations import _Echelon, tabulated_sigma_values
 from eulersum.symexpr import LOG2, PI, SymExpr, odd_zeta
 
@@ -180,3 +182,28 @@ def test_sum_theorem_residual_matches_bigreal_sum(w, ctx, cfg):
     _assert_same_interval(d, _big_sum(pairs, ctx), pairs)
     rep = verify_sum_theorem(w, ctx, cfg)
     assert (rep.numeric_residual, rep.numeric_bound) == (abs(float(d)), d.err_float())
+
+
+def _folded_cases():
+    """Every generated relation of weight 3..12, then the one-term relation
+    sid = closed form of every known closed form of weight <= 11."""
+    for w in range(3, 13):
+        yield from relations_for_weight(w)
+    for sid in cf.known_closed_form_ids(11):
+        yield Relation({sid: 1}, cf.closed_form_for(sid))
+
+
+@pytest.mark.parametrize("bits, tol", [(192, 1e-10), (256, 1e-20)])
+def test_folded_difference_is_sound_and_agrees_with_eval_sym(bits, tol):
+    # difference folds the right-hand side's monomials into the oracle's dot
+    # product; the sum it replaced evaluated the right-hand side on its own
+    ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(target_tolerance=tol)
+    for rel in _folded_cases():
+        d = rel.difference(ctx, cfg)
+        dv, de = _frac(d.value_tuple()), _frac(d.err_tuple())
+        assert abs(dv) <= de, rel
+        pairs = [(c, oracle_eval(sid, cfg, ctx).value) for sid, c in rel.coeffs.items()]
+        monos = [(r, monomial_num(m, ctx)) for m, r in rel.rhs.items()]
+        assert de >= sum(abs(c) * _frac(v.err_tuple()) for c, v in pairs + monos), rel
+        unfolded = fixed_dot(pairs, ctx) - eval_sym(rel.rhs, ctx)
+        assert abs(dv - _frac(unfolded.value_tuple())) <= de + _frac(unfolded.err_tuple()), rel

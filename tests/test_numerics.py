@@ -226,11 +226,16 @@ def test_every_module_cache_is_bounded():
     caches = {}
     for info in pkgutil.iter_modules(eulersum.__path__):
         module = importlib.import_module(f"eulersum.{info.name}")
-        for name, value in vars(module).items():
+        # module functions, and the static methods of the module's classes
+        found = list(vars(module).items())
+        found += [(f"{name}.{attr}", v.__func__) for name, value in vars(module).items()
+                  if isinstance(value, type) for attr, v in vars(value).items() if isinstance(v, staticmethod)]
+        for name, value in found:
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert {"numerics._lib_const", "numerics._pi_power", "numerics._zeta", "numerics._li4_half",
-            "numerics._monomial_num", "numerics._hslices", "oracle._cached", "exact._prefixes"} <= set(caches)
+            "numerics._monomial_num", "numerics._hslices", "oracle._cached", "exact._prefixes",
+            "relations._lambda_product", "sums.SumId.sigma"} <= set(caches)
     assert all(size is not None for size in caches.values()), caches
 
 

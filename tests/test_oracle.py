@@ -164,6 +164,9 @@ def test_config_validation():
         OracleConfig(target_tolerance=0)
     with pytest.raises(ValueError):
         OracleConfig(max_terms=0)
+    for tol in (float("inf"), float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            OracleConfig(target_tolerance=tol)
 
 
 def test_sigma_t1_equals_jordan_route(ctx, cfg):

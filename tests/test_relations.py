@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -19,7 +20,7 @@ from eulersum import (
 )
 from eulersum.relations import tabulated_sigma_values
 from eulersum.sums import SumId
-from eulersum.symexpr import SymExpr, lambda_sym
+from eulersum.symexpr import LOG2, SymExpr, lambda_sym
 
 
 def test_product_relation_2_2():
@@ -273,3 +274,42 @@ def test_sum_theorem(w, ctx, cfg):
 def test_sum_theorem_rejects_small_weight(ctx, cfg):
     with pytest.raises(ValueError):
         verify_sum_theorem(2, ctx, cfg)
+
+
+def _rebuilt_relations(w):
+    """relations_for_weight(w) written out from the formulas, with every
+    lambda(a) lambda(b) product multiplied afresh and every id built anew."""
+    lam = lambda_sym.__wrapped__
+    rels = []
+    for k in range(2, w // 2 + 1):
+        l = w - k
+        coeffs = {SumId("sigma", w - i, i): F(2**i * (comb(w - i - 1, l - 1) + comb(w - i - 1, k - 1)), 2**w)
+                  for i in range(1, w - 1)}
+        rels.append(Relation(coeffs, lam(k) * lam(l)))
+    for t in range(1, w - 1):
+        s = w - t
+        coeffs = {SumId("sigma", s, t): F((-1) ** t - 1)}
+        for i in range(1, s - 1):
+            coeffs[SumId("sigma", s - i, t + i)] = F(-(2**i) * comb(t + i - 1, i))
+        c_edge = comb(s + t - 2, s - 1)
+        rhs = SymExpr.zero()
+        for j in range(t - 1):
+            rhs = rhs + (lam(s + j) * lam(t - j)).scaled((-1) ** (t + j) * 2**s * comb(s + j - 1, j))
+        rhs = rhs - cf.closed_form_for(SumId("h", s + t - 1)).scaled(2 ** (s - 1) * c_edge)
+        rhs = rhs - (lam(s + t - 1) * SymExpr.atom(LOG2)).scaled(2**s * c_edge)
+        rels.append(Relation(coeffs, rhs))
+    return rels
+
+
+@pytest.mark.parametrize("w", range(3, 21))
+def test_generated_relations_match_uncached_products_and_ids(w):
+    assert relations_for_weight(w) == _rebuilt_relations(w)
+
+
+def test_sigma_ids_are_shared_and_still_validated():
+    assert SumId.sigma(3, 4) is SumId.sigma(3, 4)
+    assert SumId.sigma(3, 4) == SumId("sigma", 3, 4)
+    with pytest.raises(ValueError):
+        SumId.sigma(1, 1)
+    with pytest.raises(ValueError):
+        SumId.sigma(2.0, 3)
