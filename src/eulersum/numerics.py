@@ -7,22 +7,20 @@ every operation is a pure function of (inputs, ctx).  Error propagation is
 worst-case ulp counting: cheap, crude, and always valid, which is what
 identity verification needs.
 
-Long sums of many small terms (the oracle's heads, the heads of zeta_num and
-li4_half_num, and relation residuals through fixed_dot) run in FixedPoint
-instead: Python integers scaled by 2^prec, prec = working_bits +
-ceil(log2 N) + guard bits, with every rounding a floor
-whose error bound is counted exactly, in units of 2^-prec, beside the value.
-The sum comes back as one BigReal whose error is that count plus the final
-rounding to working_bits.
+Long sums of many small terms run in FixedPoint instead: (value, error)
+pairs of Python integers in units of 2^-prec, prec = working_bits +
+ceil(log2 N) + guard bits, every rounding a floor counted exactly in the
+error.  An oracle result (head, tail and bound together), the heads of
+zeta_num and li4_half_num, and relation residuals (fixed_dot) are each one
+such sum, rounded into a BigReal once (to_big).
 
 Certified tails are sums of power-log terms (A + B ln x) x^-p.  Their
 Euler-Maclaurin and Boole sums and the integrals that bound the remainders
 are, per power p, A R(N) + B (R(N) ln N + Q(N)): R and Q are sums c N^-j
-whose exact rational c do not depend on N (signed A and B for a value; |A|
-and |B| for a bound, which is linear in them, so terms sharing p merge into
-one).  They are summed in FixedPoint integers, a rational A or B folded into
-each floor, and rounded into BigReal once.  The oracle builds every tail from
-this layer.
+whose exact rational c do not depend on N (signed A and B for a value, |A|
+and |B| for a bound; terms sharing p merge into one).  They are summed as a
+pair on the caller's FixedPoint, a rational A or B folded into each floor;
+the oracle builds every tail and bound from this layer.
 
 The constants pi, log 2 and gamma come from mpmath's proven algorithms
 (evaluated with 16 extra bits and assigned a 4-ulp bound).  zeta(s) is the
@@ -56,7 +54,6 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_div,
-    mpf_le,
     mpf_log,
     mpf_lt,
     mpf_mul,
@@ -372,8 +369,18 @@ class FixedPoint:
         return (x * y) >> prec, (((abs(x) + ex) * ey + abs(y) * ex) >> prec) + 2
 
     def from_big(self, v: BigReal) -> tuple[int, int]:
-        """v as a pair; its error gains one unit for each of the two floors."""
-        return to_fixed(v._v, self.prec), to_fixed(v._e, self.prec) + 2
+        """v as a pair: its value floored, and its error rounded up plus one unit
+        if that floor was inexact (an odd mantissa shifted right)."""
+        prec = self.prec
+        inexact = v._v != fzero and v._v[2] + prec < 0
+        return to_fixed(v._v, prec), -to_fixed(mpf_neg(v._e), prec) + inexact
+
+    def scale(self, x: int, ex: int, c) -> tuple[int, int]:
+        """The pair (x, ex) times the rational c in one floor; the error is |c| ex
+        rounded up, plus one unit if the floor was inexact."""
+        a, b = c.numerator, c.denominator
+        q, r = divmod(a * x, b)
+        return q, -(-abs(a) * ex // b) + (r != 0)
 
     def to_big(self, x: int, ex: int) -> BigReal:
         """The pair (x, ex) rounded to working_bits, that rounding added to ex."""
@@ -385,23 +392,13 @@ class FixedPoint:
 def fixed_dot(pairs, ctx: PrecisionContext) -> BigReal:
     """sum of c * v over the (c, v) pairs, c rational and v a BigReal, as one FixedPoint sum.
 
-    Each v becomes floor(v 2^prec) and its error bound a ceiling; each c * x is
-    one floor of the exact rational product.  The error count adds |c| times
-    the error of x, rounded up, and one unit for each floor that was inexact, so
-    exact inputs give an exact result.
+    Each v becomes a pair (from_big) and each c * v one floor of the exact
+    rational product (scale), so exact inputs give an exact result.
     """
     pairs = list(pairs)
     fx = FixedPoint(ctx, len(pairs))
-    prec = fx.prec
-    acc = err = 0
-    for c, v in pairs:
-        x = to_fixed(v._v, prec)
-        ex = -to_fixed(mpf_neg(v._e), prec) + (v._v != fzero and v._v[2] + prec < 0)
-        a, b = c.numerator, c.denominator
-        q, r = divmod(a * x, b)
-        acc += q
-        err += -(-abs(a) * ex // b) + (r != 0)
-    return fx.to_big(acc, err)
+    scaled = [fx.scale(*fx.from_big(v), c) for c, v in pairs]
+    return fx.to_big(sum(x for x, _ in scaled), sum(e for _, e in scaled))
 
 
 # -- constants ----------------------------------------------------------------
@@ -482,18 +479,11 @@ def _hslice(p: int, m: int) -> Fraction:
         return table[m]
 
 
-def _merge(terms, absolute: bool = False) -> list[tuple]:
-    """One term per power: A and B summed over the terms sharing p.
-
-    With absolute, |A| and |B| are summed instead; the bounds below are linear
-    in (|A|, |B|) at fixed p, so a merged bound equals the sum of the
-    per-term bounds.  BigReal and rational coefficients are summed apart, so
-    rationals merge exactly.
-    """
+def _merge(terms) -> list[tuple]:
+    """One term per power: A and B summed over the terms sharing p.  BigReal and
+    rational coefficients are summed apart, so rationals merge exactly."""
     merged: dict = {}
     for A, B, p in terms:
-        if absolute:
-            A, B = abs(A), abs(B)
         key = (p, isinstance(A, BigReal), isinstance(B, BigReal))
         if key in merged:
             a, b = merged[key]
@@ -520,24 +510,23 @@ def _ln(n: int, ctx) -> BigReal:
     return BigReal.from_int(n, ctx).ln()
 
 
-def _pl_sum(terms, N: int, coeffs, ctx, absolute: bool = False) -> BigReal:
-    """Sum over the terms, merged by power p (_merge), of A R + B (R ln N + Q)
-    with R = coeffs(p, False) and, only where B is not zero, Q = coeffs(p, True),
-    each a tuple of integer triples (j, a, b) for sum (a/b) N^-j; summed in
-    FixedPoint and rounded into BigReal once."""
-    merged = [(A, B, coeffs(p, False), coeffs(p, True) if B else ()) for A, B, p in _merge(terms, absolute)]
-    fx = FixedPoint(ctx, 4 * sum(len(R) + len(Q) for *_, R, Q in merged) + 2)
-    ln = None
-    acc = err = 0
-    for A, B, R, Q in merged:
-        parts = [_fx_dot(fx, A, R, N)] if A else []
+def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tuple[int, int]:
+    """The (value, error) pair on fx of the sum over the terms of A R +
+    B (R ln N + Q), of |A| and |B| with absolute, where R = coeffs(p, False)
+    and, only where B is not zero, Q = coeffs(p, True), each a tuple of integer
+    triples (j, a, b) for sum (a/b) N^-j.  Callers merge terms sharing a power
+    once (_merge), which saves passes and, for a bound, only tightens it."""
+    ln, parts = None, []
+    for A, B, p in terms:
+        if absolute:
+            A, B = abs(A), abs(B)
+        R = coeffs(p, False)
+        if A:
+            parts.append(_fx_dot(fx, A, R, N))
         if B:
-            ln = ln or fx.from_big(_ln(N, ctx))
-            parts += [fx.mul(*_fx_dot(fx, B, R, N), *ln), _fx_dot(fx, B, Q, N)]
-        for v, e in parts:
-            acc += v
-            err += e
-    return fx.to_big(acc, err)
+            ln = ln or fx.from_big(_ln(N, fx.ctx))
+            parts += [fx.mul(*_fx_dot(fx, B, R, N), *ln), _fx_dot(fx, B, coeffs(p, True), N)]
+    return sum(v for v, _ in parts), sum(e for _, e in parts)
 
 
 def _derivs(rule: str, K: int) -> tuple[tuple[Fraction, int], ...]:
@@ -555,8 +544,12 @@ def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
     out = []
     if rule == "em":
         out.append((p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)))
+    poch, done = 1, 0  # (p)_done, carried across the rising orders m
     for c, m in _derivs(rule, K):
-        a = (-1) ** m * _pochhammer(p, m) * h**m * c
+        while done < m:
+            poch *= p + done
+            done += 1
+        a = (-1) ** m * poch * h**m * c
         if log and m:
             a *= -_hslice(p, m)
         if m or not log:
@@ -573,27 +566,32 @@ def _abs_coeffs(p: int, m: int, log: bool) -> tuple:
     return ((q - 1, _pochhammer(p, m) * h.numerator, (q - 1) * h.denominator),)
 
 
-def _abs_integral(terms, m: int, N: int, ctx) -> BigReal:
-    """Upper bound for Int_N^inf |d^m/dx^m sum of the terms| dx.
+def _abs_integral(terms, m: int, N: int, fx: FixedPoint) -> tuple[int, int]:
+    """Upper bound for Int_N^inf |d^m/dx^m sum of the terms| dx, as a pair on fx
+    whose value plus error bounds it.
 
     |f^(m)(x)| <= (p)_m (|A| + |B| H(p, m) + |B| ln x) x^-(p+m) for x >= 1.
     """
-    return _pl_sum(terms, N, lambda p, log: _abs_coeffs(p, m, log), ctx, absolute=True)
+    return _pl_sum(terms, N, lambda p, log: _abs_coeffs(p, m, log), fx, absolute=True)
 
 
-def _abs_tail(terms, N: int, ctx) -> BigReal:
-    """Upper bound for sum over n > N of the terms (a + b ln n) n^-p: the
-    integral from N plus the term at N + 1."""
-    first = _pl_sum(terms, N + 1, lambda p, log: () if log else ((p, 1, 1),), ctx, absolute=True)
-    return _abs_integral(terms, 0, N, ctx) + first
+def _abs_tail(terms, N: int, fx: FixedPoint) -> tuple[int, int]:
+    """Upper bound for sum over n > N of the terms (a + b ln n) n^-p, as for
+    _abs_integral: the integral from N plus the term at N + 1."""
+    v, e = _pl_sum(terms, N + 1, lambda p, log: () if log else ((p, 1, 1),), fx, absolute=True)
+    w, f = _abs_integral(terms, 0, N, fx)
+    return v + w, e + f
 
 
-def _scaled(x: BigReal, scale: tuple, ctx) -> BigReal:
-    """x times a remainder bound's scale (c, base, k), which stands for c (base pi)^-k."""
+def _scaled_up(x: int, scale: tuple, ctx) -> int:
+    """An integer at least x times a remainder bound's scale (c, base, k), which
+    stands for c (base pi)^-k: x c times pi_power's upper end, rounded up."""
     c, base, k = scale
+    a, b = x * c.numerator, c.denominator
     if k:
-        x = x * pi_power(base, k, ctx)
-    return x if c == 1 else x * c
+        _, man, exp, _ = pi_power(base, k, ctx).upper_tuple()
+        a, b = a * man, b << -exp  # (base pi)^-k < 1, so exp < 0
+    return -(-a // b)
 
 
 def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
@@ -630,14 +628,15 @@ def _boole_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
     return ((Fraction(1, 2), 0), *map(_boole_deriv, range(1, K, 2)))
 
 
-def _tail_value(rule: str, terms, X: int, K: int, ctx, h: int = 1, cached: bool = True) -> BigReal:
-    """The tail rule of order K over the terms at X: with "em", their sum over
-    x = X + h, X + 2h, ... by Euler-Maclaurin of step h; with "boole", the sum
-    over n >= X of (-1)^(n-X) times them by Boole summation,
+def _tail_value(rule: str, terms, X: int, K: int, fx: FixedPoint, h: int = 1,
+                cached: bool = True) -> tuple[int, int]:
+    """The tail rule of order K over the terms at X, as a pair on fx: with "em",
+    their sum over x = X + h, X + 2h, ... by Euler-Maclaurin of step h; with
+    "boole", the sum over n >= X of (-1)^(n-X) times them by Boole summation,
     sum_{k<K} E_k(0)/(2 k!) f^(k)(X).  With cached False the coefficient
     tables are built for this call only, not kept in _pl_coeffs' cache."""
     coeffs = _pl_coeffs if cached else _pl_coeffs.__wrapped__
-    return _pl_sum(terms, X, lambda p, log: coeffs(p, rule, K, h, log), ctx)
+    return _pl_sum(terms, X, lambda p, log: coeffs(p, rule, K, h, log), fx)
 
 
 @lru_cache(maxsize=256)
@@ -645,14 +644,16 @@ def _zeta(s: int, wb: int) -> tuple:
     ctx = PrecisionContext(wb)
     K, terms = max(8, wb // 16), [(1, 0, s)]
     m, scale = _remainder("em", K)
-    target = from_man_exp(1, -(wb + 4))
-    N = 32
-    while not mpf_le((rem := _scaled(_abs_integral(terms, m, N, ctx), scale, ctx)).upper_tuple(), target):
+    N, fx = 32, FixedPoint(ctx, 32)
+    while (rem := _scaled_up(sum(_abs_integral(terms, m, N, fx)), scale, ctx)) > fx.one >> (wb + 4):
         N *= 2
-    fx = FixedPoint(ctx, N)
+        fx = FixedPoint(ctx, N)
     head = fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)), N)
-    # the table of order K serves this one value, which is cached itself
-    out = (head + _tail_value("em", terms, N, K, ctx, cached=False)).widened(rem)
+    # the tail is rounded apart, on a FixedPoint sized for 4 roundings of each of its
+    # K + 2 coefficients; the table of order K serves this one value, which is cached itself
+    tail = FixedPoint(ctx, 4 * (K + 2) + 2)
+    out = (head + tail.to_big(*_tail_value("em", terms, N, K, tail, cached=False))).widened(
+        from_man_exp(rem, -fx.prec))
     return out._v, out._e
 
 

@@ -33,36 +33,33 @@ The cutoff N and the order K are chosen together, from the bounds alone
 screened with float estimates in log space, which are lower estimates of the
 certified bound up to float rounding, while the estimate keeps falling, least
 work first: N plus merged tail powers times derivative terms.  A pair whose
-estimate meets tol/2 is certified in BigReal at once, and the first to certify
+estimate meets log(tol) - ln 2 is certified at once, and the first to certify
 is taken.  So (N, K) and the bound are those a certified bound at every
 screened pair would give, and no float enters them.
 
-Value and bound of a tail are sums of its power-log terms (A + B ln x) x^-p
-in numerics' power-log layer (_tail_value, _abs_integral, _abs_tail), which
-zeta_num shares.
-
-The head is summed in numerics.FixedPoint: integers scaled by 2^prec, with
-prec = working_bits + ceil(log2 N) + guard bits, where every rounding is a
-floor whose error is counted exactly beside the value.  That count is the
-head's a-priori rounding bound; it comes back with the head as one BigReal,
-and the tail and the remainder bounds carry their own counted rounding, so all
-rounding is part of the reported bound.  Summation order is fixed (ascending
-n) and N and K are chosen deterministically from the bounds.
+Each result is one numerics.FixedPoint sum at the chosen N: integers scaled
+by 2^prec, prec = working_bits + ceil(log2 N) + guard bits, each rounding a
+floor counted exactly in an error beside the value.  The head, its constants
+(C0 and r0, the tilde sum's lead), the tail value and the bound components
+are such (value, error) pairs; the tail's come from numerics' power-log layer
+(_tail_value, _abs_integral, _abs_tail), which zeta_num shares.  A bound is
+an integer U at least its pairs' upper ends times their scales c (base pi)^-k,
+accepted when 2 U den <= num 2^prec for tol = num / den exactly.  Head, tail
+and U are added as integers and rounded into a BigReal once, so all rounding
+is part of the reported bound.  Summation order is fixed (ascending n).
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import exp, fsum, inf, isfinite, log, pi
 from typing import NamedTuple, Optional
 
-from mpmath.libmp import mpf_add
-
 from . import exact
 from .numerics import (
-    _EPREC,
     BigReal,
     FixedPoint,
     PrecisionContext,
@@ -72,10 +69,10 @@ from .numerics import (
     _boole_derivs,
     _derivs,
     _em_deriv,
-    _float_up,
+    _merge,
     _pochhammer,
     _remainder,
-    _scaled,
+    _scaled_up,
     _tail_value,
     const_gamma,
     const_log2,
@@ -301,10 +298,6 @@ def _log_abs_tail(logs, N: int) -> float:
     return _log_sum([_log_abs_integral(logs, 0, N), *first])
 
 
-def _upper_float(x: BigReal) -> float:
-    return _float_up(x.upper_tuple())
-
-
 # ---------------------------------------------------------------------------
 # tail plans and the cutoff search
 # ---------------------------------------------------------------------------
@@ -313,9 +306,9 @@ def _upper_float(x: BigReal) -> float:
 class _Plan:
     """An evaluator's tail at one order and the components of its bound, as data.
 
-    terms: the tail's power-log terms (A, B, e) in the summation variable
-      x = h n + c, (h, c) = lattice: the head ends at X = h N + c (start) and
-      the tail sums x = X + h, X + 2h, ...
+    terms: the tail's power-log terms (A, B, e), merged by power (_merge), in
+      the summation variable x = h n + c, (h, c) = lattice: the head ends at
+      X = h N + c (start) and the tail sums x = X + h, X + 2h, ...
     part: (name, terms, scale): the truncation made in the tail terms, bounded
       by scale * _abs_tail(terms, X), which covers every x > X.
     tail: (rule, K, at): the tail's value (value) is _tail_value of the rule,
@@ -323,30 +316,42 @@ class _Plan:
       scale * Int_(X+at)^inf |f^(m)| with (m, scale) = _remainder(rule, K, h)
       and f the sum of the tail terms.  A "boole" tail (h = 1, at = 1) sums
       (-1)^(n-1) times the terms, which is (-1)^N times the Boole sum from N + 1.
-    logs: the terms as log coefficients, for the screen.
+    logs, part_logs: the terms and the part's terms as log coefficients, for
+      the screen.
     tail_work: the tail's merged powers times its derivative terms, for _work.
 
-    value, _screen and _certify evaluate this one description in BigReal and floats.
+    value and bound evaluate this one description in FixedPoint integers,
+    _screen in floats.
     """
 
-    __slots__ = ("terms", "part", "tail", "lattice", "logs", "tail_work")
+    __slots__ = ("terms", "part", "tail", "lattice", "logs", "part_logs", "tail_work")
 
     def __init__(self, terms: list, part: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)):
-        self.terms, self.part, self.tail, self.lattice = terms, part, tail, lattice
-        self.logs = _log_terms(terms)
+        self.terms, self.part, self.tail, self.lattice = _merge(terms), part, tail, lattice
+        self.logs, self.part_logs = _log_terms(self.terms), _log_terms(part[1])
         rule, K, _ = tail
-        self.tail_work = len({p for *_, p in terms}) * (len(_derivs(rule, K)) + (rule == "em"))
+        self.tail_work = len({p for *_, p in self.terms}) * (len(_derivs(rule, K)) + (rule == "em"))
 
     def start(self, N: int) -> int:
         """X = h N + c, the last x of the head."""
         h, c = self.lattice
         return h * N + c
 
-    def value(self, N: int, ctx) -> BigReal:
-        """The tail's value after a head of N terms."""
+    def value(self, N: int, fx: FixedPoint) -> tuple[int, int]:
+        """The tail's value after a head of N terms, as a pair on fx."""
         rule, K, at = self.tail
-        v = _tail_value(rule, self.terms, self.start(N) + at, K, ctx, self.lattice[0])
-        return -v if rule == "boole" and N % 2 else v
+        v, e = _tail_value(rule, self.terms, self.start(N) + at, K, fx, self.lattice[0])
+        return -v if rule == "boole" and N % 2 else v, e
+
+    def bound(self, N: int, fx: FixedPoint) -> int:
+        """An integer U with U 2^-prec at least the bound at N: the part plus the
+        tail remainder, each pair's upper end times its scale, rounded up."""
+        _, part, scale = self.part
+        rule, K, at = self.tail
+        X = self.start(N)
+        m, tail_scale = _remainder(rule, K, self.lattice[0])
+        return (_scaled_up(sum(_abs_tail(part, X, fx)), scale, fx.ctx)
+                + _scaled_up(sum(_abs_integral(self.terms, m, X + at, fx)), tail_scale, fx.ctx))
 
 
 def _work(plan: _Plan, N: int) -> int:
@@ -357,24 +362,14 @@ def _work(plan: _Plan, N: int) -> int:
 
 def _screen(plan: _Plan, N: int) -> dict:
     """Natural logs of float estimates of the plan's bound components at N, by name."""
-    name, part, scale = plan.part
+    name, _, scale = plan.part
     rule, K, at = plan.tail
     X = plan.start(N)
     m, tail_scale = _remainder(rule, K, plan.lattice[0])
     return {
-        name: _log_abs_tail(_log_terms(part), X) + _log_scale(scale),
+        name: _log_abs_tail(plan.part_logs, X) + _log_scale(scale),
         "tail remainder": _log_abs_integral(plan.logs, m, X + at) + _log_scale(tail_scale),
     }
-
-
-def _certify(plan: _Plan, N: int, ctx) -> BigReal:
-    """The plan's bound at N in BigReal: its part plus the tail remainder."""
-    _, part, scale = plan.part
-    rule, K, at = plan.tail
-    X = plan.start(N)
-    m, tail_scale = _remainder(rule, K, plan.lattice[0])
-    part = _scaled(_abs_tail(part, X, ctx), scale, ctx)
-    return part + _scaled(_abs_integral(plan.terms, m, X + at, ctx), tail_scale, ctx)
 
 
 _N_START = 32
@@ -390,22 +385,25 @@ def _n_candidates(cfg: OracleConfig):
     yield cfg.max_terms
 
 
-def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, BigReal]:
-    """(N, plan, bound) for the pair of cutoff N and order K, plan = plans(K),
-    of least work whose certified bound meets tol/2.
+def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, FixedPoint, int]:
+    """(N, plan, fx, U) for the pair of cutoff N and order K, plan = plans(K),
+    of least work whose certified bound meets tol/2: fx = FixedPoint(ctx, N),
+    U = plan.bound(N, fx) and 2 U <= tol 2^prec, checked in integers with tol
+    as its exact ratio.
 
     At each candidate N = 32, 64, ... the orders K = 4, 5, ... are screened
     in floats (_screen) while the estimate of the bound keeps falling, up to
-    the first K whose estimate meets tol/2 by float rounding.
+    the first K whose estimate meets log(tol) - ln 2 by float rounding.
     Pairs are screened least work (_work) first, so a pair the screen passes
-    is of the least work left and is certified in BigReal (_certify) at once;
-    the first to meet tol/2 is taken.  A pair the screen passes over would not
+    is of the least work left and is certified (_Plan.bound) at once; the
+    first to meet tol/2 is taken.  A pair the screen passes over would not
     certify either, since its certified bound is never below the estimate.
     So N, K and the bound are those a certified bound at every screened pair
     would give, and no float enters them.
     """
     tol = cfg.target_tolerance
-    log_half = log(tol / 2) + _FLOAT_MARGIN
+    num, den = tol.as_integer_ratio()
+    log_half = log(tol) - _LN2 + _FLOAT_MARGIN
     by_order: dict = {}  # K -> plan, built once per call
 
     def pair(N: int, K: int, prev: float) -> tuple:
@@ -424,16 +422,17 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, BigReal]:
             last = (N, K, est)
         total = _log_sum(est.values())
         if total <= log_half:
-            bound = _certify(by_order[K], N, ctx)
-            if _upper_float(bound) <= tol / 2:
-                return N, by_order[K], bound
+            fx = FixedPoint(ctx, N)
+            bound = by_order[K].bound(N, fx)
+            if 2 * bound * den <= num << fx.prec:
+                return N, by_order[K], fx, bound
         elif total <= prev:
             heappush(to_screen, pair(N, K + 1, total))
     N, K, est = last
     name = max(est, key=est.get)
     raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms: at N = {N} (order K = {K}) "
                           f"the largest bound component is the {name}, about {exp(est[name]):.3e}, "
-                          f"against tol/2 = {tol / 2:.3e}")
+                          f"against tol/2 = {Decimal(tol) / 2:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,24 +441,25 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, BigReal]:
 
 
 def _sum(cfg: OracleConfig, plans, head, ctx) -> OracleResult:
-    """head(N), the first N terms as a BigReal, plus the tail value of the plan
-    _select chooses, bounded by the value's rounding plus the plan's bound."""
-    N, plan, bound = _select(cfg, plans, ctx)
-    value = head(N) + plan.value(N, ctx)
-    total = mpf_add(value.err_tuple(), bound.upper_tuple(), _EPREC, "u")
-    achieved = _float_up(total)
+    """head(N, fx), the first N terms as a pair on fx, plus the tail value of
+    the plan _select chooses, its bound U added to the error, rounded into one
+    BigReal."""
+    N, plan, fx, bound = _select(cfg, plans, ctx)
+    x, ex = head(N, fx)
+    v, e = plan.value(N, fx)
+    value = fx.to_big(x + v, ex + e + bound)
+    achieved = value.err_float()
     if achieved > cfg.target_tolerance:
         raise BudgetExhausted(
             f"achieved bound {achieved:.3e} exceeds target {cfg.target_tolerance:.3e}"
         )
-    return OracleResult(value.widened(total), achieved, N)
+    return OracleResult(value, achieved, N)
 
 
-def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, ctx,
-                   alternating: bool = False) -> BigReal:
+def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, fx: FixedPoint,
+                   alternating: bool = False) -> tuple[int, int]:
     """sum_{n<=N} w_n * base(n)^-s with base = n (shift None) or 2n + shift,
-    each term signed (-1)^(n-1) when alternating."""
-    fx = FixedPoint(ctx, N)
+    each term signed (-1)^(n-1) when alternating, as a pair on fx."""
     acc = err = w = we = 0
     for n in range(1, N + 1):
         dw, de = _weight_step(kind, n, fx)
@@ -468,7 +468,7 @@ def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, ctx,
         t, te = fx.mul(w, we, fx.recip(n if shift is None else 2 * n + shift, s), 1)
         acc += -t if alternating and not n % 2 else t
         err += te
-    return fx.to_big(acc, err)
+    return acc, err
 
 
 def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, ctx,
@@ -485,7 +485,7 @@ def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, c
                      ("weight-expansion truncation", [(D, 0, s + q)], (1, 1, 0)),
                      ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0), lattice)
 
-    return _sum(cfg, plan, lambda N: _weighted_head(kind, shift, s, N, ctx, alternating), ctx)
+    return _sum(cfg, plan, lambda N, fx: _weighted_head(kind, shift, s, N, fx, alternating), ctx)
 
 
 def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -494,10 +494,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     zeta(p) sum_i c_i its limit, C0 = r0 zeta(s), and the inner tail r_n = r0 - w_n
     is minus the weight's expansion (_weight_expansion), in powers of n, so the
     tail -sum_{n>N} r_n / n^s sums the expansion's terms over n^s."""
-    combo = _combo(kind, p)
-    zp, total = zeta_num(p, ctx), sum(c for c, _ in combo)
-    r0 = zp if total == 1 else zp * total
-    c0 = r0 * zeta_num(s, ctx)
+    zp, zs, total = zeta_num(p, ctx), zeta_num(s, ctx), sum(c for c, _ in _combo(kind, p))
 
     def plan(K: int) -> _Plan:
         J = max(3, K)
@@ -505,11 +502,10 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
         return _Plan([(a, 0, e + s) for e, a in wterms],
                      ("inner-tail remainder", [(rem, 0, q + s)], (1, 2, 2 * J)), ("em", K, 0))
 
-    def head(N: int) -> BigReal:
-        # c0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
-        fx = FixedPoint(ctx, N)
-        acc, err = fx.from_big(c0)
-        r, re = fx.from_big(r0)
+    def head(N: int, fx: FixedPoint) -> tuple[int, int]:
+        # C0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
+        r, re = fx.scale(*fx.from_big(zp), total)
+        acc, err = fx.mul(r, re, *fx.from_big(zs))
         for n in range(1, N + 1):
             dr, de = _weight_step(kind, n, fx, p)
             r -= dr
@@ -517,15 +513,15 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
             t, te = fx.mul(r, re, fx.recip(n, s), 1)
             acc -= t
             err += te
-        return fx.to_big(acc, err)
+        return acc, err
 
     return _sum(cfg, plan, head, ctx)
 
 
 def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
     """sum_{n>=1} (-1)^n Ht_(n-1)^(s) / n, as -eta(s) ln 2 plus sum_n tau_n / n."""
-    eta = zeta_num(s, ctx) * (1 - Fraction(2, 2**s))
-    lead = -(eta * const_log2(ctx))
+    zs, log2 = zeta_num(s, ctx), const_log2(ctx)
+    eta_ratio = 1 - Fraction(2, 2**s)  # eta(s) / zeta(s)
 
     def plan(K: int) -> _Plan:
         KB = max(6, 2 * K + 2)
@@ -536,17 +532,17 @@ def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
         # the Boole remainder of tau_n truncates the weight's expansion
         return _Plan(pl, ("weight-expansion truncation", [(rem_c, 0, s + KB)], (1, 1, KB)), ("em", K, 0))
 
-    def head(N: int) -> BigReal:
-        fx = FixedPoint(ctx, N)
-        acc = err = 0
-        tau, tau_e = fx.from_big(eta)  # tau_1
+    def head(N: int, fx: FixedPoint) -> tuple[int, int]:
+        tau, tau_e = fx.scale(*fx.from_big(zs), eta_ratio)  # tau_1 = eta(s)
+        lead, err = fx.mul(tau, tau_e, *fx.from_big(log2))  # eta(s) ln 2
+        acc = -lead
         for n in range(1, N + 1):
             t, te = fx.mul(tau, tau_e, fx.recip(n), 1)
             acc += t
             err += te
             tau = fx.recip(n, s) - tau
             tau_e += 1
-        return lead + fx.to_big(acc, err)
+        return acc, err
 
     return _sum(cfg, plan, head, ctx)
 

@@ -96,6 +96,15 @@ def test_oracle_certifies_tolerances_below_the_normal_float_range(capsys):
     assert gap <= Fraction(Decimal(doc["bound"])) + slack
 
 
+def test_oracle_certifies_the_least_subnormal_tolerance(capsys):
+    # 5e-324 is the least positive float: tol / 2 underflows to 0.0, so half the
+    # tolerance is taken in logs for the screen and exactly for the bound
+    rc, out, err = _run(capsys, "oracle", "--family", "J", "--b", "2", "--tol", "5e-324", "--bits", "1200")
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert 0 < float(doc["bound"]) <= 5e-324
+
+
 def test_oracle_budget_exhaustion_exits_3(capsys):
     rc, out, err = _run(
         capsys, "oracle", "--family", "sigma", "--s", "2", "--t", "2",

@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction as F
+from itertools import product
 
 import mpmath
 import pytest
@@ -15,8 +16,12 @@ from eulersum.numerics import (
     FixedPoint,
     _abs_integral,
     _boole_derivs,
+    _derivs,
     _em_derivs,
     _float_up,
+    _hslice,
+    _pl_coeffs,
+    _scaled_up,
     _tail_value,
     fixed_dot,
     li4_half_num,
@@ -33,6 +38,11 @@ def _frac(t) -> F:
 
 def _contains(v: BigReal, exact: F) -> bool:
     return abs(exact - _frac(v.value_tuple())) <= _frac(v.err_tuple())
+
+
+def _pair_contains(fx: FixedPoint, pair: tuple[int, int], exact: F) -> bool:
+    x, e = pair
+    return abs(exact - F(x, fx.one)) <= F(e, fx.one)
 
 
 _factors = st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 6)), min_size=1, max_size=4)
@@ -161,9 +171,9 @@ def _tail_exact(terms, N: int, derivs, integral: bool, h: int = 1) -> tuple[F, F
     return X, Y
 
 
-def _encloses(v: BigReal, X: F, Y: F, ln: F, eps: F) -> bool:
-    """Whether v's interval holds X + Y l for every l within eps of ln."""
-    mid, err = _frac(v.value_tuple()), _frac(v.err_tuple())
+def _encloses(fx: FixedPoint, pair: tuple[int, int], X: F, Y: F, ln: F, eps: F) -> bool:
+    """Whether the interval of the pair on fx holds X + Y l for every l within eps of ln."""
+    mid, err = F(pair[0], fx.one), F(pair[1], fx.one)
     return all(mid - err <= X + Y * (ln + d) <= mid + err for d in (-eps, eps))
 
 
@@ -185,14 +195,17 @@ def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, h, m, terms):
     # exact rationals; a and b given as rationals or as BigReals, whose
     # intervals hold them
     ctx = PrecisionContext(working_bits=bits)
+    fx = FixedPoint(ctx, N)
     exact = [(a, b, p) for a, b, p, _, _ in terms]
     tail = [(BigReal.from_fraction(a, ctx) if big_a else a, BigReal.from_fraction(b, ctx) if big_b else b, p)
             for a, b, p, big_a, big_b in terms]
     with mpmath.workprec(2000):
         ln = _frac(mpmath.log(N)._mpf_)
     eps = F(1, 2**1980)
-    assert _encloses(_tail_value("em", tail, N, K, ctx, h), *_tail_exact(exact, N, _em_derivs(K), True, h), ln, eps)
-    assert _encloses(_tail_value("boole", tail, N, K, ctx), *_tail_exact(exact, N, _boole_derivs(K), False), ln, eps)
+    em = _tail_value("em", tail, N, K, fx, h)
+    assert _encloses(fx, em, *_tail_exact(exact, N, _em_derivs(K), True, h), ln, eps)
+    boole = _tail_value("boole", tail, N, K, fx)
+    assert _encloses(fx, boole, *_tail_exact(exact, N, _boole_derivs(K), False), ln, eps)
     # Int_N^inf |f^(m)| <= sum (p)_m / (q-1) N^(1-q) (|a| + |b| (H(p, m) + 1/(q-1) + ln N)), q = p + m
     X = Y = F(0)
     for a, b, p in exact:
@@ -200,7 +213,7 @@ def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, h, m, terms):
         r = F(_poch(p, m), (q - 1) * N ** (q - 1))
         X += r * (abs(a) + abs(b) * (sum((F(1, p + i) for i in range(m)), F(0)) + F(1, q - 1)))
         Y += r * abs(b)
-    assert _encloses(_abs_integral(tail, m, N, ctx), X, Y, ln, eps)
+    assert _encloses(fx, _abs_integral(tail, m, N, fx), X, Y, ln, eps)
 
 
 # (SumId, _weighted_head arguments) for each family the oracle sums with a plain
@@ -222,7 +235,28 @@ _WEIGHTED = [
 @pytest.mark.parametrize("sid,args", _WEIGHTED, ids=[str(s) for s, _ in _WEIGHTED])
 def test_weighted_head_brackets_partial_sum(sid, args, N, ctx):
     kind, shift, s, *alternating = args
-    assert _contains(_weighted_head(kind, shift, s, N, ctx, *alternating), partial_sum(sid, N))
+    fx = FixedPoint(ctx, N)
+    assert _pair_contains(fx, _weighted_head(kind, shift, s, N, fx, *alternating), partial_sum(sid, N))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.integers(64, 768),
+    x=st.integers(0, 2**1100),
+    c=st.fractions(min_value=F(1, 10**6), max_value=10**6, max_denominator=10**6),
+    base=st.integers(1, 4),
+    k=st.integers(0, 120),
+)
+def test_scaled_up_is_at_least_the_exact_product(bits, x, c, base, k):
+    # a remainder bound x c (base pi)^-k rounded up to an integer, against pi
+    # bracketed by mpmath at twice the precision: at least the largest value the
+    # bracket allows, and above the least by little more than the ceiling
+    with mpmath.workprec(2 * bits):
+        mid = _frac(mpmath.pi._mpf_)
+    ulp = F(2) ** (2 - 2 * bits)  # pi < 4
+    up = _scaled_up(x, (c, base, k), PrecisionContext(working_bits=bits))
+    assert up >= x * c / (base * (mid - ulp)) ** k
+    assert up <= x * c / (base * (mid + ulp)) ** k * (1 + F(1, 2**40)) + 1
 
 
 @pytest.mark.parametrize("bits", [1024, 2048, 4096])
@@ -262,3 +296,24 @@ def test_float_up_is_the_least_float_at_or_above(man, exp):
 @given(man=st.integers(1, 2**80), exp=st.integers(-1200, 1000))
 def test_float_up_bounds_any_positive_value(man, exp):
     assert _is_least_float_at_or_above(man, exp)
+
+
+def _pl_coeffs_direct(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
+    """_pl_coeffs with (p)_m built from scratch for each derivative order m."""
+    out = []
+    if rule == "em":
+        out.append((p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)))
+    for c, m in _derivs(rule, K):
+        a = (-1) ** m * _poch(p, m) * h**m * c
+        if log and m:
+            a *= -_hslice(p, m)
+        if m or not log:
+            out.append((p + m, a.numerator, a.denominator))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("K", [4, 16, 64, 256])
+@pytest.mark.parametrize("rule", ["em", "boole"])
+def test_pl_coeffs_match_the_direct_pochhammer_products(rule, K):
+    for p, h, log in product(range(2, 21), (1, 2), (False, True)):
+        assert _pl_coeffs.__wrapped__(p, rule, K, h, log) == _pl_coeffs_direct(p, rule, K, h, log), (p, h, log)

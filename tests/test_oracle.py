@@ -252,6 +252,12 @@ def test_budget_exhausted_names_the_largest_bound_component(ctx, monkeypatch):
     assert f"the {max(est, key=est.get)}," in msg
 
 
+def test_budget_exhausted_prints_half_the_least_subnormal_tolerance():
+    # tol / 2 underflows to 0.0 as a float; the message takes it exactly
+    with pytest.raises(BudgetExhausted, match=r"against tol/2 = 2\.470e-324$"):
+        oracle_eval(SumId.J(2), OracleConfig(5e-324, max_terms=64), PrecisionContext(working_bits=1200))
+
+
 # head lengths of the benchmark's oracle ladder at (256 bits, 1e-32)
 PINNED_TERMS_256 = {
     SumId.J(2): 64,
@@ -341,9 +347,10 @@ def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, k_sta
     accepted = None
     for N, plan in pairs:
         screened = oracle._log_sum(oracle._screen(plan, N).values())
-        bound = oracle._upper_float(oracle._certify(plan, N, ctx))
-        assert math.exp(screened) <= bound * (1 + 1e-9), (N, math.exp(screened), bound)
-        if bound <= tol / 2:
+        fx = numerics.FixedPoint(ctx, N)
+        bound = F(plan.bound(N, fx), fx.one)
+        assert F(math.exp(screened)) <= bound * (1 + F(1e-9)), (N, math.exp(screened), float(bound))
+        if bound <= F(tol) / 2:
             pair = (oracle._work(plan, N), N, plan.tail[1])
             accepted = min(accepted or pair, pair)
     # the search takes the pair of least work a certification at every screened pair accepts
@@ -351,6 +358,49 @@ def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, k_sta
         assert got is None
     else:
         assert (got[0], got[1].tail[1]) == accepted[1:]
+
+
+@pytest.mark.parametrize("loose_screen", [False, True])
+@pytest.mark.parametrize("bits,tol", [(192, 1e-20), (256, 1e-32)])
+@pytest.mark.parametrize("sid", PINNED_TERMS, ids=str)
+def test_accepted_bound_meets_half_the_tolerance_exactly(sid, bits, tol, loose_screen, monkeypatch):
+    # with the screen's margin raised to ln 4 it passes estimates up to 2 tol,
+    # so only the exact check holds the bound to tol/2
+    ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(target_tolerance=tol)
+    plans = _plan_of(sid, cfg, ctx, monkeypatch)
+    monkeypatch.undo()
+    if loose_screen:
+        monkeypatch.setattr(oracle, "_FLOAT_MARGIN", math.log(4))
+    N, plan, fx, bound = oracle._select(cfg, plans, ctx)
+    assert fx.prec == numerics.FixedPoint(ctx, N).prec
+    assert bound == plan.bound(N, fx)
+    assert F(bound, 2**fx.prec) <= F(tol) / 2
+
+
+def test_each_computed_oracle_eval_rounds_into_bigreal_once(monkeypatch):
+    # with zeta cached, an evaluation sums its head, tail and bound as integers
+    # and rounds them into a BigReal once; a tolerance no other test uses makes
+    # every call below compute
+    ctx, cfg = PrecisionContext(working_bits=200), OracleConfig(target_tolerance=3.7e-21)
+    for s in range(2, 12):
+        numerics.zeta_num(s, ctx)
+    calls = []
+    to_big = numerics.FixedPoint.to_big
+
+    def counted(fx, x, ex):
+        calls.append((x, ex))
+        return to_big(fx, x, ex)
+
+    monkeypatch.setattr(numerics.FixedPoint, "to_big", counted)
+    computed = 0
+    for sid in SMOKE_IDS:
+        misses = oracle._cached.cache_info().misses
+        calls.clear()
+        oracle_eval(sid, cfg, ctx)
+        if oracle._cached.cache_info().misses > misses:
+            computed += 1
+            assert len(calls) == 1, sid
+    assert computed == len({sid.series for sid in SMOKE_IDS})
 
 
 def test_max_terms_is_the_last_candidate():
@@ -521,14 +571,14 @@ def test_step_two_tail_encloses_the_hurwitz_zeta(p):
 
     ctx, terms = PrecisionContext(working_bits=256), [(F(1), 0, p)]
     for N, c, K in product((1, 8, 32), (-1, 1), range(21)):
-        M = 2 * N + c
-        value = numerics._tail_value("em", terms, M, K, ctx, 2)
+        M, fx = 2 * N + c, numerics.FixedPoint(ctx, N)
+        value, value_err = numerics._tail_value("em", terms, M, K, fx, 2)
         m, scale = numerics._remainder("em", K, 2)
-        bound = numerics._scaled(numerics._abs_integral(terms, m, M, ctx), scale, ctx)
+        bound = numerics._scaled_up(sum(numerics._abs_integral(terms, m, M, fx)), scale, ctx)
         with mpmath.workprec(600):
             exact = _frac((mpmath.zeta(p, N + 1 + mpmath.mpf(c) / 2) / 2**p)._mpf_)
-        slack = _frac(value.err_tuple()) + _frac(bound.upper_tuple())
-        assert abs(exact - _frac(value.value_tuple())) <= slack, (N, c, K)
+        slack = F(value_err + bound, fx.one)
+        assert abs(exact - F(value, fx.one)) <= slack, (N, c, K)
 
 
 def test_order_one_expansion_reproduces_the_hand_table():
