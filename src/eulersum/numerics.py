@@ -1,11 +1,11 @@
 """High-precision numerics with explicit, conservative error bounds.
 
-BigReal wraps a raw mpmath.libmp mpf tuple together with an absolute error
-bound.  All arithmetic goes through libmp functions that take the precision
-and rounding mode as arguments, so there is no global precision state and
-every operation is a pure function of (inputs, ctx).  Error propagation is
-worst-case ulp counting: cheap, crude, and always valid, which is what
-identity verification needs.
+BigReal wraps a raw binary floating-point tuple (binfloat, the libmp normal
+form) together with an absolute error bound.  All arithmetic goes through
+binfloat functions that take the precision and rounding mode as arguments,
+so there is no global precision state and every operation is a pure
+function of (inputs, ctx).  Error propagation is worst-case ulp counting:
+cheap, crude, and always valid, which is what identity verification needs.
 
 Long sums of many small terms run in FixedPoint instead: (value, error)
 pairs of Python integers in units of 2^-prec, prec = working_bits +
@@ -22,13 +22,18 @@ and |B| for a bound; terms sharing p merge into one).  They are summed as a
 pair on the caller's FixedPoint, a rational A or B folded into each floor;
 the oracle builds every tail and bound from this layer.
 
-The constants pi, log 2 and gamma come from mpmath's proven algorithms
-(evaluated with 16 extra bits and assigned a 4-ulp bound).  zeta(s) is the
-sum of the one power-log term n^-s: a FixedPoint head of N terms and its
-Euler-Maclaurin tail, N the least power of two from 32 whose certified
-remainder is below 2^-(working_bits + 4).  li4(1/2) comes from its
-geometrically convergent defining series.  gamma is used only by oracle tail
-estimates; it is deliberately not a symbolic atom.
+The constants pi, log 2 and gamma are binfloat's counted fixed-point series:
+Machin's formula for pi, a hyperbolic Machin-type (acoth) formula for log 2
+and Brent-McMillan for gamma, each within a few units of 2^-(wb + 40).  The
+value is rounded to wb + 16 bits and then to wb, and assigned the bound
+ulp(wb) + ulp(wb + 14), which _lib_const checks covers the counted series
+error and the first rounding.  gamma is used only by oracle tail estimates;
+it is deliberately not a symbolic atom.
+
+zeta(s) is the sum of the one power-log term n^-s: a FixedPoint head of N
+terms and its Euler-Maclaurin tail, N the least power of two from 32 whose
+certified remainder is below 2^-(working_bits + 4).  li4(1/2) comes from its
+geometrically convergent defining series.
 
 Every memo here is a bounded functools.lru_cache keyed on plain values.
 Constants and monomial values are cached as raw (value, error) pairs keyed on
@@ -44,13 +49,15 @@ from functools import lru_cache
 from math import factorial, inf, nextafter
 from typing import Optional, Union
 
-from mpmath import libmp
-from mpmath.libmp import (
-    fzero,
-    from_int,
+from . import exact
+from .binfloat import (
+    euler_fixed,
     from_float,
+    from_int,
     from_man_exp,
     from_rational,
+    fzero,
+    ln2_fixed,
     mpf_abs,
     mpf_add,
     mpf_div,
@@ -59,11 +66,12 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_sub,
+    normalize,
+    pi_fixed,
     to_fixed,
+    to_float,
     to_str,
 )
-
-from . import exact
 from .symexpr import Atom, SymExpr
 
 __all__ = [
@@ -155,11 +163,11 @@ def _emul(a, b):
 def _float_up(t) -> float:
     """The least float at or above the raw mpf t (inf above the float range).
 
-    libmp.to_float truncates t to 53 bits and ends in math.ldexp, which rounds
-    a subnormal to nearest, so the float can lie one step below t or be 0.0.
+    to_float truncates t to 53 bits and ends in math.ldexp, which rounds a
+    subnormal to nearest, so the float can lie one step below t or be 0.0.
     """
-    f = libmp.to_float(t)
-    return nextafter(f, inf) if mpf_lt(from_float(f), t) else f
+    f = to_float(t)
+    return f if f == inf or not mpf_lt(from_float(f), t) else nextafter(f, inf)
 
 
 class BigReal:
@@ -289,7 +297,7 @@ class BigReal:
         return mpf_add(mpf_abs(self._v), self._e, _EPREC, "u")
 
     def __float__(self):
-        return libmp.to_float(self._v)
+        return to_float(self._v)
 
     def err_float(self) -> float:
         return _float_up(self._e)
@@ -405,21 +413,29 @@ def fixed_dot(pairs, ctx: PrecisionContext) -> BigReal:
 
 
 @lru_cache(maxsize=64)
-def _lib_const(fn, wb: int) -> tuple:
-    v = libmp.mpf_pos(fn(wb + 16, "n"), wb, "n")
+def _lib_const(series, wb: int) -> tuple:
+    """A constant's counted series (binfloat) rounded to wb + 16 bits, then to wb.  The
+    bound is ulp(wb) + ulp(wb + 14), the latter checked to cover the series error and
+    the first rounding."""
+    prec = wb + 40
+    x, e = series(prec)
+    v16 = from_man_exp(x, -prec, wb + 16, "n")
+    v = normalize(*v16[:3], wb, "n")
+    if e + abs(to_fixed(v16, prec) - x) > 1 << (_mag(v) + prec - wb - 14):
+        raise ArithmeticError("a constant's series error exceeds its assigned bound")
     return v, _eadd(_ulp(v, wb), _ulp(v, wb + 14))
 
 
 def const_pi(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return BigReal(ctx, *_lib_const(libmp.mpf_pi, ctx.working_bits))
+    return BigReal(ctx, *_lib_const(pi_fixed, ctx.working_bits))
 
 
 def const_log2(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return BigReal(ctx, *_lib_const(libmp.mpf_ln2, ctx.working_bits))
+    return BigReal(ctx, *_lib_const(ln2_fixed, ctx.working_bits))
 
 
 def const_gamma(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return BigReal(ctx, *_lib_const(libmp.mpf_euler, ctx.working_bits))
+    return BigReal(ctx, *_lib_const(euler_fixed, ctx.working_bits))
 
 
 @lru_cache(maxsize=256)

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -284,3 +288,38 @@ def test_bits_flag_overrides_env(capsys, monkeypatch):
     rc, out, err = _run(capsys, "eval", "--family", "J", "--b", "2", "--bits", "160")
     assert rc == 0
     assert json.loads(out)["bits"] == 160
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("eval_J3_4096.txt", ["eval", "--family", "J", "--b", "3", "--bits", "4096"]),
+    ("oracle_J2_1e-32_256.txt", ["oracle", "--family", "J", "--b", "2", "--tol", "1e-32", "--bits", "256"]),
+    ("oracle_J2_5e-324_1200.txt", ["oracle", "--family", "J", "--b", "2", "--tol", "5e-324", "--bits", "1200"]),
+    ("verify_3-4_1e-20_256.txt", ["verify", "--weight", "3..4", "--tol", "1e-20", "--bits", "256"]),
+])
+def test_stdout_matches_the_frozen_output(capsys, name, argv):
+    # every printed digit and bound, frozen when BigReal still ran on mpmath.libmp;
+    # the 4096-bit eval prints a bound below 2^-3500, which to_str rescales
+    rc, out, _ = _run(capsys, *argv)
+    assert rc == 0
+    assert out == (GOLDEN / name).read_text()
+
+
+def test_the_cli_runs_without_mpmath_dataclasses_or_inspect():
+    script = """
+import contextlib, io, sys
+from eulersum import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rcs = [cli.run(["oracle", "--family", "J", "--b", "2", "--tol", "1e-20", "--bits", "256"]),
+           cli.run(["eval", "--family", "J", "--b", "3", "--bits", "4096"]),
+           cli.run(["solve", "--weight", "7"])]
+assert rcs == [0, 0, 0], rcs
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("mpmath", "dataclasses", "inspect")))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
