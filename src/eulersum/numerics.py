@@ -20,7 +20,9 @@ are, per power p, A R(N) + B (R(N) ln N + Q(N)): R and Q are sums c N^-j
 whose exact rational c do not depend on N (signed A and B for a value, |A|
 and |B| for a bound; terms sharing p merge into one).  They are summed as a
 pair on the caller's FixedPoint, a rational A or B folded into each floor;
-the oracle builds every tail and bound from this layer.
+the oracle builds every tail and bound from this layer.  The tables of c are
+built on integer pairs, common factors cancelled before each product, and
+cached (_pl_coeffs, _abs_coeffs, _hslice).
 
 The constants pi, log 2 and gamma are binfloat's counted fixed-point series:
 Machin's formula for pi, a hyperbolic Machin-type (acoth) formula for log 2
@@ -46,7 +48,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, inf, nextafter
+from math import factorial, gcd, inf, nextafter
 from typing import Optional, Union
 
 from . import exact
@@ -465,6 +467,29 @@ def _pochhammer(s: int, m: int) -> int:
     return out
 
 
+# -- exact rationals as integer pairs ---------------------------------------------
+#
+# The coefficient tables below are built on reduced pairs (a, b), b > 0, each
+# operation one reduction as in Fraction's own: factors common to a numerator
+# and the other denominator are cancelled before the product, so the integers
+# multiplied stay small.
+
+
+def _rat_mul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(a/b) (c/d) as a reduced pair, for reduced pairs (a, b) and (c, d)."""
+    g, h = gcd(a, d), gcd(c, b)
+    return (a // g) * (c // h), (b // h) * (d // g)
+
+
+def _rat_add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """a/b + c/d as a pair (b, d > 0), reduced when (a, b) and (c, d) are."""
+    g = gcd(b, d)
+    s = b // g
+    t = a * (d // g) + c * s
+    g2 = gcd(t, g)
+    return t // g2, s * (d // g2)
+
+
 # -- power-log tails ------------------------------------------------------------
 #
 # A term (A, B, p) stands for (A + B ln x) x^-p; A and B are rationals or
@@ -479,19 +504,21 @@ def _pochhammer(s: int, m: int) -> int:
 # power whose B is not zero.
 
 @lru_cache(maxsize=256)
-def _hslices(p: int) -> list[Fraction]:
-    """[H(p, 0), H(p, 1), ...], extended by _hslice under _hslice_lock as needed."""
-    return [Fraction(0)]
+def _hslices(p: int) -> list[tuple[int, int]]:
+    """[H(p, 0), H(p, 1), ...] as reduced pairs, extended by _hslice under
+    _hslice_lock as needed."""
+    return [(0, 1)]
 
 
 _hslice_lock = threading.Lock()
 
 
-def _hslice(p: int, m: int) -> Fraction:
+def _hslice(p: int, m: int) -> tuple[int, int]:
+    """H(p, m) = sum_{i<m} 1/(p+i) as a reduced pair (a, b)."""
     table = _hslices(p)
     with _hslice_lock:
         while len(table) <= m:
-            table.append(table[-1] + Fraction(1, p + len(table) - 1))
+            table.append(_rat_add(*table[-1], 1, p + len(table) - 1))
         return table[m]
 
 
@@ -508,16 +535,17 @@ def _merge(terms) -> list[tuple]:
     return [(A, B, key[0]) for key, (A, B) in merged.items()]
 
 
-def _fx_dot(fx: FixedPoint, x, coeffs, N: int) -> tuple[int, int]:
-    """x * sum (a/b) N^-j over (j, a, b) in coeffs as a fixed-point pair.
+def _fx_dot(fx: FixedPoint, x, coeffs, N: int, absolute: bool = False) -> tuple[int, int]:
+    """x, or |x| with absolute, times sum (a/b) N^-j over (j, a, b) in coeffs as
+    a fixed-point pair.
 
     A rational x is folded into every floor, so each adds under one unit of
     error whatever the size of x and a/b; a BigReal x multiplies the sum.
     """
     if isinstance(x, BigReal):
         s, e = _fx_dot(fx, 1, coeffs, N)
-        return fx.mul(*fx.from_big(x), s, e)
-    num, den = x.numerator << fx.prec, x.denominator
+        return fx.mul(*fx.from_big(abs(x) if absolute else x), s, e)
+    num, den = (abs(x.numerator) if absolute else x.numerator) << fx.prec, x.denominator
     return sum(num * a // (den * b * N**j) for j, a, b in coeffs), len(coeffs)
 
 
@@ -534,14 +562,13 @@ def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tu
     once (_merge), which saves passes and, for a bound, only tightens it."""
     ln, parts = None, []
     for A, B, p in terms:
-        if absolute:
-            A, B = abs(A), abs(B)
         R = coeffs(p, False)
         if A:
-            parts.append(_fx_dot(fx, A, R, N))
+            parts.append(_fx_dot(fx, A, R, N, absolute))
         if B:
             ln = ln or fx.from_big(_ln(N, fx.ctx))
-            parts += [fx.mul(*_fx_dot(fx, B, R, N), *ln), _fx_dot(fx, B, coeffs(p, True), N)]
+            parts += [fx.mul(*_fx_dot(fx, B, R, N, absolute), *ln),
+                      _fx_dot(fx, B, coeffs(p, True), N, absolute)]
     return sum(v for v, _ in parts), sum(e for _, e in parts)
 
 
@@ -555,21 +582,23 @@ def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
     h, as for _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N)
     over (c, m) in _em_derivs(K); with "boole", the sum over _boole_derivs(K)
     alone.  The rule of step h at N is that of step 1 for g(j) = f(N + h j) at
-    j = 0.  Each coefficient is a reduced fraction: (p)_m and the factorial in
-    c mostly cancel, so the tables of high order stay small."""
+    j = 0.  Each coefficient is a reduced fraction, built in integers
+    (_rat_mul): (p)_m and the factorial in c mostly cancel, so the tables of
+    high order stay small."""
     out = []
     if rule == "em":
         out.append((p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)))
     poch, done = 1, 0  # (p)_done, carried across the rising orders m
     for c, m in _derivs(rule, K):
+        if log and not m:
+            continue
         while done < m:
             poch *= p + done
             done += 1
-        a = (-1) ** m * poch * h**m * c
-        if log and m:
-            a *= -_hslice(p, m)
-        if m or not log:
-            out.append((p + m, a.numerator, a.denominator))
+        a, b = _rat_mul(-poch * h**m if m % 2 else poch * h**m, 1, c.numerator, c.denominator)
+        if log:
+            a, b = _rat_mul(-a, b, *_hslice(p, m))
+        out.append((p + m, a, b))
     return tuple(out)
 
 
@@ -578,8 +607,8 @@ def _abs_coeffs(p: int, m: int, log: bool) -> tuple:
     """R, or Q with log, of the power p in _abs_integral, q = p + m:
     (p)_m / (q-1) N^-(q-1), and that times H(p, m) + 1/(q-1)."""
     q = p + m
-    h = _hslice(p, m) + Fraction(1, q - 1) if log else 1
-    return ((q - 1, _pochhammer(p, m) * h.numerator, (q - 1) * h.denominator),)
+    a, b = _rat_add(*_hslice(p, m), 1, q - 1) if log else (1, 1)
+    return ((q - 1, _pochhammer(p, m) * a, (q - 1) * b),)
 
 
 def _abs_integral(terms, m: int, N: int, fx: FixedPoint) -> tuple[int, int]:
@@ -610,6 +639,9 @@ def _scaled_up(x: int, scale: tuple, ctx) -> int:
     return -(-a // b)
 
 
+_HALF = Fraction(1, 2)
+
+
 def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
     """(m, scale) of the remainder bound of the tail rule of order K and step h
     (1 for Boole); for Euler-Maclaurin of order K >= 1 the scale is
@@ -619,29 +651,34 @@ def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
         return K, (4, 1, K)
     if K:
         return 2 * K, (4 * h ** (2 * K - 1), 2, 2 * K)
-    return 1, (Fraction(1, 2), 1, 0)
+    return 1, (_HALF, 1, 0)
 
 
 @lru_cache(maxsize=1024)
 def _em_deriv(k: int) -> tuple[Fraction, int]:
-    return -exact.bernoulli(2 * k) / factorial(2 * k), 2 * k - 1
+    """(-B_2k/(2k)!, 2k - 1)."""
+    b = exact.bernoulli(2 * k)
+    return Fraction(-b.numerator, b.denominator * factorial(2 * k)), 2 * k - 1
 
 
+@lru_cache(maxsize=256)
 def _em_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
     """((c, m), ...) with Int_N^inf f + sum c f^(m)(N) the Euler-Maclaurin sum of
     order K over n > N: Int_N^inf f - f(N)/2 - sum B_2k/(2k)! f^(2k-1)(N)."""
-    return ((Fraction(-1, 2), 0), *map(_em_deriv, range(1, K + 1)))
+    return ((-_HALF, 0), *map(_em_deriv, range(1, K + 1)))
 
 
 @lru_cache(maxsize=1024)
 def _boole_deriv(k: int) -> tuple[Fraction, int]:
-    e_k = 2 * (1 - 2 ** (k + 1)) * exact.bernoulli(k + 1) / (k + 1)
-    return e_k / (2 * factorial(k)), k
+    """(E_k(0)/(2 k!), k), E_k(0)/2 = (1 - 2^(k+1)) B_(k+1)/(k+1)."""
+    b = exact.bernoulli(k + 1)
+    return Fraction((1 - 2 ** (k + 1)) * b.numerator, b.denominator * factorial(k + 1)), k
 
 
+@lru_cache(maxsize=256)
 def _boole_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
     """((E_k(0)/(2 k!), k), ...) for k < K, skipping even k >= 2 where E_k(0) = 0."""
-    return ((Fraction(1, 2), 0), *map(_boole_deriv, range(1, K, 2)))
+    return ((_HALF, 0), *map(_boole_deriv, range(1, K, 2)))
 
 
 def _tail_value(rule: str, terms, X: int, K: int, fx: FixedPoint, h: int = 1,

@@ -26,13 +26,18 @@ order max(4, 2K) (max(6, 2K+2) for the tilde sum).  Each evaluator is a head
 of N terms and its tail at order K as data (_Plan): the power-log terms, the
 rule and where it starts, and every bound component as power-log terms with a
 scale.  One driver (_sum) adds the chosen plan's tail value, signed (-1)^N for
-an alternating (Boole) tail, to the head.
+an alternating (Boole) tail, to the head.  The exact tables a plan reads (the
+weight expansions, the tilde sum's Boole terms, numerics' coefficient tables)
+are built on integer pairs, one reduction per entry, and cached; once they
+are, the cutoff search makes no Fraction.
 
 The cutoff N and the order K are chosen together, from the bounds alone
 (_select).  At each candidate N = 32, 64, ... the orders K = 4, 5, ... are
 screened with float estimates in log space, which are lower estimates of the
 certified bound up to float rounding, while the estimate keeps falling, least
-work first: N plus merged tail powers times derivative terms.  A pair whose
+work first: N plus merged tail powers times derivative terms.  Each plan holds
+its screen data (the logs of its coefficients, and of (p)_m from lgamma, per
+merged power), so a screen is float arithmetic alone.  A pair whose
 estimate meets log(tol) - ln 2 is certified at once, and the first to certify
 is taken.  So (N, K) and the bound are those a certified bound at every
 screened pair would give, and no float enters them.
@@ -51,11 +56,12 @@ is part of the reported bound.  Summation order is fixed (ascending n).
 
 from __future__ import annotations
 
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
-from math import exp, fsum, inf, isfinite, log, pi
+from heapq import heappop, heappush
+from math import exp, inf, isfinite, lgamma, log, pi
 from typing import NamedTuple, Optional
 
 from . import exact
@@ -69,8 +75,11 @@ from .numerics import (
     _boole_derivs,
     _derivs,
     _em_deriv,
+    _HALF,
     _merge,
     _pochhammer,
+    _rat_add,
+    _rat_mul,
     _remainder,
     _scaled_up,
     _tail_value,
@@ -128,28 +137,29 @@ class OracleResult(NamedTuple):
 # asymptotics of the weight sequences
 # ---------------------------------------------------------------------------
 
-def _harmonic_expansion(p: int, k: int) -> tuple[tuple[tuple[int, Fraction], ...], Fraction, int]:
-    """((e, a_e), ...), rem and q: the terms the expansion of H_x^(p) minus its
-    constant (gamma for p = 1, else zeta(p)) gains at order k, and the bound of
-    the expansion to order k: summing a_e x^-e over the terms of orders 0..k,
+def _harmonic_expansion(p: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, int], int]:
+    """((e, a, b), ...), (r, t) and q: the terms a_e = a/b the expansion of
+    H_x^(p) minus its constant (gamma for p = 1, else zeta(p)) gains at order
+    k, and the bound rem = r/t of the expansion to order k: summing a_e x^-e
+    over the terms of orders 0..k,
     |H_x^(p) - const - [ln x for p = 1] - sum_e a_e x^-e| <= rem x^-q, times
     (2 pi)^-2k for p >= 2, at integers x >= 1, and for p = 1 at every real
-    x > 0.
+    x > 0.  Each fraction is a reduced integer pair.
 
     The series is minus the Euler-Maclaurin expansion of sum_{k>x} k^-p, with
     ln x for the integral when p = 1; then it envelops, so the first omitted
     term bounds the error.  For p = 1 it is the asymptotic series of
     psi(x) + 1/x = H_x - gamma, which envelops at every real x > 0 (DLMF
     5.11(ii))."""
-    c, m = _em_deriv(k) if k else (Fraction(-1, 2), 0)
-    a = ((p + m, -c * (-1) ** m * _pochhammer(p, m)),)
+    c, m = _em_deriv(k) if k else (-_HALF, 0)
+    poch = _pochhammer(p, m)
+    a = ((p + m, *_rat_mul(poch if m % 2 else -poch, 1, c.numerator, c.denominator)),)  # -c (-1)^m (p)_m
     if p == 1:
-        return a, abs(exact.bernoulli(2 * k + 2)) / (2 * k + 2), 2 * k + 2
+        b = exact.bernoulli(2 * k + 2)
+        return a, _rat_mul(abs(b.numerator), b.denominator, 1, 2 * k + 2), 2 * k + 2
     q = p + 2 * k - 1
-    return ((p - 1, Fraction(-1, p - 1)), *a) if k == 0 else a, Fraction(4 * _pochhammer(p, 2 * k), q), q
+    return ((p - 1, -1, p - 1), *a) if k == 0 else a, _rat_mul(4 * _pochhammer(p, 2 * k), 1, 1, q), q
 
-
-_HALF = Fraction(1, 2)
 
 # (kind, shift) -> ((c_i, d_i), ...), l: the order-1 weight of the kind at n as
 # sum_i c_i H_(d_i m) + l ln 2 in m = 2n + shift, from H_x = psi(x+1) + gamma
@@ -161,6 +171,7 @@ _ODD_COMBOS = {
 }
 
 
+@lru_cache(maxsize=256)
 def _combo(kind: str, p: int, shift: Optional[int] = None) -> tuple[tuple[Fraction, int], ...]:
     """((c_i, d_i), ...) with the weight of the kind and order p equal to
     sum_i c_i H_(d_i x)^(p) in x = n, or, for order 1 on the odd lattice, to
@@ -168,19 +179,35 @@ def _combo(kind: str, p: int, shift: Optional[int] = None) -> tuple[tuple[Fracti
     if shift is not None:
         return _ODD_COMBOS[kind, shift][0]
     if kind == "S":
-        return (Fraction(1), 2), (-Fraction(1, 2**p), 1)
+        return (Fraction(1), 2), (Fraction(-1, 2**p), 1)
     return ((Fraction(1), {"H": 1, "H2N": 2}[kind]),)
+
+
+_LOG2_OF = {1: 0, 2: 1, _HALF: -1}
+
+
+@lru_cache(maxsize=256)
+def _combo_sums(kind: str, p: int, shift: Optional[int] = None) -> tuple[Fraction, Fraction]:
+    """(sum_i c_i, sum_i c_i log2 d_i plus the l of _ODD_COMBOS) for the
+    combination of _combo.  The weight's expansion has constant sum_i c_i
+    const(H^(p)), and for order 1 also the second times ln 2 and
+    sum_i c_i ln x."""
+    combo = _combo(kind, p, shift)
+    log2 = sum(c * _LOG2_OF[d] for c, d in combo) + (0 if shift is None else _ODD_COMBOS[kind, shift][1])
+    return sum(c for c, _ in combo), log2
 
 
 @lru_cache(maxsize=4096)
 def _weight_terms(kind: str, p: int, k: int, shift: Optional[int] = None) -> tuple[tuple[int, Fraction], ...]:
     """The terms the weight's expansion gains at order k: the combination of
-    those of _harmonic_expansion(p, k)."""
-    out: dict = {}
+    those of _harmonic_expansion(p, k), summed in integers, one Fraction per
+    term."""
+    harmonic, out = _harmonic_expansion(p, k)[0], {}
     for c, d in _combo(kind, p, shift):
-        for e, ae in _harmonic_expansion(p, k)[0]:
-            out[e] = out.get(e, 0) + c * ae / d**e
-    return tuple((e, x) for e, x in out.items() if x)
+        for e, a, b in harmonic:
+            x = c.numerator * a * d.denominator**e, c.denominator * b * d.numerator**e  # c a_e / d^e
+            out[e] = _rat_add(*out[e], *x) if e in out else x
+    return tuple((e, Fraction(*x)) for e, x in out.items() if x[0])
 
 
 @lru_cache(maxsize=256)
@@ -192,20 +219,19 @@ def _weight_expansion(kind: str, p: int, K: int, shift: Optional[int] = None
     _harmonic_expansion's, has constant sum_i c_i const(H^(p)) and, for p = 1,
     sum_i c_i ln(d_i x)."""
     combo = _combo(kind, p, shift)
-    _, rem, q = _harmonic_expansion(p, K)
+    _, (ra, rb), q = _harmonic_expansion(p, K)
     terms = tuple(t for k in range(K + 1) for t in _weight_terms(kind, p, k, shift))
-    return combo, terms, sum(abs(c) * rem / d**q for c, d in combo), q
-
-
-_LOG2_OF = {1: 0, 2: 1, _HALF: -1}
+    rem = 0, 1  # sum_i |c_i| (ra/rb) / d_i^q
+    for c, d in combo:
+        rem = _rat_add(*rem, abs(c.numerator) * ra * d.denominator**q, c.denominator * rb * d.numerator**q)
+    return combo, terms, Fraction(*rem), q
 
 
 def _weight_constant(kind: str, shift: Optional[int], ctx) -> BigReal:
     """The constant of the order-1 weight of the kind in x = n or x = 2n + shift:
     sum_i c_i (gamma + ln d_i) plus the ln 2 multiple of _ODD_COMBOS."""
-    combo = _combo(kind, 1, shift)
-    A = const_gamma(ctx) * sum(c for c, _ in combo)
-    log2 = sum(c * _LOG2_OF[d] for c, d in combo) + (0 if shift is None else _ODD_COMBOS[kind, shift][1])
+    total, log2 = _combo_sums(kind, 1, shift)
+    A = const_gamma(ctx) * total
     return A + const_log2(ctx) * log2 if log2 else A
 
 
@@ -214,8 +240,8 @@ def _weight_pl(kind: str, shift: Optional[int], W: int, A0: BigReal) -> tuple[li
     order W (to x^-2W) as power-log terms (A, B, e), and D, q with truncation
     at most D x^-q; the term at e = 0 is A0 + sum_i c_i ln x, A0 from
     _weight_constant."""
-    combo, terms, D, q = _weight_expansion(kind, 1, W, shift)
-    return [(A0, sum(c for c, _ in combo), 0)] + [(a, 0, e) for e, a in terms], D, q
+    _, terms, D, q = _weight_expansion(kind, 1, W, shift)
+    return [(A0, _combo_sums(kind, 1, shift)[0], 0)] + [(a, 0, e) for e, a in terms], D, q
 
 
 def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int, int]:
@@ -234,9 +260,9 @@ def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int
 
 
 # Float twins of _abs_integral and _abs_tail, in natural logs of the terms'
-# coefficients (la, lb, p), so that no coefficient or N^-(p+m) leaves the float
-# range.  They estimate the BigReal bounds to float rounding and only decide
-# which bounds are worth certifying; they never enter a bound.
+# coefficients, so that no coefficient or N^-(p+m) leaves the float range.
+# They estimate the certified bounds to float rounding and only decide which
+# bounds are worth certifying; they never enter a bound.
 
 _FLOAT_MARGIN = 1e-9  # far above the relative rounding of any float estimate here
 
@@ -267,35 +293,58 @@ def _log_scale(scale: tuple) -> float:
     return _log_pos(c) - k * log(base * pi)
 
 
-def _log_terms(terms) -> list[tuple[float, float, int]]:
-    return [(_log_pos(A), _log_pos(B), p) for A, B, p in terms]
+@lru_cache(maxsize=256)
+def _hslice_floats(p: int) -> list[float]:
+    """[H(p, 0), H(p, 1), ...] as floats, extended by _log_poch_hslice under
+    _hslice_floats_lock as needed."""
+    return [0.0]
+
+
+_hslice_floats_lock = threading.Lock()
 
 
 @lru_cache(maxsize=4096)
 def _log_poch_hslice(p: int, m: int) -> tuple[float, float]:
-    """log (p)_m and H(p, m) as floats."""
-    return log(_pochhammer(p, m)), fsum(1 / (p + i) for i in range(m))
+    """log (p)_m, as lgamma(p + m) - lgamma(p), and H(p, m) as floats."""
+    table = _hslice_floats(p)
+    with _hslice_floats_lock:
+        while len(table) <= m:
+            table.append(table[-1] + 1 / (p + len(table) - 1))
+        h = table[m]
+    return lgamma(p + m) - lgamma(p), h
 
 
-def _log_abs_integral(logs, m: int, N: int) -> float:
-    """Natural log of _abs_integral(terms, m, N) in floats, for log terms."""
-    lnN = log(N)
+def _screen_terms(terms, m: int) -> tuple[tuple, ...]:
+    """The float data of Int |f^(m)| for the power-log terms (A, B, p): per
+    term (la, lb, p, q - 1, log (p)_m - log(q - 1), H(p, m), 1/(q - 1)), with
+    q = p + m and la, lb the natural logs of |A| and |B|."""
     out = []
-    for la, lb, p in logs:
+    for A, B, p in terms:
         q = p + m
         log_poch, h = _log_poch_hslice(p, m)
-        base = log_poch - log(q - 1) - (q - 1) * lnN
+        out.append((_log_pos(A), _log_pos(B), p, q - 1, log_poch - log(q - 1), h, 1 / (q - 1)))
+    return tuple(out)
+
+
+def _log_abs_integral(data, N: int) -> float:
+    """Natural log of _abs_integral(terms, m, N) in floats, for data =
+    _screen_terms(terms, m)."""
+    lnN = log(N)
+    out = []
+    for la, lb, _, q1, c, h, r in data:
+        base = c - q1 * lnN
         out.append(base + la)
         if lb > -inf:
-            out.append(base + lb + log(lnN + h + 1 / (q - 1)))
+            out.append(base + lb + log(lnN + h + r))
     return _log_sum(out)
 
 
-def _log_abs_tail(logs, N: int) -> float:
-    """Natural log of _abs_tail(terms, N) in floats, for log terms."""
+def _log_abs_tail(data, N: int) -> float:
+    """Natural log of _abs_tail(terms, N) in floats, for data =
+    _screen_terms(terms, 0)."""
     lnN1 = log(N + 1)
-    first = [x - p * lnN1 for la, lb, p in logs for x in (la, lb + log(lnN1))]
-    return _log_sum([_log_abs_integral(logs, 0, N), *first])
+    first = [x - p * lnN1 for la, lb, p, *_ in data for x in (la, lb + log(lnN1))]
+    return _log_sum([_log_abs_integral(data, N), *first])
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +365,23 @@ class _Plan:
       scale * Int_(X+at)^inf |f^(m)| with (m, scale) = _remainder(rule, K, h)
       and f the sum of the tail terms.  A "boole" tail (h = 1, at = 1) sums
       (-1)^(n-1) times the terms, which is (-1)^N times the Boole sum from N + 1.
-    logs, part_logs: the terms and the part's terms as log coefficients, for
-      the screen.
+    part_screen, tail_screen: (_screen_terms data, log scale) of the part and
+      of the tail remainder, computed once, so that _screen is float
+      arithmetic alone.
     tail_work: the tail's merged powers times its derivative terms, for _work.
 
     value and bound evaluate this one description in FixedPoint integers,
     _screen in floats.
     """
 
-    __slots__ = ("terms", "part", "tail", "lattice", "logs", "part_logs", "tail_work")
+    __slots__ = ("terms", "part", "tail", "lattice", "part_screen", "tail_screen", "tail_work")
 
-    def __init__(self, terms: list, part: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)):
+    def __init__(self, terms, part: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)):
         self.terms, self.part, self.tail, self.lattice = _merge(terms), part, tail, lattice
-        self.logs, self.part_logs = _log_terms(self.terms), _log_terms(part[1])
         rule, K, _ = tail
+        m, tail_scale = _remainder(rule, K, lattice[0])
+        self.part_screen = _screen_terms(part[1], 0), _log_scale(part[2])
+        self.tail_screen = _screen_terms(self.terms, m), _log_scale(tail_scale)
         self.tail_work = len({p for *_, p in self.terms}) * (len(_derivs(rule, K)) + (rule == "em"))
 
     def start(self, N: int) -> int:
@@ -361,14 +413,14 @@ def _work(plan: _Plan, N: int) -> int:
 
 
 def _screen(plan: _Plan, N: int) -> dict:
-    """Natural logs of float estimates of the plan's bound components at N, by name."""
-    name, _, scale = plan.part
-    rule, K, at = plan.tail
+    """Natural logs of float estimates of the plan's bound components at N, by
+    name, from the plan's screen data."""
     X = plan.start(N)
-    m, tail_scale = _remainder(rule, K, plan.lattice[0])
+    part, part_scale = plan.part_screen
+    tail, tail_scale = plan.tail_screen
     return {
-        name: _log_abs_tail(plan.part_logs, X) + _log_scale(scale),
-        "tail remainder": _log_abs_integral(plan.logs, m, X + at) + _log_scale(tail_scale),
+        plan.part[0]: _log_abs_tail(part, X) + part_scale,
+        "tail remainder": _log_abs_integral(tail, X + plan.tail[2]) + tail_scale,
     }
 
 
@@ -399,7 +451,9 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, FixedPoint, int]
     first to meet tol/2 is taken.  A pair the screen passes over would not
     certify either, since its certified bound is never below the estimate.
     So N, K and the bound are those a certified bound at every screened pair
-    would give, and no float enters them.
+    would give, and no float enters them.  The first pair of a cutoff is
+    pushed when that of the cutoff before it is taken: it is of more work, so
+    the order in which pairs are taken is that of pushing them all at once.
     """
     tol = cfg.target_tolerance
     num, den = tol.as_integer_ratio()
@@ -412,11 +466,13 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, FixedPoint, int]
         return _work(by_order[K], N), N, K, prev
 
     # pairs to screen as (work, N, K, estimate at K - 1), least work first
-    to_screen = [pair(N, _K_START, inf) for N in _n_candidates(cfg)]
-    heapify(to_screen)
+    cutoffs = _n_candidates(cfg)
+    to_screen = [pair(next(cutoffs), _K_START, inf)]
     last = None  # the last pair screened at the largest N, for the message
     while to_screen:
         _, N, K, prev = heappop(to_screen)
+        if K == _K_START and (following := next(cutoffs, None)) is not None:
+            heappush(to_screen, pair(following, _K_START, inf))
         est = _screen(by_order[K], N)
         if last is None or N >= last[0]:
             last = (N, K, est)
@@ -494,7 +550,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     zeta(p) sum_i c_i its limit, C0 = r0 zeta(s), and the inner tail r_n = r0 - w_n
     is minus the weight's expansion (_weight_expansion), in powers of n, so the
     tail -sum_{n>N} r_n / n^s sums the expansion's terms over n^s."""
-    zp, zs, total = zeta_num(p, ctx), zeta_num(s, ctx), sum(c for c, _ in _combo(kind, p))
+    zp, zs, total = zeta_num(p, ctx), zeta_num(s, ctx), _combo_sums(kind, p)[0]
 
     def plan(K: int) -> _Plan:
         J = max(3, K)
@@ -518,19 +574,33 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     return _sum(cfg, plan, head, ctx)
 
 
+@lru_cache(maxsize=256)
+def _tilde_terms(s: int, KB: int) -> tuple[tuple[tuple, ...], Fraction]:
+    """The power-log terms of tau_n / n, tau_n = sum_{j>=n} (-1)^(j-n) j^-s
+    expanded by Boole summation of order KB at n, and c with the expansion
+    within c pi^-KB n^-(s+KB): the terms E_k(0)/(2 k!) (-1)^k (s)_k
+    n^-(s+k+1), and c = 4 (s)_KB / (s + KB - 1) from the Boole remainder
+    4 pi^-KB Int_n^inf |d^KB/dx^KB x^-s|."""
+    terms, poch, done = [], 1, 0  # (s)_done, carried across the rising orders k
+    for c, k in _boole_derivs(KB):
+        while done < k:
+            poch *= s + done
+            done += 1
+        a = poch * c.numerator
+        terms.append((Fraction(-a if k % 2 else a, c.denominator), 0, s + k + 1))
+    return tuple(terms), Fraction(4 * _pochhammer(s, KB), s + KB - 1)
+
+
 def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
     """sum_{n>=1} (-1)^n Ht_(n-1)^(s) / n, as -eta(s) ln 2 plus sum_n tau_n / n."""
     zs, log2 = zeta_num(s, ctx), const_log2(ctx)
-    eta_ratio = 1 - Fraction(2, 2**s)  # eta(s) / zeta(s)
+    eta_ratio = Fraction(2**s - 2, 2**s)  # eta(s) / zeta(s)
 
     def plan(K: int) -> _Plan:
         KB = max(6, 2 * K + 2)
-        # tau_n = sum_{j>=n} (-1)^(j-n) j^-s expanded by Boole summation at n;
-        # the tail sums tau_n / n
-        pl = [(c * (-1) ** k * _pochhammer(s, k), 0, s + k + 1) for c, k in _boole_derivs(KB)]
-        rem_c = Fraction(4 * _pochhammer(s, KB), s + KB - 1)
+        terms, rem_c = _tilde_terms(s, KB)
         # the Boole remainder of tau_n truncates the weight's expansion
-        return _Plan(pl, ("weight-expansion truncation", [(rem_c, 0, s + KB)], (1, 1, KB)), ("em", K, 0))
+        return _Plan(terms, ("weight-expansion truncation", [(rem_c, 0, s + KB)], (1, 1, KB)), ("em", K, 0))
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
         tau, tau_e = fx.scale(*fx.from_big(zs), eta_ratio)  # tau_1 = eta(s)

@@ -3,6 +3,7 @@
 import math
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import product
 
 import mpmath
@@ -11,12 +12,16 @@ from mpmath.libmp import from_man_exp
 from hypothesis import given, settings, strategies as st
 
 from eulersum import PrecisionContext, SumId, partial_sum
+from eulersum.exact import bernoulli
 from eulersum.numerics import (
     BigReal,
     FixedPoint,
+    _abs_coeffs,
     _abs_integral,
+    _boole_deriv,
     _boole_derivs,
     _derivs,
+    _em_deriv,
     _em_derivs,
     _float_up,
     _hslice,
@@ -298,22 +303,56 @@ def test_float_up_bounds_any_positive_value(man, exp):
     assert _is_least_float_at_or_above(man, exp)
 
 
+@lru_cache(maxsize=None)
+def _hslices_fraction(p: int) -> list[F]:
+    """[H(p, 0), ..., H(p, 512)] as running Fraction sums."""
+    out = [F(0)]
+    for i in range(512):
+        out.append(out[-1] + F(1, p + i))
+    return out
+
+
+def _hslice_fraction(p: int, m: int) -> F:
+    return _hslices_fraction(p)[m]
+
+
 def _pl_coeffs_direct(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
-    """_pl_coeffs with (p)_m built from scratch for each derivative order m."""
+    """_pl_coeffs as a Fraction formula, with (p)_m built from scratch for each
+    derivative order m."""
     out = []
     if rule == "em":
         out.append((p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)))
     for c, m in _derivs(rule, K):
         a = (-1) ** m * _poch(p, m) * h**m * c
         if log and m:
-            a *= -_hslice(p, m)
+            a *= -_hslice_fraction(p, m)
         if m or not log:
             out.append((p + m, a.numerator, a.denominator))
     return tuple(out)
 
 
-@pytest.mark.parametrize("K", [4, 16, 64, 256])
+@pytest.mark.parametrize("K", sorted({*range(41), 64, 256}))
 @pytest.mark.parametrize("rule", ["em", "boole"])
 def test_pl_coeffs_match_the_direct_pochhammer_products(rule, K):
-    for p, h, log in product(range(2, 21), (1, 2), (False, True)):
+    # the tables built in integers against the same coefficients in Fraction
+    # arithmetic, entry for entry
+    for p, h, log in product(range(2, 25), (1, 2), (False, True)):
         assert _pl_coeffs.__wrapped__(p, rule, K, h, log) == _pl_coeffs_direct(p, rule, K, h, log), (p, h, log)
+
+
+@pytest.mark.parametrize("m", [*range(41), 80, 512])
+def test_abs_coeffs_and_hslice_match_the_fraction_formulas(m):
+    for p in range(2, 25):
+        H = _hslice_fraction(p, m)
+        assert _hslice(p, m) == (H.numerator, H.denominator), p
+        for log in (False, True):
+            h = H + F(1, p + m - 1) if log else F(1)
+            expected = ((p + m - 1, _poch(p, m) * h.numerator, (p + m - 1) * h.denominator),)
+            assert _abs_coeffs.__wrapped__(p, m, log) == expected, (p, log)
+
+
+def test_derivative_coefficients_match_the_fraction_formulas():
+    for k in range(1, 301):
+        assert _em_deriv(k) == (-bernoulli(2 * k) / math.factorial(2 * k), 2 * k - 1), k
+        e_k = 2 * (1 - 2 ** (k + 1)) * bernoulli(k + 1) / (k + 1)
+        assert _boole_deriv(k) == (e_k / (2 * math.factorial(k)), k), k

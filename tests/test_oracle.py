@@ -17,6 +17,7 @@ from eulersum import (
 )
 from eulersum import numerics, oracle
 from eulersum.closedform import closed_form_for, known_closed_form_ids
+from eulersum.exact import bernoulli
 from eulersum.oracle import _evaluate
 from eulersum.sums import FAMILIES, SumId
 
@@ -377,6 +378,77 @@ def test_accepted_bound_meets_half_the_tolerance_exactly(sid, bits, tol, loose_s
     assert F(bound, 2**fx.prec) <= F(tol) / 2
 
 
+# the (N, rule, order of the rule) the cutoff search picks for the benchmark's
+# ladder sums at its three rungs and at (512 bits, 1e-100), recorded from the
+# search that built its screen data on every call; the Boole order of
+# AltEulerStar is 2K.  Screening from data built once per plan, and building
+# the tables in integers, must not move any of them.
+FROZEN_RUNGS = ((192, 1e-20), (192, 1e-25), (256, 1e-32), (512, 1e-100))
+FROZEN_CHOICES = {
+    SumId.J(2): ((32, "em", 7), (64, "em", 7), (64, "em", 10), (256, "em", 27)),
+    SumId.J(4): ((32, "em", 6), (64, "em", 6), (64, "em", 9), (256, "em", 26)),
+    SumId.Jbar(3): ((32, "em", 6), (64, "em", 7), (64, "em", 9), (256, "em", 26)),
+    SumId.h(3): ((32, "em", 6), (64, "em", 7), (64, "em", 9), (256, "em", 26)),
+    SumId.sigma(2, 3): ((32, "em", 6), (64, "em", 6), (64, "em", 8), (256, "em", 25)),
+    SumId.zeta_star(3, 2): ((32, "em", 6), (64, "em", 6), (64, "em", 9), (256, "em", 26)),
+    SumId.E(2, 3): ((32, "em", 6), (64, "em", 6), (64, "em", 9), (256, "em", 26)),
+    SumId.alt_euler_star(1): ((64, "boole", 14), (64, "boole", 18), (128, "boole", 20), (512, "boole", 54)),
+    SumId.alt_tilde_h(1): ((32, "em", 7), (64, "em", 7), (128, "em", 8), (512, "em", 25)),
+}
+
+
+@pytest.mark.parametrize("sid", FROZEN_CHOICES, ids=str)
+def test_the_search_keeps_its_frozen_choices(sid, monkeypatch):
+    for (bits, tol), frozen in zip(FROZEN_RUNGS, FROZEN_CHOICES[sid]):
+        ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(target_tolerance=tol)
+        plans = _plan_of(sid, cfg, ctx, monkeypatch)
+        monkeypatch.undo()
+        N, plan, _, _ = oracle._select(cfg, plans, ctx)
+        assert (N, *plan.tail[:2]) == frozen, (bits, tol)
+
+
+@pytest.mark.parametrize("sid", FROZEN_CHOICES, ids=str)
+def test_screening_a_built_plan_makes_no_fraction(sid, monkeypatch):
+    # a deterministic cost proxy: the screen is float arithmetic on data each
+    # plan computes once, so it constructs no Fraction at any cutoff or order;
+    # and with the exact tables cached, neither does the whole search
+    ctx, cfg = PrecisionContext(working_bits=256), OracleConfig(target_tolerance=1e-32)
+    plans = _plan_of(sid, cfg, ctx, monkeypatch)
+    monkeypatch.undo()
+    built = [plans(K) for K in (0, 1, 4, 9, 30)]
+    chosen = oracle._select(cfg, plans, ctx)
+    made = []
+    new = F.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counted)
+    F(1, 3)
+    assert len(made) == 1
+    for plan in built:
+        for N in (1, 32, 1000, 10**7):
+            oracle._screen(plan, N)
+    assert len(made) == 1, made[1:6]
+    again = oracle._select(cfg, plans, ctx)
+    assert len(made) == 1, made[1:6]
+    assert (again[0], again[1].tail, again[3]) == (chosen[0], chosen[1].tail, chosen[3])
+
+
+def test_float_pochhammer_and_harmonic_slices_match_the_exact_values():
+    # log (p)_m from lgamma and H(p, m) from a float prefix, within 1e-12
+    # relative of the exact integer's log and the exact rational
+    for p in range(1, 65):
+        poch = 1
+        for m in range(601):
+            log_poch, h = oracle._log_poch_hslice.__wrapped__(p, m)
+            assert abs(log_poch - math.log(poch)) <= 1e-12 * math.log(poch), (p, m)
+            a, b = numerics._hslice(p, m)
+            assert abs(h - a / b) <= 1e-12 * (a / b), (p, m)
+            poch *= p + m
+
+
 def test_each_computed_oracle_eval_rounds_into_bigreal_once(monkeypatch):
     # with zeta cached, an evaluation sums its head, tail and bound as integers
     # and rounds them into a BigReal once; a tolerance no other test uses makes
@@ -559,9 +631,10 @@ def test_weight_expansion_is_within_its_remainder(kind, p, K, shift):
             _, rem_h, q_h = oracle._harmonic_expansion(1, K)
             for y in (mpmath.mpf(m) / 2 for m in (1, 3, 5, 21, 201)):
                 approx = mpmath.euler + mpmath.log(y) + sum(
-                    _mp(a) * y**-e for k in range(K + 1) for e, a in oracle._harmonic_expansion(1, k)[0])
+                    _mp(F(a, b)) * y**-e
+                    for k in range(K + 1) for e, a, b in oracle._harmonic_expansion(1, k)[0])
                 err = abs(mpmath.digamma(y + 1) + mpmath.euler - approx)
-                assert err <= _mp(rem_h) * y**-q_h, (y, float(err))
+                assert err <= _mp(F(*rem_h)) * y**-q_h, (y, float(err))
 
 
 @pytest.mark.parametrize("p", range(2, 9))
@@ -579,6 +652,63 @@ def test_step_two_tail_encloses_the_hurwitz_zeta(p):
             exact = _frac((mpmath.zeta(p, N + 1 + mpmath.mpf(c) / 2) / 2**p)._mpf_)
         slack = F(value_err + bound, fx.one)
         assert abs(exact - F(value, fx.one)) <= slack, (N, c, K)
+
+
+# the weight tables as Fraction formulas, against which the integer builds are checked
+
+
+def _harmonic_expansion_fraction(p: int, k: int) -> tuple:
+    c, m = numerics._em_deriv(k) if k else (F(-1, 2), 0)
+    a = ((p + m, -c * (-1) ** m * numerics._pochhammer(p, m)),)
+    if p == 1:
+        return a, abs(bernoulli(2 * k + 2)) / (2 * k + 2), 2 * k + 2
+    q = p + 2 * k - 1
+    return ((p - 1, F(-1, p - 1)), *a) if k == 0 else a, F(4 * numerics._pochhammer(p, 2 * k), q), q
+
+
+def _weight_terms_fraction(kind: str, p: int, k: int, shift) -> tuple:
+    out: dict = {}
+    for c, d in oracle._combo(kind, p, shift):
+        for e, ae in _harmonic_expansion_fraction(p, k)[0]:
+            out[e] = out.get(e, 0) + c * ae / F(d) ** e
+    return tuple((e, x) for e, x in out.items() if x)
+
+
+def _weight_expansion_fraction(kind: str, p: int, K: int, shift) -> tuple:
+    combo = oracle._combo(kind, p, shift)
+    _, rem, q = _harmonic_expansion_fraction(p, K)
+    terms = tuple(t for k in range(K + 1) for t in _weight_terms_fraction(kind, p, k, shift))
+    return combo, terms, sum(abs(c) * rem / F(d) ** q for c, d in combo), q
+
+
+# every kind and shift of _combo and _ODD_COMBOS, at the orders each is summed with
+_TABLE_CASES = [*((kind, p, None) for kind in ("H", "S", "H2N") for p in range(1, 9)),
+                *((kind, 1, shift) for kind, shift in oracle._ODD_COMBOS)]
+
+
+@pytest.mark.parametrize("kind,p,shift", _TABLE_CASES, ids=str)
+def test_weight_tables_match_the_fraction_formulas(kind, p, shift):
+    combo = oracle._combo(kind, p, shift)
+    log2 = sum(c * {1: 0, 2: 1, F(1, 2): -1}[d] for c, d in combo)
+    log2 += 0 if shift is None else oracle._ODD_COMBOS[kind, shift][1]
+    assert oracle._combo_sums(kind, p, shift) == (sum(c for c, _ in combo), log2)
+    for k in range(41):
+        terms, rem, q = oracle._harmonic_expansion(p, k)
+        terms_f, rem_f, q_f = _harmonic_expansion_fraction(p, k)
+        assert [(e, F(a, b)) for e, a, b in terms] == list(terms_f) and F(*rem) == rem_f and q == q_f, k
+        assert all(math.gcd(a, b) == 1 and b > 0 for _, a, b in terms) and math.gcd(*rem) == 1, k
+        assert oracle._weight_terms(kind, p, k, shift) == _weight_terms_fraction(kind, p, k, shift), k
+        expansion = _weight_expansion_fraction(kind, p, k, shift)
+        assert oracle._weight_expansion.__wrapped__(kind, p, k, shift) == expansion, k
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_tilde_terms_match_the_fraction_formula(s):
+    for KB in range(6, 83, 2):
+        terms = [(c * (-1) ** k * numerics._pochhammer(s, k), 0, s + k + 1)
+                 for c, k in numerics._boole_derivs(KB)]
+        rem_c = F(4 * numerics._pochhammer(s, KB), s + KB - 1)
+        assert oracle._tilde_terms.__wrapped__(s, KB) == (tuple(terms), rem_c), KB
 
 
 def test_order_one_expansion_reproduces_the_hand_table():
