@@ -22,7 +22,9 @@ and |B| for a bound; terms sharing p merge into one).  They are summed as a
 pair on the caller's FixedPoint, a rational A or B folded into each floor;
 the oracle builds every tail and bound from this layer.  The tables of c are
 built on integer pairs, common factors cancelled before each product, and
-cached (_pl_coeffs, _abs_coeffs, _hslice).
+cached (_pl_coeffs, _abs_coeffs, _hslice).  _pl_coeffs is the one
+Euler-Maclaurin/Boole expansion of a power x^-p in the package: the oracle
+also reads its weight asymptotics and inner tails from it.
 
 The constants pi, log 2 and gamma are binfloat's counted fixed-point series:
 Machin's formula for pi, a hyperbolic Machin-type (acoth) formula for log 2
@@ -38,9 +40,9 @@ certified remainder is below 2^-(working_bits + 4).  li4(1/2) comes from its
 geometrically convergent defining series.
 
 Every memo here is a bounded functools.lru_cache keyed on plain values.
-Constants and monomial values are cached as raw (value, error) pairs keyed on
+Constants, logarithms (_ln) and monomial values are cached keyed on
 working_bits, since guard_bits only sets a contract; the public functions wrap
-a pair in the caller's context.
+a raw (value, error) pair in the caller's context.
 """
 
 from __future__ import annotations
@@ -550,8 +552,9 @@ def _fx_dot(fx: FixedPoint, x, coeffs, N: int, absolute: bool = False) -> tuple[
 
 
 @lru_cache(maxsize=64)
-def _ln(n: int, ctx) -> BigReal:
-    return BigReal.from_int(n, ctx).ln()
+def _ln(n: int, wb: int) -> BigReal:
+    """ln n at wb bits; as with the constants, guard_bits takes no part."""
+    return BigReal.from_int(n, PrecisionContext(wb)).ln()
 
 
 def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tuple[int, int]:
@@ -566,7 +569,7 @@ def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tu
         if A:
             parts.append(_fx_dot(fx, A, R, N, absolute))
         if B:
-            ln = ln or fx.from_big(_ln(N, fx.ctx))
+            ln = ln or fx.from_big(_ln(N, fx.ctx.working_bits))
             parts += [fx.mul(*_fx_dot(fx, B, R, N, absolute), *ln),
                       _fx_dot(fx, B, coeffs(p, True), N, absolute)]
     return sum(v for v, _ in parts), sum(e for _, e in parts)
@@ -581,12 +584,13 @@ def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
     """R, or Q with log, of the power p for the tail rule of order K and step
     h, as for _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N)
     over (c, m) in _em_derivs(K); with "boole", the sum over _boole_derivs(K)
-    alone.  The rule of step h at N is that of step 1 for g(j) = f(N + h j) at
-    j = 0.  Each coefficient is a reduced fraction, built in integers
-    (_rat_mul): (p)_m and the factorial in c mostly cancel, so the tables of
-    high order stay small."""
+    alone; for p = 1 the integral diverges and is left out, as ln N takes its
+    place in H_N (oracle._weight_expansion).  The rule of step h at N is that
+    of step 1 for g(j) = f(N + h j) at j = 0.  Each coefficient is a reduced
+    fraction, built in integers (_rat_mul): (p)_m and the factorial in c
+    mostly cancel, so the tables of high order stay small."""
     out = []
-    if rule == "em":
+    if rule == "em" and p > 1:
         out.append((p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)))
     poch, done = 1, 0  # (p)_done, carried across the rising orders m
     for c, m in _derivs(rule, K):
@@ -681,15 +685,12 @@ def _boole_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
     return ((_HALF, 0), *map(_boole_deriv, range(1, K, 2)))
 
 
-def _tail_value(rule: str, terms, X: int, K: int, fx: FixedPoint, h: int = 1,
-                cached: bool = True) -> tuple[int, int]:
+def _tail_value(rule: str, terms, X: int, K: int, fx: FixedPoint, h: int = 1) -> tuple[int, int]:
     """The tail rule of order K over the terms at X, as a pair on fx: with "em",
     their sum over x = X + h, X + 2h, ... by Euler-Maclaurin of step h; with
     "boole", the sum over n >= X of (-1)^(n-X) times them by Boole summation,
-    sum_{k<K} E_k(0)/(2 k!) f^(k)(X).  With cached False the coefficient
-    tables are built for this call only, not kept in _pl_coeffs' cache."""
-    coeffs = _pl_coeffs if cached else _pl_coeffs.__wrapped__
-    return _pl_sum(terms, X, lambda p, log: coeffs(p, rule, K, h, log), fx)
+    sum_{k<K} E_k(0)/(2 k!) f^(k)(X)."""
+    return _pl_sum(terms, X, lambda p, log: _pl_coeffs(p, rule, K, h, log), fx)
 
 
 @lru_cache(maxsize=256)
@@ -703,10 +704,11 @@ def _zeta(s: int, wb: int) -> tuple:
         fx = FixedPoint(ctx, N)
     head = fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)), N)
     # the tail is rounded apart, on a FixedPoint sized for 4 roundings of each of its
-    # K + 2 coefficients; the table of order K serves this one value, which is cached itself
+    # K + 2 coefficients; the table of order K serves this one value, which is cached
+    # itself, so it is built for this call only and not kept in _pl_coeffs' cache
     tail = FixedPoint(ctx, 4 * (K + 2) + 2)
-    out = (head + tail.to_big(*_tail_value("em", terms, N, K, tail, cached=False))).widened(
-        from_man_exp(rem, -fx.prec))
+    value = _pl_sum(terms, N, lambda p, log: _pl_coeffs.__wrapped__(p, "em", K, 1, log), tail)
+    out = (head + tail.to_big(*value)).widened(from_man_exp(rem, -fx.prec))
     return out._v, out._e
 
 

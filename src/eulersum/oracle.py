@@ -10,11 +10,14 @@ worst-case remainder bounds
     |R_K^Boole| <= 4 pi^(-K)      Int |f^(K)|,
 
 so raw O(log N / N^(s-1)) convergence never limits the tolerance.  Every
-weight and inner tail comes from one generator: H_x^(p) expanded in powers of
-x from the Bernoulli numbers (enveloping for p = 1, zeta(p) minus the
-Euler-Maclaurin tail for p >= 2), taken in the weight's exact combination
-sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) - 2^-p H_n^(p), with the
-remainders added in absolute value.  For order p >= 2 the sum is split as
+weight and inner tail is read from numerics' one Euler-Maclaurin/Boole table
+of a power x^-p (_pl_coeffs, remainders from _abs_coeffs); this module only
+combines those expansions and searches for the cutoff.  H_x^(p) is its
+constant (gamma + ln x for p = 1, zeta(p) for p >= 2) minus the
+Euler-Maclaurin tail of x^-p, which envelops for p = 1, taken in the weight's
+exact combination sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) -
+2^-p H_n^(p), with the remainders added in absolute value; the tilde sum's
+inner tail is the Boole table of x^-s.  For order p >= 2 the sum is split as
 C0 - sum_n r_n / n^s, r_n = r0 - w_n the weight's tail, of order n^(1-s-p).
 The families over an odd base 2n + c are summed in m = 2n + c, on the odd
 lattice with Euler-Maclaurin step 2, their weights being combinations of
@@ -28,8 +31,8 @@ rule and where it starts, and every bound component as power-log terms with a
 scale.  One driver (_sum) adds the chosen plan's tail value, signed (-1)^N for
 an alternating (Boole) tail, to the head.  The exact tables a plan reads (the
 weight expansions, the tilde sum's Boole terms, numerics' coefficient tables)
-are built on integer pairs, one reduction per entry, and cached; once they
-are, the cutoff search makes no Fraction.
+are built on integer pairs and cached; once they are, the cutoff search makes
+no Fraction.
 
 The cutoff N and the order K are chosen together, from the bounds alone
 (_select).  At each candidate N = 32, 64, ... the orders K = 4, 5, ... are
@@ -64,22 +67,19 @@ from heapq import heappop, heappush
 from math import exp, inf, isfinite, lgamma, log, pi
 from typing import NamedTuple, Optional
 
-from . import exact
 from .numerics import (
     BigReal,
     FixedPoint,
     PrecisionContext,
     DEFAULT_CONTEXT,
+    _abs_coeffs,
     _abs_integral,
     _abs_tail,
-    _boole_derivs,
     _derivs,
-    _em_deriv,
     _HALF,
     _merge,
-    _pochhammer,
+    _pl_coeffs,
     _rat_add,
-    _rat_mul,
     _remainder,
     _scaled_up,
     _tail_value,
@@ -137,30 +137,6 @@ class OracleResult(NamedTuple):
 # asymptotics of the weight sequences
 # ---------------------------------------------------------------------------
 
-def _harmonic_expansion(p: int, k: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, int], int]:
-    """((e, a, b), ...), (r, t) and q: the terms a_e = a/b the expansion of
-    H_x^(p) minus its constant (gamma for p = 1, else zeta(p)) gains at order
-    k, and the bound rem = r/t of the expansion to order k: summing a_e x^-e
-    over the terms of orders 0..k,
-    |H_x^(p) - const - [ln x for p = 1] - sum_e a_e x^-e| <= rem x^-q, times
-    (2 pi)^-2k for p >= 2, at integers x >= 1, and for p = 1 at every real
-    x > 0.  Each fraction is a reduced integer pair.
-
-    The series is minus the Euler-Maclaurin expansion of sum_{k>x} k^-p, with
-    ln x for the integral when p = 1; then it envelops, so the first omitted
-    term bounds the error.  For p = 1 it is the asymptotic series of
-    psi(x) + 1/x = H_x - gamma, which envelops at every real x > 0 (DLMF
-    5.11(ii))."""
-    c, m = _em_deriv(k) if k else (-_HALF, 0)
-    poch = _pochhammer(p, m)
-    a = ((p + m, *_rat_mul(poch if m % 2 else -poch, 1, c.numerator, c.denominator)),)  # -c (-1)^m (p)_m
-    if p == 1:
-        b = exact.bernoulli(2 * k + 2)
-        return a, _rat_mul(abs(b.numerator), b.denominator, 1, 2 * k + 2), 2 * k + 2
-    q = p + 2 * k - 1
-    return ((p - 1, -1, p - 1), *a) if k == 0 else a, _rat_mul(4 * _pochhammer(p, 2 * k), 1, 1, q), q
-
-
 # (kind, shift) -> ((c_i, d_i), ...), l: the order-1 weight of the kind at n as
 # sum_i c_i H_(d_i m) + l ln 2 in m = 2n + shift, from H_x = psi(x+1) + gamma
 # and Legendre's psi(z + 1/2) = 2 psi(2z) - psi(z) - 2 ln 2
@@ -197,51 +173,31 @@ def _combo_sums(kind: str, p: int, shift: Optional[int] = None) -> tuple[Fractio
     return sum(c for c, _ in combo), log2
 
 
-@lru_cache(maxsize=4096)
-def _weight_terms(kind: str, p: int, k: int, shift: Optional[int] = None) -> tuple[tuple[int, Fraction], ...]:
-    """The terms the weight's expansion gains at order k: the combination of
-    those of _harmonic_expansion(p, k), summed in integers, one Fraction per
-    term."""
-    harmonic, out = _harmonic_expansion(p, k)[0], {}
-    for c, d in _combo(kind, p, shift):
-        for e, a, b in harmonic:
-            x = c.numerator * a * d.denominator**e, c.denominator * b * d.numerator**e  # c a_e / d^e
-            out[e] = _rat_add(*out[e], *x) if e in out else x
-    return tuple((e, Fraction(*x)) for e, x in out.items() if x[0])
-
-
 @lru_cache(maxsize=256)
 def _weight_expansion(kind: str, p: int, K: int, shift: Optional[int] = None
-                      ) -> tuple[tuple[tuple[Fraction, int], ...], tuple, Fraction, int]:
-    """(((c_i, d_i), ...), terms, rem, q): the weight of the kind and order p
-    (_weight_step), in x = n or x = 2n + shift, is sum_i c_i H_(d_i x)^(p)
-    (_combo); its expansion to order K, the same combination of
-    _harmonic_expansion's, has constant sum_i c_i const(H^(p)) and, for p = 1,
-    sum_i c_i ln(d_i x)."""
-    combo = _combo(kind, p, shift)
-    _, (ra, rb), q = _harmonic_expansion(p, K)
-    terms = tuple(t for k in range(K + 1) for t in _weight_terms(kind, p, k, shift))
-    rem = 0, 1  # sum_i |c_i| (ra/rb) / d_i^q
+                      ) -> tuple[tuple[tuple[int, Fraction], ...], Fraction, int]:
+    """(((e, a_e), ...), rem, q): the weight of the kind and order p
+    (_weight_step) is sum_i c_i H_(d_i x)^(p) (_combo) in x = n or 2n + shift,
+    and H_x^(p) = const - sum_{k>x} k^-p, so its expansion to order K is the
+    combination of minus the Euler-Maclaurin table of x^-p (_pl_coeffs), plus
+    sum_i c_i const(H^(p)) and, for p = 1, sum_i c_i ln(d_i x).  The error is
+    at most sum_i |c_i| rem (d_i x)^-q: for p >= 2 times (2 pi)^-2K, from the
+    remainder 4 Int_x^inf |f^(2K)|, at integers x >= 1; for p = 1 (ln x for the
+    integral), the first omitted term of psi(x) + 1/x = H_x - gamma, which
+    envelops at every real x > 0 (DLMF 5.11(ii))."""
+    if p == 1:
+        *table, (q, ra, rb) = _pl_coeffs(1, "em", K + 1, 1, False)
+    else:
+        table = _pl_coeffs(p, "em", K, 1, False)
+        ((q, ra, rb),) = _abs_coeffs(p, 2 * K, False)
+        ra *= 4
+    combo, out, rem = _combo(kind, p, shift), {}, (0, 1)
     for c, d in combo:
-        rem = _rat_add(*rem, abs(c.numerator) * ra * d.denominator**q, c.denominator * rb * d.numerator**q)
-    return combo, terms, Fraction(*rem), q
-
-
-def _weight_constant(kind: str, shift: Optional[int], ctx) -> BigReal:
-    """The constant of the order-1 weight of the kind in x = n or x = 2n + shift:
-    sum_i c_i (gamma + ln d_i) plus the ln 2 multiple of _ODD_COMBOS."""
-    total, log2 = _combo_sums(kind, 1, shift)
-    A = const_gamma(ctx) * total
-    return A + const_log2(ctx) * log2 if log2 else A
-
-
-def _weight_pl(kind: str, shift: Optional[int], W: int, A0: BigReal) -> tuple[list[tuple], Fraction, int]:
-    """The order-1 weight of the kind in x = n or x = 2n + shift expanded to
-    order W (to x^-2W) as power-log terms (A, B, e), and D, q with truncation
-    at most D x^-q; the term at e = 0 is A0 + sum_i c_i ln x, A0 from
-    _weight_constant."""
-    _, terms, D, q = _weight_expansion(kind, 1, W, shift)
-    return [(A0, _combo_sums(kind, 1, shift)[0], 0)] + [(a, 0, e) for e, a in terms], D, q
+        for e, a, b in table:
+            x = -c.numerator * a * d.denominator**e, c.denominator * b * d.numerator**e  # -c a / d^e
+            out[e] = _rat_add(*out[e], *x) if e in out else x
+        rem = _rat_add(*rem, abs(c.numerator * ra) * d.denominator**q, c.denominator * rb * d.numerator**q)
+    return tuple((e, Fraction(*x)) for e, x in out.items() if x[0]), Fraction(*rem), q
 
 
 def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int, int]:
@@ -531,13 +487,19 @@ def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, c
                    alternating: bool = False) -> OracleResult:
     """sum_{n>=1} w_n * base(n)^-s with base = n (shift None) or m = 2n + shift,
     the tail then summed over the odd m with step 2; with alternating (base n),
-    sum_{n>=1} (-1)^(n-1) w_n n^-s, the tail by Boole summation."""
-    A0 = _weight_constant(kind, shift, ctx)
+    sum_{n>=1} (-1)^(n-1) w_n n^-s, the tail by Boole summation.  In x = n or
+    m, the order-1 weight sum_i c_i H_(d_i x) (_combo) is A0 + sum_i c_i ln x
+    plus the terms of _weight_expansion, A0 = sum_i c_i (gamma + ln d_i) plus
+    the ln 2 multiple of _ODD_COMBOS."""
+    total, log2 = _combo_sums(kind, 1, shift)
+    A0 = const_gamma(ctx) * total
+    if log2:
+        A0 = A0 + const_log2(ctx) * log2
     lattice = (1, 0) if shift is None else (2, shift)
 
     def plan(K: int) -> _Plan:
-        wterms, D, q = _weight_pl(kind, shift, max(2, K - 2), A0)
-        return _Plan([(A, B, e + s) for A, B, e in wterms],
+        wterms, D, q = _weight_expansion(kind, 1, max(2, K - 2), shift)
+        return _Plan([(A0, total, s), *((a, 0, e + s) for e, a in wterms)],
                      ("weight-expansion truncation", [(D, 0, s + q)], (1, 1, 0)),
                      ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0), lattice)
 
@@ -554,7 +516,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
 
     def plan(K: int) -> _Plan:
         J = max(3, K)
-        _, wterms, rem, q = _weight_expansion(kind, p, J)
+        wterms, rem, q = _weight_expansion(kind, p, J)
         return _Plan([(a, 0, e + s) for e, a in wterms],
                      ("inner-tail remainder", [(rem, 0, q + s)], (1, 2, 2 * J)), ("em", K, 0))
 
@@ -578,17 +540,12 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
 def _tilde_terms(s: int, KB: int) -> tuple[tuple[tuple, ...], Fraction]:
     """The power-log terms of tau_n / n, tau_n = sum_{j>=n} (-1)^(j-n) j^-s
     expanded by Boole summation of order KB at n, and c with the expansion
-    within c pi^-KB n^-(s+KB): the terms E_k(0)/(2 k!) (-1)^k (s)_k
-    n^-(s+k+1), and c = 4 (s)_KB / (s + KB - 1) from the Boole remainder
-    4 pi^-KB Int_n^inf |d^KB/dx^KB x^-s|."""
-    terms, poch, done = [], 1, 0  # (s)_done, carried across the rising orders k
-    for c, k in _boole_derivs(KB):
-        while done < k:
-            poch *= s + done
-            done += 1
-        a = poch * c.numerator
-        terms.append((Fraction(-a if k % 2 else a, c.denominator), 0, s + k + 1))
-    return tuple(terms), Fraction(4 * _pochhammer(s, KB), s + KB - 1)
+    within c pi^-KB n^-(s+KB): the Boole table of x^-s (numerics._pl_coeffs)
+    one power up, and c = 4 (s)_KB / (s + KB - 1) from the Boole remainder
+    4 pi^-KB Int_n^inf |d^KB/dx^KB x^-s| (numerics._abs_coeffs)."""
+    ((_, ra, rb),) = _abs_coeffs(s, KB, False)
+    terms = tuple((Fraction(a, b), 0, e + 1) for e, a, b in _pl_coeffs(s, "boole", KB, 1, False))
+    return terms, Fraction(4 * ra, rb)
 
 
 def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -634,8 +591,11 @@ def _evaluate(series: Series, cfg: OracleConfig, ctx) -> OracleResult:
 
 # far above the distinct (series, tolerance, precision) keys of one verify or solve run
 @lru_cache(maxsize=1024)
-def _cached(series: Series, tol: float, max_terms: int, wb: int, guard: int) -> OracleResult:
-    return _evaluate(series, OracleConfig(tol, max_terms), PrecisionContext(wb, guard))
+def _cached(series: Series, tol: float, max_terms: int, wb: int) -> tuple:
+    """The result at wb bits as (value, error, achieved bound, N); guard_bits
+    only sets the contract, which oracle_eval checks first."""
+    res = _evaluate(series, OracleConfig(tol, max_terms), PrecisionContext(wb))
+    return res.value.value_tuple(), res.value.err_tuple(), res.achieved_bound, res.terms_used
 
 
 def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
@@ -643,7 +603,8 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
     """Certified numerical value of the series named by sid.
 
     |value - true sum| <= achieved_bound <= cfg.target_tolerance, or
-    BudgetExhausted.  Deterministic for fixed (sid, cfg, ctx); cached by sid.series.
+    BudgetExhausted.  Deterministic for fixed (sid, cfg, ctx); cached by
+    sid.series and ctx.working_bits, the value wrapped in the caller's ctx.
     """
     cfg = cfg or OracleConfig()
     floor = 2.0 ** -(ctx.working_bits - ctx.guard_bits)
@@ -652,7 +613,8 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
             f"target_tolerance {cfg.target_tolerance:.3e} below the precision "
             f"contract 2^-{ctx.working_bits - ctx.guard_bits}"
         )
-    return _cached(sid.series, cfg.target_tolerance, cfg.max_terms, ctx.working_bits, ctx.guard_bits)
+    v, e, achieved, N = _cached(sid.series, cfg.target_tolerance, cfg.max_terms, ctx.working_bits)
+    return OracleResult(BigReal(ctx, v, e), achieved, N)
 
 
 # ---------------------------------------------------------------------------

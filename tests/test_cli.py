@@ -298,10 +298,17 @@ GOLDEN = Path(__file__).parent / "golden"
     ("oracle_J2_1e-32_256.txt", ["oracle", "--family", "J", "--b", "2", "--tol", "1e-32", "--bits", "256"]),
     ("oracle_J2_5e-324_1200.txt", ["oracle", "--family", "J", "--b", "2", "--tol", "5e-324", "--bits", "1200"]),
     ("verify_3-4_1e-20_256.txt", ["verify", "--weight", "3..4", "--tol", "1e-20", "--bits", "256"]),
+    ("oracle_sigma2-3_1e-100_512.txt",
+     ["oracle", "--family", "sigma", "--s", "2", "--t", "3", "--tol", "1e-100", "--bits", "512"]),
+    ("oracle_AltTildeH1_1e-100_512.txt",
+     ["oracle", "--family", "AltTildeH", "--a", "1", "--tol", "1e-100", "--bits", "512"]),
+    ("oracle_h3_1e-100_512.txt", ["oracle", "--family", "h", "--q", "3", "--tol", "1e-100", "--bits", "512"]),
 ])
 def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # every printed digit and bound, frozen when BigReal still ran on mpmath.libmp;
-    # the 4096-bit eval prints a bound below 2^-3500, which to_str rescales
+    # the 4096-bit eval prints a bound below 2^-3500, which to_str rescales.  The
+    # three oracle runs at 512 bits (remainder split, tilde sum, odd lattice) were
+    # frozen before the weight and tilde expansions were read from numerics' tables
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()
