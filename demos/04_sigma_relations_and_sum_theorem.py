@@ -32,7 +32,7 @@ print("Solving weight 7")
 print("=" * 70)
 rep = solve_weight(7, ctx=ctx, cfg=cfg)
 print(f"rank {rep.rank} from {rep.relations_used} rows; unresolved: {rep.unresolved or 'none'}")
-for sid, expr in sorted(rep.solved.items(), key=lambda i: i[0].sort_key()):
+for sid, expr in sorted(rep.solved.items()):
     print(f"  {sid} = {expr}")
 print(f"residuals of the generated relations: "
       + ", ".join(f"{r:.1e}" for _, r in rep.residual_checks))
@@ -41,7 +41,7 @@ print()
 print("Weight 9: the reduction relations close the system")
 print("=" * 70)
 rep9 = solve_weight(9, with_residuals=False)
-for sid, expr in sorted(rep9.solved.items(), key=lambda i: i[0].sort_key()):
+for sid, expr in sorted(rep9.solved.items()):
     ours = eval_sym(expr, ctx)
     orc = oracle_eval(sid, cfg, ctx)
     print(f"  {sid} = {expr}")

@@ -340,7 +340,7 @@ def _cmd_solve(args) -> int:
         "relations": rep.relations_used,
         "solved": {
             str(sid): _sym_json(expr)
-            for sid, expr in sorted(rep.solved.items(), key=lambda i: i[0].sort_key())
+            for sid, expr in sorted(rep.solved.items())
         },
         "unresolved": [str(s) for s in rep.unresolved],
         "inconsistent_rows": rep.inconsistent,

@@ -10,6 +10,7 @@ extended only under one lock.
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -25,7 +26,7 @@ __all__ = [
 ]
 
 
-class HarmonicKind:
+class HarmonicKind(namedtuple("HarmonicKind", "variant order")):
     """Tagged kind of a harmonic-type partial sum.
 
     variant "plain":       H_n^(p)  = sum_{k<=n} 1/k^p
@@ -33,33 +34,16 @@ class HarmonicKind:
     variant "alternating": Ht_n^(b) = sum_{k<=n} (-1)^(k-1)/k^b
     """
 
-    __slots__ = ("variant", "order")
+    __slots__ = ()
 
-    _VARIANTS = ("plain", "semi", "alternating")
-
-    def __init__(self, variant: str, order: int):
-        if variant not in self._VARIANTS:
+    def __new__(cls, variant: str, order: int):
+        if variant not in ("plain", "semi", "alternating"):
             raise ValueError(f"unknown harmonic variant {variant!r}")
+        if type(order) is not int:
+            raise ValueError(f"harmonic order must be an integer, got {order!r}")
         if order < 1:
             raise ValueError(f"harmonic order must be >= 1, got {order}")
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HarmonicKind is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HarmonicKind)
-            and self.variant == other.variant
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash((self.variant, self.order))
-
-    def __repr__(self):
-        return f"HarmonicKind({self.variant!r}, {self.order})"
+        return super().__new__(cls, variant, order)
 
 
 def plain(p: int = 1) -> HarmonicKind:

@@ -40,14 +40,15 @@ certified remainder is below 2^-(working_bits + 4).  li4(1/2) comes from its
 geometrically convergent defining series.
 
 Every memo here is a bounded functools.lru_cache keyed on plain values.
-Constants, logarithms (_ln) and monomial values are cached keyed on
-working_bits, since guard_bits only sets a contract; the public functions wrap
-a raw (value, error) pair in the caller's context.
+Constants, logarithms (_ln) and monomial values are cached per context and
+returned as the finished BigReal: equal contexts are interchangeable, so a
+value may carry the equal context of the caller that computed it.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, inf, nextafter
@@ -79,6 +80,7 @@ from .binfloat import (
 from .symexpr import Atom, SymExpr
 
 __all__ = [
+    "GUARD_BITS",
     "PrecisionContext",
     "PrecisionExhausted",
     "BigReal",
@@ -102,38 +104,26 @@ class PrecisionExhausted(ArithmeticError):
     """Cancellation ate the guard bits; the result does not meet its contract."""
 
 
-class PrecisionContext:
-    """Working precision in bits plus guard bits reserved for rounding noise."""
+GUARD_BITS = 32  # the low bits of working precision that absorb rounding noise
 
-    __slots__ = ("working_bits", "guard_bits")
 
-    def __init__(self, working_bits: int = 192, guard_bits: int = 32):
+class PrecisionContext(namedtuple("PrecisionContext", "working_bits")):
+    """Working precision in bits, at least 64.  A result must keep contract_bits =
+    working_bits - GUARD_BITS of relative accuracy.  Equal contexts are
+    interchangeable, so the caches here key on the context."""
+
+    __slots__ = ()
+
+    def __new__(cls, working_bits: int = 192):
+        if type(working_bits) is not int:
+            raise ValueError(f"working_bits must be an integer, got {working_bits!r}")
         if working_bits < 64:
             raise ValueError(f"working_bits must be >= 64, got {working_bits}")
-        if not 0 <= guard_bits < working_bits:
-            raise ValueError("guard_bits must satisfy 0 <= guard_bits < working_bits")
-        object.__setattr__(self, "working_bits", working_bits)
-        object.__setattr__(self, "guard_bits", guard_bits)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PrecisionContext is immutable")
+        return super().__new__(cls, working_bits)
 
     @property
     def contract_bits(self) -> int:
-        return self.working_bits - self.guard_bits
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrecisionContext)
-            and self.working_bits == other.working_bits
-            and self.guard_bits == other.guard_bits
-        )
-
-    def __hash__(self):
-        return hash((self.working_bits, self.guard_bits))
-
-    def __repr__(self):
-        return f"PrecisionContext(working_bits={self.working_bits}, guard_bits={self.guard_bits})"
+        return self.working_bits - GUARD_BITS
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -417,49 +407,48 @@ def fixed_dot(pairs, ctx: PrecisionContext) -> BigReal:
 
 
 @lru_cache(maxsize=64)
-def _lib_const(series, wb: int) -> tuple:
+def _lib_const(series, ctx: PrecisionContext) -> BigReal:
     """A constant's counted series (binfloat) rounded to wb + 16 bits, then to wb.  The
     bound is ulp(wb) + ulp(wb + 14), the latter checked to cover the series error and
     the first rounding."""
+    wb = ctx.working_bits
     prec = wb + 40
     x, e = series(prec)
     v16 = from_man_exp(x, -prec, wb + 16, "n")
     v = normalize(*v16[:3], wb, "n")
     if e + abs(to_fixed(v16, prec) - x) > 1 << (_mag(v) + prec - wb - 14):
         raise ArithmeticError("a constant's series error exceeds its assigned bound")
-    return v, _eadd(_ulp(v, wb), _ulp(v, wb + 14))
+    return BigReal(ctx, v, _eadd(_ulp(v, wb), _ulp(v, wb + 14)))
 
 
 def const_pi(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return BigReal(ctx, *_lib_const(pi_fixed, ctx.working_bits))
+    return _lib_const(pi_fixed, ctx)
 
 
 def const_log2(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return BigReal(ctx, *_lib_const(ln2_fixed, ctx.working_bits))
+    return _lib_const(ln2_fixed, ctx)
 
 
 def const_gamma(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    return BigReal(ctx, *_lib_const(euler_fixed, ctx.working_bits))
+    return _lib_const(euler_fixed, ctx)
 
 
 @lru_cache(maxsize=256)
-def _pi_power(base: int, k: int, wb: int) -> tuple:
-    ctx = PrecisionContext(wb)
+def _pi_power(base: int, k: int, ctx: PrecisionContext) -> BigReal:
     x = const_pi(ctx) if base == 1 else const_pi(ctx) * base
     out = x
     for bit in bin(k)[3:]:
         out = out * out
         if bit == "1":
             out = out * x
-    out = BigReal.from_int(1, ctx) / out
-    return out._v, out._e
+    return BigReal.from_int(1, ctx) / out
 
 
 def pi_power(base: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """(base pi)^-k for integers base, k >= 1, the power built by repeated squaring."""
     if base < 1 or k < 1:
         raise ValueError(f"pi_power needs base, k >= 1, got ({base}, {k})")
-    return BigReal(ctx, *_pi_power(base, k, ctx.working_bits))
+    return _pi_power(base, k, ctx)
 
 
 def _pochhammer(s: int, m: int) -> int:
@@ -552,9 +541,8 @@ def _fx_dot(fx: FixedPoint, x, coeffs, N: int, absolute: bool = False) -> tuple[
 
 
 @lru_cache(maxsize=64)
-def _ln(n: int, wb: int) -> BigReal:
-    """ln n at wb bits; as with the constants, guard_bits takes no part."""
-    return BigReal.from_int(n, PrecisionContext(wb)).ln()
+def _ln(n: int, ctx: PrecisionContext) -> BigReal:
+    return BigReal.from_int(n, ctx).ln()
 
 
 def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tuple[int, int]:
@@ -569,7 +557,7 @@ def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tu
         if A:
             parts.append(_fx_dot(fx, A, R, N, absolute))
         if B:
-            ln = ln or fx.from_big(_ln(N, fx.ctx.working_bits))
+            ln = ln or fx.from_big(_ln(N, fx.ctx))
             parts += [fx.mul(*_fx_dot(fx, B, R, N, absolute), *ln),
                       _fx_dot(fx, B, coeffs(p, True), N, absolute)]
     return sum(v for v, _ in parts), sum(e for _, e in parts)
@@ -694,8 +682,8 @@ def _tail_value(rule: str, terms, X: int, K: int, fx: FixedPoint, h: int = 1) ->
 
 
 @lru_cache(maxsize=256)
-def _zeta(s: int, wb: int) -> tuple:
-    ctx = PrecisionContext(wb)
+def _zeta(s: int, ctx: PrecisionContext) -> BigReal:
+    wb = ctx.working_bits
     K, terms = max(8, wb // 16), [(1, 0, s)]
     m, scale = _remainder("em", K)
     N, fx = 32, FixedPoint(ctx, 32)
@@ -708,8 +696,7 @@ def _zeta(s: int, wb: int) -> tuple:
     # itself, so it is built for this call only and not kept in _pl_coeffs' cache
     tail = FixedPoint(ctx, 4 * (K + 2) + 2)
     value = _pl_sum(terms, N, lambda p, log: _pl_coeffs.__wrapped__(p, "em", K, 1, log), tail)
-    out = (head + tail.to_big(*value)).widened(from_man_exp(rem, -fx.prec))
-    return out._v, out._e
+    return (head + tail.to_big(*value)).widened(from_man_exp(rem, -fx.prec))
 
 
 def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
@@ -721,21 +708,20 @@ def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """
     if s < 2:
         raise ValueError(f"zeta_num needs s >= 2, got {s}")
-    return BigReal(ctx, *_zeta(s, ctx.working_bits))
+    return _zeta(s, ctx)
 
 
 @lru_cache(maxsize=64)
-def _li4_half(wb: int) -> tuple:
-    M = wb + 8
-    fx = FixedPoint(PrecisionContext(wb), M)
+def _li4_half(ctx: PrecisionContext) -> BigReal:
+    M = ctx.working_bits + 8
+    fx = FixedPoint(ctx, M)
     acc = sum(fx.recip(n**4 << n) for n in range(1, M + 1))
-    out = fx.to_big(acc, M).widened(from_man_exp(1, -M))
-    return out._v, out._e
+    return fx.to_big(acc, M).widened(from_man_exp(1, -M))
 
 
 def li4_half_num(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """li4(1/2) = sum 1/(2^n n^4); truncating at M leaves a tail < 2^-M."""
-    return BigReal(ctx, *_li4_half(ctx.working_bits))
+    return _li4_half(ctx)
 
 
 def atom_num(atom: Atom, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
@@ -749,22 +735,21 @@ def atom_num(atom: Atom, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
 
 
 @lru_cache(maxsize=1024)
-def _monomial_num(mono, wb: int) -> tuple:
-    """The (value, error) pair of a non-empty monomial, a product of atom powers, at wb bits."""
-    ctx = PrecisionContext(wb)
+def _monomial_num(mono, ctx: PrecisionContext) -> BigReal:
+    """The value of a non-empty monomial, a product of atom powers."""
     value = None
     for atom, exp in mono:
         p = atom_num(atom, ctx) ** exp
         value = p if value is None else value * p
-    return value._v, value._e
+    return value
 
 
 def monomial_num(mono, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """The value of a monomial, a product of atom powers, cached per working_bits;
+    """The value of a monomial, a product of atom powers, cached per context;
     the constant monomial () is exact 1."""
     if not mono:
         return BigReal.from_int(1, ctx)
-    return BigReal(ctx, *_monomial_num(mono, ctx.working_bits))
+    return _monomial_num(mono, ctx)
 
 
 def eval_sym(e: SymExpr, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:

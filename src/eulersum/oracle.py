@@ -60,6 +60,7 @@ is part of the reported bound.  Summation order is fixed (ascending n).
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -102,29 +103,21 @@ class BudgetExhausted(RuntimeError):
     """max_terms cannot certify target_tolerance even with tail corrections."""
 
 
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "target_tolerance max_terms")):
     """target_tolerance: the bound to certify; max_terms: the largest cutoff N."""
 
-    __slots__ = ("target_tolerance", "max_terms")
+    __slots__ = ()
 
-    def __init__(self, target_tolerance: float = 1e-10, max_terms: int = 10**7):
+    def __new__(cls, target_tolerance: float = 1e-10, max_terms: int = 10**7):
         if not isfinite(target_tolerance):
             raise ValueError(f"target_tolerance must be finite, got {target_tolerance!r}")
         if not target_tolerance > 0:
             raise ValueError("target_tolerance must be positive")
+        if type(max_terms) is not int:
+            raise ValueError(f"max_terms must be an integer, got {max_terms!r}")
         if max_terms < 1:
             raise ValueError("max_terms must be positive")
-        object.__setattr__(self, "target_tolerance", float(target_tolerance))
-        object.__setattr__(self, "max_terms", int(max_terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("OracleConfig is immutable")
-
-    def __repr__(self):
-        return (
-            f"OracleConfig(target_tolerance={self.target_tolerance!r}, "
-            f"max_terms={self.max_terms})"
-        )
+        return super().__new__(cls, float(target_tolerance), max_terms)
 
 
 class OracleResult(NamedTuple):
@@ -589,13 +582,8 @@ def _evaluate(series: Series, cfg: OracleConfig, ctx) -> OracleResult:
     return _eval_remainder_split(kind, s, order, cfg, ctx)
 
 
-# far above the distinct (series, tolerance, precision) keys of one verify or solve run
-@lru_cache(maxsize=1024)
-def _cached(series: Series, tol: float, max_terms: int, wb: int) -> tuple:
-    """The result at wb bits as (value, error, achieved bound, N); guard_bits
-    only sets the contract, which oracle_eval checks first."""
-    res = _evaluate(series, OracleConfig(tol, max_terms), PrecisionContext(wb))
-    return res.value.value_tuple(), res.value.err_tuple(), res.achieved_bound, res.terms_used
+# far above the distinct (series, config, context) keys of one verify or solve run
+_cached = lru_cache(maxsize=1024)(_evaluate)
 
 
 def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
@@ -603,18 +591,18 @@ def oracle_eval(sid: SumId, cfg: Optional[OracleConfig] = None,
     """Certified numerical value of the series named by sid.
 
     |value - true sum| <= achieved_bound <= cfg.target_tolerance, or
-    BudgetExhausted.  Deterministic for fixed (sid, cfg, ctx); cached by
-    sid.series and ctx.working_bits, the value wrapped in the caller's ctx.
+    BudgetExhausted.  Deterministic for fixed (sid, cfg, ctx), and cached by
+    (sid.series, cfg, ctx): ids of one series shape under equal configs and
+    contexts get back one result object, its value in the context of the
+    caller that computed it.
     """
     cfg = cfg or OracleConfig()
-    floor = 2.0 ** -(ctx.working_bits - ctx.guard_bits)
-    if cfg.target_tolerance < floor:
+    if cfg.target_tolerance < 2.0 ** -ctx.contract_bits:
         raise ValueError(
             f"target_tolerance {cfg.target_tolerance:.3e} below the precision "
-            f"contract 2^-{ctx.working_bits - ctx.guard_bits}"
+            f"contract 2^-{ctx.contract_bits}"
         )
-    v, e, achieved, N = _cached(sid.series, cfg.target_tolerance, cfg.max_terms, ctx.working_bits)
-    return OracleResult(BigReal(ctx, v, e), achieved, N)
+    return _cached(sid.series, cfg, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ side, each with its coefficient.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -51,7 +52,7 @@ __all__ = [
 ]
 
 
-class Relation:
+class Relation(namedtuple("Relation", "coeffs rhs")):
     """sum_i coeff_i * sigma_i = rhs, all sigma_i of one weight, rhs a SymExpr.
 
     Generators may legitimately produce relations with no sigma terms at
@@ -59,19 +60,15 @@ class Relation:
     normalize to zero (`is_identity`).
     """
 
-    __slots__ = ("coeffs", "rhs")
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[SumId, Fraction], rhs: SymExpr):
+    def __new__(cls, coeffs: dict[SumId, Fraction], rhs: SymExpr):
         clean = {k: exact.as_fraction(v) for k, v in coeffs.items()}
         clean = {k: c for k, c in clean.items() if c}
         weights = {k.weight for k in clean}
         if len(weights) > 1:
             raise ValueError(f"mixed weights in relation: {sorted(weights)}")
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Relation is immutable")
+        return super().__new__(cls, clean, rhs)
 
     @property
     def is_identity(self) -> bool:
@@ -81,11 +78,8 @@ class Relation:
     def weight(self) -> Optional[int]:
         return next(iter(self.coeffs)).weight if self.coeffs else None
 
-    def __eq__(self, other):
-        return isinstance(other, Relation) and self.coeffs == other.coeffs and self.rhs == other.rhs
-
     def __repr__(self):
-        lhs = " + ".join(f"{c}*{k}" for k, c in sorted(self.coeffs.items(), key=lambda i: i[0].sort_key()))
+        lhs = " + ".join(f"{c}*{k}" for k, c in sorted(self.coeffs.items()))
         return f"Relation({lhs or '0'} = {self.rhs})"
 
     def residual(self, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -110,7 +104,7 @@ class Relation:
         """
         cfg = cfg or OracleConfig()
         pairs = [(c, oracle_eval(sid, cfg, ctx).value)
-                 for sid, c in sorted(self.coeffs.items(), key=lambda i: i[0].sort_key())]
+                 for sid, c in sorted(self.coeffs.items())]
         pairs += [(-r, monomial_num(mono, ctx)) for mono, r in self.rhs.items()]
         return fixed_dot(pairs, ctx)
 

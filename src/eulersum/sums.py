@@ -11,6 +11,7 @@ follow from the record.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -82,7 +83,7 @@ FAMILIES = {
 }
 
 
-class SumId:
+class SumId(namedtuple("SumId", "family params")):
     """One series family instance, e.g. SumId.sigma(2, 3) or SumId.J(4).
 
     The defining series:
@@ -99,26 +100,26 @@ class SumId:
       E(p, q)         sum (sum_{k<=2n} k^-p) / n^q
 
     Its shape is series (FAMILIES[family].series); two ids of one shape, such
-    as sigma(s, 1) and J(s), name the same series.
+    as sigma(s, 1) and J(s), name the same series.  An id is the tuple
+    (family, params), and it compares, hashes and sorts as that tuple.
     """
 
-    __slots__ = ("family", "params")
+    __slots__ = ()
 
-    def __init__(self, family: str, *params: int):
+    def __new__(cls, family: str, *params: int):
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         fam = FAMILIES[family]
         if len(params) != len(fam.params):
             raise ValueError(f"{family} takes parameters {fam.params}, got {params}")
-        if not all(isinstance(p, int) for p in params):
+        if not all(type(p) is int for p in params):
             raise ValueError(f"{family} parameters must be integers, got {params}")
         if not fam.valid(*params):
             raise ValueError(f"parameters {params} out of range for family {family}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", tuple(params))
+        return super().__new__(cls, family, params)
 
-    def __setattr__(self, *a):
-        raise AttributeError("SumId is immutable")
+    def __getnewargs__(self):  # for copy and pickle, which call __new__ with these
+        return (self.family, *self.params)
 
     # family constructors
     @staticmethod
@@ -178,15 +179,6 @@ class SumId:
     @property
     def param_names(self) -> tuple[str, ...]:
         return FAMILIES[self.family].params
-
-    def sort_key(self):
-        return (self.family, self.params)
-
-    def __eq__(self, other):
-        return isinstance(other, SumId) and self.family == other.family and self.params == other.params
-
-    def __hash__(self):
-        return hash((self.family, self.params))
 
     def __str__(self):
         return f"{self.family}({', '.join(map(str, self.params))})"

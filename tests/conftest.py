@@ -5,7 +5,7 @@ from eulersum import OracleConfig, PrecisionContext
 
 @pytest.fixture(scope="session")
 def ctx():
-    return PrecisionContext(working_bits=192, guard_bits=32)
+    return PrecisionContext(working_bits=192)
 
 
 @pytest.fixture(scope="session")

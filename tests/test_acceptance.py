@@ -28,7 +28,7 @@ from eulersum import (
 from eulersum.sums import SumId
 from eulersum.symexpr import LI4_HALF, LOG2, PI, SymExpr, lambda_sym, zeta_sym
 
-CTX = PrecisionContext(working_bits=192, guard_bits=32)
+CTX = PrecisionContext(working_bits=192)
 CFG = OracleConfig(target_tolerance=1e-10, max_terms=10**7)
 TOL = 1e-8
 LN2 = SymExpr.atom(LOG2)

@@ -55,7 +55,7 @@ def _eval(tree, ctx):
 @settings(max_examples=300, deadline=None)
 @given(bits=st.integers(64, 1024), tree=_trees)
 def test_expression_tree_interval_contains_exact_value(bits, tree):
-    ctx = PrecisionContext(working_bits=bits, guard_bits=16)
+    ctx = PrecisionContext(working_bits=bits)
     try:
         v, exact = _eval(tree, ctx)
     except PrecisionExhausted:
@@ -69,7 +69,7 @@ _positive = st.fractions(min_value=F(1, 10**9), max_value=10**9, max_denominator
 @settings(max_examples=200, deadline=None)
 @given(bits=st.integers(64, 1024), x=_positive)
 def test_ln_contains_mpmath_at_twice_the_precision(bits, x):
-    ctx = PrecisionContext(working_bits=bits, guard_bits=16)
+    ctx = PrecisionContext(working_bits=bits)
     v = BigReal.from_fraction(x, ctx).ln()
     with mpmath.workprec(2 * bits):
         # ln of x's rounded BigReal value, so only ln's own error is tested
@@ -80,7 +80,7 @@ def test_ln_contains_mpmath_at_twice_the_precision(bits, x):
 @settings(max_examples=200, deadline=None)
 @given(bits=st.integers(64, 1024), x=_positive, n=st.integers(-12, 12))
 def test_integer_power_contains_mpmath_at_twice_the_precision(bits, x, n):
-    ctx = PrecisionContext(working_bits=bits, guard_bits=16)
+    ctx = PrecisionContext(working_bits=bits)
     base = BigReal.from_fraction(x, ctx)
     v = base**n
     with mpmath.workprec(2 * bits):
@@ -102,7 +102,7 @@ def test_constants_contain_mpmath_at_twice_the_precision(bits):
 def test_pi_power_contains_mpmath_at_twice_the_precision(bits, base, k):
     ctx = PrecisionContext(working_bits=bits)
     v = pi_power(base, k, ctx)
-    assert v.ctx is ctx and pi_power(base, k, ctx).value_tuple() == v.value_tuple()
+    assert v.ctx == ctx and pi_power(base, k, ctx).value_tuple() == v.value_tuple()
     with mpmath.workprec(2 * bits):
         assert _near_mpmath(v, (base * mpmath.pi()) ** -k)
 

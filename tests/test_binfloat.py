@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
 from eulersum import binfloat
-from eulersum.numerics import _lib_const
+from eulersum.numerics import PrecisionContext, _lib_const
 
 _modes = st.sampled_from("nud")
 
@@ -125,4 +125,4 @@ def test_constants_are_within_their_counted_error(prec):
 def test_a_constant_series_outside_its_assigned_bound_is_refused():
     x, _ = binfloat.pi_fixed(296)
     with pytest.raises(ArithmeticError):
-        _lib_const.__wrapped__(lambda prec: (x, 1 << 50), 256)
+        _lib_const.__wrapped__(lambda prec: (x, 1 << 50), PrecisionContext(256))

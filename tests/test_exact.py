@@ -27,6 +27,13 @@ def test_harmonic_rejects_bad_input():
         exact.harmonic(-1, exact.plain(1))
 
 
+@pytest.mark.parametrize("order", [1.5, 2.0, True])
+def test_harmonic_kind_refuses_an_order_that_is_not_an_integer(order):
+    # 1.5 used to be accepted and fail later inside harmonic
+    with pytest.raises(ValueError, match="integer"):
+        exact.HarmonicKind("plain", order)
+
+
 def test_harmonic_even_split_identity():
     # H_2n = S_n + H_n / 2
     for n in range(1, 60):

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import pkgutil
 import random
@@ -9,8 +10,11 @@ from mpmath import mp, mpf
 import eulersum
 from eulersum import (
     BigReal,
+    HarmonicKind,
+    OracleConfig,
     PrecisionContext,
     PrecisionExhausted,
+    Relation,
     const_gamma,
     const_log2,
     const_pi,
@@ -19,7 +23,7 @@ from eulersum import (
     zeta_num,
 )
 from eulersum.closedform import closed_form_for, known_closed_form_ids
-from eulersum.numerics import atom_num, pi_power
+from eulersum.numerics import GUARD_BITS, atom_num, monomial_num, pi_power
 from eulersum.sums import SumId
 from eulersum.symexpr import LOG2, PI, SymExpr, lambda_sym, zeta_sym
 
@@ -131,7 +135,7 @@ def test_bernoulli_vs_direct_zeta_routes(ctx):
         a = eval_sym(zeta_sym(2 * k), ctx)
         b = zeta_num(2 * k, ctx)
         d = abs(float(a - b))
-        assert d < 2.0 ** -(ctx.working_bits - ctx.guard_bits) * 4, (k, d)
+        assert d < 2.0 ** -ctx.contract_bits * 4, (k, d)
 
 
 def test_li4_half_value(ctx):
@@ -199,10 +203,10 @@ def test_eval_sym_agrees_with_per_term_reference(bits):
 
 
 def test_eval_sym_builds_each_result_at_its_own_precision():
-    # monomial values are cached per working_bits; guard_bits only sets the contract
+    # monomial values are cached per context; an equal context shares them
     e = closed_form_for(SumId.J(3))
     contexts = [PrecisionContext(working_bits=192), PrecisionContext(working_bits=256),
-                PrecisionContext(working_bits=256, guard_bits=16)]
+                PrecisionContext(working_bits=256)]
     vals = [eval_sym(e, c) for c in contexts]
     for c, v in zip(contexts, vals):
         assert v.ctx is c and v.meets_contract()
@@ -213,13 +217,15 @@ def test_eval_sym_builds_each_result_at_its_own_precision():
 
 
 @pytest.mark.parametrize("bits", [192, 1024])
-def test_cached_constants_do_not_depend_on_guard_bits(bits):
-    # the caches key on working_bits alone; each call returns its caller's ctx
-    a, b = PrecisionContext(working_bits=bits), PrecisionContext(working_bits=bits, guard_bits=8)
-    for make in (const_pi, lambda c: pi_power(2, 3, c), lambda c: zeta_num(5, c), li4_half_num):
-        x, y = make(a), make(b)
-        assert x.ctx is a and y.ctx is b
-        assert (x.value_tuple(), x.err_tuple()) == (y.value_tuple(), y.err_tuple())
+def test_equal_contexts_share_one_cached_value(bits):
+    # the caches key on the context, so an equal but distinct one gets back the
+    # value already built, in the context of the caller that built it
+    a, b = PrecisionContext(working_bits=bits), PrecisionContext(working_bits=bits)
+    assert a == b and a is not b
+    for make in (const_pi, lambda c: pi_power(2, 3, c), lambda c: zeta_num(5, c), li4_half_num,
+                 lambda c: monomial_num(((PI, 2), (LOG2, 1)), c)):
+        x = make(a)
+        assert make(b) is x and x.ctx == b
 
 
 def test_every_module_cache_is_bounded():
@@ -240,8 +246,8 @@ def test_every_module_cache_is_bounded():
 
 
 def test_monotone_precision():
-    small = PrecisionContext(working_bits=128, guard_bits=32)
-    big = PrecisionContext(working_bits=256, guard_bits=32)
+    small = PrecisionContext(working_bits=128)
+    big = PrecisionContext(working_bits=256)
     for e in (zeta_sym(3).scaled(Fraction(7, 4)), lambda_sym(2) * lambda_sym(5), SymExpr.atom(LOG2, 4)):
         lo = eval_sym(e, small)
         hi = eval_sym(e, big)
@@ -281,5 +287,37 @@ def test_bigreal_decimal_never_overstates(ctx):
 def test_context_validation():
     with pytest.raises(ValueError):
         PrecisionContext(working_bits=32)
-    with pytest.raises(ValueError):
-        PrecisionContext(working_bits=128, guard_bits=128)
+    with pytest.raises(TypeError):  # the guard bits are the constant GUARD_BITS
+        PrecisionContext(working_bits=128, guard_bits=32)
+    assert PrecisionContext(working_bits=128).contract_bits == 128 - GUARD_BITS
+
+
+@pytest.mark.parametrize("bits", [100.5, 256.0, True, "192"])
+def test_context_refuses_a_width_that_is_not_an_integer(bits):
+    # 100.5 used to be accepted and fail later inside FixedPoint
+    with pytest.raises(ValueError, match="integer"):
+        PrecisionContext(working_bits=bits)
+
+
+@pytest.mark.parametrize("make,other", [
+    (lambda: PrecisionContext(working_bits=256), PrecisionContext(working_bits=257)),
+    (lambda: OracleConfig(target_tolerance=1e-20, max_terms=500), OracleConfig(target_tolerance=1e-20)),
+    (lambda: HarmonicKind("semi", 3), HarmonicKind("plain", 3)),
+    (lambda: SumId.E(2, 3), SumId.E(3, 2)),
+    (lambda: Relation({SumId.J(3): 2}, zeta_sym(3)), Relation({SumId.J(3): 1}, zeta_sym(3))),
+], ids=["PrecisionContext", "OracleConfig", "HarmonicKind", "SumId", "Relation"])
+def test_value_records_are_immutable_and_compare_by_value(make, other):
+    a, b = make(), make()
+    assert a == b and a is not b and a != other and copy.copy(a) == a
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(other, field))
+    if isinstance(a, Relation):
+        with pytest.raises(TypeError):  # its coefficients are a dict
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and len({a, b, other}) == 2
+
+
+def test_config_repr_is_unchanged():
+    assert repr(OracleConfig()) == "OracleConfig(target_tolerance=1e-10, max_terms=10000000)"

@@ -155,7 +155,7 @@ def test_budget_exhausted(ctx):
 
 
 def test_tolerance_floor_validation():
-    small = PrecisionContext(working_bits=128, guard_bits=32)
+    small = PrecisionContext(working_bits=128)
     with pytest.raises(ValueError):
         oracle_eval(SumId.J(2), OracleConfig(target_tolerance=1e-60), small)
 
@@ -168,6 +168,13 @@ def test_config_validation():
     for tol in (float("inf"), float("nan"), float("-inf")):
         with pytest.raises(ValueError, match="finite"):
             OracleConfig(target_tolerance=tol)
+
+
+@pytest.mark.parametrize("max_terms", [40.7, 1e7, True])
+def test_config_refuses_a_term_budget_that_is_not_an_integer(max_terms):
+    # 40.7 used to become 40, and True a budget of one term
+    with pytest.raises(ValueError, match="integer"):
+        OracleConfig(max_terms=max_terms)
 
 
 def test_sigma_t1_equals_jordan_route(ctx, cfg):
@@ -584,25 +591,19 @@ def test_ids_of_one_series_share_one_cached_result(alias, sid, ctx, cfg):
     misses = oracle._cached.cache_info().misses
     a, b = oracle_eval(alias, cfg, ctx), oracle_eval(sid, cfg, ctx)
     assert oracle._cached.cache_info().misses <= misses + 1
-    assert _result_tuple(a) == _result_tuple(b)
+    assert a is b
 
 
-def _result_tuple(res) -> tuple:
-    return res.value.value_tuple(), res.value.err_tuple(), res.achieved_bound, res.terms_used
-
-
-def test_the_oracle_cache_does_not_depend_on_guard_bits():
-    # keyed on working_bits alone, as the constants are; each result is wrapped
-    # in its caller's context, and a tolerance no other test uses makes the
-    # first call compute
-    cfg = OracleConfig(target_tolerance=4.1e-23)
-    contexts = PrecisionContext(working_bits=200), PrecisionContext(working_bits=200, guard_bits=16)
+def test_equal_configs_and_contexts_share_one_cached_result():
+    # the cache keys on the config and the context, so equal but distinct ones
+    # get back the one result; a tolerance no other test uses makes the first
+    # call compute
+    calls = [(OracleConfig(target_tolerance=4.1e-23), PrecisionContext(working_bits=200)) for _ in range(2)]
+    assert calls[0] == calls[1] and calls[0][0] is not calls[1][0] and calls[0][1] is not calls[1][1]
     misses = oracle._cached.cache_info().misses
-    results = [oracle_eval(SumId.J(2), cfg, c) for c in contexts]
+    a, b = (oracle_eval(SumId.J(2), cfg, c) for cfg, c in calls)
     assert oracle._cached.cache_info().misses == misses + 1
-    for c, res in zip(contexts, results):
-        assert res.value.ctx is c
-    assert _result_tuple(results[0]) == _result_tuple(results[1])
+    assert a is b and a.value.ctx == calls[1][1]
 
 
 def _mp(x):

@@ -161,7 +161,7 @@ def test_residual_within_combined_oracle_bounds(ctx, cfg):
 
     for rel in (gen_product_relation(2, 4), gen_product_relation(3, 4), reduction_relation(3, 2)):
         acc = BigReal.zero(ctx)
-        for sid, c in sorted(rel.coeffs.items(), key=lambda i: i[0].sort_key()):
+        for sid, c in sorted(rel.coeffs.items()):
             res = oracle_eval(sid, cfg, ctx)
             acc = acc + res.value * c
         acc = acc - eval_sym(rel.rhs, ctx)
@@ -313,3 +313,10 @@ def test_sigma_ids_are_shared_and_still_validated():
         SumId.sigma(1, 1)
     with pytest.raises(ValueError):
         SumId.sigma(2.0, 3)
+
+
+@pytest.mark.parametrize("params", [(2, True), (True, 2), (2, 1.0)])
+def test_sum_ids_refuse_parameters_that_are_not_integers(params):
+    # sigma(2, True) used to equal sigma(2, 1) and print as sigma(2, True)
+    with pytest.raises(ValueError, match="integers"):
+        SumId("sigma", *params)
