@@ -59,9 +59,12 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-@lru_cache(maxsize=1)
-def _build_parser() -> _Parser:
-    """The parser, built on first use; parse_args leaves it unchanged, so every run shares it."""
+@lru_cache(maxsize=8)
+def _build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser for an argv whose first word is command, built on first use.
+    Every command is listed, but only that command's arguments are added (all
+    of them for None, when the first word names no command), which is all such
+    an argv can reach.  parse_args leaves it unchanged, so every run shares it."""
     p = _Parser(prog="eulersum", description="Jordan and sigma-Euler sum calculator")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -78,26 +81,30 @@ def _build_parser() -> _Parser:
         for name in _PARAM_FLAGS:
             sp.add_argument(f"--{name}", default=None)
 
-    sp = sub.add_parser("eval", help="closed form of one sum, symbolic and numeric")
-    add_params(sp)
-    add_common(sp)
+    def to_fill(name, text):
+        sp = sub.add_parser(name, help=text)
+        return sp if command in (None, name) else None
 
-    sp = sub.add_parser("oracle", help="certified direct summation of one sum")
-    add_params(sp)
-    add_common(sp, tol_default=1e-10)
+    if sp := to_fill("eval", "closed form of one sum, symbolic and numeric"):
+        add_params(sp)
+        add_common(sp)
 
-    sp = sub.add_parser("verify", help="run the identity verification suite")
-    sp.add_argument("--family", default=None, choices=sorted(FAMILIES))
-    sp.add_argument("--weight", default=None, help="weight or range, e.g. 7 or 3..10")
-    add_common(sp, tol_default=1e-8)
+    if sp := to_fill("oracle", "certified direct summation of one sum"):
+        add_params(sp)
+        add_common(sp, tol_default=1e-10)
 
-    sp = sub.add_parser("solve", help="solve the sigma system of one weight")
-    sp.add_argument("--weight", required=True)
-    add_common(sp, tol_default=1e-10)
+    if sp := to_fill("verify", "run the identity verification suite"):
+        sp.add_argument("--family", default=None, choices=sorted(FAMILIES))
+        sp.add_argument("--weight", default=None, help="weight or range, e.g. 7 or 3..10")
+        add_common(sp, tol_default=1e-8)
 
-    sp = sub.add_parser("table", help="tabulate a family over a parameter range")
-    add_params(sp)
-    add_common(sp, tol_default=1e-10, formats=("json", "tsv", "pretty"))
+    if sp := to_fill("solve", "solve the sigma system of one weight"):
+        sp.add_argument("--weight", required=True)
+        add_common(sp, tol_default=1e-10)
+
+    if sp := to_fill("table", "tabulate a family over a parameter range"):
+        add_params(sp)
+        add_common(sp, tol_default=1e-10, formats=("json", "tsv", "pretty"))
     return p
 
 
@@ -404,7 +411,7 @@ _COMMANDS = {"eval": _cmd_eval, "oracle": _cmd_oracle, "verify": _cmd_verify,
 
 def run(argv: list[str]) -> int:
     """Entry point; returns the process exit code instead of raising SystemExit."""
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -18,13 +18,16 @@ Certified tails are sums of power-log terms (A + B ln x) x^-p.  Their
 Euler-Maclaurin and Boole sums and the integrals that bound the remainders
 are, per power p, A R(N) + B (R(N) ln N + Q(N)): R and Q are sums c N^-j
 whose exact rational c do not depend on N (signed A and B for a value, |A|
-and |B| for a bound; terms sharing p merge into one).  They are summed as a
+and |B| for a bound; no two terms share a power).  They are summed as a
 pair on the caller's FixedPoint, a rational A or B folded into each floor;
 the oracle builds every tail and bound from this layer.  The tables of c are
-built on integer pairs, common factors cancelled before each product, and
-cached (_pl_coeffs, _abs_coeffs, _hslice).  _pl_coeffs is the one
-Euler-Maclaurin/Boole expansion of a power x^-p in the package: the oracle
-also reads its weight asymptotics and inner tails from it.
+built on integer pairs, common factors cancelled before each product.  The
+table of order K of a power, rule and step is the first entries of one
+prefix list, grown under a lock when a higher order is asked for (_pl_table,
+_prefix), so no entry is built twice; so are the slices H(p, m) (_hslices),
+and the remainders' coefficients are cached (_abs_coeffs).  _pl_coeffs is the
+one Euler-Maclaurin/Boole expansion of a power x^-p in the package: the
+oracle also reads its weight asymptotics and inner tails from it.
 
 The constants pi, log 2 and gamma are binfloat's counted fixed-point series:
 Machin's formula for pi, a hyperbolic Machin-type (acoth) formula for log 2
@@ -51,6 +54,7 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from math import factorial, gcd, inf, nextafter
 from typing import Optional, Union
 
@@ -176,6 +180,10 @@ class BigReal:
 
     def __setattr__(self, *a):
         raise AttributeError("BigReal is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as __setattr__ refuses slot state
+        return BigReal, (self.ctx, self._v, self._e)
 
     # -- constructors ------------------------------------------------------
 
@@ -481,6 +489,45 @@ def _rat_add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return t // g2, s * (d // g2)
 
 
+# -- prefix lists -----------------------------------------------------------------
+#
+# A table whose entries of order K are those of order K - 1 and a few more is
+# one list per shape, grown to the length an order asks for from an endless
+# generator of its entries, under _grow_lock; a bounded lru_cache holds each
+# shape's (list, generator), so no entry is built twice while its shape is cached.
+
+_grow_lock = threading.RLock()  # reentrant: growing one table may grow another
+
+
+def _prefix(table: tuple, n: int) -> list:
+    """The list of the prefix table (entries, source), grown from source to at
+    least n entries; a caller reads only the entries it asked for."""
+    entries, source = table
+    if len(entries) < n:
+        with _grow_lock:
+            while len(entries) < n:
+                entries.append(next(source))
+    return entries
+
+
+def _hslice_entries(p: int):
+    h = (0, 1)
+    for i in count(p):
+        yield h
+        h = _rat_add(*h, 1, i)
+
+
+@lru_cache(maxsize=256)
+def _hslices(p: int) -> tuple:
+    """H(p, 0), H(p, 1), ... as reduced pairs, a prefix list (_prefix)."""
+    return [], _hslice_entries(p)
+
+
+def _hslice(p: int, m: int) -> tuple[int, int]:
+    """H(p, m) = sum_{i<m} 1/(p+i) as a reduced pair (a, b)."""
+    return _prefix(_hslices(p), m + 1)[m]
+
+
 # -- power-log tails ------------------------------------------------------------
 #
 # A term (A, B, p) stands for (A + B ln x) x^-p; A and B are rationals or
@@ -493,38 +540,6 @@ def _rat_add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
 # A R + B (R ln N + Q) per power, where R and Q are sums c N^-j over exact
 # rationals c that do not depend on N.  Q, the log part, is built only for a
 # power whose B is not zero.
-
-@lru_cache(maxsize=256)
-def _hslices(p: int) -> list[tuple[int, int]]:
-    """[H(p, 0), H(p, 1), ...] as reduced pairs, extended by _hslice under
-    _hslice_lock as needed."""
-    return [(0, 1)]
-
-
-_hslice_lock = threading.Lock()
-
-
-def _hslice(p: int, m: int) -> tuple[int, int]:
-    """H(p, m) = sum_{i<m} 1/(p+i) as a reduced pair (a, b)."""
-    table = _hslices(p)
-    with _hslice_lock:
-        while len(table) <= m:
-            table.append(_rat_add(*table[-1], 1, p + len(table) - 1))
-        return table[m]
-
-
-def _merge(terms) -> list[tuple]:
-    """One term per power: A and B summed over the terms sharing p.  BigReal and
-    rational coefficients are summed apart, so rationals merge exactly."""
-    merged: dict = {}
-    for A, B, p in terms:
-        key = (p, isinstance(A, BigReal), isinstance(B, BigReal))
-        if key in merged:
-            a, b = merged[key]
-            A, B = a + A, b + B
-        merged[key] = (A, B)
-    return [(A, B, key[0]) for key, (A, B) in merged.items()]
-
 
 def _fx_dot(fx: FixedPoint, x, coeffs, N: int, absolute: bool = False) -> tuple[int, int]:
     """x, or |x| with absolute, times sum (a/b) N^-j over (j, a, b) in coeffs as
@@ -548,9 +563,9 @@ def _ln(n: int, ctx: PrecisionContext) -> BigReal:
 def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tuple[int, int]:
     """The (value, error) pair on fx of the sum over the terms of A R +
     B (R ln N + Q), of |A| and |B| with absolute, where R = coeffs(p, False)
-    and, only where B is not zero, Q = coeffs(p, True), each a tuple of integer
-    triples (j, a, b) for sum (a/b) N^-j.  Callers merge terms sharing a power
-    once (_merge), which saves passes and, for a bound, only tightens it."""
+    and, only where B is not zero, Q = coeffs(p, True), each a sequence of
+    integer triples (j, a, b) for sum (a/b) N^-j.  No two of the callers'
+    terms share a power, so each power's coefficients are read once."""
     ln, parts = None, []
     for A, B, p in terms:
         R = coeffs(p, False)
@@ -563,35 +578,62 @@ def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tu
     return sum(v for v, _ in parts), sum(e for _, e in parts)
 
 
-def _derivs(rule: str, K: int) -> tuple[tuple[Fraction, int], ...]:
-    return _em_derivs(K) if rule == "em" else _boole_derivs(K)
+def _deriv(rule: str, i: int) -> tuple[Fraction, int]:
+    """The i-th derivative term (c, m) of the tail rule, i = 0, 1, ...; the rule
+    of order K sums c f^(m)(N) over its first _n_derivs(rule, K) terms.  With
+    "em" they are (-1/2, 0) and (-B_2k/(2k)!, 2k - 1), and Int_N^inf f plus
+    their sum is the Euler-Maclaurin sum over n > N; with "boole" they are
+    (E_k(0)/(2 k!), k) for k = 0 and the odd k, where E_k(0) is not 0."""
+    if not i:
+        return (-_HALF if rule == "em" else _HALF), 0
+    return _em_deriv(i) if rule == "em" else _boole_deriv(2 * i - 1)
 
 
-@lru_cache(maxsize=1024)
-def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
-    """R, or Q with log, of the power p for the tail rule of order K and step
-    h, as for _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N)
-    over (c, m) in _em_derivs(K); with "boole", the sum over _boole_derivs(K)
-    alone; for p = 1 the integral diverges and is left out, as ln N takes its
-    place in H_N (oracle._weight_expansion).  The rule of step h at N is that
-    of step 1 for g(j) = f(N + h j) at j = 0.  Each coefficient is a reduced
-    fraction, built in integers (_rat_mul): (p)_m and the factorial in c
-    mostly cancel, so the tables of high order stay small."""
-    out = []
+def _n_derivs(rule: str, K: int) -> int:
+    """The number of derivative terms (_deriv) of the tail rule of order K."""
+    return K + 1 if rule == "em" else 1 + K // 2
+
+
+def _pl_entries(p: int, rule: str, h: int, log: bool):
+    """The entries (j, a, b) of _pl_coeffs' tables of (p, rule, h, log), those
+    of every order in one endless sequence.  Each is a reduced fraction, built
+    in integers (_rat_mul): (p)_m and the factorial in c mostly cancel, so the
+    entries of high order stay small."""
     if rule == "em" and p > 1:
-        out.append((p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)))
+        yield p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)
     poch, done = 1, 0  # (p)_done, carried across the rising orders m
-    for c, m in _derivs(rule, K):
-        if log and not m:
-            continue
+    for i in count(1 if log else 0):  # Q has no entry for m = 0
+        c, m = _deriv(rule, i)
         while done < m:
             poch *= p + done
             done += 1
         a, b = _rat_mul(-poch * h**m if m % 2 else poch * h**m, 1, c.numerator, c.denominator)
         if log:
             a, b = _rat_mul(-a, b, *_hslice(p, m))
-        out.append((p + m, a, b))
-    return tuple(out)
+        yield p + m, a, b
+
+
+def _pl_length(p: int, rule: str, K: int, log: bool) -> int:
+    """The number of entries in _pl_coeffs' table of order K."""
+    return (rule == "em" and p > 1) + _n_derivs(rule, K) - log
+
+
+@lru_cache(maxsize=1024)
+def _pl_table(p: int, rule: str, h: int, log: bool) -> tuple:
+    """_pl_entries(p, rule, h, log) as a prefix list (_prefix)."""
+    return [], _pl_entries(p, rule, h, log)
+
+
+def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> list:
+    """R, or Q with log, of the power p for the tail rule of order K and step
+    h, as for _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N)
+    over the derivative terms (c, m) of order K (_deriv); with "boole", their
+    sum alone; for p = 1 the integral diverges and is left out, as ln N takes
+    its place in H_N (oracle._weight_expansion).  The rule of step h at N is
+    that of step 1 for g(j) = f(N + h j) at j = 0.  The table of order K is
+    the first entries of the prefix list _pl_table."""
+    n = _pl_length(p, rule, K, log)
+    return _prefix(_pl_table(p, rule, h, log), n)[:n]
 
 
 @lru_cache(maxsize=4096)
@@ -653,24 +695,11 @@ def _em_deriv(k: int) -> tuple[Fraction, int]:
     return Fraction(-b.numerator, b.denominator * factorial(2 * k)), 2 * k - 1
 
 
-@lru_cache(maxsize=256)
-def _em_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
-    """((c, m), ...) with Int_N^inf f + sum c f^(m)(N) the Euler-Maclaurin sum of
-    order K over n > N: Int_N^inf f - f(N)/2 - sum B_2k/(2k)! f^(2k-1)(N)."""
-    return ((-_HALF, 0), *map(_em_deriv, range(1, K + 1)))
-
-
 @lru_cache(maxsize=1024)
 def _boole_deriv(k: int) -> tuple[Fraction, int]:
     """(E_k(0)/(2 k!), k), E_k(0)/2 = (1 - 2^(k+1)) B_(k+1)/(k+1)."""
     b = exact.bernoulli(k + 1)
     return Fraction((1 - 2 ** (k + 1)) * b.numerator, b.denominator * factorial(k + 1)), k
-
-
-@lru_cache(maxsize=256)
-def _boole_derivs(K: int) -> tuple[tuple[Fraction, int], ...]:
-    """((E_k(0)/(2 k!), k), ...) for k < K, skipping even k >= 2 where E_k(0) = 0."""
-    return ((_HALF, 0), *map(_boole_deriv, range(1, K, 2)))
 
 
 def _tail_value(rule: str, terms, X: int, K: int, fx: FixedPoint, h: int = 1) -> tuple[int, int]:
@@ -693,9 +722,10 @@ def _zeta(s: int, ctx: PrecisionContext) -> BigReal:
     head = fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)), N)
     # the tail is rounded apart, on a FixedPoint sized for 4 roundings of each of its
     # K + 2 coefficients; the table of order K serves this one value, which is cached
-    # itself, so it is built for this call only and not kept in _pl_coeffs' cache
+    # itself, so it is built for this call only and not kept in _pl_table's cache
     tail = FixedPoint(ctx, 4 * (K + 2) + 2)
-    value = _pl_sum(terms, N, lambda p, log: _pl_coeffs.__wrapped__(p, "em", K, 1, log), tail)
+    value = _pl_sum(terms, N, lambda p, log: list(islice(_pl_entries(p, "em", 1, log), _pl_length(p, "em", K, log))),
+                    tail)
     return (head + tail.to_big(*value)).widened(from_man_exp(rem, -fx.prec))
 
 

@@ -31,16 +31,21 @@ rule and where it starts, and every bound component as power-log terms with a
 scale.  One driver (_sum) adds the chosen plan's tail value, signed (-1)^N for
 an alternating (Boole) tail, to the head.  The exact tables a plan reads (the
 weight expansions, the tilde sum's Boole terms, numerics' coefficient tables)
-are built on integer pairs and cached; once they are, the cutoff search makes
-no Fraction.
+are built on integer pairs and kept as prefix lists, one per shape, grown
+under a lock when a higher order is asked for; each term is stored with the
+logs of its coefficients.  So a plan of order K extends the terms of order
+K - 1 by those the new order adds (_Plans), the search builds and logs each
+entry once, as its order grows, and once the tables are grown it makes no
+Fraction.
 
 The cutoff N and the order K are chosen together, from the bounds alone
 (_select).  At each candidate N = 32, 64, ... the orders K = 4, 5, ... are
 screened with float estimates in log space, which are lower estimates of the
 certified bound up to float rounding, while the estimate keeps falling, least
-work first: N plus merged tail powers times derivative terms.  Each plan holds
-its screen data (the logs of its coefficients, and of (p)_m from lgamma, per
-merged power), so a screen is float arithmetic alone.  A pair whose
+work first: N plus tail powers times derivative terms.  Each plan holds its
+screen data (the stored logs of its coefficients, and log (p)_m from lgamma
+and H(p, m) per power, from float prefix lists), so a screen is float
+arithmetic alone.  A pair whose
 estimate meets log(tol) - ln 2 is certified at once, and the first to certify
 is taken.  So (N, K) and the bound are those a certified bound at every
 screened pair would give, and no float enters them.
@@ -59,12 +64,12 @@ is part of the reported bound.  Summation order is fixed (ascending n).
 
 from __future__ import annotations
 
-import threading
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import count
 from math import exp, inf, isfinite, lgamma, log, pi
 from typing import NamedTuple, Optional
 
@@ -76,10 +81,10 @@ from .numerics import (
     _abs_coeffs,
     _abs_integral,
     _abs_tail,
-    _derivs,
     _HALF,
-    _merge,
-    _pl_coeffs,
+    _n_derivs,
+    _pl_table,
+    _prefix,
     _rat_add,
     _remainder,
     _scaled_up,
@@ -166,31 +171,52 @@ def _combo_sums(kind: str, p: int, shift: Optional[int] = None) -> tuple[Fractio
     return sum(c for c, _ in combo), log2
 
 
+def _weight_orders(kind: str, p: int, shift: Optional[int]):
+    """The entries of _weight_expansion's prefix list, J = 0, 1, ..."""
+    combo, table, done = _combo(kind, p, shift), _pl_table(p, "em", 1, False), 0
+    for J in count():
+        # order J reads the first n entries of the table of order J, or for p = 1 of
+        # the table of order J + 1, whose last entry, entry n, gives the remainder
+        n = J + 1 if p == 1 else J + 2
+        entries = _prefix(table, n + (p == 1))
+        terms = []
+        for e, a, b in entries[done:n]:
+            x = (0, 1)
+            for c, d in combo:
+                x = _rat_add(*x, -c.numerator * a * d.denominator**e, c.denominator * b * d.numerator**e)  # -c a / d^e
+            if x[0]:
+                a = Fraction(*x)
+                terms.append((e, a, _log_pos(a)))
+        done = n
+        if p == 1:
+            q, ra, rb = entries[n]
+        else:
+            ((q, ra, rb),) = _abs_coeffs(p, 2 * J, False)
+            ra *= 4
+        rem = (0, 1)
+        for c, d in combo:
+            rem = _rat_add(*rem, abs(c.numerator * ra) * d.denominator**q, c.denominator * rb * d.numerator**q)
+        rem = Fraction(*rem)
+        yield tuple(terms), rem, q, _log_pos(rem)
+
+
 @lru_cache(maxsize=256)
-def _weight_expansion(kind: str, p: int, K: int, shift: Optional[int] = None
-                      ) -> tuple[tuple[tuple[int, Fraction], ...], Fraction, int]:
-    """(((e, a_e), ...), rem, q): the weight of the kind and order p
-    (_weight_step) is sum_i c_i H_(d_i x)^(p) (_combo) in x = n or 2n + shift,
-    and H_x^(p) = const - sum_{k>x} k^-p, so its expansion to order K is the
-    combination of minus the Euler-Maclaurin table of x^-p (_pl_coeffs), plus
-    sum_i c_i const(H^(p)) and, for p = 1, sum_i c_i ln(d_i x).  The error is
-    at most sum_i |c_i| rem (d_i x)^-q: for p >= 2 times (2 pi)^-2K, from the
-    remainder 4 Int_x^inf |f^(2K)|, at integers x >= 1; for p = 1 (ln x for the
-    integral), the first omitted term of psi(x) + 1/x = H_x - gamma, which
-    envelops at every real x > 0 (DLMF 5.11(ii))."""
-    if p == 1:
-        *table, (q, ra, rb) = _pl_coeffs(1, "em", K + 1, 1, False)
-    else:
-        table = _pl_coeffs(p, "em", K, 1, False)
-        ((q, ra, rb),) = _abs_coeffs(p, 2 * K, False)
-        ra *= 4
-    combo, out, rem = _combo(kind, p, shift), {}, (0, 1)
-    for c, d in combo:
-        for e, a, b in table:
-            x = -c.numerator * a * d.denominator**e, c.denominator * b * d.numerator**e  # -c a / d^e
-            out[e] = _rat_add(*out[e], *x) if e in out else x
-        rem = _rat_add(*rem, abs(c.numerator * ra) * d.denominator**q, c.denominator * rb * d.numerator**q)
-    return tuple((e, Fraction(*x)) for e, x in out.items() if x[0]), Fraction(*rem), q
+def _weight_expansion(kind: str, p: int, shift: Optional[int] = None) -> tuple:
+    """The expansions of the weight of the kind and order p (_weight_step) to the
+    orders J = 0, 1, ..., a prefix list (numerics._prefix) whose entry J is
+    (((e, a_e, ln |a_e|), ...), rem, q, ln rem): the terms a_e x^-e that order J
+    adds to order J - 1, and the remainder of order J.
+
+    The weight is sum_i c_i H_(d_i x)^(p) (_combo) in x = n or 2n + shift, and
+    H_x^(p) = const - sum_{k>x} k^-p, so its expansion to order J is the
+    combination of minus the Euler-Maclaurin table of x^-p (numerics._pl_table),
+    plus sum_i c_i const(H^(p)) and, for p = 1, sum_i c_i ln(d_i x).  The error
+    is at most sum_i |c_i| rem (d_i x)^-q: for p >= 2 times (2 pi)^-2J, from the
+    remainder 4 Int_x^inf |f^(2J)|, at integers x >= 1; for p = 1 (ln x for
+    the integral), the first omitted term of psi(x) + 1/x = H_x - gamma, which
+    envelops at every real x > 0 (DLMF 5.11(ii)), read from the table of order
+    J + 1."""
+    return [], _weight_orders(kind, p, shift)
 
 
 def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int, int]:
@@ -242,37 +268,30 @@ def _log_scale(scale: tuple) -> float:
     return _log_pos(c) - k * log(base * pi)
 
 
-@lru_cache(maxsize=256)
-def _hslice_floats(p: int) -> list[float]:
-    """[H(p, 0), H(p, 1), ...] as floats, extended by _log_poch_hslice under
-    _hslice_floats_lock as needed."""
-    return [0.0]
+def _log_poch_hslice_entries(p: int):
+    lp, h = lgamma(p), 0.0
+    for i in count(p):
+        yield lgamma(i) - lp, h
+        h = h + 1 / i
 
 
-_hslice_floats_lock = threading.Lock()
+@lru_cache(maxsize=1024)
+def _log_poch_hslice(p: int) -> tuple:
+    """log (p)_m, as lgamma(p + m) - lgamma(p), and H(p, m) as floats, for
+    m = 0, 1, ..., a prefix list (numerics._prefix)."""
+    return [], _log_poch_hslice_entries(p)
 
 
-@lru_cache(maxsize=4096)
-def _log_poch_hslice(p: int, m: int) -> tuple[float, float]:
-    """log (p)_m, as lgamma(p + m) - lgamma(p), and H(p, m) as floats."""
-    table = _hslice_floats(p)
-    with _hslice_floats_lock:
-        while len(table) <= m:
-            table.append(table[-1] + 1 / (p + len(table) - 1))
-        h = table[m]
-    return lgamma(p + m) - lgamma(p), h
-
-
-def _screen_terms(terms, m: int) -> tuple[tuple, ...]:
-    """The float data of Int |f^(m)| for the power-log terms (A, B, p): per
-    term (la, lb, p, q - 1, log (p)_m - log(q - 1), H(p, m), 1/(q - 1)), with
-    q = p + m and la, lb the natural logs of |A| and |B|."""
+def _screen_terms(terms, logs, m: int) -> list[tuple]:
+    """The float data of Int |f^(m)| for the power-log terms (A, B, p), with
+    logs their (ln |A|, ln |B|): per term (la, lb, p, q - 1, log (p)_m -
+    log(q - 1), H(p, m), 1/(q - 1)), q = p + m."""
     out = []
-    for A, B, p in terms:
-        q = p + m
-        log_poch, h = _log_poch_hslice(p, m)
-        out.append((_log_pos(A), _log_pos(B), p, q - 1, log_poch - log(q - 1), h, 1 / (q - 1)))
-    return tuple(out)
+    for (la, lb), (_, _, p) in zip(logs, terms):
+        q1 = p + m - 1
+        log_poch, h = _prefix(_log_poch_hslice(p), m + 1)[m]
+        out.append((la, lb, p, q1, log_poch - log(q1), h, 1 / q1))
+    return out
 
 
 def _log_abs_integral(data, N: int) -> float:
@@ -304,8 +323,8 @@ def _log_abs_tail(data, N: int) -> float:
 class _Plan:
     """An evaluator's tail at one order and the components of its bound, as data.
 
-    terms: the tail's power-log terms (A, B, e), merged by power (_merge), in
-      the summation variable x = h n + c, (h, c) = lattice: the head ends at
+    terms: the tail's power-log terms (A, B, e), no two of one power, in the
+      summation variable x = h n + c, (h, c) = lattice: the head ends at
       X = h N + c (start) and the tail sums x = X + h, X + 2h, ...
     part: (name, terms, scale): the truncation made in the tail terms, bounded
       by scale * _abs_tail(terms, X), which covers every x > X.
@@ -315,9 +334,10 @@ class _Plan:
       and f the sum of the tail terms.  A "boole" tail (h = 1, at = 1) sums
       (-1)^(n-1) times the terms, which is (-1)^N times the Boole sum from N + 1.
     part_screen, tail_screen: (_screen_terms data, log scale) of the part and
-      of the tail remainder, computed once, so that _screen is float
-      arithmetic alone.
-    tail_work: the tail's merged powers times its derivative terms, for _work.
+      of the tail remainder, so that _screen is float arithmetic alone.  They
+      are built from logs and part_logs, the (ln |A|, ln |B|) of the tail and
+      part terms, which the evaluators keep with their tables' entries.
+    tail_work: the tail's powers times its derivative terms, for _work.
 
     value and bound evaluate this one description in FixedPoint integers,
     _screen in floats.
@@ -325,13 +345,13 @@ class _Plan:
 
     __slots__ = ("terms", "part", "tail", "lattice", "part_screen", "tail_screen", "tail_work")
 
-    def __init__(self, terms, part: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)):
-        self.terms, self.part, self.tail, self.lattice = _merge(terms), part, tail, lattice
+    def __init__(self, terms, logs, part: tuple, part_logs, tail: tuple, lattice: tuple[int, int] = (1, 0)):
+        self.terms, self.part, self.tail, self.lattice = terms, part, tail, lattice
         rule, K, _ = tail
         m, tail_scale = _remainder(rule, K, lattice[0])
-        self.part_screen = _screen_terms(part[1], 0), _log_scale(part[2])
-        self.tail_screen = _screen_terms(self.terms, m), _log_scale(tail_scale)
-        self.tail_work = len({p for *_, p in self.terms}) * (len(_derivs(rule, K)) + (rule == "em"))
+        self.part_screen = _screen_terms(part[1], part_logs, 0), _log_scale(part[2])
+        self.tail_screen = _screen_terms(terms, logs, m), _log_scale(tail_scale)
+        self.tail_work = len(terms) * (_n_derivs(rule, K) + (rule == "em"))
 
     def start(self, N: int) -> int:
         """X = h N + c, the last x of the head."""
@@ -355,9 +375,36 @@ class _Plan:
                 + _scaled_up(sum(_abs_integral(self.terms, m, X + at, fx)), tail_scale, fx.ctx))
 
 
+class _Plans:
+    """An evaluator's plans whose tail terms at order J are the entries of
+    orders 0 to J of a prefix list (numerics._prefix), after the terms first.
+    The entry of order J is (((e, a, ln |a|), ...), rem, q, ln rem): the terms
+    a x^-e that order J adds, each the tail term (a, 0, e + s), and the
+    truncation's bound rem x^-q, the part term (rem, 0, q + s).  So the terms
+    of order J extend those of order J - 1, and each entry's logs are read,
+    not taken again."""
+
+    __slots__ = ("table", "s", "terms", "logs", "ends")
+
+    def __init__(self, table: tuple, s: int, first=(), first_logs=()):
+        self.table, self.s, self.terms, self.logs, self.ends = table, s, list(first), list(first_logs), []
+
+    def plan(self, J: int, name: str, scale: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)) -> _Plan:
+        """The plan of order J, its part named name and scaled by scale."""
+        entries = _prefix(self.table, J + 1)
+        while len(self.ends) <= J:
+            for e, a, la in entries[len(self.ends)][0]:
+                self.terms.append((a, 0, e + self.s))
+                self.logs.append((la, -inf))
+            self.ends.append(len(self.terms))
+        n, (_, rem, q, log_rem) = self.ends[J], entries[J]
+        return _Plan(self.terms[:n], self.logs[:n], (name, [(rem, 0, q + self.s)], scale), [(log_rem, -inf)],
+                     tail, lattice)
+
+
 def _work(plan: _Plan, N: int) -> int:
-    """N plus the tail's merged powers times its derivative terms; it does not
-    fall as the order K rises."""
+    """N plus the tail's powers times its derivative terms; it does not fall as
+    the order K rises."""
     return N + plan.tail_work
 
 
@@ -490,11 +537,11 @@ def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, c
         A0 = A0 + const_log2(ctx) * log2
     lattice = (1, 0) if shift is None else (2, shift)
 
+    plans = _Plans(_weight_expansion(kind, 1, shift), s, [(A0, total, s)], [(_log_pos(A0), _log_pos(total))])
+
     def plan(K: int) -> _Plan:
-        wterms, D, q = _weight_expansion(kind, 1, max(2, K - 2), shift)
-        return _Plan([(A0, total, s), *((a, 0, e + s) for e, a in wterms)],
-                     ("weight-expansion truncation", [(D, 0, s + q)], (1, 1, 0)),
-                     ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0), lattice)
+        return plans.plan(max(2, K - 2), "weight-expansion truncation", (1, 1, 0),
+                          ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0), lattice)
 
     return _sum(cfg, plan, lambda N, fx: _weighted_head(kind, shift, s, N, fx, alternating), ctx)
 
@@ -507,11 +554,11 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     tail -sum_{n>N} r_n / n^s sums the expansion's terms over n^s."""
     zp, zs, total = zeta_num(p, ctx), zeta_num(s, ctx), _combo_sums(kind, p)[0]
 
+    plans = _Plans(_weight_expansion(kind, p), s)
+
     def plan(K: int) -> _Plan:
         J = max(3, K)
-        wterms, rem, q = _weight_expansion(kind, p, J)
-        return _Plan([(a, 0, e + s) for e, a in wterms],
-                     ("inner-tail remainder", [(rem, 0, q + s)], (1, 2, 2 * J)), ("em", K, 0))
+        return plans.plan(J, "inner-tail remainder", (1, 2, 2 * J), ("em", K, 0))
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
         # C0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
@@ -529,16 +576,33 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     return _sum(cfg, plan, head, ctx)
 
 
+def _tilde_orders(s: int):
+    """The entries of _tilde_terms' prefix list, J = 0, 1, ..."""
+    table, done = _pl_table(s, "boole", 1, False), 0
+    for J in count():
+        KB = 2 * J + 2
+        entries = _prefix(table, J + 2)  # the Boole table of order KB
+        terms = []
+        for e, a, b in entries[done:J + 2]:
+            a = Fraction(a, b)
+            terms.append((e, a, _log_pos(a)))
+        done = J + 2
+        ((q, ra, rb),) = _abs_coeffs(s, KB, False)
+        rem = Fraction(4 * ra, rb)
+        yield tuple(terms), rem, q, _log_pos(rem)
+
+
 @lru_cache(maxsize=256)
-def _tilde_terms(s: int, KB: int) -> tuple[tuple[tuple, ...], Fraction]:
-    """The power-log terms of tau_n / n, tau_n = sum_{j>=n} (-1)^(j-n) j^-s
-    expanded by Boole summation of order KB at n, and c with the expansion
-    within c pi^-KB n^-(s+KB): the Boole table of x^-s (numerics._pl_coeffs)
-    one power up, and c = 4 (s)_KB / (s + KB - 1) from the Boole remainder
-    4 pi^-KB Int_n^inf |d^KB/dx^KB x^-s| (numerics._abs_coeffs)."""
-    ((_, ra, rb),) = _abs_coeffs(s, KB, False)
-    terms = tuple((Fraction(a, b), 0, e + 1) for e, a, b in _pl_coeffs(s, "boole", KB, 1, False))
-    return terms, Fraction(4 * ra, rb)
+def _tilde_terms(s: int) -> tuple:
+    """tau_n = sum_{j>=n} (-1)^(j-n) j^-s expanded by Boole summation at n, to
+    the orders KB = 2J + 2 for J = 0, 1, ..., as a prefix list
+    (numerics._prefix) whose entry J is (((e, a, ln |a|), ...), c, q, ln c):
+    the terms a n^-e that order KB adds to the Boole table of x^-s
+    (numerics._pl_table), and c with the expansion within c pi^-KB n^-q,
+    q = s + KB - 1, c = 4 (s)_KB / q from the Boole remainder
+    4 pi^-KB Int_n^inf |d^KB/dx^KB x^-s| (numerics._abs_coeffs).  The tail
+    sums tau_n / n, each term one power up."""
+    return [], _tilde_orders(s)
 
 
 def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -546,11 +610,12 @@ def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
     zs, log2 = zeta_num(s, ctx), const_log2(ctx)
     eta_ratio = Fraction(2**s - 2, 2**s)  # eta(s) / zeta(s)
 
+    plans = _Plans(_tilde_terms(s), 1)
+
     def plan(K: int) -> _Plan:
-        KB = max(6, 2 * K + 2)
-        terms, rem_c = _tilde_terms(s, KB)
+        J = max(2, K)
         # the Boole remainder of tau_n truncates the weight's expansion
-        return _Plan(terms, ("weight-expansion truncation", [(rem_c, 0, s + KB)], (1, 1, KB)), ("em", K, 0))
+        return plans.plan(J, "weight-expansion truncation", (1, 1, 2 * J + 2), ("em", K, 0))
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
         tau, tau_e = fx.scale(*fx.from_big(zs), eta_ratio)  # tau_1 = eta(s)

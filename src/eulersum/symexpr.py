@@ -62,6 +62,10 @@ class Atom:
     def __setattr__(self, *a):
         raise AttributeError("Atom is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, as __setattr__ refuses slot state
+        return Atom, (self.kind, self.arg)
+
     @property
     def weight(self) -> int:
         if self.kind == "zeta":
@@ -155,6 +159,9 @@ class SymExpr:
 
     def __setattr__(self, *a):
         raise AttributeError("SymExpr is immutable")
+
+    def __reduce__(self):
+        return SymExpr, (self._terms,)
 
     # -- constructors ------------------------------------------------------
 

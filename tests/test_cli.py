@@ -330,3 +330,40 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("mpmath", "dataclasse
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _commands(parser):
+    (action,) = parser._subparsers._group_actions
+    return action.choices
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_parser_matches_the_full_parser(command):
+    # an argv naming a command reads a parser that lists every command but holds
+    # only that one's arguments; its top-level and command help and usage are
+    # those of the parser with every command's arguments
+    own, full = cli._build_parser(command), cli._build_parser()
+    assert own is not full
+    assert (own.format_help(), own.format_usage()) == (full.format_help(), full.format_usage())
+    assert list(_commands(own)) == list(_commands(full)) == list(cli._COMMANDS)
+    mine, theirs = _commands(own)[command], _commands(full)[command]
+    assert (mine.format_help(), mine.format_usage()) == (theirs.format_help(), theirs.format_usage())
+
+
+_USAGE_ERRORS = [
+    "", "nope", "--bits 128", "eval", "eval --family X --b 2", "eval --family J --b 2 --tol 1e-5",
+    "oracle --family J --b 2 --tol abc", "oracle --family J --b 2 --tol 1e-400", "oracle --family J --b 2 extra",
+    "verify --weight", "verify --family J --fam", "solve", "solve --weight 7 --format tsv",
+    "table --family J --b 2..4 --format xml", "table --family J --b 2 --bits x",
+]
+
+
+@pytest.mark.parametrize("line", _USAGE_ERRORS)
+def test_usage_errors_read_as_from_the_full_parser(capsys, monkeypatch, line):
+    # the parser of the command argv names fails as the full parser does
+    argv = line.split()
+    rc, out, err = _run(capsys, *argv)
+    full = cli._build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
+    assert (rc, out, err) == _run(capsys, *argv)
+    assert rc == 1 and not out and err.startswith("error: ")

@@ -19,10 +19,7 @@ from eulersum.numerics import (
     _abs_coeffs,
     _abs_integral,
     _boole_deriv,
-    _boole_derivs,
-    _derivs,
     _em_deriv,
-    _em_derivs,
     _float_up,
     _hslice,
     _pl_coeffs,
@@ -208,9 +205,9 @@ def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, h, m, terms):
         ln = _frac(mpmath.log(N)._mpf_)
     eps = F(1, 2**1980)
     em = _tail_value("em", tail, N, K, fx, h)
-    assert _encloses(fx, em, *_tail_exact(exact, N, _em_derivs(K), True, h), ln, eps)
+    assert _encloses(fx, em, *_tail_exact(exact, N, _derivs("em", K), True, h), ln, eps)
     boole = _tail_value("boole", tail, N, K, fx)
-    assert _encloses(fx, boole, *_tail_exact(exact, N, _boole_derivs(K), False), ln, eps)
+    assert _encloses(fx, boole, *_tail_exact(exact, N, _derivs("boole", K), False), ln, eps)
     # Int_N^inf |f^(m)| <= sum (p)_m / (q-1) N^(1-q) (|a| + |b| (H(p, m) + 1/(q-1) + ln N)), q = p + m
     X = Y = F(0)
     for a, b, p in exact:
@@ -316,6 +313,14 @@ def _hslice_fraction(p: int, m: int) -> F:
     return _hslices_fraction(p)[m]
 
 
+def _derivs(rule: str, K: int) -> tuple:
+    """((c, m), ...) of the tail rule of order K: -f(N)/2 and -B_2k/(2k)! f^(2k-1)(N)
+    for k <= K with "em"; E_k(0)/(2 k!) f^(k)(N) for k = 0 and the odd k < K with "boole"."""
+    if rule == "em":
+        return ((F(-1, 2), 0), *map(_em_deriv, range(1, K + 1)))
+    return ((F(1, 2), 0), *map(_boole_deriv, range(1, K, 2)))
+
+
 def _pl_coeffs_direct(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
     """_pl_coeffs as a Fraction formula, with (p)_m built from scratch for each
     derivative order m; for p = 1 the integral diverges and has no entry."""
@@ -335,9 +340,11 @@ def _pl_coeffs_direct(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
 @pytest.mark.parametrize("rule", ["em", "boole"])
 def test_pl_coeffs_match_the_direct_pochhammer_products(rule, K):
     # the tables built in integers against the same coefficients in Fraction
-    # arithmetic, entry for entry, each a reduced fraction with a positive denominator
+    # arithmetic, entry for entry, each a reduced fraction with a positive
+    # denominator; the table of order K is the first entries of one prefix list
+    # per (p, rule, h, log), grown across the orders of every test that reads it
     for p, h, log in product(range(1, 25), (1, 2), (False, True)):
-        table = _pl_coeffs.__wrapped__(p, rule, K, h, log)
+        table = tuple(_pl_coeffs(p, rule, K, h, log))
         assert table == _pl_coeffs_direct(p, rule, K, h, log), (p, h, log)
         assert all(b > 0 and math.gcd(a, b) == 1 for _, a, b in table), (p, h, log)
 

@@ -449,7 +449,7 @@ def test_float_pochhammer_and_harmonic_slices_match_the_exact_values():
     for p in range(1, 65):
         poch = 1
         for m in range(601):
-            log_poch, h = oracle._log_poch_hslice.__wrapped__(p, m)
+            log_poch, h = numerics._prefix(oracle._log_poch_hslice(p), m + 1)[m]
             assert abs(log_poch - math.log(poch)) <= 1e-12 * math.log(poch), (p, m)
             a, b = numerics._hslice(p, m)
             assert abs(h - a / b) <= 1e-12 * (a / b), (p, m)
@@ -613,6 +613,18 @@ def _mp(x):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
+def _expansion(kind: str, p: int, J: int, shift=None) -> tuple:
+    """(((e, a_e), ...), rem, q): the weight's expansion to order J, the terms
+    that orders 0 to J add in oracle._weight_expansion's prefix list.  Each
+    a_e and rem is a Fraction, stored with its natural log."""
+    orders = numerics._prefix(oracle._weight_expansion(kind, p, shift), J + 1)[:J + 1]
+    terms = tuple(t for added, *_ in orders for t in added)
+    _, rem, q, log_rem = orders[J]
+    assert all(type(a) is F and la == oracle._log_pos(a) for _, a, la in terms)
+    assert type(rem) is F and log_rem == oracle._log_pos(rem)
+    return tuple((e, a) for e, a, _ in terms), rem, q
+
+
 # every (kind, order) the routes use: order 1 summed directly, orders >= 2 by
 # the split, and the order-1 weights summed in m = 2n + shift on the odd lattice
 _EXPANSION_CASES = [
@@ -628,7 +640,7 @@ _EXPANSION_CASES = [
 def test_weight_expansion_is_within_its_remainder(kind, p, K, shift):
     import mpmath
 
-    combo, (terms, rem, q) = oracle._combo(kind, p, shift), oracle._weight_expansion(kind, p, K, shift)
+    combo, (terms, rem, q) = oracle._combo(kind, p, shift), _expansion(kind, p, K, shift)
     total = sum(c for c, _ in combo)
     with mpmath.workprec(600):
         if p == 1:
@@ -650,7 +662,7 @@ def test_weight_expansion_is_within_its_remainder(kind, p, K, shift):
         if shift is not None:
             # H_y = psi(y + 1) + gamma at the half-integers y = m/2 is within the
             # expansion's remainder, as at the integers
-            terms_h, rem_h, q_h = oracle._weight_expansion("H", 1, K)
+            terms_h, rem_h, q_h = _expansion("H", 1, K)
             for y in (mpmath.mpf(m) / 2 for m in (1, 3, 5, 21, 201)):
                 approx = mpmath.euler + mpmath.log(y) + sum(_mp(a) * y**-e for e, a in terms_h)
                 err = abs(mpmath.digamma(y + 1) + mpmath.euler - approx)
@@ -715,16 +727,24 @@ def test_weight_tables_match_the_fraction_formulas(kind, p, shift):
     assert oracle._combo_sums(kind, p, shift) == (sum(c for c, _ in combo), log2)
     for k in range(41):
         expansion = _weight_expansion_fraction(kind, p, k, shift)
-        assert oracle._weight_expansion.__wrapped__(kind, p, k, shift) == expansion, k
+        assert _expansion(kind, p, k, shift) == expansion, k
 
 
 @pytest.mark.parametrize("s", range(1, 6))
 def test_tilde_terms_match_the_fraction_formula(s):
+    # the Boole table of x^-s one power up, and the remainder's c, of order KB =
+    # 2J + 2: the terms that orders 0 to J add in the prefix list, each a
+    # Fraction stored with its natural log
+    derivs = [(F(1, 2), 0), *map(numerics._boole_deriv, range(1, 83, 2))]
     for KB in range(6, 83, 2):
-        terms = [(c * (-1) ** k * numerics._pochhammer(s, k), 0, s + k + 1)
-                 for c, k in numerics._boole_derivs(KB)]
+        terms = [(c * (-1) ** k * numerics._pochhammer(s, k), 0, s + k + 1) for c, k in derivs[:1 + KB // 2]]
         rem_c = F(4 * numerics._pochhammer(s, KB), s + KB - 1)
-        assert oracle._tilde_terms.__wrapped__(s, KB) == (tuple(terms), rem_c), KB
+        orders = numerics._prefix(oracle._tilde_terms(s), KB // 2)[:KB // 2]
+        added = [t for new, *_ in orders for t in new]
+        assert all(type(a) is F and la == oracle._log_pos(a) for _, a, la in added), KB
+        _, rem, q, log_rem = orders[-1]
+        assert type(rem) is F and log_rem == oracle._log_pos(rem) and q == s + KB - 1, KB
+        assert (tuple((a, 0, e + 1) for e, a, _ in added), rem) == (tuple(terms), rem_c), KB
 
 
 def test_order_one_expansion_reproduces_the_hand_table():
@@ -737,7 +757,7 @@ def test_order_one_expansion_reproduces_the_hand_table():
     for kind, (const, terms, D) in table.items():
         combo = oracle._combo(kind, 1)
         assert (sum(c for c, _ in combo), sum(c for c, d in combo if d == 2)) == const
-        assert oracle._weight_expansion(kind, 1, 2) == (terms, D, 6)
+        assert _expansion(kind, 1, 2) == (terms, D, 6)
 
 
 # -- tails of any order: N and K chosen together -------------------------------------
@@ -801,3 +821,112 @@ def test_cli_oracle_alt_euler_star_at_an_odd_cutoff(capsys):
     half_ulp = F(1, 2 * 10 ** len(doc["value"].split(".")[1]))
     slack = F(doc["bound"]) * F(1001, 1000) + half_ulp + _frac(ref.err_tuple())
     assert abs(F(doc["value"]) - _frac(ref.value_tuple())) <= slack
+
+
+def test_values_and_oracle_results_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    def same(a, b):
+        return (a.value_tuple(), a.err_tuple(), a.ctx) == (b.value_tuple(), b.err_tuple(), b.ctx)
+
+    ctx = PrecisionContext(working_bits=200)
+    res = oracle_eval(SumId.J(2), OracleConfig(1e-20), ctx)
+    for copied in (pickle.loads(pickle.dumps(res)), copy.deepcopy(res)):
+        assert type(copied) is oracle.OracleResult and type(copied.value) is numerics.BigReal
+        assert (copied.achieved_bound, copied.terms_used) == (res.achieved_bound, res.terms_used)
+        assert same(copied.value, res.value)
+    for x in (res.value, numerics.zeta_num(3, ctx)):
+        assert same(pickle.loads(pickle.dumps(x)), x) and same(copy.deepcopy(x), x)
+
+
+def _cold_tables():
+    for table in (numerics._pl_table, numerics._hslices, oracle._weight_expansion, oracle._tilde_terms,
+                  oracle._log_poch_hslice):
+        table.cache_clear()
+
+
+@pytest.mark.parametrize("sid", [SumId.J(2), SumId.sigma(2, 3), SumId.alt_tilde_h(1), SumId.alt_euler_star(1)],
+                         ids=str)
+def test_the_cutoff_search_grows_linearly_in_the_order(sid, monkeypatch):
+    # a deterministic cost proxy: one cold search builds each table entry, and
+    # takes each log of a coefficient, once, so both counts grow as the largest
+    # order it screens, K, and not as K^2 (building each order's plan from
+    # scratch took 1,036 and 6,142 logs for J(2) at the two rungs below)
+    counts = []
+    for bits, tol in ((512, 1e-100), (1100, 1e-300)):
+        ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(target_tolerance=tol)
+        _cold_tables()
+        plans = _plan_of(sid, cfg, ctx, monkeypatch)
+        monkeypatch.undo()
+        orders, logs, entries = [], [0], [0]
+        screen, log_pos, pl_entries = oracle._screen, oracle._log_pos, numerics._pl_entries
+
+        def counted_screen(plan, N):
+            orders.append(plan.tail[1])
+            return screen(plan, N)
+
+        def counted_log(x):
+            logs[0] += 1
+            return log_pos(x)
+
+        def counted_entries(*key):
+            for entry in pl_entries(*key):
+                entries[0] += 1
+                yield entry
+
+        monkeypatch.setattr(oracle, "_screen", counted_screen)
+        monkeypatch.setattr(oracle, "_log_pos", counted_log)
+        monkeypatch.setattr(numerics, "_pl_entries", counted_entries)
+        oracle._select(cfg, plans, ctx)
+        monkeypatch.undo()
+        counts.append((max(orders), logs[0], entries[0]))
+    (k1, logs1, entries1), (k2, logs2, entries2) = counts
+    r = k2 / k1
+    assert r > 2, counts
+    assert logs2 / logs1 < 1.25 * r and entries2 / entries1 < 1.25 * r, counts
+
+
+def test_prefix_lists_grow_alike_under_concurrent_readers():
+    # threads growing the same cold prefix lists at once, with the interpreter
+    # switching threads as often as it can, see and leave the entries that one
+    # thread alone builds: none lost, repeated or out of order
+    import random
+    import sys
+    import threading
+    from itertools import islice
+
+    keys = [(p, rule, h, log) for p in (2, 3) for rule in ("em", "boole") for h in (1, 2) for log in (False, True)]
+    tables = {key: list(islice(numerics._pl_entries(*key), numerics._pl_length(key[0], key[1], 60, key[3])))
+              for key in keys}
+    weights = list(islice(oracle._weight_orders("S", 2, None), 41))
+    wrong, interval = [], sys.getswitchinterval()
+
+    def read(seed):
+        rng = random.Random(seed)
+        try:
+            for K in rng.sample(range(61), 61):
+                for p, rule, h, log in rng.sample(keys, len(keys)):
+                    got = numerics._pl_coeffs(p, rule, K, h, log)
+                    if got != tables[p, rule, h, log][:numerics._pl_length(p, rule, K, log)]:
+                        wrong.append((p, rule, h, log, K))
+                if numerics._prefix(oracle._weight_expansion("S", 2), K // 3 + 1)[:K // 3 + 1] != weights[:K // 3 + 1]:
+                    wrong.append(("S", K))
+        except Exception as e:  # recorded for the assertion below, which a thread cannot make
+            wrong.append(repr(e))
+
+    for attempt in range(5):
+        _cold_tables()
+        threads = [threading.Thread(target=read, args=(6 * attempt + i,)) for i in range(6)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong, wrong[:5]
+        for key, table in tables.items():
+            assert numerics._pl_table(*key)[0] == table, key

@@ -320,3 +320,18 @@ def test_sum_ids_refuse_parameters_that_are_not_integers(params):
     # sigma(2, True) used to equal sigma(2, 1) and print as sigma(2, True)
     with pytest.raises(ValueError, match="integers"):
         SumId("sigma", *params)
+
+
+def test_closed_forms_and_relations_survive_pickle_and_deepcopy():
+    import copy
+    import pickle
+
+    from eulersum.symexpr import PI, odd_zeta, zeta_sym
+
+    rel = Relation({SumId.J(3): 2, SumId.sigma(2, 2): F(-1, 3)}, zeta_sym(3) + lambda_sym(3) * SymExpr.atom(LOG2))
+    for x in (PI, odd_zeta(5), zeta_sym(5), rel.rhs, rel):
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert type(y) is type(x) and y == x
+            assert x is rel or hash(y) == hash(x)
+    again = pickle.loads(pickle.dumps(rel))
+    assert again.residual(PrecisionContext(192)) == rel.residual(PrecisionContext(192))
