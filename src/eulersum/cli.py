@@ -109,10 +109,13 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
 
 
 def _context(args) -> PrecisionContext:
-    bits = args.bits
-    if bits is None:
-        bits = int(os.environ.get("EULERSUM_DEFAULT_BITS", "192"))
-    return PrecisionContext(working_bits=bits)
+    if args.bits is not None:
+        return PrecisionContext(working_bits=args.bits)
+    raw = os.environ.get("EULERSUM_DEFAULT_BITS", "192")
+    try:
+        return PrecisionContext(working_bits=int(raw))
+    except ValueError as e:  # not an integer, or one the context refuses
+        raise _UsageError(f"EULERSUM_DEFAULT_BITS={raw!r}: {e}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:

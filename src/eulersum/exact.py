@@ -2,9 +2,10 @@
 
 Everything here is a pure function returning `fractions.Fraction` (always stored
 reduced, denominator > 0), which is the coefficient domain for the whole package.
-Speed is secondary to exactness.  Harmonic prefixes are memoized per kind in a
-bounded lru_cache (_prefixes), Bernoulli numbers in one list; both lists are
-extended only under one lock.
+Speed is secondary to exactness.  Harmonic numbers (per kind, in a bounded
+lru_cache, _prefixes) and Bernoulli numbers are prefix lists (_prefix): a list
+grown from a generator of its entries under one lock, read without it once an
+entry is there.  numerics and oracle keep their tables as such lists too.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb
 
 __all__ = [
@@ -58,13 +60,37 @@ def alternating(b: int = 1) -> HarmonicKind:
     return HarmonicKind("alternating", b)
 
 
+# -- prefix lists -----------------------------------------------------------------
+#
+# A table whose entries of order K are those of order K - 1 and a few more is
+# one list per shape, grown from an endless generator of its entries under
+# _grow_lock; a bounded lru_cache holds each shape's (list, generator).
+
+_grow_lock = threading.RLock()  # reentrant: growing one table may grow another
+
+
+def _prefix(table: tuple, n: int) -> list:
+    """The list of the prefix table (entries, source), grown from source to at
+    least n entries; a caller reads only the entries it asked for."""
+    entries, source = table
+    if len(entries) < n:
+        with _grow_lock:
+            while len(entries) < n:
+                entries.append(next(source))
+    return entries
+
+
+def _harmonic_entries(kind: HarmonicKind):
+    v, signed, odd = Fraction(0), kind.variant == "alternating", kind.variant == "semi"
+    for k in count(1):
+        yield v
+        v += Fraction(-1 if signed and not k % 2 else 1, (2 * k - 1 if odd else k) ** kind.order)
+
+
 @lru_cache(maxsize=64)
-def _prefixes(kind: HarmonicKind) -> list[Fraction]:
-    """[v_0, v_1, ...] (v_0 = 0) of the kind, extended by harmonic under _cache_lock."""
-    return [Fraction(0)]
-
-
-_cache_lock = threading.Lock()
+def _prefixes(kind: HarmonicKind) -> tuple:
+    """v_0 = 0, v_1, ... of the kind, a prefix list (_prefix)."""
+    return [], _harmonic_entries(kind)
 
 
 def harmonic(n: int, kind: HarmonicKind) -> Fraction:
@@ -76,22 +102,19 @@ def harmonic(n: int, kind: HarmonicKind) -> Fraction:
         raise ValueError(f"n must be >= 0, got {n}")
     if not isinstance(kind, HarmonicKind):
         raise TypeError("kind must be a HarmonicKind")
-    with _cache_lock:
-        vals = _prefixes(kind)
-        p = kind.order
-        while len(vals) <= n:
-            k = len(vals)
-            if kind.variant == "plain":
-                step = Fraction(1, k**p)
-            elif kind.variant == "semi":
-                step = Fraction(1, (2 * k - 1) ** p)
-            else:
-                step = Fraction((-1) ** (k - 1), k**p)
-            vals.append(vals[-1] + step)
-        return vals[n]
+    return _prefix(_prefixes(kind), n + 1)[n]
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]  # B_0
+def _bernoulli_entries(done: list):
+    """B_0, B_1, ..., each B_m from done, the list of B_0 to B_(m-1) they are
+    appended to."""
+    yield Fraction(1)
+    for m in count(1):
+        yield Fraction(0) if m > 1 and m % 2 else -sum(comb(m + 1, k) * done[k] for k in range(m)) / (m + 1)
+
+
+_bernoullis: list[Fraction] = []
+_BERNOULLI = _bernoullis, _bernoulli_entries(_bernoullis)  # a prefix list
 
 
 def bernoulli(n: int) -> Fraction:
@@ -101,18 +124,7 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    with _cache_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            if m > 1 and m % 2 == 1:
-                _bernoulli_cache.append(Fraction(0))
-                continue
-            acc = sum(
-                (Fraction(comb(m + 1, k)) * _bernoulli_cache[k] for k in range(m)),
-                Fraction(0),
-            )
-            _bernoulli_cache.append(-acc / (m + 1))
-        return _bernoulli_cache[n]
+    return _prefix(_BERNOULLI, n + 1)[n]
 
 
 def as_fraction(c) -> Fraction:

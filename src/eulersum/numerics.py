@@ -23,11 +23,12 @@ pair on the caller's FixedPoint, a rational A or B folded into each floor;
 the oracle builds every tail and bound from this layer.  The tables of c are
 built on integer pairs, common factors cancelled before each product.  The
 table of order K of a power, rule and step is the first entries of one
-prefix list, grown under a lock when a higher order is asked for (_pl_table,
-_prefix), so no entry is built twice; so are the slices H(p, m) (_hslices),
-and the remainders' coefficients are cached (_abs_coeffs).  _pl_coeffs is the
-one Euler-Maclaurin/Boole expansion of a power x^-p in the package: the
-oracle also reads its weight asymptotics and inner tails from it.
+prefix list (exact._prefix), grown under a lock when a higher order is asked
+for (_pl_table), so no entry is built twice; so are the slices H(p, m)
+(_hslices), and the remainders' coefficients are cached (_abs_coeffs).
+_pl_coeffs is the one Euler-Maclaurin/Boole expansion of a power x^-p in the
+package: the oracle also reads its weight asymptotics and inner tails from it
+(oracle._expansion), with their remainders from _remainder.
 
 The constants pi, log 2 and gamma are binfloat's counted fixed-point series:
 Machin's formula for pi, a hyperbolic Machin-type (acoth) formula for log 2
@@ -50,7 +51,6 @@ value may carry the equal context of the caller that computed it.
 
 from __future__ import annotations
 
-import threading
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -59,6 +59,7 @@ from math import factorial, gcd, inf, nextafter
 from typing import Optional, Union
 
 from . import exact
+from .exact import _prefix
 from .binfloat import (
     euler_fixed,
     from_float,
@@ -489,27 +490,6 @@ def _rat_add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return t // g2, s * (d // g2)
 
 
-# -- prefix lists -----------------------------------------------------------------
-#
-# A table whose entries of order K are those of order K - 1 and a few more is
-# one list per shape, grown to the length an order asks for from an endless
-# generator of its entries, under _grow_lock; a bounded lru_cache holds each
-# shape's (list, generator), so no entry is built twice while its shape is cached.
-
-_grow_lock = threading.RLock()  # reentrant: growing one table may grow another
-
-
-def _prefix(table: tuple, n: int) -> list:
-    """The list of the prefix table (entries, source), grown from source to at
-    least n entries; a caller reads only the entries it asked for."""
-    entries, source = table
-    if len(entries) < n:
-        with _grow_lock:
-            while len(entries) < n:
-                entries.append(next(source))
-    return entries
-
-
 def _hslice_entries(p: int):
     h = (0, 1)
     for i in count(p):
@@ -629,7 +609,7 @@ def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> list:
     h, as for _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N)
     over the derivative terms (c, m) of order K (_deriv); with "boole", their
     sum alone; for p = 1 the integral diverges and is left out, as ln N takes
-    its place in H_N (oracle._weight_expansion).  The rule of step h at N is
+    its place in H_N (oracle._expansion).  The rule of step h at N is
     that of step 1 for g(j) = f(N + h j) at j = 0.  The table of order K is
     the first entries of the prefix list _pl_table."""
     n = _pl_length(p, rule, K, log)
@@ -678,14 +658,16 @@ _HALF = Fraction(1, 2)
 
 def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
     """(m, scale) of the remainder bound of the tail rule of order K and step h
-    (1 for Boole); for Euler-Maclaurin of order K >= 1 the scale is
+    (1 for Boole).  Order 0 of either rule, whose one derivative term is
+    +-f(N)/2, is within 1/2 Int |f'|; Boole of order K >= 1 within
+    4 pi^-K Int |f^(K)|; for Euler-Maclaurin of order K >= 1 the scale is
     4 h^(2K-1) (2 pi)^-2K, as Int_0^inf |g^(2K)| = h^(2K-1) Int_N^inf |f^(2K)|
     for g(j) = f(N + h j)."""
+    if not K:
+        return 1, (_HALF, 1, 0)
     if rule == "boole":
         return K, (4, 1, K)
-    if K:
-        return 2 * K, (4 * h ** (2 * K - 1), 2, 2 * K)
-    return 1, (_HALF, 1, 0)
+    return 2 * K, (4 * h ** (2 * K - 1), 2, 2 * K)
 
 
 @lru_cache(maxsize=1024)

@@ -10,15 +10,16 @@ worst-case remainder bounds
     |R_K^Boole| <= 4 pi^(-K)      Int |f^(K)|,
 
 so raw O(log N / N^(s-1)) convergence never limits the tolerance.  Every
-weight and inner tail is read from numerics' one Euler-Maclaurin/Boole table
-of a power x^-p (_pl_coeffs, remainders from _abs_coeffs); this module only
-combines those expansions and searches for the cutoff.  H_x^(p) is its
-constant (gamma + ln x for p = 1, zeta(p) for p >= 2) minus the
-Euler-Maclaurin tail of x^-p, which envelops for p = 1, taken in the weight's
-exact combination sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) -
-2^-p H_n^(p), with the remainders added in absolute value; the tilde sum's
-inner tail is the Boole table of x^-s.  For order p >= 2 the sum is split as
-C0 - sum_n r_n / n^s, r_n = r0 - w_n the weight's tail, of order n^(1-s-p).
+weight and inner tail is one expansion (_expansion): a combination
+sum_i c_i T(d_i x) of the tail T of x^-p in numerics' one Euler-Maclaurin/Boole
+table (_pl_table), with the remainder of numerics._remainder applied to
+_abs_coeffs, added in absolute value; this module only combines those
+expansions and searches for the cutoff.  H_x^(p) is its constant (gamma + ln x
+for p = 1, zeta(p) for p >= 2) minus the Euler-Maclaurin tail of x^-p, which
+envelops for p = 1, taken in the weight's exact combination
+sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) - 2^-p H_n^(p); the tilde
+sum's inner tail is the Boole tail of x^-s.  For order p >= 2 the sum is split
+as C0 - sum_n r_n / n^s, r_n = r0 - w_n the weight's tail, of order n^(1-s-p).
 The families over an odd base 2n + c are summed in m = 2n + c, on the odd
 lattice with Euler-Maclaurin step 2, their weights being combinations of
 H_m and H_(m/2) and ln 2 (Legendre's duplication of psi).
@@ -30,13 +31,12 @@ of N terms and its tail at order K as data (_Plan): the power-log terms, the
 rule and where it starts, and every bound component as power-log terms with a
 scale.  One driver (_sum) adds the chosen plan's tail value, signed (-1)^N for
 an alternating (Boole) tail, to the head.  The exact tables a plan reads (the
-weight expansions, the tilde sum's Boole terms, numerics' coefficient tables)
-are built on integer pairs and kept as prefix lists, one per shape, grown
-under a lock when a higher order is asked for; each term is stored with the
-logs of its coefficients.  So a plan of order K extends the terms of order
-K - 1 by those the new order adds (_Plans), the search builds and logs each
-entry once, as its order grows, and once the tables are grown it makes no
-Fraction.
+expansions and numerics' coefficient tables) are built on integer pairs and
+kept as prefix lists (exact._prefix), one per shape, grown under a lock when a
+higher order is asked for; each term is stored with the logs of its
+coefficients.  So a plan of order K extends the terms of order K - 1 by those
+the new order adds (_Plans), the search builds and logs each entry once, as its
+order grows, and once the tables are grown it makes no Fraction.
 
 The cutoff N and the order K are chosen together, from the bounds alone
 (_select).  At each candidate N = 32, 64, ... the orders K = 4, 5, ... are
@@ -73,6 +73,7 @@ from itertools import count
 from math import exp, inf, isfinite, lgamma, log, pi
 from typing import NamedTuple, Optional
 
+from .exact import _prefix
 from .numerics import (
     BigReal,
     FixedPoint,
@@ -83,8 +84,8 @@ from .numerics import (
     _abs_tail,
     _HALF,
     _n_derivs,
+    _pl_length,
     _pl_table,
-    _prefix,
     _rat_add,
     _remainder,
     _scaled_up,
@@ -171,52 +172,55 @@ def _combo_sums(kind: str, p: int, shift: Optional[int] = None) -> tuple[Fractio
     return sum(c for c, _ in combo), log2
 
 
-def _weight_orders(kind: str, p: int, shift: Optional[int]):
-    """The entries of _weight_expansion's prefix list, J = 0, 1, ..."""
-    combo, table, done = _combo(kind, p, shift), _pl_table(p, "em", 1, False), 0
-    for J in count():
-        # order J reads the first n entries of the table of order J, or for p = 1 of
-        # the table of order J + 1, whose last entry, entry n, gives the remainder
-        n = J + 1 if p == 1 else J + 2
-        entries = _prefix(table, n + (p == 1))
+def _expansion_orders(p: int, rule: str, combo: tuple):
+    """The entries of _expansion's prefix list, K = 0, 1, ..."""
+    table, done, envelops = _pl_table(p, rule, 1, False), 0, p == 1 and rule == "em"
+    for K in count():
+        n = _pl_length(p, rule, K, False)
+        entries = _prefix(table, n + envelops)
         terms = []
         for e, a, b in entries[done:n]:
             x = (0, 1)
             for c, d in combo:
-                x = _rat_add(*x, -c.numerator * a * d.denominator**e, c.denominator * b * d.numerator**e)  # -c a / d^e
+                x = _rat_add(*x, c.numerator * a * d.denominator**e, c.denominator * b * d.numerator**e)  # c a / d^e
             if x[0]:
                 a = Fraction(*x)
                 terms.append((e, a, _log_pos(a)))
         done = n
-        if p == 1:
-            q, ra, rb = entries[n]
+        if envelops:
+            (q, ra, rb), scale = entries[n], (1, 1, 0)
         else:
-            ((q, ra, rb),) = _abs_coeffs(p, 2 * J, False)
-            ra *= 4
+            m, (f, base, k) = _remainder(rule, K)
+            ((q, ra, rb),) = _abs_coeffs(p, m, False)
+            ra, rb, scale = ra * f.numerator, rb * f.denominator, (1, base, k)
         rem = (0, 1)
         for c, d in combo:
             rem = _rat_add(*rem, abs(c.numerator * ra) * d.denominator**q, c.denominator * rb * d.numerator**q)
         rem = Fraction(*rem)
-        yield tuple(terms), rem, q, _log_pos(rem)
+        yield tuple(terms), rem, q, _log_pos(rem), scale
 
 
 @lru_cache(maxsize=256)
-def _weight_expansion(kind: str, p: int, shift: Optional[int] = None) -> tuple:
-    """The expansions of the weight of the kind and order p (_weight_step) to the
-    orders J = 0, 1, ..., a prefix list (numerics._prefix) whose entry J is
-    (((e, a_e, ln |a_e|), ...), rem, q, ln rem): the terms a_e x^-e that order J
-    adds to order J - 1, and the remainder of order J.
+def _expansion(p: int, rule: str, combo: tuple) -> tuple:
+    """sum_i c_i T(d_i x) for combo = ((c_i, d_i), ...), T the tail of x^-p by
+    the rule ("em" or "boole", step 1) of order K = 0, 1, ..., as a prefix list
+    (exact._prefix) whose entry K is (((e, a, ln |a|), ...), rem, q, ln rem,
+    scale): the terms a x^-e that order K adds to order K - 1, from numerics'
+    table of x^-p (_pl_table), and the remainder of order K, at most rem x^-q
+    times scale (1, base, k), which stands for (base pi)^-k.  rem x^-q is
+    sum_i |c_i| times the (m, factor) of numerics._remainder(rule, K) applied to
+    Int_(d_i x)^inf |f^(m)| (_abs_coeffs); for p = 1 under "em", whose integral
+    is left out, sum_i |c_i| times the first omitted term, the next entry of
+    the table, which envelops at every real x > 0 (DLMF 5.11(ii))."""
+    return [], _expansion_orders(p, rule, combo)
 
-    The weight is sum_i c_i H_(d_i x)^(p) (_combo) in x = n or 2n + shift, and
-    H_x^(p) = const - sum_{k>x} k^-p, so its expansion to order J is the
-    combination of minus the Euler-Maclaurin table of x^-p (numerics._pl_table),
-    plus sum_i c_i const(H^(p)) and, for p = 1, sum_i c_i ln(d_i x).  The error
-    is at most sum_i |c_i| rem (d_i x)^-q: for p >= 2 times (2 pi)^-2J, from the
-    remainder 4 Int_x^inf |f^(2J)|, at integers x >= 1; for p = 1 (ln x for
-    the integral), the first omitted term of psi(x) + 1/x = H_x - gamma, which
-    envelops at every real x > 0 (DLMF 5.11(ii)), read from the table of order
-    J + 1."""
-    return [], _weight_orders(kind, p, shift)
+
+def _weight_expansion(kind: str, p: int, shift: Optional[int] = None) -> tuple:
+    """The weight of the kind and order p, sum_i c_i H_(d_i x)^(p) (_combo) in
+    x = n or 2n + shift, less sum_i c_i const(H^(p)) and, for p = 1, less
+    sum_i c_i ln(d_i x): as H_x^(p) = const - sum_{k>x} k^-p, the _expansion of
+    the Euler-Maclaurin tail of x^-p in the combination (-c_i, d_i)."""
+    return _expansion(p, "em", tuple((-c, d) for c, d in _combo(kind, p, shift)))
 
 
 def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int, int]:
@@ -278,7 +282,7 @@ def _log_poch_hslice_entries(p: int):
 @lru_cache(maxsize=1024)
 def _log_poch_hslice(p: int) -> tuple:
     """log (p)_m, as lgamma(p + m) - lgamma(p), and H(p, m) as floats, for
-    m = 0, 1, ..., a prefix list (numerics._prefix)."""
+    m = 0, 1, ..., a prefix list (exact._prefix)."""
     return [], _log_poch_hslice_entries(p)
 
 
@@ -331,8 +335,9 @@ class _Plan:
     tail: (rule, K, at): the tail's value (value) is _tail_value of the rule,
       order K and step h at X + at, and its remainder is bounded by
       scale * Int_(X+at)^inf |f^(m)| with (m, scale) = _remainder(rule, K, h)
-      and f the sum of the tail terms.  A "boole" tail (h = 1, at = 1) sums
-      (-1)^(n-1) times the terms, which is (-1)^N times the Boole sum from N + 1.
+      and f the sum of the tail terms; (m, scale) is kept as remainder.  A
+      "boole" tail (h = 1, at = 1) sums (-1)^(n-1) times the terms, which is
+      (-1)^N times the Boole sum from N + 1.
     part_screen, tail_screen: (_screen_terms data, log scale) of the part and
       of the tail remainder, so that _screen is float arithmetic alone.  They
       are built from logs and part_logs, the (ln |A|, ln |B|) of the tail and
@@ -343,12 +348,12 @@ class _Plan:
     _screen in floats.
     """
 
-    __slots__ = ("terms", "part", "tail", "lattice", "part_screen", "tail_screen", "tail_work")
+    __slots__ = ("terms", "part", "tail", "lattice", "remainder", "part_screen", "tail_screen", "tail_work")
 
     def __init__(self, terms, logs, part: tuple, part_logs, tail: tuple, lattice: tuple[int, int] = (1, 0)):
         self.terms, self.part, self.tail, self.lattice = terms, part, tail, lattice
         rule, K, _ = tail
-        m, tail_scale = _remainder(rule, K, lattice[0])
+        self.remainder = m, tail_scale = _remainder(rule, K, lattice[0])
         self.part_screen = _screen_terms(part[1], part_logs, 0), _log_scale(part[2])
         self.tail_screen = _screen_terms(terms, logs, m), _log_scale(tail_scale)
         self.tail_work = len(terms) * (_n_derivs(rule, K) + (rule == "em"))
@@ -368,36 +373,35 @@ class _Plan:
         """An integer U with U 2^-prec at least the bound at N: the part plus the
         tail remainder, each pair's upper end times its scale, rounded up."""
         _, part, scale = self.part
-        rule, K, at = self.tail
         X = self.start(N)
-        m, tail_scale = _remainder(rule, K, self.lattice[0])
+        m, tail_scale = self.remainder
         return (_scaled_up(sum(_abs_tail(part, X, fx)), scale, fx.ctx)
-                + _scaled_up(sum(_abs_integral(self.terms, m, X + at, fx)), tail_scale, fx.ctx))
+                + _scaled_up(sum(_abs_integral(self.terms, m, X + self.tail[2], fx)), tail_scale, fx.ctx))
 
 
 class _Plans:
     """An evaluator's plans whose tail terms at order J are the entries of
-    orders 0 to J of a prefix list (numerics._prefix), after the terms first.
-    The entry of order J is (((e, a, ln |a|), ...), rem, q, ln rem): the terms
-    a x^-e that order J adds, each the tail term (a, 0, e + s), and the
-    truncation's bound rem x^-q, the part term (rem, 0, q + s).  So the terms
-    of order J extend those of order J - 1, and each entry's logs are read,
-    not taken again."""
+    orders 0 to J of an _expansion prefix list, after the terms first.  The
+    entry of order J is (((e, a, ln |a|), ...), rem, q, ln rem, scale): the
+    terms a x^-e that order J adds, each the tail term (a, 0, e + s), and the
+    truncation's bound rem x^-q times scale, the part term (rem, 0, q + s)
+    with the part's scale.  So the terms of order J extend those of order
+    J - 1, and each entry's logs are read, not taken again."""
 
     __slots__ = ("table", "s", "terms", "logs", "ends")
 
     def __init__(self, table: tuple, s: int, first=(), first_logs=()):
         self.table, self.s, self.terms, self.logs, self.ends = table, s, list(first), list(first_logs), []
 
-    def plan(self, J: int, name: str, scale: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)) -> _Plan:
-        """The plan of order J, its part named name and scaled by scale."""
+    def plan(self, J: int, name: str, tail: tuple, lattice: tuple[int, int] = (1, 0)) -> _Plan:
+        """The plan of order J, its part named name."""
         entries = _prefix(self.table, J + 1)
         while len(self.ends) <= J:
             for e, a, la in entries[len(self.ends)][0]:
                 self.terms.append((a, 0, e + self.s))
                 self.logs.append((la, -inf))
             self.ends.append(len(self.terms))
-        n, (_, rem, q, log_rem) = self.ends[J], entries[J]
+        n, (_, rem, q, log_rem, scale) = self.ends[J], entries[J]
         return _Plan(self.terms[:n], self.logs[:n], (name, [(rem, 0, q + self.s)], scale), [(log_rem, -inf)],
                      tail, lattice)
 
@@ -540,7 +544,7 @@ def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, c
     plans = _Plans(_weight_expansion(kind, 1, shift), s, [(A0, total, s)], [(_log_pos(A0), _log_pos(total))])
 
     def plan(K: int) -> _Plan:
-        return plans.plan(max(2, K - 2), "weight-expansion truncation", (1, 1, 0),
+        return plans.plan(max(2, K - 2), "weight-expansion truncation",
                           ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0), lattice)
 
     return _sum(cfg, plan, lambda N, fx: _weighted_head(kind, shift, s, N, fx, alternating), ctx)
@@ -557,8 +561,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     plans = _Plans(_weight_expansion(kind, p), s)
 
     def plan(K: int) -> _Plan:
-        J = max(3, K)
-        return plans.plan(J, "inner-tail remainder", (1, 2, 2 * J), ("em", K, 0))
+        return plans.plan(max(3, K), "inner-tail remainder", ("em", K, 0))
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
         # C0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
@@ -576,46 +579,19 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     return _sum(cfg, plan, head, ctx)
 
 
-def _tilde_orders(s: int):
-    """The entries of _tilde_terms' prefix list, J = 0, 1, ..."""
-    table, done = _pl_table(s, "boole", 1, False), 0
-    for J in count():
-        KB = 2 * J + 2
-        entries = _prefix(table, J + 2)  # the Boole table of order KB
-        terms = []
-        for e, a, b in entries[done:J + 2]:
-            a = Fraction(a, b)
-            terms.append((e, a, _log_pos(a)))
-        done = J + 2
-        ((q, ra, rb),) = _abs_coeffs(s, KB, False)
-        rem = Fraction(4 * ra, rb)
-        yield tuple(terms), rem, q, _log_pos(rem)
-
-
-@lru_cache(maxsize=256)
-def _tilde_terms(s: int) -> tuple:
-    """tau_n = sum_{j>=n} (-1)^(j-n) j^-s expanded by Boole summation at n, to
-    the orders KB = 2J + 2 for J = 0, 1, ..., as a prefix list
-    (numerics._prefix) whose entry J is (((e, a, ln |a|), ...), c, q, ln c):
-    the terms a n^-e that order KB adds to the Boole table of x^-s
-    (numerics._pl_table), and c with the expansion within c pi^-KB n^-q,
-    q = s + KB - 1, c = 4 (s)_KB / q from the Boole remainder
-    4 pi^-KB Int_n^inf |d^KB/dx^KB x^-s| (numerics._abs_coeffs).  The tail
-    sums tau_n / n, each term one power up."""
-    return [], _tilde_orders(s)
-
-
 def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
-    """sum_{n>=1} (-1)^n Ht_(n-1)^(s) / n, as -eta(s) ln 2 plus sum_n tau_n / n."""
+    """sum_{n>=1} (-1)^n Ht_(n-1)^(s) / n, as -eta(s) ln 2 plus sum_n tau_n / n.
+    tau_n = sum_{j>=n} (-1)^(j-n) j^-s is the Boole tail of x^-s at n
+    (_expansion), read at Boole order max(6, 2K + 2), and the tail sums its
+    terms over n, each one power up."""
     zs, log2 = zeta_num(s, ctx), const_log2(ctx)
     eta_ratio = Fraction(2**s - 2, 2**s)  # eta(s) / zeta(s)
 
-    plans = _Plans(_tilde_terms(s), 1)
+    plans = _Plans(_expansion(s, "boole", ((1, 1),)), 1)
 
     def plan(K: int) -> _Plan:
-        J = max(2, K)
         # the Boole remainder of tau_n truncates the weight's expansion
-        return plans.plan(J, "weight-expansion truncation", (1, 1, 2 * J + 2), ("em", K, 0))
+        return plans.plan(max(6, 2 * K + 2), "weight-expansion truncation", ("em", K, 0))
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
         tau, tau_e = fx.scale(*fx.from_big(zs), eta_ratio)  # tau_1 = eta(s)

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from decimal import Decimal
@@ -283,6 +284,16 @@ def test_env_default_bits(capsys, monkeypatch):
     assert json.loads(out)["bits"] == 96
 
 
+@pytest.mark.parametrize("value,message", [
+    ("abc", "EULERSUM_DEFAULT_BITS='abc': invalid literal for int() with base 10: 'abc'"),
+    ("32", "EULERSUM_DEFAULT_BITS='32': working_bits must be >= 64, got 32"),
+])
+def test_bad_env_default_bits_is_named(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("EULERSUM_DEFAULT_BITS", value)
+    rc, out, err = _run(capsys, "eval", "--family", "J", "--b", "2")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_bits_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("EULERSUM_DEFAULT_BITS", "96")
     rc, out, err = _run(capsys, "eval", "--family", "J", "--b", "2", "--bits", "160")
@@ -312,6 +323,17 @@ def test_stdout_matches_the_frozen_output(capsys, name, argv):
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()
+
+
+DEMOS = Path(__file__).parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(p.stem for p in DEMOS.glob("*.py")))
+def test_demo_stdout_matches_the_frozen_output(capsys, demo):
+    # every value a demo prints, oracle values among them, as the golden-outputs
+    # CI job diffs them
+    runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN / f"demo_{demo}.txt").read_text()
 
 
 def test_the_cli_runs_without_mpmath_dataclasses_or_inspect():

@@ -15,7 +15,7 @@ from eulersum import (
     oracle_eval,
     partial_sum,
 )
-from eulersum import numerics, oracle
+from eulersum import exact, numerics, oracle
 from eulersum.closedform import closed_form_for, known_closed_form_ids
 from eulersum.exact import bernoulli
 from eulersum.oracle import _evaluate
@@ -449,7 +449,7 @@ def test_float_pochhammer_and_harmonic_slices_match_the_exact_values():
     for p in range(1, 65):
         poch = 1
         for m in range(601):
-            log_poch, h = numerics._prefix(oracle._log_poch_hslice(p), m + 1)[m]
+            log_poch, h = exact._prefix(oracle._log_poch_hslice(p), m + 1)[m]
             assert abs(log_poch - math.log(poch)) <= 1e-12 * math.log(poch), (p, m)
             a, b = numerics._hslice(p, m)
             assert abs(h - a / b) <= 1e-12 * (a / b), (p, m)
@@ -617,9 +617,9 @@ def _expansion(kind: str, p: int, J: int, shift=None) -> tuple:
     """(((e, a_e), ...), rem, q): the weight's expansion to order J, the terms
     that orders 0 to J add in oracle._weight_expansion's prefix list.  Each
     a_e and rem is a Fraction, stored with its natural log."""
-    orders = numerics._prefix(oracle._weight_expansion(kind, p, shift), J + 1)[:J + 1]
+    orders = exact._prefix(oracle._weight_expansion(kind, p, shift), J + 1)[:J + 1]
     terms = tuple(t for added, *_ in orders for t in added)
-    _, rem, q, log_rem = orders[J]
+    _, rem, q, log_rem, _ = orders[J]
     assert all(type(a) is F and la == oracle._log_pos(a) for _, a, la in terms)
     assert type(rem) is F and log_rem == oracle._log_pos(rem)
     return tuple((e, a) for e, a, _ in terms), rem, q
@@ -630,7 +630,7 @@ def _expansion(kind: str, p: int, J: int, shift=None) -> tuple:
 _EXPANSION_CASES = [
     *(pytest.param(kind, 1, K, None, id=f"{kind}-1-{K}") for kind in ("H", "S", "H2N") for K in (2, 5)),
     *(pytest.param(kind, p, K, None, id=f"{kind}-{p}-{K}")
-      for kind in ("H", "S", "H2N") for p in (2, 3, 5) for K in (3, 4, 8)),
+      for kind in ("H", "S", "H2N") for p in (2, 3, 5) for K in (0, 3, 4, 8)),
     *(pytest.param(kind, 1, K, shift, id=f"{kind}-1-{K}-m=2n{shift:+d}") for kind, shift in oracle._ODD_COMBOS
       for K in (2, 5)),
 ]
@@ -695,8 +695,10 @@ def _harmonic_expansion_fraction(p: int, k: int) -> tuple:
     a = ((p + m, -c * (-1) ** m * numerics._pochhammer(p, m)),)
     if p == 1:
         return a, abs(bernoulli(2 * k + 2)) / (2 * k + 2), 2 * k + 2
+    if k == 0:  # the integral's term, and the remainder 1/2 Int |f'|
+        return ((p - 1, F(-1, p - 1)), *a), F(1, 2), p
     q = p + 2 * k - 1
-    return ((p - 1, F(-1, p - 1)), *a) if k == 0 else a, F(4 * numerics._pochhammer(p, 2 * k), q), q
+    return a, F(4 * numerics._pochhammer(p, 2 * k), q), q
 
 
 def _weight_terms_fraction(kind: str, p: int, k: int, shift) -> tuple:
@@ -730,20 +732,73 @@ def test_weight_tables_match_the_fraction_formulas(kind, p, shift):
         assert _expansion(kind, p, k, shift) == expansion, k
 
 
+# every weight combination of _TABLE_CASES, and the tilde sum's Boole tails
+_EXPANSION_LISTS = [
+    *(pytest.param(p, "em", tuple((-c, d) for c, d in oracle._combo(kind, p, shift)), id=f"{kind}-{p}-{shift}")
+      for kind, p, shift in _TABLE_CASES),
+    *(pytest.param(s, "boole", ((1, 1),), id=f"tilde-{s}") for s in range(1, 6)),
+]
+
+
+@pytest.mark.parametrize("p,rule,combo", _EXPANSION_LISTS)
+def test_expansion_remainders_follow_numerics_remainder(p, rule, combo):
+    # the remainder of order K is numerics._remainder's applied to _abs_coeffs,
+    # in the combination's |c_i|, or for p = 1 under "em" the enveloping first
+    # omitted term; odd Boole orders add no term
+    entries = exact._prefix(oracle._expansion(p, rule, combo), 41)[:41]
+    for K, (terms, rem, q, log_rem, scale) in enumerate(entries):
+        if p == 1 and rule == "em":
+            e, a, b = numerics._pl_coeffs(1, "em", K + 1, 1, False)[-1]
+            factor, want_scale = F(abs(a), b), (1, 1, 0)
+        else:
+            m, (f, base, k) = numerics._remainder(rule, K)
+            ((e, a, b),) = numerics._abs_coeffs(p, m, False)
+            factor, want_scale = f * F(a, b), (1, base, k)
+        want = sum(abs(c) * factor / F(d) ** e for c, d in combo)
+        assert (rem, q, scale) == (want, e, want_scale), K
+        assert type(rem) is F and log_rem == oracle._log_pos(rem), K
+        if rule == "boole" and K % 2:
+            assert terms == (), K
+
+
+@pytest.mark.parametrize("s", range(1, 6))
+def test_tilde_tail_is_within_its_remainder(s):
+    # tau_n = sum_{k>=0} (-1)^k (n + k)^-s, from the Hurwitz zeta (digamma for
+    # s = 1) at n/2 and (n+1)/2, against the Boole tail of x^-s of order K and
+    # its remainder, order 0 (the term n^-s / 2, within 1/2 Int |f'|) and odd
+    # orders among them
+    import mpmath
+
+    entries = exact._prefix(oracle._expansion(s, "boole", ((1, 1),)), 11)
+    with mpmath.workprec(300):
+        for n in (1, 2, 3, 7, 30):
+            x, y = mpmath.mpf(n) / 2, mpmath.mpf(n + 1) / 2
+            if s == 1:
+                tau = (mpmath.digamma(y) - mpmath.digamma(x)) / 2
+            else:
+                tau = (mpmath.zeta(s, x) - mpmath.zeta(s, y)) / 2**s
+            for K in (0, 1, 2, 3, 6, 7, 10):
+                terms = [t for added, *_ in entries[:K + 1] for t in added]
+                _, rem, q, _, (c, base, k) = entries[K]
+                err = abs(tau - sum(_mp(a) * mpmath.mpf(n) ** -e for e, a, _ in terms))
+                assert err <= _mp(rem) * c * (base * mpmath.pi) ** -k * mpmath.mpf(n) ** -q, (K, n)
+
+
 @pytest.mark.parametrize("s", range(1, 6))
 def test_tilde_terms_match_the_fraction_formula(s):
-    # the Boole table of x^-s one power up, and the remainder's c, of order KB =
-    # 2J + 2: the terms that orders 0 to J add in the prefix list, each a
+    # the Boole table of x^-s one power up, and the remainder's c, of order KB:
+    # the terms that orders 0 to KB add in the tilde sum's prefix list, each a
     # Fraction stored with its natural log
     derivs = [(F(1, 2), 0), *map(numerics._boole_deriv, range(1, 83, 2))]
     for KB in range(6, 83, 2):
         terms = [(c * (-1) ** k * numerics._pochhammer(s, k), 0, s + k + 1) for c, k in derivs[:1 + KB // 2]]
         rem_c = F(4 * numerics._pochhammer(s, KB), s + KB - 1)
-        orders = numerics._prefix(oracle._tilde_terms(s), KB // 2)[:KB // 2]
+        orders = exact._prefix(oracle._expansion(s, "boole", ((1, 1),)), KB + 1)[:KB + 1]
         added = [t for new, *_ in orders for t in new]
         assert all(type(a) is F and la == oracle._log_pos(a) for _, a, la in added), KB
-        _, rem, q, log_rem = orders[-1]
+        _, rem, q, log_rem, scale = orders[-1]
         assert type(rem) is F and log_rem == oracle._log_pos(rem) and q == s + KB - 1, KB
+        assert scale == (1, 1, KB), KB
         assert (tuple((a, 0, e + 1) for e, a, _ in added), rem) == (tuple(terms), rem_c), KB
 
 
@@ -841,8 +896,7 @@ def test_values_and_oracle_results_survive_pickle_and_deepcopy():
 
 
 def _cold_tables():
-    for table in (numerics._pl_table, numerics._hslices, oracle._weight_expansion, oracle._tilde_terms,
-                  oracle._log_poch_hslice):
+    for table in (numerics._pl_table, numerics._hslices, oracle._expansion, oracle._log_poch_hslice):
         table.cache_clear()
 
 
@@ -887,7 +941,7 @@ def test_the_cutoff_search_grows_linearly_in_the_order(sid, monkeypatch):
     assert logs2 / logs1 < 1.25 * r and entries2 / entries1 < 1.25 * r, counts
 
 
-def test_prefix_lists_grow_alike_under_concurrent_readers():
+def test_prefix_lists_grow_alike_under_concurrent_readers(monkeypatch):
     # threads growing the same cold prefix lists at once, with the interpreter
     # switching threads as often as it can, see and leave the entries that one
     # thread alone builds: none lost, repeated or out of order
@@ -899,7 +953,10 @@ def test_prefix_lists_grow_alike_under_concurrent_readers():
     keys = [(p, rule, h, log) for p in (2, 3) for rule in ("em", "boole") for h in (1, 2) for log in (False, True)]
     tables = {key: list(islice(numerics._pl_entries(*key), numerics._pl_length(key[0], key[1], 60, key[3])))
               for key in keys}
-    weights = list(islice(oracle._weight_orders("S", 2, None), 41))
+    weights = list(islice(oracle._expansion_orders(2, "em", tuple((-c, d) for c, d in oracle._combo("S", 2))), 41))
+    kinds = [exact.plain(1), exact.semi(2), exact.alternating(3)]
+    harmonics = {kind: list(islice(exact._harmonic_entries(kind), 61)) for kind in kinds}
+    bernoullis = [bernoulli(n) for n in range(61)]
     wrong, interval = [], sys.getswitchinterval()
 
     def read(seed):
@@ -910,13 +967,21 @@ def test_prefix_lists_grow_alike_under_concurrent_readers():
                     got = numerics._pl_coeffs(p, rule, K, h, log)
                     if got != tables[p, rule, h, log][:numerics._pl_length(p, rule, K, log)]:
                         wrong.append((p, rule, h, log, K))
-                if numerics._prefix(oracle._weight_expansion("S", 2), K // 3 + 1)[:K // 3 + 1] != weights[:K // 3 + 1]:
+                if exact._prefix(oracle._weight_expansion("S", 2), K // 3 + 1)[:K // 3 + 1] != weights[:K // 3 + 1]:
                     wrong.append(("S", K))
+                for kind in rng.sample(kinds, len(kinds)):
+                    if exact.harmonic(K, kind) != harmonics[kind][K]:
+                        wrong.append((kind, K))
+                if bernoulli(K) != bernoullis[K]:
+                    wrong.append(("B", K))
         except Exception as e:  # recorded for the assertion below, which a thread cannot make
             wrong.append(repr(e))
 
     for attempt in range(5):
         _cold_tables()
+        exact._prefixes.cache_clear()
+        cold = []
+        monkeypatch.setattr(exact, "_BERNOULLI", (cold, exact._bernoulli_entries(cold)))
         threads = [threading.Thread(target=read, args=(6 * attempt + i,)) for i in range(6)]
         sys.setswitchinterval(1e-6)
         try:
