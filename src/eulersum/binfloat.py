@@ -15,6 +15,8 @@ until both ends round alike.
 to_str and to_float follow libmp's rules to the byte: to_str floors to
 dps + 3 digits, rounds on the next digit and rescales by a power of ten
 computed as libmp computes it when the exponent is beyond +-3,500 bits.
+Rounding up (rnd "u"), which libmp's to_str lacks, is one exact decimal
+division instead.
 
 The constants are fixed-point series with every floor counted, as
 numerics.FixedPoint counts them: a pair (x, e) of integers with
@@ -29,6 +31,7 @@ precision is served from it, as libmp keeps its constants.
 from __future__ import annotations
 
 import threading
+from decimal import ROUND_UP, Context, Decimal
 from math import frexp, inf, ldexp, log
 
 __all__ = [
@@ -199,14 +202,14 @@ class _Constant:
     """
 
     def __init__(self, series):
-        self.series, self.kept, self.lock = series, (0, 0, 0), threading.Lock()
+        self.series, self.kept, self.lock = series, (0, 0, 0, 0), threading.Lock()
 
     def __call__(self, prec: int) -> tuple[int, int]:
         with self.lock:
-            if self.kept[0] < prec:
+            if self.kept[0] < prec:  # kept for a lower precision asked for
                 p = prec + prec.bit_length() + 10
-                self.kept = (p, *self.series(p))
-            p, x, e = self.kept
+                self.kept = (prec, p, *self.series(p))
+            _, p, x, e = self.kept
         return x >> (p - prec), (e >> (p - prec)) + 2
 
 
@@ -332,19 +335,26 @@ def _digits_exp(s: tuple, dps: int) -> tuple[str, str, int]:
     return "-" if sign else "", digits, b + len(digits) - fixdps - 1
 
 
-def to_str(s: tuple, dps: int) -> str:
+def to_str(s: tuple, dps: int, rnd: str = "n") -> str:
     """s as a decimal literal of at most dps >= 1 significant digits, as
     libmp.to_str(s, dps) writes it: fixed-point between 10^min(-dps/3, -5) and
-    10^dps, trailing zeros stripped."""
+    10^dps, trailing zeros stripped.  With rnd "u" the digits are those of the
+    least such decimal at or above |s|, not libmp's rounding."""
     if not s[1]:
         return "0.0"
-    sign, digits, exponent = _digits_exp(s, dps + 3)
-    if len(digits) > dps and digits[dps] in "56789":
-        digits = str(int(digits[:dps]) + 1)
-        if len(digits) > dps:
-            digits, exponent = digits[:dps], exponent + 1
+    if rnd == "u":  # |s| = man / 2^-exp, the quotient rounded once
+        _, man, exp, _ = s
+        up = Context(prec=dps, rounding=ROUND_UP).divide(Decimal(man << max(exp, 0)), Decimal(1 << max(-exp, 0)))
+        sign, exponent = "-" if s[0] else "", up.adjusted()
+        digits = "".join(map(str, up.as_tuple().digits)).ljust(dps, "0")
     else:
-        digits = digits[:dps]
+        sign, digits, exponent = _digits_exp(s, dps + 3)
+        if len(digits) > dps and digits[dps] in "56789":
+            digits = str(int(digits[:dps]) + 1)
+            if len(digits) > dps:
+                digits, exponent = digits[:dps], exponent + 1
+        else:
+            digits = digits[:dps]
     split = 1
     if min(-(dps // 3), -5) < exponent < dps:
         if exponent < 0:

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -164,6 +164,16 @@ def _sum_id(args, ranged_ok: bool = False):
         raise _UsageError(str(e))
 
 
+def _bound(x: float) -> str:
+    """A float bound as f"{x:.3e}" writes it, but rounded up: the least
+    4-digit decimal at or above x's exact value."""
+    if not x or not math.isfinite(x):
+        return f"{x:.3e}"
+    up = Context(prec=4, rounding=ROUND_CEILING).plus(Decimal(x))
+    digits = str(int(up.scaleb(3 - up.adjusted())))
+    return f"{digits[0]}.{digits[1:]}e{up.adjusted():+03d}"
+
+
 def _sym_json(e: SymExpr) -> dict:
     return {"terms": e.to_json(), "string": str(e), "weight": e.homogeneous_weight()}
 
@@ -226,7 +236,7 @@ def _cmd_oracle(args) -> int:
         "params": dict(zip(sid.param_names, sid.params)),
         "weight": sid.weight,
         "value": res.value.decimal(),
-        "bound": f"{res.achieved_bound:.3e}",
+        "bound": _bound(res.achieved_bound),
         "terms": res.terms_used,
         "tolerance": args.tol,
         "bits": ctx.working_bits,
@@ -287,7 +297,7 @@ def _verify_checks(args, ctx, cfg):
         if sid.weight < w_lo or (fam is not None and sid.family != fam):
             continue
         r, bound = relations.Relation({sid: 1}, closedform.closed_form_for(sid)).residual_and_bound(ctx, cfg)
-        yield (f"oracle-vs-closed-form {sid}", r <= bound, f"{r:.3e} (bound {bound:.3e})")
+        yield (f"oracle-vs-closed-form {sid}", r <= bound, f"{r:.3e} (bound {_bound(bound)})")
 
     if fam is None:
         # relation residuals
@@ -297,7 +307,7 @@ def _verify_checks(args, ctx, cfg):
                     yield (f"relation-identity w={w}#{i}", rel.rhs.is_zero, "exact")
                     continue
                 r, bound = rel.residual_and_bound(ctx, cfg)
-                yield (f"relation-residual w={w}#{i}", r <= bound, f"{r:.3e} (bound {bound:.3e})")
+                yield (f"relation-residual w={w}#{i}", r <= bound, f"{r:.3e} (bound {_bound(bound)})")
         # sum theorem
         for w in range(max(3, w_lo), min(w_hi, 10) + 1):
             rep = relations.verify_sum_theorem(w, ctx, cfg)
@@ -305,7 +315,7 @@ def _verify_checks(args, ctx, cfg):
             yield (
                 f"sigma-sum-theorem w={w}",
                 ok,
-                f"{rep.numeric_residual:.3e} (bound {rep.numeric_bound:.3e}) [{rep.path}]",
+                f"{rep.numeric_residual:.3e} (bound {_bound(rep.numeric_bound)}) [{rep.path}]",
             )
 
 
@@ -391,7 +401,7 @@ def _cmd_table(args) -> int:
                     "params": params,
                     "symbolic": "",
                     "numeric": res.value.decimal(),
-                    "bound": f"{res.achieved_bound:.3e}",
+                    "bound": _bound(res.achieved_bound),
                 }
             )
     doc = {

@@ -4,8 +4,9 @@ Everything here is a pure function returning `fractions.Fraction` (always stored
 reduced, denominator > 0), which is the coefficient domain for the whole package.
 Speed is secondary to exactness.  Harmonic numbers (per kind, in a bounded
 lru_cache, _prefixes) and Bernoulli numbers are prefix lists (_prefix): a list
-grown from a generator of its entries under one lock, read without it once an
-entry is there.  numerics and oracle keep their tables as such lists too.
+grown under one lock from a fresh generator of the entries after those kept,
+read without the lock once an entry is there.  numerics and oracle keep their
+tables as such lists too.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import threading
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count
 from math import comb
 
@@ -63,34 +64,40 @@ def alternating(b: int = 1) -> HarmonicKind:
 # -- prefix lists -----------------------------------------------------------------
 #
 # A table whose entries of order K are those of order K - 1 and a few more is
-# one list per shape, grown from an endless generator of its entries under
-# _grow_lock; a bounded lru_cache holds each shape's (list, generator).
+# one list per shape, grown under _grow_lock; a bounded lru_cache holds each
+# shape's (list, generator function), the function taking the kept entries
+# last, so a build that an exception cut short resumes, and is not lost.
 
 _grow_lock = threading.RLock()  # reentrant: growing one table may grow another
 
 
 def _prefix(table: tuple, n: int) -> list:
-    """The list of the prefix table (entries, source), grown from source to at
-    least n entries; a caller reads only the entries it asked for."""
-    entries, source = table
+    """The list of the prefix table (entries, entries_from), grown to at least n
+    entries from entries_from(entries), a fresh generator of the entries after
+    those kept (an exception in it reaches the caller, and the next read
+    resumes); a caller reads only the entries it asked for."""
+    entries, entries_from = table
     if len(entries) < n:
         with _grow_lock:
+            source = entries_from(entries)
             while len(entries) < n:
                 entries.append(next(source))
     return entries
 
 
-def _harmonic_entries(kind: HarmonicKind):
-    v, signed, odd = Fraction(0), kind.variant == "alternating", kind.variant == "semi"
-    for k in count(1):
+def _harmonic_entries(kind: HarmonicKind, done):
+    """v_k for k = len(done), len(done) + 1, ..., from v_(k-1), the last of done."""
+    v, signed, odd = done[-1] if done else Fraction(0), kind.variant == "alternating", kind.variant == "semi"
+    for k in count(len(done)):
+        if k:
+            v += Fraction(-1 if signed and not k % 2 else 1, (2 * k - 1 if odd else k) ** kind.order)
         yield v
-        v += Fraction(-1 if signed and not k % 2 else 1, (2 * k - 1 if odd else k) ** kind.order)
 
 
 @lru_cache(maxsize=64)
 def _prefixes(kind: HarmonicKind) -> tuple:
     """v_0 = 0, v_1, ... of the kind, a prefix list (_prefix)."""
-    return [], _harmonic_entries(kind)
+    return [], partial(_harmonic_entries, kind)
 
 
 def harmonic(n: int, kind: HarmonicKind) -> Fraction:
@@ -106,15 +113,14 @@ def harmonic(n: int, kind: HarmonicKind) -> Fraction:
 
 
 def _bernoulli_entries(done: list):
-    """B_0, B_1, ..., each B_m from done, the list of B_0 to B_(m-1) they are
-    appended to."""
-    yield Fraction(1)
-    for m in count(1):
-        yield Fraction(0) if m > 1 and m % 2 else -sum(comb(m + 1, k) * done[k] for k in range(m)) / (m + 1)
+    """B_m for m = len(done), len(done) + 1, ..., each from done, the list of
+    B_0 to B_(m-1) they are appended to."""
+    for m in count(len(done)):
+        yield (Fraction(1) if not m else Fraction(0) if m > 1 and m % 2
+               else -sum(comb(m + 1, k) * done[k] for k in range(m)) / (m + 1))
 
 
-_bernoullis: list[Fraction] = []
-_BERNOULLI = _bernoullis, _bernoulli_entries(_bernoullis)  # a prefix list
+_BERNOULLI = [], _bernoulli_entries  # a prefix list
 
 
 def bernoulli(n: int) -> Fraction:

@@ -7,12 +7,12 @@ so there is no global precision state and every operation is a pure
 function of (inputs, ctx).  Error propagation is worst-case ulp counting:
 cheap, crude, and always valid, which is what identity verification needs.
 
-Long sums of many small terms run in FixedPoint instead: (value, error)
-pairs of Python integers in units of 2^-prec, prec = working_bits +
-ceil(log2 N) + guard bits, every rounding a floor counted exactly in the
-error.  An oracle result (head, tail and bound together), the heads of
-zeta_num and li4_half_num, and relation residuals (fixed_dot) are each one
-such sum, rounded into a BigReal once (to_big).
+Certified numbers are built in FixedPoint instead: (value, error) pairs of
+Python integers in units of 2^-prec, prec = working_bits + ceil(log2 N) +
+guard bits, every rounding a floor counted exactly in the error.  An oracle
+result, zeta_num, li4_half_num, pi, log 2, gamma and each linear combination
+of BigReals (fixed_dot: relation residuals and eval_sym) are each one such
+sum, rounded into a BigReal once (to_big).
 
 Certified tails are sums of power-log terms (A + B ln x) x^-p.  Their
 Euler-Maclaurin and Boole sums and the integrals that bound the remainders
@@ -32,16 +32,15 @@ package: the oracle also reads its weight asymptotics and inner tails from it
 
 The constants pi, log 2 and gamma are binfloat's counted fixed-point series:
 Machin's formula for pi, a hyperbolic Machin-type (acoth) formula for log 2
-and Brent-McMillan for gamma, each within a few units of 2^-(wb + 40).  The
-value is rounded to wb + 16 bits and then to wb, and assigned the bound
-ulp(wb) + ulp(wb + 14), which _lib_const checks covers the counted series
-error and the first rounding.  gamma is used only by oracle tail estimates;
-it is deliberately not a symbolic atom.
+and Brent-McMillan for gamma, each a pair (x, e) at wb + 40 bits with e at
+most 2 units.  _lib_const rounds that pair to wb bits once; its bound is e
+plus that rounding.  gamma is used only by oracle tail estimates; it is
+deliberately not a symbolic atom.
 
-zeta(s) is the sum of the one power-log term n^-s: a FixedPoint head of N
-terms and its Euler-Maclaurin tail, N the least power of two from 32 whose
-certified remainder is below 2^-(working_bits + 4).  li4(1/2) comes from its
-geometrically convergent defining series.
+zeta(s) is the sum of the one power-log term n^-s: a head of N terms, its
+Euler-Maclaurin tail and the tail's certified remainder, N the least power of
+two from 32 whose remainder is below 2^-(working_bits + 4).  li4(1/2) is its
+geometrically convergent defining series, its truncation in the error.
 
 Every memo here is a bounded functools.lru_cache keyed on plain values.
 Constants, logarithms (_ln) and monomial values are cached per context and
@@ -53,9 +52,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, islice
-from math import factorial, gcd, inf, nextafter
+from math import factorial, gcd, inf, nextafter, perm
 from typing import Optional, Union
 
 from . import exact
@@ -76,7 +75,6 @@ from .binfloat import (
     mpf_mul,
     mpf_neg,
     mpf_sub,
-    normalize,
     pi_fixed,
     to_fixed,
     to_float,
@@ -283,12 +281,6 @@ class BigReal:
 
     # -- accessors -----------------------------------------------------------
 
-    def widened(self, extra_err) -> "BigReal":
-        """Same value with `extra_err` (raw mpf tuple or BigReal upper) folded in."""
-        if isinstance(extra_err, BigReal):
-            extra_err = extra_err.upper_tuple()
-        return BigReal(self.ctx, self._v, _eadd(self._e, extra_err))
-
     def err_tuple(self):
         return self._e
 
@@ -336,9 +328,10 @@ class BigReal:
         return to_str(self._v, digits)
 
     def err_decimal(self) -> str:
+        """The least 3-digit decimal at or above the error bound, in to_str's notation."""
         if self._e == fzero:
             return "0"
-        return to_str(self._e, 3)
+        return to_str(self._e, 3, "u")
 
     def __repr__(self):
         return f"BigReal({self.decimal(min(self.certified_digits(), 30) or 6)} ± {self.err_decimal()})"
@@ -417,17 +410,10 @@ def fixed_dot(pairs, ctx: PrecisionContext) -> BigReal:
 
 @lru_cache(maxsize=64)
 def _lib_const(series, ctx: PrecisionContext) -> BigReal:
-    """A constant's counted series (binfloat) rounded to wb + 16 bits, then to wb.  The
-    bound is ulp(wb) + ulp(wb + 14), the latter checked to cover the series error and
-    the first rounding."""
-    wb = ctx.working_bits
-    prec = wb + 40
-    x, e = series(prec)
-    v16 = from_man_exp(x, -prec, wb + 16, "n")
-    v = normalize(*v16[:3], wb, "n")
-    if e + abs(to_fixed(v16, prec) - x) > 1 << (_mag(v) + prec - wb - 14):
-        raise ArithmeticError("a constant's series error exceeds its assigned bound")
-    return BigReal(ctx, v, _eadd(_ulp(v, wb), _ulp(v, wb + 14)))
+    """A constant's counted series (binfloat), its pair (x, e) at working_bits + 40
+    bits rounded once into a BigReal whose bound is e plus that rounding."""
+    fx = FixedPoint(ctx, 1 << 32)  # prec = working_bits + 40
+    return fx.to_big(*series(fx.prec))
 
 
 def const_pi(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
@@ -460,13 +446,6 @@ def pi_power(base: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigR
     return _pi_power(base, k, ctx)
 
 
-def _pochhammer(s: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= s + i
-    return out
-
-
 # -- exact rationals as integer pairs ---------------------------------------------
 #
 # The coefficient tables below are built on reduced pairs (a, b), b > 0, each
@@ -490,17 +469,18 @@ def _rat_add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return t // g2, s * (d // g2)
 
 
-def _hslice_entries(p: int):
-    h = (0, 1)
-    for i in count(p):
+def _hslice_entries(p: int, done):
+    h = done[-1] if done else (0, 1)
+    for m in count(len(done)):
+        if m:
+            h = _rat_add(*h, 1, p + m - 1)
         yield h
-        h = _rat_add(*h, 1, i)
 
 
 @lru_cache(maxsize=256)
 def _hslices(p: int) -> tuple:
     """H(p, 0), H(p, 1), ... as reduced pairs, a prefix list (_prefix)."""
-    return [], _hslice_entries(p)
+    return [], partial(_hslice_entries, p)
 
 
 def _hslice(p: int, m: int) -> tuple[int, int]:
@@ -574,19 +554,18 @@ def _n_derivs(rule: str, K: int) -> int:
     return K + 1 if rule == "em" else 1 + K // 2
 
 
-def _pl_entries(p: int, rule: str, h: int, log: bool):
+def _pl_entries(p: int, rule: str, h: int, log: bool, done):
     """The entries (j, a, b) of _pl_coeffs' tables of (p, rule, h, log), those
-    of every order in one endless sequence.  Each is a reduced fraction, built
-    in integers (_rat_mul): (p)_m and the factorial in c mostly cancel, so the
-    entries of high order stay small."""
-    if rule == "em" and p > 1:
+    of every order in one endless sequence, from the one after done, the
+    entries already built.  Each is a reduced fraction, built in integers
+    (_rat_mul): (p)_m and the factorial in c mostly cancel, so the entries of
+    high order stay small."""
+    integral = rule == "em" and p > 1  # its entry comes first
+    if integral and not done:
         yield p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)
-    poch, done = 1, 0  # (p)_done, carried across the rising orders m
-    for i in count(1 if log else 0):  # Q has no entry for m = 0
+    for i in count(max(len(done) - integral, 0) + log):  # Q has no entry for m = 0
         c, m = _deriv(rule, i)
-        while done < m:
-            poch *= p + done
-            done += 1
+        poch = perm(p + m - 1, m)  # (p)_m
         a, b = _rat_mul(-poch * h**m if m % 2 else poch * h**m, 1, c.numerator, c.denominator)
         if log:
             a, b = _rat_mul(-a, b, *_hslice(p, m))
@@ -601,7 +580,7 @@ def _pl_length(p: int, rule: str, K: int, log: bool) -> int:
 @lru_cache(maxsize=1024)
 def _pl_table(p: int, rule: str, h: int, log: bool) -> tuple:
     """_pl_entries(p, rule, h, log) as a prefix list (_prefix)."""
-    return [], _pl_entries(p, rule, h, log)
+    return [], partial(_pl_entries, p, rule, h, log)
 
 
 def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> list:
@@ -622,7 +601,7 @@ def _abs_coeffs(p: int, m: int, log: bool) -> tuple:
     (p)_m / (q-1) N^-(q-1), and that times H(p, m) + 1/(q-1)."""
     q = p + m
     a, b = _rat_add(*_hslice(p, m), 1, q - 1) if log else (1, 1)
-    return ((q - 1, _pochhammer(p, m) * a, (q - 1) * b),)
+    return ((q - 1, perm(p + m - 1, m) * a, (q - 1) * b),)
 
 
 def _abs_integral(terms, m: int, N: int, fx: FixedPoint) -> tuple[int, int]:
@@ -701,14 +680,11 @@ def _zeta(s: int, ctx: PrecisionContext) -> BigReal:
     while (rem := _scaled_up(sum(_abs_integral(terms, m, N, fx)), scale, ctx)) > fx.one >> (wb + 4):
         N *= 2
         fx = FixedPoint(ctx, N)
-    head = fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)), N)
-    # the tail is rounded apart, on a FixedPoint sized for 4 roundings of each of its
-    # K + 2 coefficients; the table of order K serves this one value, which is cached
-    # itself, so it is built for this call only and not kept in _pl_table's cache
-    tail = FixedPoint(ctx, 4 * (K + 2) + 2)
-    value = _pl_sum(terms, N, lambda p, log: list(islice(_pl_entries(p, "em", 1, log), _pl_length(p, "em", K, log))),
-                    tail)
-    return (head + tail.to_big(*value)).widened(from_man_exp(rem, -fx.prec))
+    # the table of order K serves this one value, which is cached itself, so it is
+    # built for this call only and not kept in _pl_table's cache
+    x, e = _pl_sum(terms, N, lambda p, log: list(islice(_pl_entries(p, "em", 1, log, ()),
+                                                       _pl_length(p, "em", K, log))), fx)
+    return fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)) + x, N + e + rem)
 
 
 def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
@@ -716,7 +692,8 @@ def zeta_num(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     N terms plus its Euler-Maclaurin tail of order K = max(8, working_bits / 16).
 
     N is the least of 32, 64, ... whose certified remainder is at most
-    2^-(working_bits + 4); the value is widened by that remainder.
+    2^-(working_bits + 4).  Head, tail and remainder are one FixedPoint sum,
+    rounded to working_bits once.
     """
     if s < 2:
         raise ValueError(f"zeta_num needs s >= 2, got {s}")
@@ -728,7 +705,7 @@ def _li4_half(ctx: PrecisionContext) -> BigReal:
     M = ctx.working_bits + 8
     fx = FixedPoint(ctx, M)
     acc = sum(fx.recip(n**4 << n) for n in range(1, M + 1))
-    return fx.to_big(acc, M).widened(from_man_exp(1, -M))
+    return fx.to_big(acc, M + (1 << (fx.prec - M)))  # and the tail, below 2^-M
 
 
 def li4_half_num(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
@@ -767,19 +744,12 @@ def monomial_num(mono, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
 def eval_sym(e: SymExpr, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     """Evaluate a SymExpr numerically; the result carries its achieved error bound.
 
-    The empty expression evaluates to exact 0.  For nonzero expressions the
-    result must retain ctx.contract_bits of relative accuracy, otherwise the
-    cancellation is reported as PrecisionExhausted.  Each term is its
-    coefficient times its monomial's value (monomial_num).
+    The value is the fixed_dot of the (coefficient, monomial_num) pairs, one
+    fixed-point sum rounded once; the empty expression is exact 0.  The result
+    must retain ctx.contract_bits of relative accuracy, otherwise the
+    cancellation is reported as PrecisionExhausted.
     """
-    if e.is_zero:
-        return BigReal.zero(ctx)
-    acc = BigReal.zero(ctx)
-    for mono, coeff in e.terms():
-        term = BigReal.from_fraction(coeff, ctx)
-        if mono:
-            term = term * monomial_num(mono, ctx)
-        acc = acc + term
+    acc = fixed_dot(((coeff, monomial_num(mono, ctx)) for mono, coeff in e.terms()), ctx)
     if not acc.meets_contract():
         raise PrecisionExhausted(
             f"cancellation below contract precision evaluating {e} "

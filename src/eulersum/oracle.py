@@ -67,7 +67,7 @@ from __future__ import annotations
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import count
 from math import exp, inf, isfinite, lgamma, log, pi
@@ -172,21 +172,22 @@ def _combo_sums(kind: str, p: int, shift: Optional[int] = None) -> tuple[Fractio
     return sum(c for c, _ in combo), log2
 
 
-def _expansion_orders(p: int, rule: str, combo: tuple):
-    """The entries of _expansion's prefix list, K = 0, 1, ..."""
-    table, done, envelops = _pl_table(p, rule, 1, False), 0, p == 1 and rule == "em"
-    for K in count():
+def _expansion_orders(p: int, rule: str, combo: tuple, done):
+    """The entries of _expansion's prefix list, K = len(done), len(done) + 1, ..."""
+    table, envelops = _pl_table(p, rule, 1, False), p == 1 and rule == "em"
+    used = _pl_length(p, rule, len(done) - 1, False) if done else 0
+    for K in count(len(done)):
         n = _pl_length(p, rule, K, False)
         entries = _prefix(table, n + envelops)
         terms = []
-        for e, a, b in entries[done:n]:
+        for e, a, b in entries[used:n]:
             x = (0, 1)
             for c, d in combo:
                 x = _rat_add(*x, c.numerator * a * d.denominator**e, c.denominator * b * d.numerator**e)  # c a / d^e
             if x[0]:
                 a = Fraction(*x)
                 terms.append((e, a, _log_pos(a)))
-        done = n
+        used = n
         if envelops:
             (q, ra, rb), scale = entries[n], (1, 1, 0)
         else:
@@ -212,7 +213,7 @@ def _expansion(p: int, rule: str, combo: tuple) -> tuple:
     Int_(d_i x)^inf |f^(m)| (_abs_coeffs); for p = 1 under "em", whose integral
     is left out, sum_i |c_i| times the first omitted term, the next entry of
     the table, which envelops at every real x > 0 (DLMF 5.11(ii))."""
-    return [], _expansion_orders(p, rule, combo)
+    return [], partial(_expansion_orders, p, rule, combo)
 
 
 def _weight_expansion(kind: str, p: int, shift: Optional[int] = None) -> tuple:
@@ -272,18 +273,19 @@ def _log_scale(scale: tuple) -> float:
     return _log_pos(c) - k * log(base * pi)
 
 
-def _log_poch_hslice_entries(p: int):
-    lp, h = lgamma(p), 0.0
-    for i in count(p):
-        yield lgamma(i) - lp, h
-        h = h + 1 / i
+def _log_poch_hslice_entries(p: int, done):
+    lp, h = lgamma(p), done[-1][1] if done else 0.0
+    for m in count(len(done)):
+        if m:
+            h = h + 1 / (p + m - 1)
+        yield lgamma(p + m) - lp, h
 
 
 @lru_cache(maxsize=1024)
 def _log_poch_hslice(p: int) -> tuple:
     """log (p)_m, as lgamma(p + m) - lgamma(p), and H(p, m) as floats, for
     m = 0, 1, ..., a prefix list (exact._prefix)."""
-    return [], _log_poch_hslice_entries(p)
+    return [], partial(_log_poch_hslice_entries, p)
 
 
 def _screen_terms(terms, logs, m: int) -> list[tuple]:

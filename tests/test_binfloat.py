@@ -3,6 +3,7 @@ tuples for the rounded operations, the same floats and decimal strings, ln
 within one ulp, and the constants within their counted error of mpmath's
 values at 64 more bits."""
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 
 from eulersum import binfloat
-from eulersum.numerics import PrecisionContext, _lib_const
 
 _modes = st.sampled_from("nud")
 
@@ -122,7 +122,13 @@ def test_constants_are_within_their_counted_error(prec):
         assert e <= 4, series.__name__
 
 
-def test_a_constant_series_outside_its_assigned_bound_is_refused():
-    x, _ = binfloat.pi_fixed(296)
-    with pytest.raises(ArithmeticError):
-        _lib_const.__wrapped__(lambda prec: (x, 1 << 50), PrecisionContext(256))
+@settings(max_examples=200, deadline=None)
+@given(man=st.integers(1, 2**300), exp=st.integers(-5000, 5000), dps=st.integers(1, 20), sign=st.integers(0, 1))
+def test_to_str_rounding_up_gives_the_least_decimal_at_or_above(man, exp, dps, sign):
+    s = binfloat.from_man_exp(-man if sign else man, exp)
+    text = binfloat.to_str(s, dps, "u")
+    assert text.startswith("-") == bool(sign)
+    got, exact = abs(F(text)), abs(_frac(s))
+    # at least |s|, and one unit less in its dps-th significant digit is below |s|
+    assert got >= exact
+    assert got - F(10) ** (Decimal(text).adjusted() - dps + 1) < exact

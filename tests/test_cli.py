@@ -11,6 +11,8 @@ import pytest
 
 from eulersum import cli
 from eulersum import closedform
+from eulersum.numerics import PrecisionContext, eval_sym
+from eulersum.oracle import OracleConfig, oracle_eval
 from eulersum.symexpr import SymExpr, lambda_sym
 
 
@@ -301,6 +303,27 @@ def test_bits_flag_overrides_env(capsys, monkeypatch):
     assert json.loads(out)["bits"] == 160
 
 
+def _frac(t) -> Fraction:
+    sign, man, exp, _ = t
+    v = Fraction(man) * Fraction(2) ** exp
+    return -v if sign else v
+
+
+@pytest.mark.parametrize("bits", [192, 256])
+def test_printed_bounds_are_at_least_the_certified_bounds(capsys, bits):
+    # eval's bound (err_decimal) and oracle's (a float) are printed rounded up,
+    # so the decimal read back is never below the bound the value carries
+    ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(target_tolerance=1e-20)
+    for sid in closedform.known_closed_form_ids(9):
+        params = [a for n, v in zip(sid.param_names, sid.params) for a in (f"--{n}", str(v))]
+        _, out, _ = _run(capsys, "eval", "--family", sid.family, *params, "--bits", str(bits))
+        certified = _frac(eval_sym(closedform.closed_form_for(sid), ctx).err_tuple())
+        assert Fraction(json.loads(out)["numeric"]["bound"]) >= certified, (sid, "eval")
+        _, out, _ = _run(capsys, "oracle", "--family", sid.family, *params, "--tol", "1e-20", "--bits", str(bits))
+        certified = _frac(oracle_eval(sid, cfg, ctx).value.err_tuple())
+        assert Fraction(json.loads(out)["bound"]) >= certified, (sid, "oracle")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -314,12 +337,14 @@ GOLDEN = Path(__file__).parent / "golden"
     ("oracle_AltTildeH1_1e-100_512.txt",
      ["oracle", "--family", "AltTildeH", "--a", "1", "--tol", "1e-100", "--bits", "512"]),
     ("oracle_h3_1e-100_512.txt", ["oracle", "--family", "h", "--q", "3", "--tol", "1e-100", "--bits", "512"]),
+    ("table_sigma_s2-6_t2_192.txt", ["table", "--family", "sigma", "--s", "2..6", "--t", "2", "--bits", "192"]),
 ])
 def test_stdout_matches_the_frozen_output(capsys, name, argv):
-    # every printed digit and bound, frozen when BigReal still ran on mpmath.libmp;
-    # the 4096-bit eval prints a bound below 2^-3500, which to_str rescales.  The
-    # three oracle runs at 512 bits (remainder split, tilde sum, odd lattice) were
-    # frozen before the weight and tilde expansions were read from numerics' tables
+    # every printed digit and bound: values as mpmath.libmp prints them, bounds
+    # rounded up.  The three oracle runs at 512 bits (remainder split, tilde
+    # sum, odd lattice) were frozen before the weight and tilde expansions were
+    # read from numerics' tables; the table prints both kinds of bound, the
+    # closed-form rows' from err_decimal and the oracle rows' from a float
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()

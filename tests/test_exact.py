@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 import pytest
@@ -91,3 +92,40 @@ def test_bernoulli_defining_recurrence():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         exact.bernoulli(-1)
+
+
+def _raising_once(entries_from, at):
+    """entries_from, except that its first generator raises KeyboardInterrupt
+    instead of yielding entry `at`."""
+    raised = []
+
+    def source(done):
+        for i, entry in enumerate(entries_from(done), len(done)):
+            if i == at and not raised:
+                raised.append(i)
+                raise KeyboardInterrupt
+            yield entry
+
+    return source
+
+
+def _squares(done):
+    for i in count(len(done)):
+        yield i * i
+
+
+def test_a_prefix_list_resumes_after_its_generator_raises():
+    table = [], _raising_once(_squares, 3)
+    with pytest.raises(KeyboardInterrupt):
+        exact._prefix(table, 6)
+    assert table[0] == [0, 1, 4]
+    assert exact._prefix(table, 8) == exact._prefix(([], _squares), 8)
+
+
+def test_bernoulli_resumes_after_an_interrupted_build(monkeypatch):
+    monkeypatch.setattr(exact, "_BERNOULLI", ([], _raising_once(exact._bernoulli_entries, 5)))
+    with pytest.raises(KeyboardInterrupt):
+        exact.bernoulli(12)
+    clean = exact._prefix(([], exact._bernoulli_entries), 21)
+    assert exact.bernoulli(20) == clean[20]
+    assert exact._BERNOULLI[0] == clean

@@ -457,12 +457,15 @@ def test_float_pochhammer_and_harmonic_slices_match_the_exact_values():
 
 
 def test_each_computed_oracle_eval_rounds_into_bigreal_once(monkeypatch):
-    # with zeta cached, an evaluation sums its head, tail and bound as integers
-    # and rounds them into a BigReal once; a tolerance no other test uses makes
-    # every call below compute
+    # with zeta and the constants cached (each is rounded through to_big too),
+    # an evaluation sums its head, tail and bound as integers and rounds them
+    # into a BigReal once; a tolerance no other test uses makes every call
+    # below compute
     ctx, cfg = PrecisionContext(working_bits=200), OracleConfig(target_tolerance=3.7e-21)
     for s in range(2, 12):
         numerics.zeta_num(s, ctx)
+    for const in (numerics.const_pi, numerics.const_log2, numerics.const_gamma):
+        const(ctx)
     calls = []
     to_big = numerics.FixedPoint.to_big
 
@@ -692,13 +695,13 @@ def test_step_two_tail_encloses_the_hurwitz_zeta(p):
 
 def _harmonic_expansion_fraction(p: int, k: int) -> tuple:
     c, m = numerics._em_deriv(k) if k else (F(-1, 2), 0)
-    a = ((p + m, -c * (-1) ** m * numerics._pochhammer(p, m)),)
+    a = ((p + m, -c * (-1) ** m * math.perm(p + m - 1, m)),)
     if p == 1:
         return a, abs(bernoulli(2 * k + 2)) / (2 * k + 2), 2 * k + 2
     if k == 0:  # the integral's term, and the remainder 1/2 Int |f'|
         return ((p - 1, F(-1, p - 1)), *a), F(1, 2), p
     q = p + 2 * k - 1
-    return a, F(4 * numerics._pochhammer(p, 2 * k), q), q
+    return a, F(4 * math.perm(p + 2 * k - 1, 2 * k), q), q
 
 
 def _weight_terms_fraction(kind: str, p: int, k: int, shift) -> tuple:
@@ -791,8 +794,8 @@ def test_tilde_terms_match_the_fraction_formula(s):
     # Fraction stored with its natural log
     derivs = [(F(1, 2), 0), *map(numerics._boole_deriv, range(1, 83, 2))]
     for KB in range(6, 83, 2):
-        terms = [(c * (-1) ** k * numerics._pochhammer(s, k), 0, s + k + 1) for c, k in derivs[:1 + KB // 2]]
-        rem_c = F(4 * numerics._pochhammer(s, KB), s + KB - 1)
+        terms = [(c * (-1) ** k * math.perm(s + k - 1, k), 0, s + k + 1) for c, k in derivs[:1 + KB // 2]]
+        rem_c = F(4 * math.perm(s + KB - 1, KB), s + KB - 1)
         orders = exact._prefix(oracle._expansion(s, "boole", ((1, 1),)), KB + 1)[:KB + 1]
         added = [t for new, *_ in orders for t in new]
         assert all(type(a) is F and la == oracle._log_pos(a) for _, a, la in added), KB
@@ -951,11 +954,11 @@ def test_prefix_lists_grow_alike_under_concurrent_readers(monkeypatch):
     from itertools import islice
 
     keys = [(p, rule, h, log) for p in (2, 3) for rule in ("em", "boole") for h in (1, 2) for log in (False, True)]
-    tables = {key: list(islice(numerics._pl_entries(*key), numerics._pl_length(key[0], key[1], 60, key[3])))
+    tables = {key: list(islice(numerics._pl_entries(*key, ()), numerics._pl_length(key[0], key[1], 60, key[3])))
               for key in keys}
-    weights = list(islice(oracle._expansion_orders(2, "em", tuple((-c, d) for c, d in oracle._combo("S", 2))), 41))
+    weights = list(islice(oracle._expansion_orders(2, "em", tuple((-c, d) for c, d in oracle._combo("S", 2)), ()), 41))
     kinds = [exact.plain(1), exact.semi(2), exact.alternating(3)]
-    harmonics = {kind: list(islice(exact._harmonic_entries(kind), 61)) for kind in kinds}
+    harmonics = {kind: list(islice(exact._harmonic_entries(kind, ()), 61)) for kind in kinds}
     bernoullis = [bernoulli(n) for n in range(61)]
     wrong, interval = [], sys.getswitchinterval()
 
@@ -981,7 +984,7 @@ def test_prefix_lists_grow_alike_under_concurrent_readers(monkeypatch):
         _cold_tables()
         exact._prefixes.cache_clear()
         cold = []
-        monkeypatch.setattr(exact, "_BERNOULLI", (cold, exact._bernoulli_entries(cold)))
+        monkeypatch.setattr(exact, "_BERNOULLI", (cold, exact._bernoulli_entries))
         threads = [threading.Thread(target=read, args=(6 * attempt + i,)) for i in range(6)]
         sys.setswitchinterval(1e-6)
         try:
