@@ -12,6 +12,7 @@ extra constant li4(1/2).  Run with:  python demos/01_jordan_sums.py
 from fractions import Fraction
 
 from eulersum import OracleConfig, PrecisionContext, SumId, eval_sym, oracle_eval
+from eulersum.cli import _bound
 from eulersum.closedform import (
     closed_form_for,
     jordan_3,
@@ -30,7 +31,7 @@ def show(label, expr, sid):
     orc = oracle_eval(sid, cfg, ctx)
     print(f"{label:10s} = {expr}")
     print(f"{'':10s}   closed form {num.decimal(25)}")
-    print(f"{'':10s}   oracle      {orc.value.decimal(25)}   (bound {orc.achieved_bound:.1e}, {orc.terms_used} head terms)")
+    print(f"{'':10s}   oracle      {orc.value.decimal(25)}   (bound {_bound(orc.achieved_bound, 2)}, {orc.terms_used} head terms)")
     print()
 
 

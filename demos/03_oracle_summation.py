@@ -9,6 +9,7 @@ Run with:  python demos/03_oracle_summation.py
 """
 
 from eulersum import BudgetExhausted, OracleConfig, PrecisionContext, SumId, oracle_eval, partial_sum
+from eulersum.cli import _bound
 
 ctx = PrecisionContext(working_bits=192)
 
@@ -17,7 +18,7 @@ print("=" * 64)
 sid = SumId.sigma(2, 3)
 for tol in (1e-8, 1e-12, 1e-16, 1e-24, 1e-32):
     res = oracle_eval(sid, OracleConfig(target_tolerance=tol), ctx)
-    print(f"tol {tol:8.0e}:  {res.value.decimal(36):40s} bound {res.achieved_bound:.1e}  head {res.terms_used}")
+    print(f"tol {tol:8.0e}:  {res.value.decimal(36):40s} bound {_bound(res.achieved_bound, 2)}  head {res.terms_used}")
 print()
 
 print("Exact rational prefixes of the defining series (regression anchors)")
@@ -30,7 +31,7 @@ print("Alternating families go through Boole summation")
 print("=" * 64)
 for sid3 in (SumId.alt_euler_star(1), SumId.alt_euler_star(3), SumId.alt_tilde_h(1), SumId.alt_tilde_h(2)):
     res = oracle_eval(sid3, OracleConfig(target_tolerance=1e-14), ctx)
-    print(f"{str(sid3):18s} {res.value.decimal(24):28s} bound {res.achieved_bound:.1e}")
+    print(f"{str(sid3):18s} {res.value.decimal(24):28s} bound {_bound(res.achieved_bound, 2)}")
 print()
 
 print("The term budget is enforced, not silently ignored")

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from decimal import ROUND_CEILING, Context, Decimal
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -164,14 +164,20 @@ def _sum_id(args, ranged_ok: bool = False):
         raise _UsageError(str(e))
 
 
-def _bound(x: float) -> str:
-    """A float bound as f"{x:.3e}" writes it, but rounded up: the least
-    4-digit decimal at or above x's exact value."""
-    if not x or not math.isfinite(x):
-        return f"{x:.3e}"
-    up = Context(prec=4, rounding=ROUND_CEILING).plus(Decimal(x))
-    digits = str(int(up.scaleb(3 - up.adjusted())))
-    return f"{digits[0]}.{digits[1:]}e{up.adjusted():+03d}"
+def _bound(x: float, digits: int = 4) -> str:
+    """A bound x >= 0 as f"{x:.3e}" writes it (to digits digits), rounded up: that
+    text if it is not below x (its nearest float is above x, or equal to x and
+    not below it exactly), else with its last digit bumped, 9.999e+k to 1.000e+(k+1)."""
+    text = f"{x:.{digits - 1}e}"
+    if not x > 0 or not math.isfinite(x) or (near := float(text)) > x:
+        return text
+    d, e = int(text[:digits + 1].replace(".", "")), int(text[digits + 2:]) - digits + 1  # text = d 10^e
+    if near == x:
+        n, m = x.as_integer_ratio()
+        if d * m * 10 ** max(e, 0) >= n * 10 ** max(-e, 0):
+            return text
+    d, e = (d + 1, e) if d + 1 < 10**digits else (10 ** (digits - 1), e + 1)
+    return f"{str(d)[0]}.{str(d)[1:]}e{e + digits - 1:+03d}"
 
 
 def _sym_json(e: SymExpr) -> dict:

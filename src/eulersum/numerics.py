@@ -14,21 +14,16 @@ result, zeta_num, li4_half_num, pi, log 2, gamma and each linear combination
 of BigReals (fixed_dot: relation residuals and eval_sym) are each one such
 sum, rounded into a BigReal once (to_big).
 
-Certified tails are sums of power-log terms (A + B ln x) x^-p.  Their
-Euler-Maclaurin and Boole sums and the integrals that bound the remainders
-are, per power p, A R(N) + B (R(N) ln N + Q(N)): R and Q are sums c N^-j
-whose exact rational c do not depend on N (signed A and B for a value, |A|
-and |B| for a bound; no two terms share a power).  They are summed as a
-pair on the caller's FixedPoint, a rational A or B folded into each floor;
-the oracle builds every tail and bound from this layer.  The tables of c are
-built on integer pairs, common factors cancelled before each product.  The
-table of order K of a power, rule and step is the first entries of one
-prefix list (exact._prefix), grown under a lock when a higher order is asked
-for (_pl_table), so no entry is built twice; so are the slices H(p, m)
-(_hslices), and the remainders' coefficients are cached (_abs_coeffs).
-_pl_coeffs is the one Euler-Maclaurin/Boole expansion of a power x^-p in the
-package: the oracle also reads its weight asymptotics and inner tails from it
-(oracle._expansion), with their remainders from _remainder.
+Certified tails are sums of T power-log terms (A + B ln x) x^-p, evaluated
+by one pass (_pl_tail): each term's derivatives run down a fixed-point
+recurrence, u_(m+1) = -u_m (p+m) h / X, with a second running sequence for
+the ln x part, so an Euler-Maclaurin or Boole tail of order K and its
+remainder bound, read from the last derivative, take about T K small-integer
+steps, every floor counted.  The oracle and zeta_num take every tail from it.
+The exact expansion of x^-p (_pl_table), built on integer pairs and kept as a
+prefix list (exact._prefix) grown under a lock, serves only the oracle's
+weight asymptotics and inner tails (oracle._expansion), whose remainders come
+from _remainder and _abs_coeffs.
 
 The constants pi, log 2 and gamma are binfloat's counted fixed-point series:
 Machin's formula for pi, a hyperbolic Machin-type (acoth) formula for log 2
@@ -53,12 +48,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count, islice
+from itertools import count
 from math import factorial, gcd, inf, nextafter, perm
 from typing import Optional, Union
 
 from . import exact
-from .exact import _prefix
 from .binfloat import (
     euler_fixed,
     from_float,
@@ -130,6 +124,7 @@ class PrecisionContext(namedtuple("PrecisionContext", "working_bits")):
 
 
 DEFAULT_CONTEXT = PrecisionContext()
+_EPREC_CONTEXT = PrecisionContext(_EPREC)
 
 
 def _mag(t) -> int:
@@ -469,73 +464,16 @@ def _rat_add(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return t // g2, s * (d // g2)
 
 
-def _hslice_entries(p: int, done):
-    h = done[-1] if done else (0, 1)
-    for m in count(len(done)):
-        if m:
-            h = _rat_add(*h, 1, p + m - 1)
-        yield h
-
-
-@lru_cache(maxsize=256)
-def _hslices(p: int) -> tuple:
-    """H(p, 0), H(p, 1), ... as reduced pairs, a prefix list (_prefix)."""
-    return [], partial(_hslice_entries, p)
-
-
-def _hslice(p: int, m: int) -> tuple[int, int]:
-    """H(p, m) = sum_{i<m} 1/(p+i) as a reduced pair (a, b)."""
-    return _prefix(_hslices(p), m + 1)[m]
-
-
 # -- power-log tails ------------------------------------------------------------
 #
 # A term (A, B, p) stands for (A + B ln x) x^-p; A and B are rationals or
-# BigReals.  For such f,
+# BigReals.  For such f and m >= -1,
 #
-#     f^(m)(N)      = (-1)^m (p)_m (A + B (ln N - H(p, m))) N^-(p+m),
-#     Int_N^inf f   = ((A + B ln N) / (p-1) + B / (p-1)^2) N^(1-p),
+#     f^(m)(X) = (-1)^m (p)_m (A + B (ln X - H(p, m))) X^-(p+m),
 #
-# with H(p, m) = sum_{i<m} 1/(p+i), so every tail quantity below is
-# A R + B (R ln N + Q) per power, where R and Q are sums c N^-j over exact
-# rationals c that do not depend on N.  Q, the log part, is built only for a
-# power whose B is not zero.
-
-def _fx_dot(fx: FixedPoint, x, coeffs, N: int, absolute: bool = False) -> tuple[int, int]:
-    """x, or |x| with absolute, times sum (a/b) N^-j over (j, a, b) in coeffs as
-    a fixed-point pair.
-
-    A rational x is folded into every floor, so each adds under one unit of
-    error whatever the size of x and a/b; a BigReal x multiplies the sum.
-    """
-    if isinstance(x, BigReal):
-        s, e = _fx_dot(fx, 1, coeffs, N)
-        return fx.mul(*fx.from_big(abs(x) if absolute else x), s, e)
-    num, den = (abs(x.numerator) if absolute else x.numerator) << fx.prec, x.denominator
-    return sum(num * a // (den * b * N**j) for j, a, b in coeffs), len(coeffs)
-
-
-@lru_cache(maxsize=64)
-def _ln(n: int, ctx: PrecisionContext) -> BigReal:
-    return BigReal.from_int(n, ctx).ln()
-
-
-def _pl_sum(terms, N: int, coeffs, fx: FixedPoint, absolute: bool = False) -> tuple[int, int]:
-    """The (value, error) pair on fx of the sum over the terms of A R +
-    B (R ln N + Q), of |A| and |B| with absolute, where R = coeffs(p, False)
-    and, only where B is not zero, Q = coeffs(p, True), each a sequence of
-    integer triples (j, a, b) for sum (a/b) N^-j.  No two of the callers'
-    terms share a power, so each power's coefficients are read once."""
-    ln, parts = None, []
-    for A, B, p in terms:
-        R = coeffs(p, False)
-        if A:
-            parts.append(_fx_dot(fx, A, R, N, absolute))
-        if B:
-            ln = ln or fx.from_big(_ln(N, fx.ctx))
-            parts += [fx.mul(*_fx_dot(fx, B, R, N, absolute), *ln),
-                      _fx_dot(fx, B, coeffs(p, True), N, absolute)]
-    return sum(v for v, _ in parts), sum(e for _, e in parts)
+# with H(p, m) = sum_{i<m} 1/(p+i), (p)_-1 = 1/(p-1) and H(p, -1) = -1/(p-1):
+# f^(-1) is the antiderivative that vanishes at infinity, so Int_X^inf f =
+# -f^(-1)(X), the Euler-Maclaurin derivative term (-1, -1).
 
 
 def _deriv(rule: str, i: int) -> tuple[Fraction, int]:
@@ -545,7 +483,7 @@ def _deriv(rule: str, i: int) -> tuple[Fraction, int]:
     their sum is the Euler-Maclaurin sum over n > N; with "boole" they are
     (E_k(0)/(2 k!), k) for k = 0 and the odd k, where E_k(0) is not 0."""
     if not i:
-        return (-_HALF if rule == "em" else _HALF), 0
+        return (_MINUS_HALF if rule == "em" else _HALF), 0
     return _em_deriv(i) if rule == "em" else _boole_deriv(2 * i - 1)
 
 
@@ -554,85 +492,155 @@ def _n_derivs(rule: str, K: int) -> int:
     return K + 1 if rule == "em" else 1 + K // 2
 
 
-def _pl_entries(p: int, rule: str, h: int, log: bool, done):
-    """The entries (j, a, b) of _pl_coeffs' tables of (p, rule, h, log), those
-    of every order in one endless sequence, from the one after done, the
-    entries already built.  Each is a reduced fraction, built in integers
-    (_rat_mul): (p)_m and the factorial in c mostly cancel, so the entries of
-    high order stay small."""
+def _pl_entries(p: int, rule: str, done):
+    """The entries (j, a, b), (a/b) N^-j, of the tail rule of every order for
+    f = x^-p, from the one after done: with "em" and p > 1 first Int_N^inf f,
+    then c f^(m)(N) for the derivative terms (c, m) (_deriv).  Each is reduced,
+    built in integers (_rat_mul), so the entries of high order stay small."""
     integral = rule == "em" and p > 1  # its entry comes first
     if integral and not done:
-        yield p - 1, 1, h * (p - 1) ** 2 if log else h * (p - 1)
-    for i in count(max(len(done) - integral, 0) + log):  # Q has no entry for m = 0
+        yield p - 1, 1, p - 1
+    for i in count(max(len(done) - integral, 0)):
         c, m = _deriv(rule, i)
         poch = perm(p + m - 1, m)  # (p)_m
-        a, b = _rat_mul(-poch * h**m if m % 2 else poch * h**m, 1, c.numerator, c.denominator)
-        if log:
-            a, b = _rat_mul(-a, b, *_hslice(p, m))
-        yield p + m, a, b
+        yield (p + m, *_rat_mul(-poch if m % 2 else poch, 1, c.numerator, c.denominator))
 
 
-def _pl_length(p: int, rule: str, K: int, log: bool) -> int:
-    """The number of entries in _pl_coeffs' table of order K."""
-    return (rule == "em" and p > 1) + _n_derivs(rule, K) - log
+def _pl_length(p: int, rule: str, K: int) -> int:
+    """The number of entries of _pl_table(p, rule) in the rule of order K."""
+    return (rule == "em" and p > 1) + _n_derivs(rule, K)
 
 
 @lru_cache(maxsize=1024)
-def _pl_table(p: int, rule: str, h: int, log: bool) -> tuple:
-    """_pl_entries(p, rule, h, log) as a prefix list (_prefix)."""
-    return [], partial(_pl_entries, p, rule, h, log)
-
-
-def _pl_coeffs(p: int, rule: str, K: int, h: int, log: bool) -> list:
-    """R, or Q with log, of the power p for the tail rule of order K and step
-    h, as for _pl_sum: with rule "em", Int_N^inf f / h + sum c h^m f^(m)(N)
-    over the derivative terms (c, m) of order K (_deriv); with "boole", their
-    sum alone; for p = 1 the integral diverges and is left out, as ln N takes
-    its place in H_N (oracle._expansion).  The rule of step h at N is
-    that of step 1 for g(j) = f(N + h j) at j = 0.  The table of order K is
-    the first entries of the prefix list _pl_table."""
-    n = _pl_length(p, rule, K, log)
-    return _prefix(_pl_table(p, rule, h, log), n)[:n]
+def _pl_table(p: int, rule: str) -> tuple:
+    """_pl_entries(p, rule) as a prefix list (exact._prefix), read by oracle._expansion;
+    for p = 1 the integral diverges and is left out, as ln N takes its place in H_N."""
+    return [], partial(_pl_entries, p, rule)
 
 
 @lru_cache(maxsize=4096)
-def _abs_coeffs(p: int, m: int, log: bool) -> tuple:
-    """R, or Q with log, of the power p in _abs_integral, q = p + m:
-    (p)_m / (q-1) N^-(q-1), and that times H(p, m) + 1/(q-1)."""
-    q = p + m
-    a, b = _rat_add(*_hslice(p, m), 1, q - 1) if log else (1, 1)
-    return ((q - 1, perm(p + m - 1, m) * a, (q - 1) * b),)
+def _abs_coeffs(p: int, m: int) -> tuple:
+    """Int_N^inf |f^(m)| for f = x^-p as entries (j, a, b) of (a/b) N^-j:
+    (p)_m / (q-1) N^-(q-1), q = p + m."""
+    return ((p + m - 1, perm(p + m - 1, m), p + m - 1),)
 
 
-def _abs_integral(terms, m: int, N: int, fx: FixedPoint) -> tuple[int, int]:
-    """Upper bound for Int_N^inf |d^m/dx^m sum of the terms| dx, as a pair on fx
-    whose value plus error bounds it.
+@lru_cache(maxsize=64)
+def _ln(n: int, ctx: PrecisionContext) -> BigReal:
+    return BigReal.from_int(n, ctx).ln()
 
-    |f^(m)(x)| <= (p)_m (|A| + |B| H(p, m) + |B| ln x) x^-(p+m) for x >= 1.
+
+def _fx_ratio(fx: FixedPoint, x, num: int, den: int) -> tuple[int, int]:
+    """x num / den as a pair on fx, den > 0, in one floor: a rational x folded
+    into it, a BigReal x as its pair (from_big), whose error scales with it."""
+    if isinstance(x, BigReal):
+        y, ey = fx.from_big(x)
+        return y * num // den, -(-ey * abs(num) // den) + 1
+    return (x.numerator * num << fx.prec) // (x.denominator * den), 1
+
+
+def _pl_tail(rule: str, terms, X: int, K: int, fx: FixedPoint, h: int = 1):
+    """The tail rule of order K and step h over the power-log terms at X as
+    (value, bound): value() its value as a pair on fx, bound an integer at
+    least its remainder bound in units of 2^-prec.  With "em", Int_X^inf f / h
+    + sum c h^m f^(m)(X), the sum over x = X + h, X + 2h, ... (powers p >= 2;
+    g(j) = f(X + h j) has g^(m)(0) = h^m f^(m)(X)); with "boole", sum c
+    f^(m)(X), the sum over n >= X of (-1)^(n-X) f(n).
+
+    One pass runs each term down the orders m of _rule, keeping u_m = h^m
+    (-1)^m (p)_m X^-(p+m) times A, and for B not 0 times B (w_m) and v_m =
+    H(p, m) w_m, so h^m f^(m)(X) = u_m + w_m ln X - v_m.  From m to m + d,
+    u_(m+d) = (-1)^d P u_m h^d / X^d and v_(m+d) = (-1)^d (P v_m + D w_m) h^d
+    / X^d, P = (p+m)_d and D = sum_i P / (p+m+i), as H(p, m + d) - H(p, m) =
+    sum_{i<d} 1/(p+m+i) (and v_-1 = w_-1 / (1-p) gives v_0 = 0).  Each is one
+    floor, which moves it by under 1 unit: if u_m is within e_m units, u_(m+d)
+    is within ceil(e_m P h^d / X^d) + 1, and v_(m+d) within ceil((P e_v +
+    D e_w) h^d / X^d) + 1; each start is one floor of the exact rational
+    (_fx_ratio).  These counts grow with p and the start errors, so those of
+    the largest power and start errors bound every term's.  The sums over the
+    terms of u - v and of w are scaled by each c once (FixedPoint.scale), the
+    second then times ln X (FixedPoint.mul).
+
+    The remainder, M = m - 1 for the Int |f^(m)| of _remainder: for B = 0,
+    f^(M+1) keeps one sign on (X, inf) and tends to 0, so Int_X^inf |f^(M+1)|
+    = |f^(M)(X)| = h^-M |u_M|; for B not 0, |f^(M+1)(x)| <= (p)_(M+1) (|A| +
+    |B| H(p, M+1) + |B| ln x) x^-(p+M+1), whose integral from X is h^-M (|u_M|
+    + |w_M| (ln X + 2/(p+M)) + |v_M|).  Each |.| plus its error, summed over
+    the terms, times the remainder's scale over h^M, is rounded up.
     """
-    return _pl_sum(terms, N, lambda p, log: _abs_coeffs(p, m, log), fx, absolute=True)
+    coeffs, first, M, steps = _rule(rule, K)
+    n, prec, X2, h2 = len(steps) + 1, fx.prec, X * X, h * h
+    S, L = [0] * n, [0] * n
+    upper, e, ev, top, logs = 0, 0, 0, 0, []
+    for A, B, p in terms:
+        num, den = (-1, (p - 1) * h * X ** (p - 1)) if first else (1, X**p)
+        u, e0 = _fx_ratio(fx, A, num, den)
+        e, top = max(e, e0), max(top, p)
+        S[0] += u
+        for o, d, i in steps:
+            u = (u * ((p + o) * (p + o + 1) * h2) if d == 2 else -u * ((p + o) * h)) // (X2 if d == 2 else X)
+            S[i] += u
+        upper += abs(u)
+        if B:
+            w, e0 = _fx_ratio(fx, B, num, den)
+            v, ev0 = _fx_ratio(fx, B, -num, den * (p - 1)) if first else (0, 0)
+            e, ev = max(e, e0), max(ev, ev0)
+            L[0], S[0] = L[0] + w, S[0] - v
+            for o, d, i in steps:
+                r = p + o
+                P, D, hd, Xd = (r * (r + 1), 2 * r + 1, h2, X2) if d == 2 else (r, 1, -h, X)
+                v, w = hd * (P * v + D * w) // Xd, hd * P * w // Xd
+                L[i], S[i] = L[i] + w, S[i] - v
+            logs.append((abs(w), abs(v), p + M))
+    # every u and w within e, every v within ev: the counts of the largest power
+    T, nB = len(terms), len(logs)
+    E, LE = [T * e + nB * ev] + [0] * (n - 1), [nB * e] + [0] * (n - 1)
+    for o, d, i in steps:
+        r = top + o
+        P, D, hd, Xd = (r * (r + 1), 2 * r + 1, h2, X2) if d == 2 else (r, 1, h, X)
+        e, ev = (hd * P * e + Xd - 1) // Xd + 1, (hd * (P * ev + D * e) + Xd - 1) // Xd + 1
+        E[i], LE[i] = T * e + nB * ev, nB * e
+    ln = logs and fx.from_big(_ln(X, fx.ctx))
+    upper += T * e + sum(v + ev - (-(w + e) * ((ln[0] + ln[1]) * q + (2 << prec)) // (q << prec)) for w, v, q in logs)
+
+    def value() -> tuple[int, int]:
+        x = ex = y = ey = 0
+        for c, s, e, w, ew in zip(coeffs, S, E, L, LE):
+            s, e = fx.scale(s, e, c)
+            w, ew = fx.scale(w, ew, c) if ln else (0, 0)
+            x, ex, y, ey = x + s, ex + e, y + w, ey + ew
+        y, ey = fx.mul(y, ey, *ln) if ln else (0, 0)
+        return x + y, ex + ey
+
+    return value, _scaled_up(upper, _remainder(rule, K, h)[1], h**M)
 
 
-def _abs_tail(terms, N: int, fx: FixedPoint) -> tuple[int, int]:
-    """Upper bound for sum over n > N of the terms (a + b ln n) n^-p, as for
-    _abs_integral: the integral from N plus the term at N + 1."""
-    v, e = _pl_sum(terms, N + 1, lambda p, log: () if log else ((p, 1, 1),), fx, absolute=True)
-    w, f = _abs_integral(terms, 0, N, fx)
-    return v + w, e + f
+@lru_cache(maxsize=1024)
+def _rule(rule: str, K: int) -> tuple:
+    """(coefficients, first, M, steps) of the tail rule of order K: its derivative
+    terms' c (_deriv) by m, the integral's -1 at m = -1 first with "em" (first);
+    M = m - 1 for _remainder's Int |f^(m)|; steps (m, d, i) from order m to m + d."""
+    derivs = [(-1, -1)] * (rule == "em") + [_deriv(rule, i) for i in range(_n_derivs(rule, K))]
+    orders = [o for _, o in derivs]
+    M = _remainder(rule, K)[0] - 1
+    orders += [M] * (orders[-1] < M)  # Boole of odd order has no derivative term at M
+    steps = tuple((o, o1 - o, i) for i, (o, o1) in enumerate(zip(orders, orders[1:]), 1))
+    return tuple(c for c, _ in derivs), orders[0] < 0, orders[-1], steps
 
 
-def _scaled_up(x: int, scale: tuple, ctx) -> int:
-    """An integer at least x times a remainder bound's scale (c, base, k), which
-    stands for c (base pi)^-k: x c times pi_power's upper end, rounded up."""
+def _scaled_up(x: int, scale: tuple, den: int = 1) -> int:
+    """An integer at least x / den times a remainder bound's scale (c, base, k),
+    which stands for c (base pi)^-k: x c / den times the upper end of
+    pi_power at _EPREC bits, cached for every context, rounded up."""
     c, base, k = scale
-    a, b = x * c.numerator, c.denominator
+    a, b = x * c.numerator, c.denominator * den
     if k:
-        _, man, exp, _ = pi_power(base, k, ctx).upper_tuple()
+        _, man, exp, _ = pi_power(base, k, _EPREC_CONTEXT).upper_tuple()
         a, b = a * man, b << -exp  # (base pi)^-k < 1, so exp < 0
     return -(-a // b)
 
 
-_HALF = Fraction(1, 2)
+_HALF, _MINUS_HALF = Fraction(1, 2), Fraction(-1, 2)
 
 
 def _remainder(rule: str, K: int, h: int = 1) -> tuple[int, tuple]:
@@ -663,27 +671,16 @@ def _boole_deriv(k: int) -> tuple[Fraction, int]:
     return Fraction((1 - 2 ** (k + 1)) * b.numerator, b.denominator * factorial(k + 1)), k
 
 
-def _tail_value(rule: str, terms, X: int, K: int, fx: FixedPoint, h: int = 1) -> tuple[int, int]:
-    """The tail rule of order K over the terms at X, as a pair on fx: with "em",
-    their sum over x = X + h, X + 2h, ... by Euler-Maclaurin of step h; with
-    "boole", the sum over n >= X of (-1)^(n-X) times them by Boole summation,
-    sum_{k<K} E_k(0)/(2 k!) f^(k)(X)."""
-    return _pl_sum(terms, X, lambda p, log: _pl_coeffs(p, rule, K, h, log), fx)
-
-
 @lru_cache(maxsize=256)
 def _zeta(s: int, ctx: PrecisionContext) -> BigReal:
-    wb = ctx.working_bits
-    K, terms = max(8, wb // 16), [(1, 0, s)]
-    m, scale = _remainder("em", K)
-    N, fx = 32, FixedPoint(ctx, 32)
-    while (rem := _scaled_up(sum(_abs_integral(terms, m, N, fx)), scale, ctx)) > fx.one >> (wb + 4):
-        N *= 2
+    wb, N = ctx.working_bits, 32
+    while True:
         fx = FixedPoint(ctx, N)
-    # the table of order K serves this one value, which is cached itself, so it is
-    # built for this call only and not kept in _pl_table's cache
-    x, e = _pl_sum(terms, N, lambda p, log: list(islice(_pl_entries(p, "em", 1, log, ()),
-                                                       _pl_length(p, "em", K, log))), fx)
+        value, rem = _pl_tail("em", [(1, 0, s)], N, max(8, wb // 16), fx)
+        if rem <= fx.one >> (wb + 4):
+            break
+        N, value = 2 * N, None  # a rejected N's pass is dropped before the next
+    x, e = value()
     return fx.to_big(sum(fx.recip(n, s) for n in range(1, N + 1)) + x, N + e + rem)
 
 

@@ -26,40 +26,37 @@ H_m and H_(m/2) and ln 2 (Legendre's duplication of psi).
 
 Every order of a tail follows from one order K: Euler-Maclaurin order K,
 weights expanded to order max(2, K-2), inner tails to max(3, K), and Boole
-order max(4, 2K) (max(6, 2K+2) for the tilde sum).  Each evaluator is a head
-of N terms and its tail at order K as data (_Plan): the power-log terms, the
-rule and where it starts, and every bound component as power-log terms with a
-scale.  One driver (_sum) adds the chosen plan's tail value, signed (-1)^N for
-an alternating (Boole) tail, to the head.  The exact tables a plan reads (the
-expansions and numerics' coefficient tables) are built on integer pairs and
-kept as prefix lists (exact._prefix), one per shape, grown under a lock when a
-higher order is asked for; each term is stored with the logs of its
-coefficients.  So a plan of order K extends the terms of order K - 1 by those
-the new order adds (_Plans), the search builds and logs each entry once, as its
-order grows, and once the tables are grown it makes no Fraction.
+order max(4, 2K) (max(6, 2K+2) for the tilde sum).  An evaluator's plans
+(_Plans) are its tail at each order K as data: the power-log terms, the rule
+and where it starts, and the expansion's truncation as one term with a scale.
+The expansions are prefix lists (exact._prefix), one per shape, grown under a
+lock, each term stored with the log of its coefficient, so the terms of order
+K extend those of order K - 1 and once the tables are grown the search makes
+no Fraction.  One driver (_sum) adds the chosen plan's tail value, signed
+(-1)^N for an alternating (Boole) tail, to the head.
 
 The cutoff N and the order K are chosen together, from the bounds alone
 (_select).  At each candidate N = 32, 64, ... the orders K = 4, 5, ... are
 screened with float estimates in log space, which are lower estimates of the
 certified bound up to float rounding, while the estimate keeps falling, least
-work first: N plus tail powers times derivative terms.  Each plan holds its
-screen data (the stored logs of its coefficients, and log (p)_m from lgamma
-and H(p, m) per power, from float prefix lists), so a screen is float
-arithmetic alone.  A pair whose
-estimate meets log(tol) - ln 2 is certified at once, and the first to certify
-is taken.  So (N, K) and the bound are those a certified bound at every
-screened pair would give, and no float enters them.
+work first: N plus tail powers times derivative terms.  A screen is one pass
+over float data each order computes once (the terms' logs, log (p)_m and
+H(p, m) from float prefix lists).  A pair whose estimate meets log(tol) - ln 2
+is built as a _Plan and certified at once, and the first to certify is
+taken.  So (N, K) and the bound are those a certified bound at every screened
+pair would give, and no float enters them.
 
 Each result is one numerics.FixedPoint sum at the chosen N: integers scaled
 by 2^prec, prec = working_bits + ceil(log2 N) + guard bits, each rounding a
 floor counted exactly in an error beside the value.  The head, its constants
-(C0 and r0, the tilde sum's lead), the tail value and the bound components
-are such (value, error) pairs; the tail's come from numerics' power-log layer
-(_tail_value, _abs_integral, _abs_tail), which zeta_num shares.  A bound is
-an integer U at least its pairs' upper ends times their scales c (base pi)^-k,
-accepted when 2 U den <= num 2^prec for tol = num / den exactly.  Head, tail
-and U are added as integers and rounded into a BigReal once, so all rounding
-is part of the reported bound.  Summation order is fixed (ascending n).
+(C0 and r0, the tilde sum's lead) and the tail value are such (value, error)
+pairs.  The tail's value and remainder come from one pass of numerics'
+derivative recurrence (_pl_tail), which zeta_num shares; the certification
+runs it, and the value reads the same pass.  A bound is an integer U at least
+the remainder and the truncation times their scales c (base pi)^-k, accepted
+when 2 U den <= num 2^prec for tol = num / den exactly.  Head, tail and U are
+added as integers and rounded into a BigReal once, so all rounding is part of
+the reported bound.  Summation order is fixed (ascending n).
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, islice
 from math import exp, inf, isfinite, lgamma, log, pi
 from typing import NamedTuple, Optional
 
@@ -80,16 +77,14 @@ from .numerics import (
     PrecisionContext,
     DEFAULT_CONTEXT,
     _abs_coeffs,
-    _abs_integral,
-    _abs_tail,
     _HALF,
     _n_derivs,
     _pl_length,
     _pl_table,
+    _pl_tail,
     _rat_add,
     _remainder,
     _scaled_up,
-    _tail_value,
     const_gamma,
     const_log2,
     zeta_num,
@@ -174,10 +169,10 @@ def _combo_sums(kind: str, p: int, shift: Optional[int] = None) -> tuple[Fractio
 
 def _expansion_orders(p: int, rule: str, combo: tuple, done):
     """The entries of _expansion's prefix list, K = len(done), len(done) + 1, ..."""
-    table, envelops = _pl_table(p, rule, 1, False), p == 1 and rule == "em"
-    used = _pl_length(p, rule, len(done) - 1, False) if done else 0
+    table, envelops = _pl_table(p, rule), p == 1 and rule == "em"
+    used = _pl_length(p, rule, len(done) - 1) if done else 0
     for K in count(len(done)):
-        n = _pl_length(p, rule, K, False)
+        n = _pl_length(p, rule, K)
         entries = _prefix(table, n + envelops)
         terms = []
         for e, a, b in entries[used:n]:
@@ -192,7 +187,7 @@ def _expansion_orders(p: int, rule: str, combo: tuple, done):
             (q, ra, rb), scale = entries[n], (1, 1, 0)
         else:
             m, (f, base, k) = _remainder(rule, K)
-            ((q, ra, rb),) = _abs_coeffs(p, m, False)
+            ((q, ra, rb),) = _abs_coeffs(p, m)
             ra, rb, scale = ra * f.numerator, rb * f.denominator, (1, base, k)
         rem = (0, 1)
         for c, d in combo:
@@ -216,11 +211,13 @@ def _expansion(p: int, rule: str, combo: tuple) -> tuple:
     return [], partial(_expansion_orders, p, rule, combo)
 
 
+@lru_cache(maxsize=256)
 def _weight_expansion(kind: str, p: int, shift: Optional[int] = None) -> tuple:
     """The weight of the kind and order p, sum_i c_i H_(d_i x)^(p) (_combo) in
     x = n or 2n + shift, less sum_i c_i const(H^(p)) and, for p = 1, less
     sum_i c_i ln(d_i x): as H_x^(p) = const - sum_{k>x} k^-p, the _expansion of
-    the Euler-Maclaurin tail of x^-p in the combination (-c_i, d_i)."""
+    the Euler-Maclaurin tail of x^-p in the combination (-c_i, d_i).  Cached
+    on (kind, p, shift), so a call neither negates nor hashes the Fractions."""
     return _expansion(p, "em", tuple((-c, d) for c, d in _combo(kind, p, shift)))
 
 
@@ -239,21 +236,22 @@ def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int
     return fx.recip(2 * n - 2) + fx.recip(2 * n - 1), 2
 
 
-# Float twins of _abs_integral and _abs_tail, in natural logs of the terms'
-# coefficients, so that no coefficient or N^-(p+m) leaves the float range.
-# They estimate the certified bounds to float rounding and only decide which
-# bounds are worth certifying; they never enter a bound.
+# Float twins of the remainder bounds of numerics._pl_tail and of a plan's part,
+# in natural logs of the terms' coefficients, so that no coefficient or
+# N^-(p+m) leaves the float range.  They estimate the certified bounds to float
+# rounding and only decide which bounds are worth certifying; they never enter
+# a bound.
 
 _FLOAT_MARGIN = 1e-9  # far above the relative rounding of any float estimate here
 
 
 def _log_sum(logs) -> float:
-    """log(sum(exp(x) for x in logs)), -inf for no terms."""
-    logs = [x for x in logs if x > -inf]
-    if not logs:
+    """log(sum(exp(x) for x in logs)), -inf for no terms or none above -inf (a
+    -inf term adds exp(-inf) = 0.0, which leaves the float sum as it is)."""
+    top = max(logs, default=-inf)
+    if top == -inf:
         return -inf
-    top = max(logs)
-    return top + log(sum(exp(x - top) for x in logs))
+    return top + log(sum([exp(x - top) for x in logs]))
 
 
 _LN2 = log(2)
@@ -288,37 +286,32 @@ def _log_poch_hslice(p: int) -> tuple:
     return [], partial(_log_poch_hslice_entries, p)
 
 
-def _screen_terms(terms, logs, m: int) -> list[tuple]:
-    """The float data of Int |f^(m)| for the power-log terms (A, B, p), with
-    logs their (ln |A|, ln |B|): per term (la, lb, p, q - 1, log (p)_m -
-    log(q - 1), H(p, m), 1/(q - 1)), q = p + m."""
-    out = []
-    for (la, lb), (_, _, p) in zip(logs, terms):
+def _screen_data(terms, m: int) -> tuple:
+    """The float data of the bound on Int |f^(m)| of the terms (ln |A|, ln |B|,
+    p) but N: lists of each term's c = log (p)_m - log(q - 1), q - 1 and ln |A|,
+    q = p + m, and (index, c, q - 1, ln |B|, H(p, m)) for each B not 0."""
+    cs, q1s, las, bs = [], [], [], []
+    for la, lb, p in terms:
         q1 = p + m - 1
         log_poch, h = _prefix(_log_poch_hslice(p), m + 1)[m]
-        out.append((la, lb, p, q1, log_poch - log(q1), h, 1 / q1))
-    return out
+        c = log_poch - log(q1)
+        if lb > -inf:
+            bs.append((len(cs), c, q1, lb, h))
+        cs.append(c)
+        q1s.append(q1)
+        las.append(la)
+    return cs, q1s, las, bs
 
 
 def _log_abs_integral(data, N: int) -> float:
-    """Natural log of _abs_integral(terms, m, N) in floats, for data =
-    _screen_terms(terms, m)."""
+    """Natural log of the bound on Int_N^inf |f^(m)|, data = _screen_data(terms, m):
+    per term (p)_m / (q-1) N^(1-q) (|A| + |B| (H(p, m) + 1/(q-1) + ln N))."""
+    cs, q1s, las, bs = data
     lnN = log(N)
-    out = []
-    for la, lb, _, q1, c, h, r in data:
-        base = c - q1 * lnN
-        out.append(base + la)
-        if lb > -inf:
-            out.append(base + lb + log(lnN + h + r))
+    out = [c - q1 * lnN + la for c, q1, la in zip(cs, q1s, las)]
+    for i, c, q1, lb, h in reversed(bs):
+        out.insert(i + 1, c - q1 * lnN + lb + log(lnN + h + 1 / q1))
     return _log_sum(out)
-
-
-def _log_abs_tail(data, N: int) -> float:
-    """Natural log of _abs_tail(terms, N) in floats, for data =
-    _screen_terms(terms, 0)."""
-    lnN1 = log(N + 1)
-    first = [x - p * lnN1 for la, lb, p, *_ in data for x in (la, lb + log(lnN1))]
-    return _log_sum([_log_abs_integral(data, N), *first])
 
 
 # ---------------------------------------------------------------------------
@@ -331,99 +324,107 @@ class _Plan:
 
     terms: the tail's power-log terms (A, B, e), no two of one power, in the
       summation variable x = h n + c, (h, c) = lattice: the head ends at
-      X = h N + c (start) and the tail sums x = X + h, X + 2h, ...
-    part: (name, terms, scale): the truncation made in the tail terms, bounded
-      by scale * _abs_tail(terms, X), which covers every x > X.
-    tail: (rule, K, at): the tail's value (value) is _tail_value of the rule,
-      order K and step h at X + at, and its remainder is bounded by
-      scale * Int_(X+at)^inf |f^(m)| with (m, scale) = _remainder(rule, K, h)
-      and f the sum of the tail terms; (m, scale) is kept as remainder.  A
-      "boole" tail (h = 1, at = 1) sums (-1)^(n-1) times the terms, which is
-      (-1)^N times the Boole sum from N + 1.
-    part_screen, tail_screen: (_screen_terms data, log scale) of the part and
-      of the tail remainder, so that _screen is float arithmetic alone.  They
-      are built from logs and part_logs, the (ln |A|, ln |B|) of the tail and
-      part terms, which the evaluators keep with their tables' entries.
-    tail_work: the tail's powers times its derivative terms, for _work.
+      X = h N + c and the tail sums x = X + h, X + 2h, ...
+    part: (name, rem, q, scale): the truncation made in the tail terms, at most
+      rem x^-q times scale at every x > X, so rem ((X + 1)^-q + Int_X^inf x^-q)
+      times scale bounds it.
+    tail: (rule, K, at): the tail's value and remainder are numerics._pl_tail
+      of the rule, order K and step h at X + at.  A "boole" tail (h = 1,
+      at = 1) sums (-1)^(n-1) times the terms, (-1)^N times the Boole sum from N + 1.
 
-    value and bound evaluate this one description in FixedPoint integers,
-    _screen in floats.
+    bound evaluates this in FixedPoint integers by one pass of _pl_tail and
+    keeps it for value at the same N and fx: a pair that fails certification
+    pays for no value.
     """
 
-    __slots__ = ("terms", "part", "tail", "lattice", "remainder", "part_screen", "tail_screen", "tail_work")
+    __slots__ = ("terms", "part", "tail", "lattice", "_pass")
 
-    def __init__(self, terms, logs, part: tuple, part_logs, tail: tuple, lattice: tuple[int, int] = (1, 0)):
-        self.terms, self.part, self.tail, self.lattice = terms, part, tail, lattice
-        rule, K, _ = tail
-        self.remainder = m, tail_scale = _remainder(rule, K, lattice[0])
-        self.part_screen = _screen_terms(part[1], part_logs, 0), _log_scale(part[2])
-        self.tail_screen = _screen_terms(terms, logs, m), _log_scale(tail_scale)
-        self.tail_work = len(terms) * (_n_derivs(rule, K) + (rule == "em"))
+    def __init__(self, terms, part: tuple, tail: tuple, lattice: tuple[int, int] = (1, 0)):
+        self.terms, self.part, self.tail, self.lattice, self._pass = terms, part, tail, lattice, (0, 0, None)
 
-    def start(self, N: int) -> int:
-        """X = h N + c, the last x of the head."""
-        h, c = self.lattice
-        return h * N + c
+    def _tail(self, N: int, fx: FixedPoint) -> tuple:
+        """_pl_tail's (value, bound) after a head of N terms on fx, kept for the last N and fx."""
+        if self._pass[:2] != (N, fx.prec):
+            rule, K, at = self.tail
+            X = self.lattice[0] * N + self.lattice[1] + at
+            self._pass = N, fx.prec, _pl_tail(rule, self.terms, X, K, fx, self.lattice[0])
+        return self._pass[2]
 
     def value(self, N: int, fx: FixedPoint) -> tuple[int, int]:
         """The tail's value after a head of N terms, as a pair on fx."""
-        rule, K, at = self.tail
-        v, e = _tail_value(rule, self.terms, self.start(N) + at, K, fx, self.lattice[0])
-        return -v if rule == "boole" and N % 2 else v, e
+        v, e = self._tail(N, fx)[0]()
+        return -v if self.tail[0] == "boole" and N % 2 else v, e
 
     def bound(self, N: int, fx: FixedPoint) -> int:
         """An integer U with U 2^-prec at least the bound at N: the part plus the
-        tail remainder, each pair's upper end times its scale, rounded up."""
-        _, part, scale = self.part
-        X = self.start(N)
-        m, tail_scale = self.remainder
-        return (_scaled_up(sum(_abs_tail(part, X, fx)), scale, fx.ctx)
-                + _scaled_up(sum(_abs_integral(self.terms, m, X + self.tail[2], fx)), tail_scale, fx.ctx))
+        tail remainder, each rounded up in units and times its scale."""
+        _, rem, q, scale = self.part
+        X, a, b = self.lattice[0] * N + self.lattice[1], rem.numerator << fx.prec, rem.denominator
+        part = -(-a // (b * (X + 1) ** q)) - (-a // (b * (q - 1) * X ** (q - 1)))
+        return _scaled_up(part, scale) + self._tail(N, fx)[1]
 
 
 class _Plans:
-    """An evaluator's plans whose tail terms at order J are the entries of
-    orders 0 to J of an _expansion prefix list, after the terms first.  The
-    entry of order J is (((e, a, ln |a|), ...), rem, q, ln rem, scale): the
-    terms a x^-e that order J adds, each the tail term (a, 0, e + s), and the
-    truncation's bound rem x^-q times scale, the part term (rem, 0, q + s)
-    with the part's scale.  So the terms of order J extend those of order
-    J - 1, and each entry's logs are read, not taken again."""
+    """An evaluator's plans, one per order K, and the data that screens them.
 
-    __slots__ = ("table", "s", "terms", "logs", "ends")
+    spec(K) is (J, tail): plan K reads its expansion to order J, and tail is
+    its (rule, order, at) (_Plan).  Its terms are the first terms, then those
+    that orders 0 to J add in an _expansion prefix list, whose entry J is
+    (((e, a, ln |a|), ...), rem, q, ln rem, scale): each a x^-e is the tail
+    term (a, 0, e + s), and rem x^-q times scale bounds the truncation, the
+    part rem x^-(q + s).  logs keeps each term's (ln |A|, ln |B|, p).
+    """
 
-    def __init__(self, table: tuple, s: int, first=(), first_logs=()):
-        self.table, self.s, self.terms, self.logs, self.ends = table, s, list(first), list(first_logs), []
+    __slots__ = ("table", "s", "spec", "name", "lattice", "terms", "logs", "ends", "orders")
 
-    def plan(self, J: int, name: str, tail: tuple, lattice: tuple[int, int] = (1, 0)) -> _Plan:
-        """The plan of order J, its part named name."""
-        entries = _prefix(self.table, J + 1)
-        while len(self.ends) <= J:
-            for e, a, la in entries[len(self.ends)][0]:
-                self.terms.append((a, 0, e + self.s))
-                self.logs.append((la, -inf))
-            self.ends.append(len(self.terms))
-        n, (_, rem, q, log_rem, scale) = self.ends[J], entries[J]
-        return _Plan(self.terms[:n], self.logs[:n], (name, [(rem, 0, q + self.s)], scale), [(log_rem, -inf)],
-                     tail, lattice)
+    def __init__(self, table: tuple, s: int, spec, name: str, lattice: tuple[int, int] = (1, 0), first=()):
+        self.table, self.s, self.spec, self.name, self.lattice = table, s, spec, name, lattice
+        self.terms, self.logs = list(first), [(_log_pos(A), _log_pos(B), p) for A, B, p in first]
+        self.ends, self.orders = [], {}
+
+    def order(self, K: int) -> tuple:
+        """(n, entry, tail, work, part, remainder) of plan K: its first n terms, its
+        expansion's entry, its tail powers times derivative terms (_work), and the
+        screen data of the part rem x^-q, (c, q - 1, ln rem, q, log scale), and
+        of the remainder, (_screen_data, log scale)."""
+        if K not in self.orders:
+            J, tail = self.spec(K)
+            entries = _prefix(self.table, J + 1)
+            while len(self.ends) <= J:
+                for e, a, la in entries[len(self.ends)][0]:
+                    self.terms.append((a, 0, e + self.s))
+                    self.logs.append((la, -inf, e + self.s))
+                self.ends.append(len(self.terms))
+            rule, k, _ = tail
+            m, scale = _remainder(rule, k, self.lattice[0])
+            n = self.ends[J]
+            _, _, q, log_rem, part_scale = entries[J]
+            (c,), (q1,), _, _ = _screen_data(((log_rem, -inf, q + self.s),), 0)
+            self.orders[K] = (n, entries[J], tail, n * (_n_derivs(rule, k) + (rule == "em")),
+                              (c, q1, log_rem, q + self.s, _log_scale(part_scale)),
+                              (_screen_data(islice(self.logs, n), m), _log_scale(scale)))
+        return self.orders[K]
+
+    def __call__(self, K: int) -> _Plan:
+        """The plan of order K."""
+        n, (_, rem, q, _, scale), tail, *_ = self.order(K)
+        return _Plan(self.terms[:n], (self.name, rem, q + self.s, scale), tail, self.lattice)
 
 
-def _work(plan: _Plan, N: int) -> int:
-    """N plus the tail's powers times its derivative terms; it does not fall as
-    the order K rises."""
-    return N + plan.tail_work
+def _work(plans: _Plans, K: int, N: int) -> int:
+    """N plus plan K's tail powers times its derivative terms; it does not fall
+    as the order K rises."""
+    return N + plans.order(K)[3]
 
 
-def _screen(plan: _Plan, N: int) -> dict:
-    """Natural logs of float estimates of the plan's bound components at N, by
-    name, from the plan's screen data."""
-    X = plan.start(N)
-    part, part_scale = plan.part_screen
-    tail, tail_scale = plan.tail_screen
-    return {
-        plan.part[0]: _log_abs_tail(part, X) + part_scale,
-        "tail remainder": _log_abs_integral(tail, X + plan.tail[2]) + tail_scale,
-    }
+def _screen(plans: _Plans, K: int, N: int) -> tuple[float, float]:
+    """Natural logs of float estimates of plan K's bound components at N, the
+    part and the tail remainder, in one pass over its terms' logs."""
+    _, _, (_, _, at), _, (c, q1, la, q, part_scale), (tail, tail_scale) = plans.order(K)
+    X = plans.lattice[0] * N + plans.lattice[1]
+    # the part is one term: its integral's log is the one entry c - q1 ln X + la
+    return (_log_sum([c - q1 * log(X) + la, la - q * log(X + 1)]) + part_scale,
+            _log_abs_integral(tail, X + at) + tail_scale)
 
 
 _N_START = 32
@@ -439,7 +440,7 @@ def _n_candidates(cfg: OracleConfig):
     yield cfg.max_terms
 
 
-def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, FixedPoint, int]:
+def _select(cfg: OracleConfig, plans: _Plans, ctx) -> tuple[int, _Plan, FixedPoint, int]:
     """(N, plan, fx, U) for the pair of cutoff N and order K, plan = plans(K),
     of least work whose certified bound meets tol/2: fx = FixedPoint(ctx, N),
     U = plan.bound(N, fx) and 2 U <= tol 2^prec, checked in integers with tol
@@ -449,23 +450,21 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, FixedPoint, int]
     in floats (_screen) while the estimate of the bound keeps falling, up to
     the first K whose estimate meets log(tol) - ln 2 by float rounding.
     Pairs are screened least work (_work) first, so a pair the screen passes
-    is of the least work left and is certified (_Plan.bound) at once; the
-    first to meet tol/2 is taken.  A pair the screen passes over would not
-    certify either, since its certified bound is never below the estimate.
-    So N, K and the bound are those a certified bound at every screened pair
-    would give, and no float enters them.  The first pair of a cutoff is
-    pushed when that of the cutoff before it is taken: it is of more work, so
-    the order in which pairs are taken is that of pushing them all at once.
+    is of the least work left, and its plan is built and certified
+    (_Plan.bound) at once; the first to meet tol/2 is taken.  A pair the
+    screen passes over would not certify either, since its certified bound
+    is never below the estimate.  So N, K and the bound are those a certified
+    bound at every screened pair would give, and no float enters them.  The
+    first pair of a cutoff is pushed when that of the cutoff before it is
+    taken: it is of more work, so the order in which pairs are taken is that
+    of pushing them all at once.
     """
     tol = cfg.target_tolerance
     num, den = tol.as_integer_ratio()
     log_half = log(tol) - _LN2 + _FLOAT_MARGIN
-    by_order: dict = {}  # K -> plan, built once per call
 
     def pair(N: int, K: int, prev: float) -> tuple:
-        if K not in by_order:
-            by_order[K] = plans(K)
-        return _work(by_order[K], N), N, K, prev
+        return _work(plans, K, N), N, K, prev
 
     # pairs to screen as (work, N, K, estimate at K - 1), least work first
     cutoffs = _n_candidates(cfg)
@@ -475,21 +474,21 @@ def _select(cfg: OracleConfig, plans, ctx) -> tuple[int, _Plan, FixedPoint, int]
         _, N, K, prev = heappop(to_screen)
         if K == _K_START and (following := next(cutoffs, None)) is not None:
             heappush(to_screen, pair(following, _K_START, inf))
-        est = _screen(by_order[K], N)
+        est = _screen(plans, K, N)
         if last is None or N >= last[0]:
             last = (N, K, est)
-        total = _log_sum(est.values())
+        total = _log_sum(est)
         if total <= log_half:
-            fx = FixedPoint(ctx, N)
-            bound = by_order[K].bound(N, fx)
+            fx, plan = FixedPoint(ctx, N), plans(K)
+            bound = plan.bound(N, fx)
             if 2 * bound * den <= num << fx.prec:
-                return N, by_order[K], fx, bound
+                return N, plan, fx, bound
         elif total <= prev:
             heappush(to_screen, pair(N, K + 1, total))
     N, K, est = last
-    name = max(est, key=est.get)
+    name, worst = max(zip((plans.name, "tail remainder"), est), key=lambda c: c[1])
     raise BudgetExhausted(f"cannot certify {tol} within {cfg.max_terms} terms: at N = {N} (order K = {K}) "
-                          f"the largest bound component is the {name}, about {exp(est[name]):.3e}, "
+                          f"the largest bound component is the {name}, about {exp(worst):.3e}, "
                           f"against tol/2 = {Decimal(tol) / 2:.3e}")
 
 
@@ -543,13 +542,10 @@ def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, c
         A0 = A0 + const_log2(ctx) * log2
     lattice = (1, 0) if shift is None else (2, shift)
 
-    plans = _Plans(_weight_expansion(kind, 1, shift), s, [(A0, total, s)], [(_log_pos(A0), _log_pos(total))])
-
-    def plan(K: int) -> _Plan:
-        return plans.plan(max(2, K - 2), "weight-expansion truncation",
-                          ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0), lattice)
-
-    return _sum(cfg, plan, lambda N, fx: _weighted_head(kind, shift, s, N, fx, alternating), ctx)
+    plans = _Plans(_weight_expansion(kind, 1, shift), s,
+                   lambda K: (max(2, K - 2), ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0)),
+                   "weight-expansion truncation", lattice, [(A0, total, s)])
+    return _sum(cfg, plans, lambda N, fx: _weighted_head(kind, shift, s, N, fx, alternating), ctx)
 
 
 def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -560,10 +556,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     tail -sum_{n>N} r_n / n^s sums the expansion's terms over n^s."""
     zp, zs, total = zeta_num(p, ctx), zeta_num(s, ctx), _combo_sums(kind, p)[0]
 
-    plans = _Plans(_weight_expansion(kind, p), s)
-
-    def plan(K: int) -> _Plan:
-        return plans.plan(max(3, K), "inner-tail remainder", ("em", K, 0))
+    plans = _Plans(_weight_expansion(kind, p), s, lambda K: (max(3, K), ("em", K, 0)), "inner-tail remainder")
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
         # C0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
@@ -578,7 +571,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
             err += te
         return acc, err
 
-    return _sum(cfg, plan, head, ctx)
+    return _sum(cfg, plans, head, ctx)
 
 
 def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
@@ -589,11 +582,9 @@ def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
     zs, log2 = zeta_num(s, ctx), const_log2(ctx)
     eta_ratio = Fraction(2**s - 2, 2**s)  # eta(s) / zeta(s)
 
-    plans = _Plans(_expansion(s, "boole", ((1, 1),)), 1)
-
-    def plan(K: int) -> _Plan:
-        # the Boole remainder of tau_n truncates the weight's expansion
-        return plans.plan(max(6, 2 * K + 2), "weight-expansion truncation", ("em", K, 0))
+    # the Boole remainder of tau_n truncates the weight's expansion
+    plans = _Plans(_expansion(s, "boole", ((1, 1),)), 1, lambda K: (max(6, 2 * K + 2), ("em", K, 0)),
+                   "weight-expansion truncation")
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
         tau, tau_e = fx.scale(*fx.from_big(zs), eta_ratio)  # tau_1 = eta(s)
@@ -607,7 +598,7 @@ def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
             tau_e += 1
         return acc, err
 
-    return _sum(cfg, plan, head, ctx)
+    return _sum(cfg, plans, head, ctx)
 
 
 # ---------------------------------------------------------------------------

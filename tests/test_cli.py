@@ -3,11 +3,12 @@ import os
 import runpy
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulersum import cli
 from eulersum import closedform
@@ -309,6 +310,34 @@ def _frac(t) -> Fraction:
     return -v if sign else v
 
 
+def _bound_by_decimal(x: float, digits: int) -> str:
+    """The least decimal of the given digits at or above x's exact value, from
+    x's exact Decimal, written as f"{x:.3e}" writes a float."""
+    if not x:
+        return f"{x:.{digits - 1}e}"
+    up = Context(prec=digits, rounding=ROUND_CEILING).plus(Decimal(x))
+    text = str(int(up.scaleb(digits - 1 - up.adjusted())))
+    return f"{text[0]}.{text[1:]}e{up.adjusted():+03d}"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(x=st.floats(min_value=0, allow_infinity=False, allow_nan=False), digits=st.sampled_from([2, 4]))
+def test_bound_text_is_the_decimal_rounded_up(x, digits):
+    # the fast path (the text of :.3e, its last digit bumped when it lies below
+    # x) against rounding x's exact Decimal up, subnormals and carries included
+    assert cli._bound(x, digits) == _bound_by_decimal(x, digits)
+
+
+@pytest.mark.parametrize("x", [5e-324, 2.5e-323, 2.2250738585072014e-308, 1.848e-18, 9.9991, 9.99951e-5,
+                               9.95, 1.7976931348623157e308, 1.0, 0.0])
+def test_bound_text_rounds_subnormals_and_carries_up(x):
+    # 9.9991 prints as 9.999e+00, below it, so it becomes 1.000e+01; 9.95 (a
+    # float below 9.95) prints 2 digits as 9.9e+00, which becomes 1.0e+01
+    for digits in (2, 4):
+        assert cli._bound(x, digits) == _bound_by_decimal(x, digits), digits
+    assert cli._bound(9.9991) == "1.000e+01" and cli._bound(9.95, 2) == "1.0e+01"
+
+
 @pytest.mark.parametrize("bits", [192, 256])
 def test_printed_bounds_are_at_least_the_certified_bounds(capsys, bits):
     # eval's bound (err_decimal) and oracle's (a float) are printed rounded up,
@@ -338,13 +367,19 @@ GOLDEN = Path(__file__).parent / "golden"
      ["oracle", "--family", "AltTildeH", "--a", "1", "--tol", "1e-100", "--bits", "512"]),
     ("oracle_h3_1e-100_512.txt", ["oracle", "--family", "h", "--q", "3", "--tol", "1e-100", "--bits", "512"]),
     ("table_sigma_s2-6_t2_192.txt", ["table", "--family", "sigma", "--s", "2..6", "--t", "2", "--bits", "192"]),
+    ("oracle_AltEulerStar1_1e-100_512.txt",
+     ["oracle", "--family", "AltEulerStar", "--a", "1", "--tol", "1e-100", "--bits", "512"]),
+    ("solve_12_192.txt", ["solve", "--weight", "12", "--bits", "192"]),
 ])
 def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # every printed digit and bound: values as mpmath.libmp prints them, bounds
     # rounded up.  The three oracle runs at 512 bits (remainder split, tilde
     # sum, odd lattice) were frozen before the weight and tilde expansions were
     # read from numerics' tables; the table prints both kinds of bound, the
-    # closed-form rows' from err_decimal and the oracle rows' from a float
+    # closed-form rows' from err_decimal and the oracle rows' from a float.
+    # The Boole tail (AltEulerStar) and solve's residuals, whose digits follow
+    # every rounding of the oracle values, were frozen before the tails were
+    # evaluated by the derivative recurrence
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()

@@ -13,18 +13,19 @@ from hypothesis import given, settings, strategies as st
 
 from eulersum import PrecisionContext, SumId, partial_sum
 from eulersum.exact import bernoulli
+from eulersum.exact import _prefix
 from eulersum.numerics import (
     BigReal,
     FixedPoint,
     _abs_coeffs,
-    _abs_integral,
     _boole_deriv,
     _em_deriv,
     _float_up,
-    _hslice,
-    _pl_coeffs,
+    _pl_length,
+    _pl_table,
+    _pl_tail,
+    _remainder,
     _scaled_up,
-    _tail_value,
     const_gamma,
     const_log2,
     const_pi,
@@ -183,6 +184,46 @@ def _encloses(fx: FixedPoint, pair: tuple[int, int], X: F, Y: F, ln: F, eps: F) 
     return all(mid - err <= X + Y * (ln + d) <= mid + err for d in (-eps, eps))
 
 
+def _abs_exact(terms, m: int, N: int) -> tuple[F, F]:
+    """(X, Y) with X + Y ln N = sum over the terms (a + b ln x) x^-p of
+    (p)_m / (q-1) N^(1-q) (|a| + |b| (H(p, m) + 1/(q-1) + ln N)), q = p + m,
+    which bounds Int_N^inf |f^(m)| from above."""
+    X = Y = F(0)
+    for a, b, p in terms:
+        q = p + m
+        r = F(_poch(p, m), (q - 1) * N ** (q - 1))
+        X += r * (abs(a) + abs(b) * (_hslice_fraction(p, m) + F(1, q - 1)))
+        Y += r * abs(b)
+    return X, Y
+
+
+def _scale_up(scale: tuple) -> F:
+    """An upper end of a remainder scale (c, base, k), c (base pi)^-k, pi
+    bracketed by mpmath at 2,000 bits."""
+    c, base, k = scale
+    with mpmath.workprec(2000):
+        pi_lo = _frac(mpmath.pi._mpf_) - F(1, 2**1996)
+    return F(c) / (base * pi_lo) ** k
+
+
+def _tail_holds(fx: FixedPoint, rule: str, exact, tail, N: int, K: int, h: int, ln: F, eps: F) -> bool:
+    """Whether _pl_tail's value encloses the exact tail of the Fraction formula,
+    and its bound is at least the remainder bound's scale times the exact
+    bound on Int_N^inf |f^(m)| (the integrals of the derivatives of the
+    terms' parts, as in _abs_exact)."""
+    value, bound = _pl_tail(rule, tail, N, K, fx, h)
+    if not _encloses(fx, value(), *_tail_exact(exact, N, _derivs(rule, K), rule == "em", h), ln, eps):
+        return False
+    m, scale = _remainder(rule, K, h)
+    X, Y = _abs_exact(exact, m, N)
+    return F(bound, fx.one) >= (X + Y * (ln + eps)) * _scale_up(scale)
+
+
+def _ln_bracket(N: int) -> F:
+    with mpmath.workprec(2000):
+        return _frac(mpmath.log(N)._mpf_)
+
+
 _coeff = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 
 
@@ -190,36 +231,24 @@ _coeff = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6
 @given(
     bits=st.sampled_from([64, 192, 512]),
     K=st.integers(0, 40),
-    N=st.sampled_from([32, 100, 4096]),
+    N=st.sampled_from([1, 32, 100, 1000, 4096]),
     h=st.sampled_from([1, 2]),
-    m=st.integers(0, 80),
     terms=st.lists(st.tuples(_coeff, _coeff, st.integers(2, 12), st.booleans(), st.booleans()), min_size=1, max_size=3),
 )
-def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, h, m, terms):
-    # the tail values (Euler-Maclaurin of step h) and the remainder integral,
-    # summed in FixedPoint from coefficients that do not depend on N, against
-    # exact rationals; a and b given as rationals or as BigReals, whose
-    # intervals hold them
+def test_fixed_point_tails_enclose_the_exact_values(bits, K, N, h, terms):
+    # the derivative recurrence (numerics._pl_tail) against exact rationals:
+    # its value (Euler-Maclaurin of step h, and Boole) encloses the Fraction
+    # formula of the tail, and its bound is at least the remainder's scale
+    # times the exact bound on Int |f^(m)|; a and b given as rationals or as
+    # BigReals, whose intervals hold them
     ctx = PrecisionContext(working_bits=bits)
     fx = FixedPoint(ctx, N)
     exact = [(a, b, p) for a, b, p, _, _ in terms]
     tail = [(BigReal.from_fraction(a, ctx) if big_a else a, BigReal.from_fraction(b, ctx) if big_b else b, p)
             for a, b, p, big_a, big_b in terms]
-    with mpmath.workprec(2000):
-        ln = _frac(mpmath.log(N)._mpf_)
-    eps = F(1, 2**1980)
-    em = _tail_value("em", tail, N, K, fx, h)
-    assert _encloses(fx, em, *_tail_exact(exact, N, _derivs("em", K), True, h), ln, eps)
-    boole = _tail_value("boole", tail, N, K, fx)
-    assert _encloses(fx, boole, *_tail_exact(exact, N, _derivs("boole", K), False), ln, eps)
-    # Int_N^inf |f^(m)| <= sum (p)_m / (q-1) N^(1-q) (|a| + |b| (H(p, m) + 1/(q-1) + ln N)), q = p + m
-    X = Y = F(0)
-    for a, b, p in exact:
-        q = p + m
-        r = F(_poch(p, m), (q - 1) * N ** (q - 1))
-        X += r * (abs(a) + abs(b) * (sum((F(1, p + i) for i in range(m)), F(0)) + F(1, q - 1)))
-        Y += r * abs(b)
-    assert _encloses(fx, _abs_integral(tail, m, N, fx), X, Y, ln, eps)
+    ln, eps = _ln_bracket(N), F(1, 2**1980)
+    assert _tail_holds(fx, "em", exact, tail, N, K, h, ln, eps)
+    assert _tail_holds(fx, "boole", exact, tail, N, K, 1, ln, eps)
 
 
 # (SumId, _weighted_head arguments) for each family the oracle sums with a plain
@@ -260,7 +289,7 @@ def test_scaled_up_is_at_least_the_exact_product(bits, x, c, base, k):
     with mpmath.workprec(2 * bits):
         mid = _frac(mpmath.pi._mpf_)
     ulp = F(2) ** (2 - 2 * bits)  # pi < 4
-    up = _scaled_up(x, (c, base, k), PrecisionContext(working_bits=bits))
+    up = _scaled_up(x, (c, base, k))
     assert up >= x * c / (base * (mid - ulp)) ** k
     assert up <= x * c / (base * (mid + ulp)) ** k * (1 + F(1, 2**40)) + 1
 
@@ -349,25 +378,49 @@ def _pl_coeffs_direct(p: int, rule: str, K: int, h: int, log: bool) -> tuple:
 @pytest.mark.parametrize("K", sorted({*range(41), 64, 256}))
 @pytest.mark.parametrize("rule", ["em", "boole"])
 def test_pl_coeffs_match_the_direct_pochhammer_products(rule, K):
-    # the tables built in integers against the same coefficients in Fraction
-    # arithmetic, entry for entry, each a reduced fraction with a positive
-    # denominator; the table of order K is the first entries of one prefix list
-    # per (p, rule, h, log), grown across the orders of every test that reads it
-    for p, h, log in product(range(1, 25), (1, 2), (False, True)):
-        table = tuple(_pl_coeffs(p, rule, K, h, log))
-        assert table == _pl_coeffs_direct(p, rule, K, h, log), (p, h, log)
-        assert all(b > 0 and math.gcd(a, b) == 1 for _, a, b in table), (p, h, log)
+    # the Fraction formula of each power's tail coefficients, (p)_m built from
+    # scratch for each derivative order m: the table of step 1 that the oracle's
+    # expansions read matches it entry for entry, each a reduced fraction with a
+    # positive denominator (the first entries of one prefix list per (p, rule),
+    # grown across the orders of every test that reads it); and the derivative
+    # recurrence, for a term x^-p (R) and x^-p ln x (R ln N + Q) at steps 1 and
+    # 2, encloses the sum (a/b) N^-j of its entries
+    ctx, N = PrecisionContext(working_bits=256), 1000
+    fx, ln, eps = FixedPoint(ctx, N), _ln_bracket(N), F(1, 2**1980)
+    for p in range(1, 25):
+        n = _pl_length(p, rule, K)
+        table = tuple(_prefix(_pl_table(p, rule), n)[:n])
+        assert table == _pl_coeffs_direct(p, rule, K, 1, False), p
+        assert all(b > 0 and math.gcd(a, b) == 1 for _, a, b in table), p
+        if rule == "em" and p == 1:
+            continue  # the integral diverges; only the expansions read this table
+        for h in (1, 2) if rule == "em" else (1,):
+            R, Q = (sum((F(a, b) / F(N) ** j for j, a, b in _pl_coeffs_direct(p, rule, K, h, log)), F(0))
+                    for log in (False, True))
+            assert _encloses(fx, _pl_tail(rule, [(1, 0, p)], N, K, fx, h)[0](), R, F(0), ln, eps), (p, h)
+            assert _encloses(fx, _pl_tail(rule, [(0, 1, p)], N, K, fx, h)[0](), Q, R, ln, eps), (p, h)
 
 
 @pytest.mark.parametrize("m", [*range(41), 80, 512])
 def test_abs_coeffs_and_hslice_match_the_fraction_formulas(m):
+    # Int_N^inf |f^(m)| for f = x^-p: the oracle's table of it (_abs_coeffs)
+    # matches the Fraction formula; and the bound of the derivative recurrence
+    # whose remainder is of order m (Euler-Maclaurin for even m, Boole for odd
+    # m), for x^-p and for x^-p ln x, whose bound needs H(p, m) (the running
+    # v = H w of the recurrence), is at least the scale times the Fraction
+    # formula with H(p, m) a running Fraction sum
+    ctx, N = PrecisionContext(working_bits=256), 1000
+    fx, ln, eps = FixedPoint(ctx, N), _ln_bracket(N), F(1, 2**1980)
+    rule, K = ("em", m // 2) if m % 2 == 0 else ("boole", m) if m > 1 else ("em", 0)
     for p in range(2, 25):
-        H = _hslice_fraction(p, m)
-        assert _hslice(p, m) == (H.numerator, H.denominator), p
-        for log in (False, True):
-            h = H + F(1, p + m - 1) if log else F(1)
-            expected = ((p + m - 1, _poch(p, m) * h.numerator, (p + m - 1) * h.denominator),)
-            assert _abs_coeffs.__wrapped__(p, m, log) == expected, (p, log)
+        assert _abs_coeffs.__wrapped__(p, m) == ((p + m - 1, _poch(p, m), p + m - 1),), p
+        if not m:
+            continue  # no tail rule's remainder is of order 0
+        assert _remainder(rule, K)[0] == m
+        for a, b in ((1, 0), (0, 1)):
+            _, bound = _pl_tail(rule, [(a, b, p)], N, K, fx)
+            X, Y = _abs_exact([(a, b, p)], m, N)
+            assert F(bound, fx.one) >= (X + Y * (ln + eps)) * _scale_up(_remainder(rule, K)[1]), (p, a, b)
 
 
 def test_derivative_coefficients_match_the_fraction_formulas():

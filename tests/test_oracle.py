@@ -256,8 +256,9 @@ def test_budget_exhausted_names_the_largest_bound_component(ctx, monkeypatch):
     assert "tol/2 = 5.000e-21" in msg
     # the name given is the argmax of the screen's estimates at the pair named
     K = int(re.search(r"\(order K = (\d+)\)", msg).group(1))
-    est = oracle._screen(_plan_of(SumId.sigma(2, 2), cfg, ctx, monkeypatch)(K), 8)
-    assert f"the {max(est, key=est.get)}," in msg
+    plans = _plan_of(SumId.sigma(2, 2), cfg, ctx, monkeypatch)
+    part, tail = oracle._screen(plans, K, 8)
+    assert f"the {plans.name if part >= tail else 'tail remainder'}," in msg
 
 
 def test_budget_exhausted_prints_half_the_least_subnormal_tolerance():
@@ -306,8 +307,8 @@ class _Planned(Exception):
 
 
 def _plan_of(sid, cfg, ctx, monkeypatch):
-    """The function of K to the _Plan of order K that the evaluator of sid hands
-    to the cutoff search."""
+    """The plans (oracle._Plans, the function of K to the _Plan of order K) that
+    the evaluator of sid hands to the cutoff search."""
     seen = []
 
     def capture(cfg, plans, ctx):
@@ -321,14 +322,14 @@ def _plan_of(sid, cfg, ctx, monkeypatch):
 
 
 def _screened_pairs(cfg, plans, ctx, monkeypatch):
-    """Every (N, plan) pair _select screens, in order, and what it returns (None
+    """Every (N, K) pair _select screens, in order, and what it returns (None
     for BudgetExhausted)."""
     seen = []
     screen = oracle._screen
 
-    def record(plan, N):
-        seen.append((N, plan))
-        return screen(plan, N)
+    def record(plans, K, N):
+        seen.append((N, K))
+        return screen(plans, K, N)
 
     monkeypatch.setattr(oracle, "_screen", record)
     try:
@@ -353,13 +354,13 @@ def test_screen_is_a_lower_estimate_of_the_certified_bound(sid, bits, tol, k_sta
     pairs, got = _screened_pairs(cfg, plans, ctx, monkeypatch)
     assert pairs
     accepted = None
-    for N, plan in pairs:
-        screened = oracle._log_sum(oracle._screen(plan, N).values())
-        fx = numerics.FixedPoint(ctx, N)
+    for N, K in pairs:
+        screened = oracle._log_sum(oracle._screen(plans, K, N))
+        fx, plan = numerics.FixedPoint(ctx, N), plans(K)
         bound = F(plan.bound(N, fx), fx.one)
         assert F(math.exp(screened)) <= bound * (1 + F(1e-9)), (N, math.exp(screened), float(bound))
         if bound <= F(tol) / 2:
-            pair = (oracle._work(plan, N), N, plan.tail[1])
+            pair = (oracle._work(plans, K, N), N, plan.tail[1])
             accepted = min(accepted or pair, pair)
     # the search takes the pair of least work a certification at every screened pair accepts
     if accepted is None:
@@ -383,6 +384,28 @@ def test_accepted_bound_meets_half_the_tolerance_exactly(sid, bits, tol, loose_s
     assert fx.prec == numerics.FixedPoint(ctx, N).prec
     assert bound == plan.bound(N, fx)
     assert F(bound, 2**fx.prec) <= F(tol) / 2
+
+
+@pytest.mark.parametrize("sid", PINNED_TERMS, ids=str)
+def test_a_plan_bound_is_its_exact_part_and_tail_bounds_rounded_up(sid, monkeypatch):
+    # the truncation part, rem times the sum over x > X of x^-q, is bounded by
+    # the term at X + 1 and the integral from X; a plan's bound is that, times
+    # the part's scale, rounded up, plus the tail pass's own bound, and lies
+    # within a few units above them
+    import mpmath
+
+    ctx, cfg = PrecisionContext(working_bits=256), OracleConfig(target_tolerance=1e-32)
+    plans = _plan_of(sid, cfg, ctx, monkeypatch)
+    with mpmath.workprec(600):
+        pi_lo, pi_hi = (_frac(mpmath.pi._mpf_) + d for d in (-F(1, 2**590), F(1, 2**590)))
+    for K, N in product((4, 9, 20), (1, 32, 1000)):
+        plan, fx = plans(K), numerics.FixedPoint(ctx, N)
+        _, rem, q, (c, base, k) = plan.part
+        X = plan.lattice[0] * N + plan.lattice[1]
+        part = rem * (F(1, (X + 1) ** q) + F(1, (q - 1) * X ** (q - 1))) * fx.one * c
+        rule, order, at = plan.tail
+        rest = plan.bound(N, fx) - numerics._pl_tail(rule, plan.terms, X + at, order, fx, plan.lattice[0])[1]
+        assert part / (base * pi_lo) ** k <= rest <= part / (base * pi_hi) ** k * (1 + F(1, 2**70)) + 3 * c, (K, N)
 
 
 # the (N, rule, order of the rule) the cutoff search picks for the benchmark's
@@ -417,12 +440,14 @@ def test_the_search_keeps_its_frozen_choices(sid, monkeypatch):
 @pytest.mark.parametrize("sid", FROZEN_CHOICES, ids=str)
 def test_screening_a_built_plan_makes_no_fraction(sid, monkeypatch):
     # a deterministic cost proxy: the screen is float arithmetic on data each
-    # plan computes once, so it constructs no Fraction at any cutoff or order;
+    # order computes once, so it constructs no Fraction at any cutoff or order;
     # and with the exact tables cached, neither does the whole search
     ctx, cfg = PrecisionContext(working_bits=256), OracleConfig(target_tolerance=1e-32)
     plans = _plan_of(sid, cfg, ctx, monkeypatch)
     monkeypatch.undo()
-    built = [plans(K) for K in (0, 1, 4, 9, 30)]
+    orders = (0, 1, 4, 9, 30)
+    for K in orders:
+        plans.order(K)
     chosen = oracle._select(cfg, plans, ctx)
     made = []
     new = F.__new__
@@ -434,9 +459,9 @@ def test_screening_a_built_plan_makes_no_fraction(sid, monkeypatch):
     monkeypatch.setattr(F, "__new__", counted)
     F(1, 3)
     assert len(made) == 1
-    for plan in built:
+    for K in orders:
         for N in (1, 32, 1000, 10**7):
-            oracle._screen(plan, N)
+            oracle._screen(plans, K, N)
     assert len(made) == 1, made[1:6]
     again = oracle._select(cfg, plans, ctx)
     assert len(made) == 1, made[1:6]
@@ -447,13 +472,12 @@ def test_float_pochhammer_and_harmonic_slices_match_the_exact_values():
     # log (p)_m from lgamma and H(p, m) from a float prefix, within 1e-12
     # relative of the exact integer's log and the exact rational
     for p in range(1, 65):
-        poch = 1
+        poch, H = 1, F(0)
         for m in range(601):
             log_poch, h = exact._prefix(oracle._log_poch_hslice(p), m + 1)[m]
             assert abs(log_poch - math.log(poch)) <= 1e-12 * math.log(poch), (p, m)
-            a, b = numerics._hslice(p, m)
-            assert abs(h - a / b) <= 1e-12 * (a / b), (p, m)
-            poch *= p + m
+            assert abs(h - H) <= 1e-12 * H, (p, m)
+            poch, H = poch * (p + m), H + F(1, p + m)
 
 
 def test_each_computed_oracle_eval_rounds_into_bigreal_once(monkeypatch):
@@ -680,9 +704,8 @@ def test_step_two_tail_encloses_the_hurwitz_zeta(p):
     ctx, terms = PrecisionContext(working_bits=256), [(F(1), 0, p)]
     for N, c, K in product((1, 8, 32), (-1, 1), range(21)):
         M, fx = 2 * N + c, numerics.FixedPoint(ctx, N)
-        value, value_err = numerics._tail_value("em", terms, M, K, fx, 2)
-        m, scale = numerics._remainder("em", K, 2)
-        bound = numerics._scaled_up(sum(numerics._abs_integral(terms, m, M, fx)), scale, ctx)
+        tail, bound = numerics._pl_tail("em", terms, M, K, fx, 2)
+        value, value_err = tail()
         with mpmath.workprec(600):
             exact = _frac((mpmath.zeta(p, N + 1 + mpmath.mpf(c) / 2) / 2**p)._mpf_)
         slack = F(value_err + bound, fx.one)
@@ -751,11 +774,12 @@ def test_expansion_remainders_follow_numerics_remainder(p, rule, combo):
     entries = exact._prefix(oracle._expansion(p, rule, combo), 41)[:41]
     for K, (terms, rem, q, log_rem, scale) in enumerate(entries):
         if p == 1 and rule == "em":
-            e, a, b = numerics._pl_coeffs(1, "em", K + 1, 1, False)[-1]
+            n = numerics._pl_length(1, "em", K + 1)
+            e, a, b = exact._prefix(numerics._pl_table(1, "em"), n)[n - 1]
             factor, want_scale = F(abs(a), b), (1, 1, 0)
         else:
             m, (f, base, k) = numerics._remainder(rule, K)
-            ((e, a, b),) = numerics._abs_coeffs(p, m, False)
+            ((e, a, b),) = numerics._abs_coeffs(p, m)
             factor, want_scale = f * F(a, b), (1, base, k)
         want = sum(abs(c) * factor / F(d) ** e for c, d in combo)
         assert (rem, q, scale) == (want, e, want_scale), K
@@ -899,7 +923,7 @@ def test_values_and_oracle_results_survive_pickle_and_deepcopy():
 
 
 def _cold_tables():
-    for table in (numerics._pl_table, numerics._hslices, oracle._expansion, oracle._log_poch_hslice):
+    for table in (numerics._pl_table, oracle._expansion, oracle._weight_expansion, oracle._log_poch_hslice):
         table.cache_clear()
 
 
@@ -919,9 +943,9 @@ def test_the_cutoff_search_grows_linearly_in_the_order(sid, monkeypatch):
         orders, logs, entries = [], [0], [0]
         screen, log_pos, pl_entries = oracle._screen, oracle._log_pos, numerics._pl_entries
 
-        def counted_screen(plan, N):
-            orders.append(plan.tail[1])
-            return screen(plan, N)
+        def counted_screen(plans, K, N):
+            orders.append(K)
+            return screen(plans, K, N)
 
         def counted_log(x):
             logs[0] += 1
@@ -944,6 +968,49 @@ def test_the_cutoff_search_grows_linearly_in_the_order(sid, monkeypatch):
     assert logs2 / logs1 < 1.25 * r and entries2 / entries1 < 1.25 * r, counts
 
 
+@pytest.mark.parametrize("sid", [SumId.J(2), SumId.sigma(2, 3), SumId.alt_tilde_h(1), SumId.alt_euler_star(1)],
+                         ids=str)
+def test_the_chosen_tail_takes_linearly_many_steps_per_term(sid, monkeypatch):
+    # a deterministic cost proxy: the chosen plan's bound and value are one
+    # pass of the derivative recurrence (numerics._pl_tail), each of its T
+    # terms run once down the rule's derivative orders, so the integer steps
+    # per term grow as the order K, and the pass reads no coefficient table;
+    # reading a table of order K for each of the T powers built 3,967 table
+    # entries for the value of J(2) at the second rung below
+    counts = []
+    for bits, tol in ((512, 1e-100), (1100, 1e-300)):
+        ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(target_tolerance=tol)
+        plans = _plan_of(sid, cfg, ctx, monkeypatch)
+        monkeypatch.undo()
+        N, plan, fx, _ = oracle._select(cfg, plans, ctx)
+        _cold_tables()
+        passes, entries = [], [0]
+        pl_tail, pl_entries = numerics._pl_tail, numerics._pl_entries
+
+        def counted_tail(rule, terms, X, K, fx, h=1):
+            passes.append((len(terms), len(numerics._rule(rule, K)[3])))
+            return pl_tail(rule, terms, X, K, fx, h)
+
+        def counted_entries(*key):
+            for entry in pl_entries(*key):
+                entries[0] += 1
+                yield entry
+
+        monkeypatch.setattr(oracle, "_pl_tail", counted_tail)
+        monkeypatch.setattr(numerics, "_pl_entries", counted_entries)
+        again = plans(plan.tail[1] // 2 if plan.tail[0] == "boole" else plan.tail[1])  # a fresh plan of that order
+        again.bound(N, fx)
+        again.value(N, fx)
+        monkeypatch.undo()
+        assert again.tail == plan.tail and entries == [0] and len(passes) == 1, (passes, entries)
+        (terms, steps), = passes
+        counts.append((plan.tail[1], terms, steps))
+    (k1, t1, s1), (k2, t2, s2) = counts
+    r = k2 / k1
+    assert r > 2, counts
+    assert s1 <= k1 + 1 and s2 <= k2 + 1 and s2 / s1 < 1.25 * r, counts
+
+
 def test_prefix_lists_grow_alike_under_concurrent_readers(monkeypatch):
     # threads growing the same cold prefix lists at once, with the interpreter
     # switching threads as often as it can, see and leave the entries that one
@@ -953,9 +1020,8 @@ def test_prefix_lists_grow_alike_under_concurrent_readers(monkeypatch):
     import threading
     from itertools import islice
 
-    keys = [(p, rule, h, log) for p in (2, 3) for rule in ("em", "boole") for h in (1, 2) for log in (False, True)]
-    tables = {key: list(islice(numerics._pl_entries(*key, ()), numerics._pl_length(key[0], key[1], 60, key[3])))
-              for key in keys}
+    keys = [(p, rule) for p in (1, 2, 3, 4) for rule in ("em", "boole")]
+    tables = {key: list(islice(numerics._pl_entries(*key, ()), numerics._pl_length(*key, 60))) for key in keys}
     weights = list(islice(oracle._expansion_orders(2, "em", tuple((-c, d) for c, d in oracle._combo("S", 2)), ()), 41))
     kinds = [exact.plain(1), exact.semi(2), exact.alternating(3)]
     harmonics = {kind: list(islice(exact._harmonic_entries(kind, ()), 61)) for kind in kinds}
@@ -966,10 +1032,10 @@ def test_prefix_lists_grow_alike_under_concurrent_readers(monkeypatch):
         rng = random.Random(seed)
         try:
             for K in rng.sample(range(61), 61):
-                for p, rule, h, log in rng.sample(keys, len(keys)):
-                    got = numerics._pl_coeffs(p, rule, K, h, log)
-                    if got != tables[p, rule, h, log][:numerics._pl_length(p, rule, K, log)]:
-                        wrong.append((p, rule, h, log, K))
+                for p, rule in rng.sample(keys, len(keys)):
+                    n = numerics._pl_length(p, rule, K)
+                    if exact._prefix(numerics._pl_table(p, rule), n)[:n] != tables[p, rule][:n]:
+                        wrong.append((p, rule, K))
                 if exact._prefix(oracle._weight_expansion("S", 2), K // 3 + 1)[:K // 3 + 1] != weights[:K // 3 + 1]:
                     wrong.append(("S", K))
                 for kind in rng.sample(kinds, len(kinds)):
