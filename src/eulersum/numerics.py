@@ -124,7 +124,6 @@ class PrecisionContext(namedtuple("PrecisionContext", "working_bits")):
 
 
 DEFAULT_CONTEXT = PrecisionContext()
-_EPREC_CONTEXT = PrecisionContext(_EPREC)
 
 
 def _mag(t) -> int:
@@ -628,15 +627,24 @@ def _rule(rule: str, K: int) -> tuple:
     return tuple(c for c, _ in derivs), orders[0] < 0, orders[-1], steps
 
 
+@lru_cache(maxsize=1024)
+def _pi_power_up(base: int, k: int) -> tuple[int, int]:
+    """(man, t), man of 81 bits, with (base pi)^-k <= man 2^-t: the power of the
+    lower end of pi_fixed(_EPREC), rounded up, within about k 2^-79 relative."""
+    x, e = pi_fixed(_EPREC)
+    d = (base * (x - e)) ** k  # (base pi)^-k <= 2^(_EPREC k) / d
+    n = _EPREC + d.bit_length()
+    return -(-(1 << n) // d), n - _EPREC * k
+
+
 def _scaled_up(x: int, scale: tuple, den: int = 1) -> int:
     """An integer at least x / den times a remainder bound's scale (c, base, k),
-    which stands for c (base pi)^-k: x c / den times the upper end of
-    pi_power at _EPREC bits, cached for every context, rounded up."""
+    which stands for c (base pi)^-k: x c / den times _pi_power_up, rounded up."""
     c, base, k = scale
     a, b = x * c.numerator, c.denominator * den
     if k:
-        _, man, exp, _ = pi_power(base, k, _EPREC_CONTEXT).upper_tuple()
-        a, b = a * man, b << -exp  # (base pi)^-k < 1, so exp < 0
+        man, t = _pi_power_up(base, k)
+        a, b = a * man, b << t
     return -(-a // b)
 
 

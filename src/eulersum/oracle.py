@@ -40,23 +40,25 @@ The cutoff N and the order K are chosen together, from the bounds alone
 screened with float estimates in log space, which are lower estimates of the
 certified bound up to float rounding, while the estimate keeps falling, least
 work first: N plus tail powers times derivative terms.  A screen is one pass
-over float data each order computes once (the terms' logs, log (p)_m and
-H(p, m) from float prefix lists).  A pair whose estimate meets log(tol) - ln 2
-is built as a _Plan and certified at once, and the first to certify is
-taken.  So (N, K) and the bound are those a certified bound at every screened
-pair would give, and no float enters them.
+over float data built for the orders screened (the terms' logs, log (p)_m by
+lgamma, H(p, m) for the first terms); the expansion's is cached by value
+(_order_screen), so the evaluations of a shape share it.  A pair whose
+estimate meets log(tol) - ln 2 is built as a _Plan and certified at once, and
+the first to certify is taken.  So (N, K) and the bound are those a certified
+bound at every screened pair would give, and no float enters them.
 
-Each result is one numerics.FixedPoint sum at the chosen N: integers scaled
-by 2^prec, prec = working_bits + ceil(log2 N) + guard bits, each rounding a
-floor counted exactly in an error beside the value.  The head, its constants
-(C0 and r0, the tilde sum's lead) and the tail value are such (value, error)
-pairs.  The tail's value and remainder come from one pass of numerics'
-derivative recurrence (_pl_tail), which zeta_num shares; the certification
-runs it, and the value reads the same pass.  A bound is an integer U at least
-the remainder and the truncation times their scales c (base pi)^-k, accepted
-when 2 U den <= num 2^prec for tol = num / den exactly.  Head, tail and U are
-added as integers and rounded into a BigReal once, so all rounding is part of
-the reported bound.  Summation order is fixed (ascending n).
+Each result is one numerics.FixedPoint sum at the chosen N: integers scaled by
+2^prec, prec = working_bits + ceil(log2 N) + guard bits, each rounding a floor
+counted exactly in an error beside the value.  The head, its constants (C0 and
+r0, the tilde sum's lead) and the tail value are such (value, error) pairs;
+each head term divides a weight by the integer base^s (_weighted_head).  The
+tail's value and remainder come from one pass of numerics' derivative
+recurrence (_pl_tail), which zeta_num shares; the certification runs it, and
+the value reads the same pass.  A bound is an integer U at least the remainder
+and the truncation times their scales c (base pi)^-k, accepted when 2 U den <=
+num 2^prec for tol = num / den exactly.  Head, tail and U are added as
+integers and rounded into a BigReal once, so all rounding is part of the
+reported bound.  Summation order is fixed (ascending n).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heappop, heappush
-from itertools import count, islice
+from itertools import count
 from math import exp, inf, isfinite, lgamma, log, pi
 from typing import NamedTuple, Optional
 
@@ -216,8 +218,11 @@ def _weight_expansion(kind: str, p: int, shift: Optional[int] = None) -> tuple:
     """The weight of the kind and order p, sum_i c_i H_(d_i x)^(p) (_combo) in
     x = n or 2n + shift, less sum_i c_i const(H^(p)) and, for p = 1, less
     sum_i c_i ln(d_i x): as H_x^(p) = const - sum_{k>x} k^-p, the _expansion of
-    the Euler-Maclaurin tail of x^-p in the combination (-c_i, d_i).  Cached
-    on (kind, p, shift), so a call neither negates nor hashes the Fractions."""
+    the Euler-Maclaurin tail of x^-p in the combination (-c_i, d_i); for kind
+    "Ht", the Boole tail of x^-p (_eval_alt_tilde).  Cached on (kind, p,
+    shift), so a call neither negates nor hashes the Fractions."""
+    if kind == "Ht":
+        return _expansion(p, "boole", ((1, 1),))
     return _expansion(p, "em", tuple((-c, d) for c, d in _combo(kind, p, shift)))
 
 
@@ -271,36 +276,34 @@ def _log_scale(scale: tuple) -> float:
     return _log_pos(c) - k * log(base * pi)
 
 
-def _log_poch_hslice_entries(p: int, done):
-    lp, h = lgamma(p), done[-1][1] if done else 0.0
+def _harmonic_float_entries(p: int, done):
+    h = done[-1] if done else 0.0
     for m in count(len(done)):
-        if m:
-            h = h + 1 / (p + m - 1)
-        yield lgamma(p + m) - lp, h
+        h = h + 1 / (p + m - 1) if m else h
+        yield h
 
 
-@lru_cache(maxsize=1024)
-def _log_poch_hslice(p: int) -> tuple:
-    """log (p)_m, as lgamma(p + m) - lgamma(p), and H(p, m) as floats, for
+@lru_cache(maxsize=256)
+def _harmonic_floats(p: int) -> tuple:
+    """H(p, m) = sum_(i<m) 1/(p + i) as floats, summed in order of i, for
     m = 0, 1, ..., a prefix list (exact._prefix)."""
-    return [], partial(_log_poch_hslice_entries, p)
+    return [], partial(_harmonic_float_entries, p)
 
 
 def _screen_data(terms, m: int) -> tuple:
     """The float data of the bound on Int |f^(m)| of the terms (ln |A|, ln |B|,
-    p) but N: lists of each term's c = log (p)_m - log(q - 1), q - 1 and ln |A|,
+    p) but N: tuples of each term's c = log (p)_m - log(q - 1), q - 1 and ln |A|,
     q = p + m, and (index, c, q - 1, ln |B|, H(p, m)) for each B not 0."""
     cs, q1s, las, bs = [], [], [], []
     for la, lb, p in terms:
         q1 = p + m - 1
-        log_poch, h = _prefix(_log_poch_hslice(p), m + 1)[m]
-        c = log_poch - log(q1)
+        c = lgamma(p + m) - lgamma(p) - log(q1)
         if lb > -inf:
-            bs.append((len(cs), c, q1, lb, h))
+            bs.append((len(cs), c, q1, lb, _prefix(_harmonic_floats(p), m + 1)[m]))
         cs.append(c)
         q1s.append(q1)
         las.append(la)
-    return cs, q1s, las, bs
+    return tuple(cs), tuple(q1s), tuple(las), tuple(bs)
 
 
 def _log_abs_integral(data, N: int) -> float:
@@ -364,63 +367,77 @@ class _Plan:
         return _scaled_up(part, scale) + self._tail(N, fx)[1]
 
 
+@lru_cache(maxsize=1024)
+def _order_screen(key: tuple, s: int, lattice: tuple[int, int], J: int, tail: tuple) -> tuple:
+    """For a plan (_Plans) reading _weight_expansion(*key) to order J, s powers
+    up, its tail (rule, order, at) on the lattice: the part's screen data (c,
+    q - 1, ln rem, q, log scale), and the remainder's m, _screen_data of the
+    expansion's terms and log scale."""
+    entries = _prefix(_weight_expansion(*key), J + 1)[:J + 1]
+    _, _, q, log_rem, part_scale = entries[J]
+    m, scale = _remainder(tail[0], tail[1], lattice[0])
+    (c,), (q1,), _, _ = _screen_data(((log_rem, -inf, q + s),), 0)
+    terms = ((la, -inf, e + s) for added, *_ in entries for e, _, la in added)
+    return (c, q1, log_rem, q + s, _log_scale(part_scale)), m, _screen_data(terms, m), _log_scale(scale)
+
+
 class _Plans:
     """An evaluator's plans, one per order K, and the data that screens them.
 
-    spec(K) is (J, tail): plan K reads its expansion to order J, and tail is
-    its (rule, order, at) (_Plan).  Its terms are the first terms, then those
-    that orders 0 to J add in an _expansion prefix list, whose entry J is
-    (((e, a, ln |a|), ...), rem, q, ln rem, scale): each a x^-e is the tail
-    term (a, 0, e + s), and rem x^-q times scale bounds the truncation, the
-    part rem x^-(q + s).  logs keeps each term's (ln |A|, ln |B|, p).
+    key names the expansion _weight_expansion(*key), whose entry J is (((e, a,
+    ln |a|), ...), rem, q, ln rem, scale); spec(K) is (J, tail): plan K reads it
+    to order J, and tail is its (rule, order, at) (_Plan).  Its terms are the
+    first terms, their (ln |A|, ln |B|, p) in first, then those of orders 0 to J:
+    each a x^-e is the tail term (a, 0, e + s), and rem x^-q times scale bounds
+    the truncation, the part rem x^-(q + s).
     """
 
-    __slots__ = ("table", "s", "spec", "name", "lattice", "terms", "logs", "ends", "orders")
+    __slots__ = ("key", "table", "s", "spec", "name", "lattice", "first", "terms", "ends", "works", "orders")
 
-    def __init__(self, table: tuple, s: int, spec, name: str, lattice: tuple[int, int] = (1, 0), first=()):
-        self.table, self.s, self.spec, self.name, self.lattice = table, s, spec, name, lattice
-        self.terms, self.logs = list(first), [(_log_pos(A), _log_pos(B), p) for A, B, p in first]
-        self.ends, self.orders = [], {}
+    def __init__(self, key: tuple, s: int, spec, name: str, lattice: tuple[int, int] = (1, 0), first=()):
+        self.key, self.table, self.s, self.spec, self.name = key, _weight_expansion(*key), s, spec, name
+        self.lattice, self.terms, self.ends, self.works, self.orders = lattice, list(first), [], {}, {}
+        self.first = tuple((_log_pos(A), _log_pos(B), p) for A, B, p in first)
+
+    def size(self, J: int) -> int:
+        """The number of terms of a plan reading the expansion to order J."""
+        entries = _prefix(self.table, J + 1)
+        while len(self.ends) <= J:
+            self.terms += [(a, 0, e + self.s) for e, a, _ in entries[len(self.ends)][0]]
+            self.ends.append(len(self.terms))
+        return self.ends[J]
 
     def order(self, K: int) -> tuple:
-        """(n, entry, tail, work, part, remainder) of plan K: its first n terms, its
-        expansion's entry, its tail powers times derivative terms (_work), and the
-        screen data of the part rem x^-q, (c, q - 1, ln rem, q, log scale), and
-        of the remainder, (_screen_data, log scale)."""
+        """(at, part, remainder) of plan K: where its tail starts, the part's
+        screen data and the remainder's, (_screen_data, log scale), that of
+        the first terms joined to _order_screen's, once an evaluation."""
         if K not in self.orders:
             J, tail = self.spec(K)
-            entries = _prefix(self.table, J + 1)
-            while len(self.ends) <= J:
-                for e, a, la in entries[len(self.ends)][0]:
-                    self.terms.append((a, 0, e + self.s))
-                    self.logs.append((la, -inf, e + self.s))
-                self.ends.append(len(self.terms))
-            rule, k, _ = tail
-            m, scale = _remainder(rule, k, self.lattice[0])
-            n = self.ends[J]
-            _, _, q, log_rem, part_scale = entries[J]
-            (c,), (q1,), _, _ = _screen_data(((log_rem, -inf, q + self.s),), 0)
-            self.orders[K] = (n, entries[J], tail, n * (_n_derivs(rule, k) + (rule == "em")),
-                              (c, q1, log_rem, q + self.s, _log_scale(part_scale)),
-                              (_screen_data(islice(self.logs, n), m), _log_scale(scale)))
+            part, m, data, scale = _order_screen(self.key, self.s, self.lattice, J, tail)
+            data = tuple(a + b for a, b in zip(_screen_data(self.first, m), data))
+            self.orders[K] = tail[2], part, (data, scale)
         return self.orders[K]
 
     def __call__(self, K: int) -> _Plan:
         """The plan of order K."""
-        n, (_, rem, q, _, scale), tail, *_ = self.order(K)
+        J, tail = self.spec(K)
+        n, (_, rem, q, _, scale) = self.size(J), self.table[0][J]
         return _Plan(self.terms[:n], (self.name, rem, q + self.s, scale), tail, self.lattice)
 
 
 def _work(plans: _Plans, K: int, N: int) -> int:
-    """N plus plan K's tail powers times its derivative terms; it does not fall
-    as the order K rises."""
-    return N + plans.order(K)[3]
+    """N plus plan K's tail powers times its derivative terms, kept per K; it
+    does not fall as the order K rises, and it builds no screen data."""
+    if K not in plans.works:
+        J, (rule, k, _) = plans.spec(K)
+        plans.works[K] = plans.size(J) * (_n_derivs(rule, k) + (rule == "em"))
+    return N + plans.works[K]
 
 
 def _screen(plans: _Plans, K: int, N: int) -> tuple[float, float]:
     """Natural logs of float estimates of plan K's bound components at N, the
     part and the tail remainder, in one pass over its terms' logs."""
-    _, _, (_, _, at), _, (c, q1, la, q, part_scale), (tail, tail_scale) = plans.order(K)
+    at, (c, q1, la, q, part_scale), (tail, tail_scale) = plans.order(K)
     X = plans.lattice[0] * N + plans.lattice[1]
     # the part is one term: its integral's log is the one entry c - q1 ln X + la
     return (_log_sum([c - q1 * log(X) + la, la - q * log(X + 1)]) + part_scale,
@@ -516,16 +533,25 @@ def _sum(cfg: OracleConfig, plans, head, ctx) -> OracleResult:
 def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, fx: FixedPoint,
                    alternating: bool = False) -> tuple[int, int]:
     """sum_{n<=N} w_n * base(n)^-s with base = n (shift None) or 2n + shift,
-    each term signed (-1)^(n-1) when alternating, as a pair on fx."""
+    each term signed (-1)^(n-1) when alternating, as a pair on fx.  A term
+    w // base^s, for w within we units of w_n, is within we / base^s + 1."""
     acc = err = w = we = 0
     for n in range(1, N + 1):
         dw, de = _weight_step(kind, n, fx)
         w += dw
         we += de
-        t, te = fx.mul(w, we, fx.recip(n if shift is None else 2 * n + shift, s), 1)
-        acc += -t if alternating and not n % 2 else t
-        err += te
+        d = (n if shift is None else 2 * n + shift) ** s
+        acc += -(w // d) if alternating and not n % 2 else w // d
+        err += -(-we // d) + 1
     return acc, err
+
+
+@lru_cache(maxsize=256)
+def _weight_constant(kind: str, shift: Optional[int], ctx) -> BigReal:
+    """The A0 of _eval_weighted in the context, shared by every tolerance."""
+    total, log2 = _combo_sums(kind, 1, shift)
+    A0 = const_gamma(ctx) * total
+    return A0 + const_log2(ctx) * log2 if log2 else A0
 
 
 def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, ctx,
@@ -536,13 +562,10 @@ def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, c
     m, the order-1 weight sum_i c_i H_(d_i x) (_combo) is A0 + sum_i c_i ln x
     plus the terms of _weight_expansion, A0 = sum_i c_i (gamma + ln d_i) plus
     the ln 2 multiple of _ODD_COMBOS."""
-    total, log2 = _combo_sums(kind, 1, shift)
-    A0 = const_gamma(ctx) * total
-    if log2:
-        A0 = A0 + const_log2(ctx) * log2
+    A0, total = _weight_constant(kind, shift, ctx), _combo_sums(kind, 1, shift)[0]
     lattice = (1, 0) if shift is None else (2, shift)
 
-    plans = _Plans(_weight_expansion(kind, 1, shift), s,
+    plans = _Plans((kind, 1, shift), s,
                    lambda K: (max(2, K - 2), ("boole", max(4, 2 * K), 1) if alternating else ("em", K, 0)),
                    "weight-expansion truncation", lattice, [(A0, total, s)])
     return _sum(cfg, plans, lambda N, fx: _weighted_head(kind, shift, s, N, fx, alternating), ctx)
@@ -556,7 +579,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
     tail -sum_{n>N} r_n / n^s sums the expansion's terms over n^s."""
     zp, zs, total = zeta_num(p, ctx), zeta_num(s, ctx), _combo_sums(kind, p)[0]
 
-    plans = _Plans(_weight_expansion(kind, p), s, lambda K: (max(3, K), ("em", K, 0)), "inner-tail remainder")
+    plans = _Plans((kind, p, None), s, lambda K: (max(3, K), ("em", K, 0)), "inner-tail remainder")
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
         # C0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
@@ -566,9 +589,9 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
             dr, de = _weight_step(kind, n, fx, p)
             r -= dr
             re += de
-            t, te = fx.mul(r, re, fx.recip(n, s), 1)
-            acc -= t
-            err += te
+            d = n**s
+            acc -= r // d  # counted as in _weighted_head
+            err += -(-re // d) + 1
         return acc, err
 
     return _sum(cfg, plans, head, ctx)
@@ -583,7 +606,7 @@ def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
     eta_ratio = Fraction(2**s - 2, 2**s)  # eta(s) / zeta(s)
 
     # the Boole remainder of tau_n truncates the weight's expansion
-    plans = _Plans(_expansion(s, "boole", ((1, 1),)), 1, lambda K: (max(6, 2 * K + 2), ("em", K, 0)),
+    plans = _Plans(("Ht", s, None), 1, lambda K: (max(6, 2 * K + 2), ("em", K, 0)),
                    "weight-expansion truncation")
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
@@ -591,9 +614,8 @@ def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
         lead, err = fx.mul(tau, tau_e, *fx.from_big(log2))  # eta(s) ln 2
         acc = -lead
         for n in range(1, N + 1):
-            t, te = fx.mul(tau, tau_e, fx.recip(n), 1)
-            acc += t
-            err += te
+            acc += tau // n  # counted as in _weighted_head
+            err += -(-tau_e // n) + 1
             tau = fx.recip(n, s) - tau
             tau_e += 1
         return acc, err

@@ -1,6 +1,7 @@
 """BigReal and the library constants against independent references: exact
 rationals for the four field operations, mpmath at twice the precision for
-ln, integer powers, pi, log 2, Euler's gamma and the powers of pi."""
+ln, integer powers, pi, log 2, Euler's gamma and the powers of pi, and at four
+times 80 bits for the powers of pi in the remainder bounds' scales."""
 
 from fractions import Fraction as F
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eulersum import PrecisionContext, PrecisionExhausted
-from eulersum.numerics import BigReal, const_gamma, const_log2, const_pi, pi_power
+from eulersum.numerics import _EPREC, BigReal, _pi_power_up, const_gamma, const_log2, const_pi, pi_power
 
 
 def _frac(t) -> F:
@@ -105,6 +106,19 @@ def test_pi_power_contains_mpmath_at_twice_the_precision(bits, base, k):
     assert v.ctx == ctx and pi_power(base, k, ctx).value_tuple() == v.value_tuple()
     with mpmath.workprec(2 * bits):
         assert _near_mpmath(v, (base * mpmath.pi()) ** -k)
+
+
+def test_remainder_scale_pi_powers_are_upper_ends_within_2_to_the_minus_70():
+    # the (base pi)^-k of every remainder scale (_scaled_up), man 2^-t from
+    # the lower end of pi at 80 bits: at least the power mpmath gives at four
+    # times that precision, and within 2^-70 relative of it for k <= 1024, so
+    # no power is rounded to a fixed number of bits after the point
+    with mpmath.workprec(4 * _EPREC):
+        for base in (1, 2):
+            for k in range(1, 1025):
+                man, t = _pi_power_up.__wrapped__(base, k)
+                ref = _frac(((base * mpmath.pi()) ** -k)._mpf_)
+                assert ref <= F(man, 2**t) <= ref * (1 + F(1, 2**70)), (base, k)
 
 
 @pytest.mark.parametrize("base, k", [(1, 0), (2, -1), (0, 3)])

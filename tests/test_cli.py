@@ -370,6 +370,10 @@ GOLDEN = Path(__file__).parent / "golden"
     ("oracle_AltEulerStar1_1e-100_512.txt",
      ["oracle", "--family", "AltEulerStar", "--a", "1", "--tol", "1e-100", "--bits", "512"]),
     ("solve_12_192.txt", ["solve", "--weight", "12", "--bits", "192"]),
+    ("oracle_AltEulerStar1_1e-300_1100.txt",
+     ["oracle", "--family", "AltEulerStar", "--a", "1", "--tol", "1e-300", "--bits", "1100"]),
+    ("oracle_sigma2-3_1e-300_1100.txt",
+     ["oracle", "--family", "sigma", "--s", "2", "--t", "3", "--tol", "1e-300", "--bits", "1100"]),
 ])
 def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # every printed digit and bound: values as mpmath.libmp prints them, bounds
@@ -379,7 +383,9 @@ def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # closed-form rows' from err_decimal and the oracle rows' from a float.
     # The Boole tail (AltEulerStar) and solve's residuals, whose digits follow
     # every rounding of the oracle values, were frozen before the tails were
-    # evaluated by the derivative recurrence
+    # evaluated by the derivative recurrence; the two at 1,100 bits (the
+    # alternating weighted head and the remainder-split head, each of 2,048
+    # terms) before the heads divided each weight by base^s
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()

@@ -11,7 +11,7 @@ import pytest
 from mpmath.libmp import from_man_exp, mpf_add
 from hypothesis import given, settings, strategies as st
 
-from eulersum import PrecisionContext, SumId, partial_sum
+from eulersum import OracleConfig, PrecisionContext, SumId, oracle, partial_sum
 from eulersum.exact import bernoulli
 from eulersum.exact import _prefix
 from eulersum.numerics import (
@@ -269,9 +269,26 @@ _WEIGHTED = [
 @pytest.mark.parametrize("N", [1, 37, 300])
 @pytest.mark.parametrize("sid,args", _WEIGHTED, ids=[str(s) for s, _ in _WEIGHTED])
 def test_weighted_head_brackets_partial_sum(sid, args, N, ctx):
+    # each term divides the weight by base^s, so its counted error is
+    # ceil(we / base^s) + 1: at least the unit of its floor, at most 3 units
+    # at n = 1 and 2 after it
     kind, shift, s, *alternating = args
     fx = FixedPoint(ctx, N)
-    assert _pair_contains(fx, _weighted_head(kind, shift, s, N, fx, *alternating), partial_sum(sid, N))
+    head = _weighted_head(kind, shift, s, N, fx, *alternating)
+    assert _pair_contains(fx, head, partial_sum(sid, N))
+    assert N <= head[1] <= 3 * N
+
+
+@pytest.mark.parametrize("sid", [SumId.sigma(2, 3), SumId.alt_tilde_h(1)], ids=str)
+def test_split_and_tilde_heads_count_the_floor_of_every_term(sid, ctx, monkeypatch):
+    # their terms divide r_n by n^s and tau_n by n, each within at least one
+    # unit, so the term n = N + 1 adds at least that unit and one for its floor
+    heads = []
+    monkeypatch.setattr(oracle, "_sum", lambda cfg, plans, head, ctx: heads.append(head))
+    oracle._evaluate(sid.series, OracleConfig(1e-20), ctx)
+    for N in (0, 37, 300, 1000):
+        fx = FixedPoint(ctx, N + 1)
+        assert heads[0](N + 1, fx)[1] - heads[0](N, fx)[1] >= 2, N
 
 
 @settings(max_examples=150, deadline=None)

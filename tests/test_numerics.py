@@ -243,8 +243,9 @@ def test_every_module_cache_is_bounded():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert {"numerics._lib_const", "numerics._pi_power", "numerics._zeta", "numerics._li4_half",
-            "numerics._monomial_num", "numerics._pl_table", "numerics._rule",
-            "oracle._expansion", "oracle._weight_expansion", "oracle._log_poch_hslice", "oracle._cached",
+            "numerics._monomial_num", "numerics._pl_table", "numerics._rule", "numerics._pi_power_up",
+            "oracle._expansion", "oracle._weight_expansion", "oracle._harmonic_floats", "oracle._order_screen",
+            "oracle._cached",
             "exact._prefixes",
             "relations._lambda_product", "sums.SumId.sigma"} <= set(caches)
     assert all(size is not None for size in caches.values()), caches

@@ -469,14 +469,18 @@ def test_screening_a_built_plan_makes_no_fraction(sid, monkeypatch):
 
 
 def test_float_pochhammer_and_harmonic_slices_match_the_exact_values():
-    # log (p)_m from lgamma and H(p, m) from a float prefix, within 1e-12
-    # relative of the exact integer's log and the exact rational
+    # the screen data of one term with a log part: log (p)_m from lgamma, read
+    # back from c = log (p)_m - log(q - 1), and H(p, m) from a float prefix
+    # list, within 1e-12 relative of the exact integer's log and the exact
+    # rational (q - 1 = 0 at p = 1, m = 0, where no screen reads it)
     for p in range(1, 65):
         poch, H = 1, F(0)
         for m in range(601):
-            log_poch, h = exact._prefix(oracle._log_poch_hslice(p), m + 1)[m]
-            assert abs(log_poch - math.log(poch)) <= 1e-12 * math.log(poch), (p, m)
-            assert abs(h - H) <= 1e-12 * H, (p, m)
+            if p > 1 or m:
+                (c,), (q1,), _, ((_, c_b, _, _, h),) = oracle._screen_data(((0.0, 0.0, p),), m)
+                log_poch = c + math.log(q1)
+                assert c_b == c and abs(log_poch - math.log(poch)) <= 1e-12 * math.log(poch), (p, m)
+                assert abs(h - H) <= 1e-12 * H, (p, m)
             poch, H = poch * (p + m), H + F(1, p + m)
 
 
@@ -923,7 +927,8 @@ def test_values_and_oracle_results_survive_pickle_and_deepcopy():
 
 
 def _cold_tables():
-    for table in (numerics._pl_table, oracle._expansion, oracle._weight_expansion, oracle._log_poch_hslice):
+    for table in (numerics._pl_table, oracle._expansion, oracle._weight_expansion, oracle._harmonic_floats,
+                  oracle._order_screen):
         table.cache_clear()
 
 
@@ -933,15 +938,20 @@ def test_the_cutoff_search_grows_linearly_in_the_order(sid, monkeypatch):
     # a deterministic cost proxy: one cold search builds each table entry, and
     # takes each log of a coefficient, once, so both counts grow as the largest
     # order it screens, K, and not as K^2 (building each order's plan from
-    # scratch took 1,036 and 6,142 logs for J(2) at the two rungs below)
+    # scratch took 1,036 and 6,142 logs for J(2) at the two rungs below); the
+    # float entries it stores for the screen, H(p, m) for the powers p of the
+    # terms with a log part (none in the remainder split and the tilde sum),
+    # grow as K too (float prefix lists of log (p)_m and H(p, m) for every
+    # power held 14,873 entries after J(2) at both rungs)
     counts = []
     for bits, tol in ((512, 1e-100), (1100, 1e-300)):
         ctx, cfg = PrecisionContext(working_bits=bits), OracleConfig(target_tolerance=tol)
         _cold_tables()
         plans = _plan_of(sid, cfg, ctx, monkeypatch)
         monkeypatch.undo()
-        orders, logs, entries = [], [0], [0]
+        orders, logs, entries, floats = [], [0], [0], [0]
         screen, log_pos, pl_entries = oracle._screen, oracle._log_pos, numerics._pl_entries
+        float_entries = oracle._harmonic_float_entries
 
         def counted_screen(plans, K, N):
             orders.append(K)
@@ -956,16 +966,23 @@ def test_the_cutoff_search_grows_linearly_in_the_order(sid, monkeypatch):
                 entries[0] += 1
                 yield entry
 
+        def counted_floats(*key):
+            for entry in float_entries(*key):
+                floats[0] += 1
+                yield entry
+
         monkeypatch.setattr(oracle, "_screen", counted_screen)
         monkeypatch.setattr(oracle, "_log_pos", counted_log)
         monkeypatch.setattr(numerics, "_pl_entries", counted_entries)
+        monkeypatch.setattr(oracle, "_harmonic_float_entries", counted_floats)
         oracle._select(cfg, plans, ctx)
         monkeypatch.undo()
-        counts.append((max(orders), logs[0], entries[0]))
-    (k1, logs1, entries1), (k2, logs2, entries2) = counts
+        counts.append((max(orders), logs[0], entries[0], floats[0]))
+    (k1, logs1, entries1, floats1), (k2, logs2, entries2, floats2) = counts
     r = k2 / k1
     assert r > 2, counts
     assert logs2 / logs1 < 1.25 * r and entries2 / entries1 < 1.25 * r, counts
+    assert floats2 <= 1.25 * r * floats1 and floats2 <= 3 * k2 + 3, counts
 
 
 @pytest.mark.parametrize("sid", [SumId.J(2), SumId.sigma(2, 3), SumId.alt_tilde_h(1), SumId.alt_euler_star(1)],
@@ -1025,6 +1042,7 @@ def test_prefix_lists_grow_alike_under_concurrent_readers(monkeypatch):
     weights = list(islice(oracle._expansion_orders(2, "em", tuple((-c, d) for c, d in oracle._combo("S", 2)), ()), 41))
     kinds = [exact.plain(1), exact.semi(2), exact.alternating(3)]
     harmonics = {kind: list(islice(exact._harmonic_entries(kind, ()), 61)) for kind in kinds}
+    floats = {p: list(islice(oracle._harmonic_float_entries(p, ()), 61)) for p in (1, 2, 5)}
     bernoullis = [bernoulli(n) for n in range(61)]
     wrong, interval = [], sys.getswitchinterval()
 
@@ -1041,6 +1059,9 @@ def test_prefix_lists_grow_alike_under_concurrent_readers(monkeypatch):
                 for kind in rng.sample(kinds, len(kinds)):
                     if exact.harmonic(K, kind) != harmonics[kind][K]:
                         wrong.append((kind, K))
+                for p in rng.sample(list(floats), len(floats)):
+                    if exact._prefix(oracle._harmonic_floats(p), K + 1)[:K + 1] != floats[p][:K + 1]:
+                        wrong.append(("H", p, K))
                 if bernoulli(K) != bernoullis[K]:
                     wrong.append(("B", K))
         except Exception as e:  # recorded for the assertion below, which a thread cannot make
