@@ -633,8 +633,7 @@ def _pi_power_up(base: int, k: int) -> tuple[int, int]:
     lower end of pi_fixed(_EPREC), rounded up, within about k 2^-79 relative."""
     x, e = pi_fixed(_EPREC)
     d = (base * (x - e)) ** k  # (base pi)^-k <= 2^(_EPREC k) / d
-    n = _EPREC + d.bit_length()
-    return -(-(1 << n) // d), n - _EPREC * k
+    return -(-(1 << _EPREC + d.bit_length()) // d), _EPREC + d.bit_length() - _EPREC * k
 
 
 def _scaled_up(x: int, scale: tuple, den: int = 1) -> int:

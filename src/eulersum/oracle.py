@@ -49,16 +49,16 @@ bound at every screened pair would give, and no float enters them.
 
 Each result is one numerics.FixedPoint sum at the chosen N: integers scaled by
 2^prec, prec = working_bits + ceil(log2 N) + guard bits, each rounding a floor
-counted exactly in an error beside the value.  The head, its constants (C0 and
-r0, the tilde sum's lead) and the tail value are such (value, error) pairs;
-each head term divides a weight by the integer base^s (_weighted_head).  The
-tail's value and remainder come from one pass of numerics' derivative
-recurrence (_pl_tail), which zeta_num shares; the certification runs it, and
-the value reads the same pass.  A bound is an integer U at least the remainder
-and the truncation times their scales c (base pi)^-k, accepted when 2 U den <=
-num 2^prec for tol = num / den exactly.  Head, tail and U are added as
-integers and rounded into a BigReal once, so all rounding is part of the
-reported bound.  Summation order is fixed (ascending n).
+counted exactly in an error beside the value.  The head (each term w // base^s
+within we / base^s + 1 for w within we), its constants (C0 and r0, the tilde
+sum's lead) and the tail value are such (value, error) pairs.  The tail's
+value and remainder come from one pass of numerics' derivative recurrence
+(_pl_tail), which zeta_num shares; the certification runs it, and the value
+reads the same pass.  A bound is an integer U at least the remainder and the
+truncation times their scales c (base pi)^-k, accepted when 2 U den <= num
+2^prec for tol = num / den exactly.  Head, tail and U are added as integers
+and rounded into a BigReal once, so all rounding is part of the reported
+bound.  Summation order is fixed (ascending n).
 """
 
 from __future__ import annotations
@@ -259,6 +259,11 @@ def _log_sum(logs) -> float:
     return top + log(sum([exp(x - top) for x in logs]))
 
 
+def _log_add(a: float, b: float) -> float:
+    top = max(a, b)  # _log_sum([a, b]) to the bit, without the list
+    return -inf if top == -inf else top + log(exp(a - top) + exp(b - top))
+
+
 _LN2 = log(2)
 
 
@@ -285,8 +290,7 @@ def _harmonic_float_entries(p: int, done):
 
 @lru_cache(maxsize=256)
 def _harmonic_floats(p: int) -> tuple:
-    """H(p, m) = sum_(i<m) 1/(p + i) as floats, summed in order of i, for
-    m = 0, 1, ..., a prefix list (exact._prefix)."""
+    """H(p, m) = sum_(i<m) 1/(p + i), summed in order of i, for m = 0, 1, ..."""
     return [], partial(_harmonic_float_entries, p)
 
 
@@ -370,9 +374,8 @@ class _Plan:
 @lru_cache(maxsize=1024)
 def _order_screen(key: tuple, s: int, lattice: tuple[int, int], J: int, tail: tuple) -> tuple:
     """For a plan (_Plans) reading _weight_expansion(*key) to order J, s powers
-    up, its tail (rule, order, at) on the lattice: the part's screen data (c,
-    q - 1, ln rem, q, log scale), and the remainder's m, _screen_data of the
-    expansion's terms and log scale."""
+    up, its tail on the lattice: the part's (c, q - 1, ln rem, q, log scale),
+    the remainder's m, its expansion terms' _screen_data and its log scale."""
     entries = _prefix(_weight_expansion(*key), J + 1)[:J + 1]
     _, _, q, log_rem, part_scale = entries[J]
     m, scale = _remainder(tail[0], tail[1], lattice[0])
@@ -408,9 +411,8 @@ class _Plans:
         return self.ends[J]
 
     def order(self, K: int) -> tuple:
-        """(at, part, remainder) of plan K: where its tail starts, the part's
-        screen data and the remainder's, (_screen_data, log scale), that of
-        the first terms joined to _order_screen's, once an evaluation."""
+        """(at, part, remainder) of plan K: where its tail starts, and the screen
+        data of _order_screen, the first terms' joined to the remainder's."""
         if K not in self.orders:
             J, tail = self.spec(K)
             part, m, data, scale = _order_screen(self.key, self.s, self.lattice, J, tail)
@@ -440,7 +442,7 @@ def _screen(plans: _Plans, K: int, N: int) -> tuple[float, float]:
     at, (c, q1, la, q, part_scale), (tail, tail_scale) = plans.order(K)
     X = plans.lattice[0] * N + plans.lattice[1]
     # the part is one term: its integral's log is the one entry c - q1 ln X + la
-    return (_log_sum([c - q1 * log(X) + la, la - q * log(X + 1)]) + part_scale,
+    return (_log_add(c - q1 * log(X) + la, la - q * log(X + 1)) + part_scale,
             _log_abs_integral(tail, X + at) + tail_scale)
 
 
@@ -494,7 +496,7 @@ def _select(cfg: OracleConfig, plans: _Plans, ctx) -> tuple[int, _Plan, FixedPoi
         est = _screen(plans, K, N)
         if last is None or N >= last[0]:
             last = (N, K, est)
-        total = _log_sum(est)
+        total = _log_add(*est)
         if total <= log_half:
             fx, plan = FixedPoint(ctx, N), plans(K)
             bound = plan.bound(N, fx)
@@ -533,8 +535,7 @@ def _sum(cfg: OracleConfig, plans, head, ctx) -> OracleResult:
 def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, fx: FixedPoint,
                    alternating: bool = False) -> tuple[int, int]:
     """sum_{n<=N} w_n * base(n)^-s with base = n (shift None) or 2n + shift,
-    each term signed (-1)^(n-1) when alternating, as a pair on fx.  A term
-    w // base^s, for w within we units of w_n, is within we / base^s + 1."""
+    each term signed (-1)^(n-1) when alternating, as a pair on fx."""
     acc = err = w = we = 0
     for n in range(1, N + 1):
         dw, de = _weight_step(kind, n, fx)
@@ -590,7 +591,7 @@ def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> 
             r -= dr
             re += de
             d = n**s
-            acc -= r // d  # counted as in _weighted_head
+            acc -= r // d  # counted as in the module docstring
             err += -(-re // d) + 1
         return acc, err
 
@@ -614,7 +615,7 @@ def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
         lead, err = fx.mul(tau, tau_e, *fx.from_big(log2))  # eta(s) ln 2
         acc = -lead
         for n in range(1, N + 1):
-            acc += tau // n  # counted as in _weighted_head
+            acc += tau // n  # counted as in the module docstring
             err += -(-tau_e // n) + 1
             tau = fx.recip(n, s) - tau
             tau_e += 1
