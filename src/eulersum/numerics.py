@@ -84,7 +84,6 @@ __all__ = [
     "FixedPoint",
     "fixed_dot",
     "const_pi",
-    "pi_power",
     "const_log2",
     "const_gamma",
     "zeta_num",
@@ -420,24 +419,6 @@ def const_log2(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
 
 def const_gamma(ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
     return _lib_const(euler_fixed, ctx)
-
-
-@lru_cache(maxsize=256)
-def _pi_power(base: int, k: int, ctx: PrecisionContext) -> BigReal:
-    x = const_pi(ctx) if base == 1 else const_pi(ctx) * base
-    out = x
-    for bit in bin(k)[3:]:
-        out = out * out
-        if bit == "1":
-            out = out * x
-    return BigReal.from_int(1, ctx) / out
-
-
-def pi_power(base: int, k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> BigReal:
-    """(base pi)^-k for integers base, k >= 1, the power built by repeated squaring."""
-    if base < 1 or k < 1:
-        raise ValueError(f"pi_power needs base, k >= 1, got ({base}, {k})")
-    return _pi_power(base, k, ctx)
 
 
 # -- exact rationals as integer pairs ---------------------------------------------

@@ -1,7 +1,8 @@
 """Independent ground truth: direct summation of every series family.
 
 Each series is summed at its definition, by the evaluator its shape (sums.Series)
-calls for: an exactly-evaluated head of N terms plus a certified tail.  Tails
+calls for: an exactly-evaluated head of N terms plus a certified tail; a shape
+with no evaluator is refused (ValueError) before any summation.  Tails
 come from Euler-Maclaurin (monotone series) or Boole summation (alternating
 series) applied to the explicit asymptotic form of the summand, with
 worst-case remainder bounds
@@ -17,16 +18,17 @@ _abs_coeffs, added in absolute value; this module only combines those
 expansions and searches for the cutoff.  H_x^(p) is its constant (gamma + ln x
 for p = 1, zeta(p) for p >= 2) minus the Euler-Maclaurin tail of x^-p, which
 envelops for p = 1, taken in the weight's exact combination
-sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) - 2^-p H_n^(p); the tilde
-sum's inner tail is the Boole tail of x^-s.  For order p >= 2 the sum is split
-as C0 - sum_n r_n / n^s, r_n = r0 - w_n the weight's tail, of order n^(1-s-p).
+sum_i c_i H_(d_i n)^(p), e.g. S_n^(p) = H_2n^(p) - 2^-p H_n^(p); the inner
+tail of Ht^(p) is the Boole tail of x^-p.  A weight with a limit r0 (order
+p >= 2, or Ht) is split as sum sign_n w_n / n^s = r0 L(s) - sum_n sign_n r_n /
+n^s, L(s) = zeta(s) or eta(s), r_n = r0 - w_n its inner tail, of order n^(1-p).
 The families over an odd base 2n + c are summed in m = 2n + c, on the odd
 lattice with Euler-Maclaurin step 2, their weights being combinations of
 H_m and H_(m/2) and ln 2 (Legendre's duplication of psi).
 
 Every order of a tail follows from one order K: Euler-Maclaurin order K,
-weights expanded to order max(2, K-2), inner tails to max(3, K), and Boole
-order max(4, 2K) (max(6, 2K+2) for the tilde sum).  An evaluator's plans
+weights expanded to order max(2, K-2), inner tails to max(3, K) (Ht's to
+Boole order max(6, 2K+2)), and Boole order max(4, 2K).  An evaluator's plans
 (_Plans) are its tail at each order K as data: the power-log terms, the rule
 and where it starts, and the expansion's truncation as one term with a scale.
 The expansions are prefix lists (exact._prefix), one per shape, grown under a
@@ -50,8 +52,8 @@ bound at every screened pair would give, and no float enters them.
 Each result is one numerics.FixedPoint sum at the chosen N: integers scaled by
 2^prec, prec = working_bits + ceil(log2 N) + guard bits, each rounding a floor
 counted exactly in an error beside the value.  The head (each term w // base^s
-within we / base^s + 1 for w within we), its constants (C0 and r0, the tilde
-sum's lead) and the tail value are such (value, error) pairs.  The tail's
+within we / base^s + 1 for w within we), its constants (A0, r0 and r0 L(s))
+and the tail value are such (value, error) pairs.  The tail's
 value and remainder come from one pass of numerics' derivative recurrence
 (_pl_tail), which zeta_num shares; the certification runs it, and the value
 reads the same pass.  A bound is an integer U at least the remainder and the
@@ -219,26 +221,25 @@ def _weight_expansion(kind: str, p: int, shift: Optional[int] = None) -> tuple:
     x = n or 2n + shift, less sum_i c_i const(H^(p)) and, for p = 1, less
     sum_i c_i ln(d_i x): as H_x^(p) = const - sum_{k>x} k^-p, the _expansion of
     the Euler-Maclaurin tail of x^-p in the combination (-c_i, d_i); for kind
-    "Ht", the Boole tail of x^-p (_eval_alt_tilde).  Cached on (kind, p,
-    shift), so a call neither negates nor hashes the Fractions."""
+    "Ht", the Boole tail of x^-p, tau_x = sum_{j>=x} (-1)^(j-x) j^-p
+    (_eval_remainder_split).  Cached on (kind, p, shift), so a call neither
+    negates nor hashes the Fractions."""
     if kind == "Ht":
         return _expansion(p, "boole", ((1, 1),))
     return _expansion(p, "em", tuple((-c, d) for c, d in _combo(kind, p, shift)))
 
 
-def _weight_step(kind: str, n: int, fx: FixedPoint, order: int = 1) -> tuple[int, int]:
-    """w_n - w_(n-1) in fixed point, with its error bound, for the weight of the
-    kind and order: H_n^(order), S_n^(order), H_2n^(order), or H_(2n-1)."""
-    if kind == "H":
-        return fx.recip(n, order), 1
-    if kind == "S":
-        return fx.recip(2 * n - 1, order), 1
-    if kind == "H2N":
-        return fx.recip(2 * n - 1, order) + fx.recip(2 * n, order), 2
-    # H2N1: H_(2n-1) gains 1/(2n-2) + 1/(2n-1) after the first step
-    if n == 1:
-        return fx.one, 0
-    return fx.recip(2 * n - 2) + fx.recip(2 * n - 1), 2
+# kind -> step(n, fx, p): w_n - w_(n-1) in fixed point, with its error bound, for
+# the weight of the kind and order p, H_n^(p), S_n^(p), H_2n^(p) or H_(2n-1) (p
+# = 1), each power floored; for -Ht_(n-1)^(p), its size (n-1)^-p, the step's
+# sign being (-1)^(n-1).  A head binds its kind's step once.
+_WEIGHT_STEPS = {
+    "H": lambda n, fx, p: (fx.one // n**p, 1),
+    "S": lambda n, fx, p: (fx.one // (2 * n - 1) ** p, 1),
+    "H2N": lambda n, fx, p: (fx.one // (2 * n - 1) ** p + fx.one // (2 * n) ** p, 2),
+    "H2N1": lambda n, fx, p: (fx.one // (2 * n - 2) + fx.one // (2 * n - 1), 2) if n > 1 else (fx.one, 0),
+    "Ht": lambda n, fx, p: (fx.one // (n - 1) ** p, 1) if n > 1 else (0, 0),
+}
 
 
 # Float twins of the remainder bounds of numerics._pl_tail and of a plan's part,
@@ -537,8 +538,9 @@ def _weighted_head(kind: str, shift: Optional[int], s: int, N: int, fx: FixedPoi
     """sum_{n<=N} w_n * base(n)^-s with base = n (shift None) or 2n + shift,
     each term signed (-1)^(n-1) when alternating, as a pair on fx."""
     acc = err = w = we = 0
+    step = _WEIGHT_STEPS[kind]
     for n in range(1, N + 1):
-        dw, de = _weight_step(kind, n, fx)
+        dw, de = step(n, fx, 1)
         w += dw
         we += de
         d = (n if shift is None else 2 * n + shift) ** s
@@ -572,54 +574,51 @@ def _eval_weighted(kind: str, shift: Optional[int], s: int, cfg: OracleConfig, c
     return _sum(cfg, plans, lambda N, fx: _weighted_head(kind, shift, s, N, fx, alternating), ctx)
 
 
-def _eval_remainder_split(kind: str, s: int, p: int, cfg: OracleConfig, ctx) -> OracleResult:
-    """sum_{n>=1} w_n / n^s as C0 - sum_n r_n / n^s, for a weight of order p >= 2:
-    w_n = sum_i c_i H_(d_i n)^(p) is the weight of the kind and order p, r0 =
-    zeta(p) sum_i c_i its limit, C0 = r0 zeta(s), and the inner tail r_n = r0 - w_n
-    is minus the weight's expansion (_weight_expansion), in powers of n, so the
-    tail -sum_{n>N} r_n / n^s sums the expansion's terms over n^s."""
-    zp, zs, total = zeta_num(p, ctx), zeta_num(s, ctx), _combo_sums(kind, p)[0]
+def _limit_pair(s: int, alternating: bool, fx: FixedPoint) -> tuple[int, int]:
+    """L(s) = sum_{n>=1} sign_n n^-s as a pair on fx: zeta(s), or, alternating,
+    eta(s) = (1 - 2^(1-s)) zeta(s) and eta(1) = ln 2."""
+    if s == 1:
+        return fx.from_big(const_log2(fx.ctx))
+    return fx.scale(*fx.from_big(zeta_num(s, fx.ctx)), Fraction(2**s - 2, 2**s) if alternating else 1)
 
-    plans = _Plans((kind, p, None), s, lambda K: (max(3, K), ("em", K, 0)), "inner-tail remainder")
+
+def _eval_remainder_split(kind: str, p: int, s: int, alternating: bool, cfg: OracleConfig, ctx) -> OracleResult:
+    """sum_{n>=1} sign_n w_n / n^s as r0 L(s) - sum_n sign_n r_n / n^s, for a
+    weight w_n of the kind and order p with a limit r0: r0 = zeta(p) sum_i c_i
+    for w_n = sum_i c_i H_(d_i n)^(p), p >= 2, and r0 = -eta(p) for w_n =
+    -Ht_(n-1)^(p); L(s) is that of _limit_pair, and the inner tail r_n = r0 -
+    w_n is minus the weight's expansion (_weight_expansion), for Ht times
+    (-1)^(n-1).  So the tail -sum_{n>N} sign_n r_n / n^s sums the expansion's
+    terms over n^s, by Boole summation when exactly one of the outer sign and
+    Ht's inner sign alternates, else by Euler-Maclaurin.
+
+    Each head term floors |r_n| / n^s and adds it with its sign, and the
+    constant is |r0| L(s) given the sign of r0, so a sum of one sign pattern
+    takes one floor and one add a term."""
+    inner = kind == "Ht"
+    flip = alternating != inner  # the sign of sign_n r_n alternates
+    total = 1 if inner else _combo_sums(kind, p)[0]
+
+    plans = _Plans((kind, p, None), s,
+                   lambda K: (max(6, 2 * K + 2) if inner else max(3, K),
+                              ("boole", max(4, 2 * K), 1) if flip else ("em", K, 0)),
+                   "inner-tail remainder")
 
     def head(N: int, fx: FixedPoint) -> tuple[int, int]:
-        # C0 - sum_{n<=N} r_n n^-s, with r_n = r0 minus the inner terms up to n
-        r, re = fx.scale(*fx.from_big(zp), total)
-        acc, err = fx.mul(r, re, *fx.from_big(zs))
+        # r0 L(s) - sum_{n<=N} sign_n r_n n^-s, with |r_n| = r_(n-1) - step or,
+        # for Ht, step - |r_(n-1)| (_WEIGHT_STEPS), from r_0 = r0
+        r, re = fx.scale(*_limit_pair(p, inner, fx), total)
+        c, err = fx.mul(r, re, *_limit_pair(s, alternating, fx))
+        r, acc, step = -r if inner else r, 0, _WEIGHT_STEPS[kind]
         for n in range(1, N + 1):
-            dr, de = _weight_step(kind, n, fx, p)
-            r -= dr
+            dr, de = step(n, fx, p)
+            r = dr - r if inner else r - dr
             re += de
             d = n**s
-            acc -= r // d  # counted as in the module docstring
+            acc = r // d - acc if flip else acc + r // d  # counted as in the module docstring
             err += -(-re // d) + 1
-        return acc, err
-
-    return _sum(cfg, plans, head, ctx)
-
-
-def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
-    """sum_{n>=1} (-1)^n Ht_(n-1)^(s) / n, as -eta(s) ln 2 plus sum_n tau_n / n.
-    tau_n = sum_{j>=n} (-1)^(j-n) j^-s is the Boole tail of x^-s at n
-    (_expansion), read at Boole order max(6, 2K + 2), and the tail sums its
-    terms over n, each one power up."""
-    zs, log2 = zeta_num(s, ctx), const_log2(ctx)
-    eta_ratio = Fraction(2**s - 2, 2**s)  # eta(s) / zeta(s)
-
-    # the Boole remainder of tau_n truncates the weight's expansion
-    plans = _Plans(("Ht", s, None), 1, lambda K: (max(6, 2 * K + 2), ("em", K, 0)),
-                   "weight-expansion truncation")
-
-    def head(N: int, fx: FixedPoint) -> tuple[int, int]:
-        tau, tau_e = fx.scale(*fx.from_big(zs), eta_ratio)  # tau_1 = eta(s)
-        lead, err = fx.mul(tau, tau_e, *fx.from_big(log2))  # eta(s) ln 2
-        acc = -lead
-        for n in range(1, N + 1):
-            acc += tau // n  # counted as in the module docstring
-            err += -(-tau_e // n) + 1
-            tau = fx.recip(n, s) - tau
-            tau_e += 1
-        return acc, err
+        acc = c - (acc if N % 2 or not flip else -acc)
+        return -acc if inner else acc, err
 
     return _sum(cfg, plans, head, ctx)
 
@@ -629,14 +628,20 @@ def _eval_alt_tilde(s: int, cfg: OracleConfig, ctx) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 def _evaluate(series: Series, cfg: OracleConfig, ctx) -> OracleResult:
-    """The certified sum of the series by the evaluator for its shape: the tilde
-    sum's own, order 1 summed directly, higher orders by the remainder split."""
+    """The certified sum of the series by the evaluator for its shape: order 1
+    summed directly (_eval_weighted) on n or on a family's odd lattice, which
+    does not alternate, and a weight with a limit by the remainder split: H, S
+    and H2N of order >= 2 and Ht of any order, on n.  Any other shape, or one
+    that diverges, raises ValueError before any summation."""
     kind, order, shift, s, alternating = series
-    if kind == "Ht":
-        return _eval_alt_tilde(order, cfg, ctx)
-    if order == 1:
-        return _eval_weighted(kind, shift, s, cfg, ctx, alternating)
-    return _eval_remainder_split(kind, s, order, cfg, ctx)
+    if order >= 1 and (s >= 2 or s == 1 and alternating):
+        if order == 1 and (shift is None and kind in ("H", "S", "H2N")
+                           or (kind, shift) in _ODD_COMBOS and not alternating):
+            return _eval_weighted(kind, shift, s, cfg, ctx, alternating)
+        if shift is None and (kind == "Ht" or order >= 2 and kind in ("H", "S", "H2N")):
+            return _eval_remainder_split(kind, order, s, alternating, cfg, ctx)
+    raise ValueError(f"the oracle has no evaluator for {series}: it sums order 1 on n or on a family's "
+                     "odd lattice, not alternating there, and weights with a limit on n")
 
 
 # far above the distinct (series, config, context) keys of one verify or solve run

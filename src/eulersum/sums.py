@@ -29,6 +29,13 @@ class Series(NamedTuple):
     is n (shift None) or the odd 2n + shift; sign_n is (-1)^(n-1) when
     alternating, else 1.  So AltTildeH(a), sum (-1)^n Ht_(n-1)^(2a) / n, is
     Series("Ht", 2a, None, 1, True): the sign times the weight's minus.
+
+    The oracle sums a convergent shape (power >= 2, or alternating) of order 1
+    on n or on a family's odd lattice, which there does not alternate, and
+    every weight with a limit on n (H, S and H2N of order >= 2, Ht of any
+    order) at either sign; it refuses any other shape with a ValueError: a
+    shift at order >= 2 or on Ht, an alternating sum on the odd lattice, or
+    H2N1 on n.
     """
 
     kind: str

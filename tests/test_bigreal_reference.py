@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eulersum import PrecisionContext, PrecisionExhausted
-from eulersum.numerics import _EPREC, BigReal, _pi_power_up, const_gamma, const_log2, const_pi, pi_power
+from eulersum.numerics import _EPREC, BigReal, _pi_power_up, const_gamma, const_log2, const_pi
 
 
 def _frac(t) -> F:
@@ -98,16 +98,6 @@ def test_constants_contain_mpmath_at_twice_the_precision(bits):
         assert _near_mpmath(const_gamma(ctx), mpmath.euler())
 
 
-@settings(max_examples=60, deadline=None)
-@given(bits=st.sampled_from([64, 192, 1024, 4096]), base=st.integers(1, 4), k=st.integers(1, 600))
-def test_pi_power_contains_mpmath_at_twice_the_precision(bits, base, k):
-    ctx = PrecisionContext(working_bits=bits)
-    v = pi_power(base, k, ctx)
-    assert v.ctx == ctx and pi_power(base, k, ctx).value_tuple() == v.value_tuple()
-    with mpmath.workprec(2 * bits):
-        assert _near_mpmath(v, (base * mpmath.pi()) ** -k)
-
-
 def test_remainder_scale_pi_powers_are_upper_ends_within_2_to_the_minus_70():
     # the (base pi)^-k of every remainder scale (_scaled_up), man 2^-t from
     # the lower end of pi at 80 bits: at least the power mpmath gives at four
@@ -119,9 +109,3 @@ def test_remainder_scale_pi_powers_are_upper_ends_within_2_to_the_minus_70():
                 man, t = _pi_power_up.__wrapped__(base, k)
                 ref = _frac(((base * mpmath.pi()) ** -k)._mpf_)
                 assert ref <= F(man, 2**t) <= ref * (1 + F(1, 2**70)), (base, k)
-
-
-@pytest.mark.parametrize("base, k", [(1, 0), (2, -1), (0, 3)])
-def test_pi_power_rejects_non_positive_arguments(base, k):
-    with pytest.raises(ValueError):
-        pi_power(base, k, PrecisionContext(working_bits=128))

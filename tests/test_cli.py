@@ -374,6 +374,10 @@ GOLDEN = Path(__file__).parent / "golden"
      ["oracle", "--family", "AltEulerStar", "--a", "1", "--tol", "1e-300", "--bits", "1100"]),
     ("oracle_sigma2-3_1e-300_1100.txt",
      ["oracle", "--family", "sigma", "--s", "2", "--t", "3", "--tol", "1e-300", "--bits", "1100"]),
+    ("oracle_AltTildeH1_1e-300_1100.txt",
+     ["oracle", "--family", "AltTildeH", "--a", "1", "--tol", "1e-300", "--bits", "1100"]),
+    ("oracle_E2-3_1e-100_512.txt",
+     ["oracle", "--family", "E", "--p", "2", "--q", "3", "--tol", "1e-100", "--bits", "512"]),
 ])
 def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # every printed digit and bound: values as mpmath.libmp prints them, bounds
@@ -385,7 +389,9 @@ def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # every rounding of the oracle values, were frozen before the tails were
     # evaluated by the derivative recurrence; the two at 1,100 bits (the
     # alternating weighted head and the remainder-split head, each of 2,048
-    # terms) before the heads divided each weight by base^s
+    # terms) before the heads divided each weight by base^s; the tilde head at
+    # 1,100 bits and the remainder split of kind H2N before the split took the
+    # outer sign and summed the tilde sum
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()

@@ -34,6 +34,7 @@ from eulersum.numerics import (
     zeta_num,
 )
 from eulersum.oracle import _weighted_head
+from eulersum.sums import Series
 
 
 def _frac(t) -> F:
@@ -279,13 +280,19 @@ def test_weighted_head_brackets_partial_sum(sid, args, N, ctx):
     assert N <= head[1] <= 3 * N
 
 
-@pytest.mark.parametrize("sid", [SumId.sigma(2, 3), SumId.alt_tilde_h(1)], ids=str)
-def test_split_and_tilde_heads_count_the_floor_of_every_term(sid, ctx, monkeypatch):
-    # their terms divide r_n by n^s and tau_n by n, each within at least one
-    # unit, so the term n = N + 1 adds at least that unit and one for its floor
+@pytest.mark.parametrize("series", [
+    pytest.param(SumId.sigma(2, 3).series, id="sigma(2, 3)"),
+    pytest.param(SumId.alt_tilde_h(1).series, id="AltTildeH(1)"),
+    Series("H", 2, None, 3, True),
+    Series("Ht", 2, None, 2, False),
+], ids=str)
+def test_split_and_tilde_heads_count_the_floor_of_every_term(series, ctx, monkeypatch):
+    # every remainder-split head, of either sign pattern, divides |r_n| by n^s
+    # within at least one unit, so the term n = N + 1 adds at least that unit
+    # and one for its floor
     heads = []
     monkeypatch.setattr(oracle, "_sum", lambda cfg, plans, head, ctx: heads.append(head))
-    oracle._evaluate(sid.series, OracleConfig(1e-20), ctx)
+    oracle._evaluate(series, OracleConfig(1e-20), ctx)
     for N in (0, 37, 300, 1000):
         fx = FixedPoint(ctx, N + 1)
         assert heads[0](N + 1, fx)[1] - heads[0](N, fx)[1] >= 2, N

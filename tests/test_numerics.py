@@ -24,7 +24,7 @@ from eulersum import (
     zeta_num,
 )
 from eulersum.closedform import closed_form_for, known_closed_form_ids
-from eulersum.numerics import GUARD_BITS, atom_num, monomial_num, pi_power
+from eulersum.numerics import GUARD_BITS, atom_num, monomial_num
 from eulersum.sums import SumId
 from eulersum.symexpr import LOG2, PI, SymExpr, lambda_sym, zeta_sym
 
@@ -225,7 +225,7 @@ def test_equal_contexts_share_one_cached_value(bits):
     # value already built, in the context of the caller that built it
     a, b = PrecisionContext(working_bits=bits), PrecisionContext(working_bits=bits)
     assert a == b and a is not b
-    for make in (const_pi, lambda c: pi_power(2, 3, c), lambda c: zeta_num(5, c), li4_half_num,
+    for make in (const_pi, lambda c: zeta_num(5, c), li4_half_num,
                  lambda c: monomial_num(((PI, 2), (LOG2, 1)), c)):
         x = make(a)
         assert make(b) is x and x.ctx == b
@@ -242,7 +242,7 @@ def test_every_module_cache_is_bounded():
         for name, value in found:
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"numerics._lib_const", "numerics._pi_power", "numerics._zeta", "numerics._li4_half",
+    assert {"numerics._lib_const", "numerics._zeta", "numerics._li4_half",
             "numerics._monomial_num", "numerics._pl_table", "numerics._rule", "numerics._pi_power_up",
             "oracle._expansion", "oracle._weight_expansion", "oracle._harmonic_floats", "oracle._order_screen",
             "oracle._cached",

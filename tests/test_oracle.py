@@ -19,7 +19,7 @@ from eulersum import exact, numerics, oracle
 from eulersum.closedform import closed_form_for, known_closed_form_ids
 from eulersum.exact import bernoulli
 from eulersum.oracle import _evaluate
-from eulersum.sums import FAMILIES, SumId
+from eulersum.sums import FAMILIES, Series, SumId
 
 
 def test_partial_sum_examples():
@@ -612,6 +612,84 @@ def test_term_is_the_nth_term_of_the_shape(family):
             base = n if shift is None else 2 * n + shift
             sign = -1 if alternating and n % 2 == 0 else 1
             assert fam.term(*p, n) == sign * _exact_weight(kind, order, n) / F(base) ** power, (p, n)
+
+
+# every convergent shape of the five kinds at orders and powers 1 to 3, on n
+# and on both odd lattices, of either sign
+_SHAPES = [Series(kind, order, shift, power, alternating)
+           for kind, order, shift, power, alternating
+           in product(("H", "S", "H2N", "H2N1", "Ht"), range(1, 4), (None, -1, 1), range(1, 4), (False, True))
+           if power >= 2 or alternating]
+_FAMILY_SHAPES = {fam.series(*p)[:3] for fam in FAMILIES.values() for p in product(range(1, 4), repeat=len(fam.params))}
+
+
+def _summed(series) -> bool:
+    """A family's (kind, order, shift), not alternating on the odd lattice, or a
+    weight with a limit (H, S and H2N of order >= 2, Ht of any order) on n."""
+    kind, order, shift, _, alternating = series
+    limit = shift is None and (kind == "Ht" or order >= 2 and kind != "H2N1")
+    return series[:3] in _FAMILY_SHAPES and not (shift is not None and alternating) or limit
+
+
+def test_every_shape_is_summed_or_refused(ctx, cfg, monkeypatch):
+    # a shape the oracle has no evaluator for raises ValueError naming it
+    # before any summation; every other shape is certified
+    summed = [series for series in _SHAPES if _summed(series)]
+    assert len(summed) == 66 and len(_SHAPES) == 225
+    for series in summed:
+        assert _evaluate(series, cfg, ctx).achieved_bound <= cfg.target_tolerance, series
+
+    def no_summation(*args):
+        raise AssertionError("summed a refused shape")
+
+    monkeypatch.setattr(oracle, "_sum", no_summation)
+    for series in _SHAPES:
+        if not _summed(series):
+            with pytest.raises(ValueError, match=re.escape(str(series))):
+                _evaluate(series, cfg, ctx)
+
+
+def _certified(*shapes) -> list:
+    """(value, bound) of each shape as exact rationals, at 256 bits and tol 1e-50."""
+    ctx, cfg = PrecisionContext(working_bits=256), OracleConfig(target_tolerance=1e-50)
+    values = [_evaluate(series, cfg, ctx).value for series in shapes]
+    return [(_frac(v.value_tuple()), _frac(v.err_tuple())) for v in values]
+
+
+def _zeta_eta(s: int, alternating: bool) -> F:
+    """zeta(s), or eta(s) when alternating (eta(1) = ln 2), by mpmath at 512 bits."""
+    import mpmath
+
+    with mpmath.workprec(512):
+        return _frac((mpmath.altzeta(s) if alternating else mpmath.zeta(s))._mpf_)
+
+
+_REF_ERR = F(1, 2**500)  # above the error of a product of two mpmath values at 512 bits
+
+
+@pytest.mark.parametrize("p,q", list(product(range(2, 5), repeat=2)))
+def test_sums_of_mixed_signs_satisfy_the_reflection_formula(p, q):
+    # patterns (+,-) and (-,+) of Flajolet and Salvy: sum (-1)^(n-1) H_n^(p) / n^q
+    # plus sum_n n^-p sum_(k<n) (-1)^(k-1) k^-q, the second minus Ht's shape,
+    # is the sum over every (n, k), zeta(p) eta(q)
+    (a, ea), (b, eb) = _certified(Series("H", p, None, q, True), Series("Ht", q, None, p, False))
+    assert abs(a - b - _zeta_eta(p, False) * _zeta_eta(q, True)) <= ea + eb + _REF_ERR
+
+
+@pytest.mark.parametrize("p,q", list(product(range(1, 5), repeat=2)))
+def test_alternating_tilde_sums_satisfy_the_reflection_formula(p, q):
+    # pattern (-,-): the strict sums over k < n and n < k of (-1)^(n+k) k^-p
+    # n^-q are minus the two shapes, and with the diagonal they make eta(p) eta(q)
+    (a, ea), (b, eb) = _certified(Series("Ht", p, None, q, True), Series("Ht", q, None, p, True))
+    exact = _zeta_eta(p + q, False) - _zeta_eta(p, True) * _zeta_eta(q, True)
+    assert abs(a + b - exact) <= ea + eb + _REF_ERR
+
+
+@pytest.mark.parametrize("t,q", list(product((2, 3), (1, 2, 3))))
+def test_alternating_split_sums_follow_the_translation_between_kinds(t, q):
+    # S_n^(t) = H_2n^(t) - 2^-t H_n^(t), term by term under the alternating sign
+    (s, es), (e, ee), (h, eh) = _certified(*(Series(kind, t, None, q, True) for kind in ("S", "H2N", "H")))
+    assert abs(s - e + h / 2**t) <= es + ee + eh / 2**t
 
 
 @pytest.mark.parametrize("alias,sid", [(SumId.sigma(4, 1), SumId.J(4)),
