@@ -3,7 +3,8 @@
 Output is a single JSON document on stdout (schema "eulersum/1"), rendered
 human-readable with --pretty / --format pretty, or as TSV for table.  Exit
 codes: 0 success, 1 usage error, 2 verification failure, 3 oracle budget
-exhaustion.  EULERSUM_DEFAULT_BITS is honored when --bits is absent.
+exhaustion, 141 stdout closed early.  EULERSUM_DEFAULT_BITS is honored when
+--bits is absent.
 """
 
 from __future__ import annotations
@@ -446,7 +447,18 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (as head does): exit as SIGPIPE would, with
+        # no traceback, and with stdout on os.devnull so the flush at exit
+        # does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

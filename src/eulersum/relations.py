@@ -32,10 +32,11 @@ from math import comb, gcd, lcm
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 from . import closedform, exact
-from .numerics import BigReal, DEFAULT_CONTEXT, PrecisionContext, fixed_dot, monomial_num
+from .numerics import (BigReal, DEFAULT_CONTEXT, PrecisionContext, _rat_add, _rat_mul, fixed_dot,
+                       monomial_num)
 from .oracle import OracleConfig, oracle_eval
 from .sums import SumId
-from .symexpr import LOG2, SymExpr, _add_into, lambda_sym
+from .symexpr import LOG2, SymExpr, lambda_sym
 
 __all__ = [
     "Relation",
@@ -118,12 +119,28 @@ def _lambda_product(a: int, b: int) -> SymExpr:
 
 
 def _combination(*parts: tuple[Fraction | int, SymExpr]) -> SymExpr:
-    """sum of c * e over the (c, e) pairs, accumulated in one dict."""
+    """sum of c * e over the (c, e) pairs.
+
+    Each monomial's coefficient is summed as a reduced (numerator, denominator)
+    pair, one reduction per add, and becomes one Fraction at the end; a
+    monomial whose coefficients cancel is dropped, and if it comes back it is
+    put last, as SymExpr addition puts it.
+    """
     acc: dict = {}
     for c, e in parts:
-        if c:
-            _add_into(acc, ((m, c * v) for m, v in e.items()))
-    return SymExpr._of(acc)
+        if not c:
+            continue
+        cn, cd = c.numerator, c.denominator
+        for m, v in e.items():
+            n, d = _rat_mul(cn, cd, v.numerator, v.denominator)
+            s = acc.get(m)
+            if s is not None:
+                n, d = _rat_add(*s, n, d)
+                if not n:
+                    del acc[m]
+                    continue
+            acc[m] = (n, d)
+    return SymExpr._of({m: Fraction(n, d) for m, (n, d) in acc.items()})
 
 
 def gen_product_relation(k: int, l: int) -> Relation:

@@ -44,6 +44,10 @@ class Series(NamedTuple):
     power: int
     alternating: bool = False
 
+    @property
+    def weight(self) -> int:
+        return self.order + self.power
+
 
 class Family(NamedTuple):
     """One series family: its parameter names, series(*params), the shape of
@@ -60,8 +64,7 @@ class Family(NamedTuple):
         return min(params) >= 1 and (s.power >= 2 or s.alternating)
 
     def weight(self, *params: int) -> int:
-        s = self.series(*params)
-        return s.order + s.power
+        return self.series(*params).weight
 
 
 FAMILIES = {
@@ -177,11 +180,11 @@ class SumId(namedtuple("SumId", "family params")):
 
     @property
     def weight(self) -> int:
-        return FAMILIES[self.family].weight(*self.params)
+        return _series(self).weight
 
     @property
     def series(self) -> Series:
-        return FAMILIES[self.family].series(*self.params)
+        return _series(self)
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -191,3 +194,9 @@ class SumId(namedtuple("SumId", "family params")):
         return f"{self.family}({', '.join(map(str, self.params))})"
 
     __repr__ = __str__
+
+
+# one shared shape per id (a Series cannot change); a run names a few hundred ids
+@lru_cache(maxsize=4096)
+def _series(sid: SumId) -> Series:
+    return FAMILIES[sid.family].series(*sid.params)

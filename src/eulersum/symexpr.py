@@ -43,12 +43,26 @@ Rat = Union[Fraction, int]
 _ATOM_RANK = {"pi": 0, "log2": 1, "li4half": 2, "zeta": 3}
 
 
+# the one Atom per (kind, arg); never evicted, since two atoms of one (kind,
+# arg) would compare unequal.  It holds the atoms a process names, a few dozen.
+_ATOMS: dict[tuple[str, int], "Atom"] = {}
+
+
 class Atom:
-    """One basis constant: pi, log2, li4half, or zeta(s) with odd s >= 3."""
+    """One basis constant: pi, log2, li4half, or zeta(s) with odd s >= 3.
+
+    Atoms are interned: Atom(kind, arg) returns the one atom of that (kind,
+    arg), so atoms compare and hash by identity.
+    """
 
     __slots__ = ("kind", "arg")
 
-    def __init__(self, kind: str, arg: int = 0):
+    def __new__(cls, kind: str, arg: int = 0):
+        if type(arg) is not int:
+            raise ValueError(f"atom argument must be an integer, got {arg!r}")
+        atom = _ATOMS.get((kind, arg))
+        if atom is not None:
+            return atom
         if kind not in _ATOM_RANK:
             raise ValueError(f"unknown atom kind {kind!r}")
         if kind == "zeta":
@@ -56,14 +70,16 @@ class Atom:
                 raise ValueError(f"zeta atom needs odd argument >= 3, got {arg}")
         elif arg != 0:
             raise ValueError(f"{kind} atom takes no argument")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "arg", arg)
+        atom = object.__new__(cls)
+        object.__setattr__(atom, "kind", kind)
+        object.__setattr__(atom, "arg", arg)
+        return _ATOMS.setdefault((kind, arg), atom)
 
     def __setattr__(self, *a):
         raise AttributeError("Atom is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through the constructor, as __setattr__ refuses slot state
+        # pickle and copy rebuild through the constructor, so they return the interned atom
         return Atom, (self.kind, self.arg)
 
     @property
@@ -80,14 +96,8 @@ class Atom:
     def name(self) -> str:
         return f"zeta({self.arg})" if self.kind == "zeta" else self.kind
 
-    def __eq__(self, other):
-        return isinstance(other, Atom) and self.kind == other.kind and self.arg == other.arg
-
     def __lt__(self, other):
         return self.sort_key < other.sort_key
-
-    def __hash__(self):
-        return hash((self.kind, self.arg))
 
     def __repr__(self):
         return f"Atom({self.name})"

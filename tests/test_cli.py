@@ -378,6 +378,8 @@ GOLDEN = Path(__file__).parent / "golden"
      ["oracle", "--family", "AltTildeH", "--a", "1", "--tol", "1e-300", "--bits", "1100"]),
     ("oracle_E2-3_1e-100_512.txt",
      ["oracle", "--family", "E", "--p", "2", "--q", "3", "--tol", "1e-100", "--bits", "512"]),
+    ("solve_20_192.txt", ["solve", "--weight", "20", "--bits", "192"]),
+    ("verify_3-10_1e-20_256.txt", ["verify", "--weight", "3..10", "--tol", "1e-20", "--bits", "256"]),
 ])
 def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # every printed digit and bound: values as mpmath.libmp prints them, bounds
@@ -391,7 +393,9 @@ def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # alternating weighted head and the remainder-split head, each of 2,048
     # terms) before the heads divided each weight by base^s; the tilde head at
     # 1,100 bits and the remainder split of kind H2N before the split took the
-    # outer sign and summed the tilde sum
+    # outer sign and summed the tilde sum; solve at weight 20 and verify at
+    # weights 3..10 before atoms were interned and the relations' right-hand
+    # sides were summed on integer pairs
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()
@@ -424,6 +428,21 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("mpmath", "dataclasse
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_closed_stdout_exits_141_and_prints_nothing_on_stderr():
+    # stdout is a pipe whose read end is closed before the run, as when a
+    # reader such as head has exited
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "eulersum.cli", "solve", "--weight", "20", "--bits", "192"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def _commands(parser):

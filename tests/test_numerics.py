@@ -247,7 +247,7 @@ def test_every_module_cache_is_bounded():
             "oracle._expansion", "oracle._weight_expansion", "oracle._harmonic_floats", "oracle._order_screen",
             "oracle._cached",
             "exact._prefixes",
-            "relations._lambda_product", "sums.SumId.sigma"} <= set(caches)
+            "relations._lambda_product", "sums.SumId.sigma", "sums._series"} <= set(caches)
     assert all(size is not None for size in caches.values()), caches
 
 

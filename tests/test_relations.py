@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulersum import closedform as cf
 from eulersum import (
@@ -18,9 +19,9 @@ from eulersum import (
     solve_weight,
     verify_sum_theorem,
 )
-from eulersum.relations import tabulated_sigma_values
+from eulersum.relations import _combination, tabulated_sigma_values
 from eulersum.sums import SumId
-from eulersum.symexpr import LOG2, SymExpr, lambda_sym
+from eulersum.symexpr import LOG2, PI, SymExpr, lambda_sym, odd_zeta
 
 
 def test_product_relation_2_2():
@@ -276,6 +277,28 @@ def test_sum_theorem_rejects_small_weight(ctx, cfg):
         verify_sum_theorem(2, ctx, cfg)
 
 
+_MONOS = [(), ((LOG2, 1),), ((PI, 2),), ((PI, 2), (odd_zeta(3), 1)), ((odd_zeta(5), 1),)]
+_coeff = st.integers(-6, 6) | st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+_expr = st.dictionaries(st.sampled_from(_MONOS), st.builds(F, st.integers(-4, 4), st.integers(1, 4)),
+                        min_size=1, max_size=4).map(SymExpr)
+# each drawn pair, and with a flag also its negation, so that monomials cancel and come back
+_parts = st.lists(st.tuples(_coeff, _expr, st.booleans()), max_size=6).map(
+    lambda drawn: [p for c, e, cancel in drawn for p in ([(c, e), (-c, e)] if cancel else [(c, e)])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=_parts)
+def test_combination_matches_the_sum_of_scaled_expressions(parts):
+    got = _combination(*parts)
+    want = SymExpr.zero()
+    for c, e in parts:
+        want = want + e.scaled(c)
+    assert got == want
+    assert all(type(c) is F and c for _, c in got.items())
+    # the monomials in the order SymExpr addition leaves them
+    assert [m for m, _ in got.items()] == [m for m, _ in want.items()]
+
+
 def _rebuilt_relations(w):
     """relations_for_weight(w) written out from the formulas, with every
     lambda(a) lambda(b) product multiplied afresh and every id built anew."""
@@ -326,12 +349,14 @@ def test_closed_forms_and_relations_survive_pickle_and_deepcopy():
     import copy
     import pickle
 
-    from eulersum.symexpr import PI, odd_zeta, zeta_sym
+    from eulersum.symexpr import Atom, zeta_sym
 
     rel = Relation({SumId.J(3): 2, SumId.sigma(2, 2): F(-1, 3)}, zeta_sym(3) + lambda_sym(3) * SymExpr.atom(LOG2))
     for x in (PI, odd_zeta(5), zeta_sym(5), rel.rhs, rel):
         for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
             assert type(y) is type(x) and y == x
             assert x is rel or hash(y) == hash(x)
+            # atoms are interned, so a copy of one is the atom itself
+            assert y is x or not isinstance(x, Atom)
     again = pickle.loads(pickle.dumps(rel))
     assert again.residual(PrecisionContext(192)) == rel.residual(PrecisionContext(192))

@@ -29,6 +29,30 @@ def test_atom_validation():
         Atom("nope")
 
 
+def test_atoms_are_interned():
+    import copy
+    import pickle
+
+    from eulersum import symexpr
+
+    assert Atom("zeta", 5) is odd_zeta(5)
+    assert Atom("pi") is PI
+    for x in (odd_zeta(5), PI):
+        assert pickle.loads(pickle.dumps(x)) is x and copy.copy(x) is x and copy.deepcopy(x) is x
+    ((mono, _),) = (zeta_sym(5) * lambda_sym(2)).items()
+    assert copy.copy(mono) is mono and copy.deepcopy(mono) is mono
+    again = pickle.loads(pickle.dumps(mono))
+    assert again == mono and all(b is a for (a, _), (b, _) in zip(mono, again))
+    before = set(symexpr._ATOMS)
+    for kind, arg in (("nope", 0), ("zeta", 4), ("pi", 1), ("zeta", 5.0), ("pi", False)):
+        with pytest.raises(ValueError):
+            Atom(kind, arg)
+    assert set(symexpr._ATOMS) == before
+    n = len(symexpr._ATOMS)
+    assert all(odd_zeta(7) is odd_zeta(7) for _ in range(1000))
+    assert len(symexpr._ATOMS) <= n + 1
+
+
 def test_atom_canonical_order():
     atoms = [odd_zeta(5), LI4_HALF, odd_zeta(3), LOG2, PI]
     assert sorted(atoms) == [PI, LOG2, LI4_HALF, odd_zeta(3), odd_zeta(5)]
