@@ -412,6 +412,12 @@ def test_demo_stdout_matches_the_frozen_output(capsys, demo):
     assert capsys.readouterr().out == (GOLDEN / f"demo_{demo}.txt").read_text()
 
 
+def _package_env():
+    """The environment of a child interpreter that imports this package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def test_the_cli_runs_without_mpmath_dataclasses_or_inspect():
     script = """
 import contextlib, io, sys
@@ -423,9 +429,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert rcs == [0, 0, 0], rcs
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("mpmath", "dataclasses", "inspect")))
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_package_env(),
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -433,13 +438,11 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("mpmath", "dataclasse
 def test_a_closed_stdout_exits_141_and_prints_nothing_on_stderr():
     # stdout is a pipe whose read end is closed before the run, as when a
     # reader such as head has exited
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, "-m", "eulersum.cli", "solve", "--weight", "20", "--bits", "192"],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+                              stdout=write_end, stderr=subprocess.PIPE, env=_package_env(), timeout=300)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (141, b"")
