@@ -1,10 +1,13 @@
 """Command-line surface: eval, oracle, verify, solve, table.
 
-Output is a single JSON document on stdout (schema "eulersum/1"), rendered
-human-readable with --pretty / --format pretty, or as TSV for table.  Exit
-codes: 0 success, 1 usage error, 2 verification failure, 3 oracle budget
-exhaustion, 141 stdout closed early.  EULERSUM_DEFAULT_BITS is honored when
---bits is absent.
+One pipeline in run serves every command: it parses the argv, builds the
+precision context (--bits, else EULERSUM_DEFAULT_BITS, else 192 bits), runs the
+command and prints its document (schema "eulersum/1") on stdout: as one JSON
+line, or with --format pretty as indented JSON, verify's check lines or
+table's TSV (which --format tsv also prints).  --pretty sets --format pretty;
+of the two flags the later one wins.  Exit codes: 0 success, 1 usage error,
+2 verification failure or precision exhausted, 3 oracle budget exhaustion,
+141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -20,12 +23,14 @@ from functools import lru_cache
 from typing import Optional
 
 from . import closedform, relations
-from .numerics import BigReal, PrecisionContext, PrecisionExhausted, eval_sym
+from .numerics import PrecisionContext, PrecisionExhausted, eval_sym
 from .oracle import BudgetExhausted, OracleConfig, oracle_eval
 from .sums import FAMILIES, SumId
 from .symexpr import SymExpr, lambda_sym
 
 SCHEMA = "eulersum/1"
+# the fields of a table row, in JSON and TSV order
+_ROW_KEYS = ("params", "symbolic", "numeric", "bound")
 # every family's parameter names, each once, in registry order
 _PARAM_FLAGS = tuple(dict.fromkeys(n for fam in FAMILIES.values() for n in fam.params))
 
@@ -72,7 +77,8 @@ def _build_parser(command: Optional[str] = None) -> _Parser:
     def add_common(sp, tol_default=None, formats=("json", "pretty")):
         sp.add_argument("--bits", type=int, default=None, help="working precision in bits (>= 64)")
         sp.add_argument("--format", choices=formats, default="json")
-        sp.add_argument("--pretty", action="store_true", help="same as --format pretty")
+        sp.add_argument("--pretty", dest="format", action="store_const", const="pretty",
+                        help="same as --format pretty")
         if tol_default is not None:
             sp.add_argument("--tol", type=_tolerance, default=tol_default)
             sp.add_argument("--max-terms", type=int, default=10**7, dest="max_terms")
@@ -119,6 +125,10 @@ def _context(args) -> PrecisionContext:
         raise _UsageError(f"EULERSUM_DEFAULT_BITS={raw!r}: {e}")
 
 
+def _config(args) -> OracleConfig:
+    return OracleConfig(target_tolerance=args.tol, max_terms=args.max_terms)
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -130,25 +140,22 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _sum_id(args, ranged_ok: bool = False):
-    """Build a SumId from --family plus its parameter flags.
-
-    With ranged_ok, exactly one parameter may be a range lo..hi; returns
-    (template values, ranged name, lo, hi).
-    """
+def _params(args, ranged_ok: bool = False) -> tuple[dict[str, int], tuple[str, int, int]]:
+    """The values of --family's parameter flags, in the family's order, and
+    (name, lo, hi) of the one parameter given as a range lo..hi (allowed only
+    with ranged_ok; its value is lo), else of the first parameter, lo == hi."""
     names = FAMILIES[args.family].params
-    vals: dict[str, object] = {}
+    vals: dict[str, int] = {}
     ranged: Optional[tuple[str, int, int]] = None
     for name in names:
         raw = getattr(args, name)
         if raw is None:
             raise _UsageError(f"family {args.family} needs --{name}")
-        if ranged_ok and ".." in str(raw):
+        if ranged_ok and ".." in raw:
             if ranged is not None:
                 raise _UsageError("only one parameter may be a range")
-            lo, hi = _parse_range(str(raw))
-            ranged = (name, lo, hi)
-            vals[name] = lo
+            ranged = (name, *_parse_range(raw))
+            vals[name] = ranged[1]
         else:
             try:
                 vals[name] = int(raw)
@@ -157,12 +164,11 @@ def _sum_id(args, ranged_ok: bool = False):
     extra = [n for n in _PARAM_FLAGS if getattr(args, n) is not None and n not in names]
     if extra:
         raise _UsageError(f"family {args.family} does not take --{extra[0]}")
-    if ranged_ok:
-        return vals, ranged
-    try:
-        return SumId(args.family, *(vals[n] for n in names))
-    except ValueError as e:
-        raise _UsageError(str(e))
+    return vals, ranged or (names[0], vals[names[0]], vals[names[0]])
+
+
+def _sum_id(args) -> SumId:
+    return SumId(args.family, *_params(args)[0].values())
 
 
 def _bound(x: float, digits: int = 4) -> str:
@@ -185,71 +191,83 @@ def _sym_json(e: SymExpr) -> dict:
     return {"terms": e.to_json(), "string": str(e), "weight": e.homogeneous_weight()}
 
 
-def _num_json(v: BigReal) -> dict:
-    return {"value": v.decimal(), "bound": v.err_decimal(), "digits": v.certified_digits()}
-
-
-def _emit(doc: dict, args) -> None:
-    if args.format == "pretty" or args.pretty:
-        _pretty(doc)
-    else:
-        print(json.dumps(doc))
-
-
-def _pretty(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
-
-
-def _tsv(doc: dict) -> None:
-    print("params\tsymbolic\tnumeric\tbound")
-    for r in doc["rows"]:
-        print(f"{r['params']}\t{r['symbolic']}\t{r['numeric']}\t{r['bound']}")
+def _id_fields(sid: SumId) -> dict:
+    return {
+        "family": sid.family,
+        "params": dict(zip(sid.param_names, sid.params)),
+        "weight": sid.weight,
+    }
 
 
 # -- commands -----------------------------------------------------------------
+#
+# Each takes the parsed args and the precision context and returns the fields
+# of its document after "command", and the lines that --format pretty (and
+# tsv) print in place of the JSON, or None to print the JSON indented.
 
 
-def _cmd_eval(args) -> int:
-    ctx = _context(args)
+def _cmd_eval(args, ctx):
     sid = _sum_id(args)
     expr = closedform.closed_form_for(sid)
     if expr is None:
-        print(f"no known closed form for {sid}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"no known closed form for {sid}")
     val = eval_sym(expr, ctx)
-    doc = {
-        "schema": SCHEMA,
-        "command": "eval",
-        "family": sid.family,
-        "params": dict(zip(sid.param_names, sid.params)),
-        "weight": sid.weight,
+    return {
+        **_id_fields(sid),
         "symbolic": _sym_json(expr),
-        "numeric": _num_json(val),
+        "numeric": {"value": val.decimal(), "bound": val.err_decimal(), "digits": val.certified_digits()},
         "bits": ctx.working_bits,
-    }
-    _emit(doc, args)
-    return 0
+    }, None
 
 
-def _cmd_oracle(args) -> int:
-    ctx = _context(args)
+def _cmd_oracle(args, ctx):
     sid = _sum_id(args)
-    cfg = OracleConfig(target_tolerance=args.tol, max_terms=args.max_terms)
-    res = oracle_eval(sid, cfg, ctx)
-    doc = {
-        "schema": SCHEMA,
-        "command": "oracle",
-        "family": sid.family,
-        "params": dict(zip(sid.param_names, sid.params)),
-        "weight": sid.weight,
+    res = oracle_eval(sid, _config(args), ctx)
+    return {
+        **_id_fields(sid),
         "value": res.value.decimal(),
         "bound": _bound(res.achieved_bound),
         "terms": res.terms_used,
         "tolerance": args.tol,
         "bits": ctx.working_bits,
-    }
-    _emit(doc, args)
-    return 0
+    }, None
+
+
+def _identities():
+    """Yield (name, lhs, rhs) for each exact structural identity verify checks."""
+    for a in range(1, 6):
+        yield (
+            f"jordan-even-two-forms a={a}",
+            closedform.jordan_even(a),
+            closedform.jordan_even_zeta_form(a),
+        )
+        yield (
+            f"reflection-consistency a={a}",
+            closedform.jordan_bar_even(a) - closedform.jordan_even(a).scaled(Fraction(1, 4**a)),
+            closedform.jordan_reflection(2 * a),
+        )
+    yield (
+        "reflection-consistency b=3",
+        closedform.jordan_bar_3() + closedform.jordan_3().scaled(Fraction(1, 8)),
+        closedform.jordan_reflection(3),
+    )
+    for a in range(2, 6):
+        yield (
+            f"sigma-zetastar-E-triangle a={a}",
+            closedform.sigma_odd_2(a) + closedform.zeta_star_odd_2(a).scaled(Fraction(1, 4)),
+            closedform.e_2_odd(a),
+        )
+    yield (
+        "weight4-split",
+        closedform.jordan_3() + closedform.sigma_special(2, 2),
+        closedform.sigma_weight_sum(4),
+    )
+    for n in range(2, 11):
+        yield (
+            f"lambda-convolution n={n}",
+            sum((lambda_sym(2 * j) * lambda_sym(2 * n - 2 * j) for j in range(1, n)), SymExpr.zero()),
+            lambda_sym(2 * n).scaled(Fraction(2 * n - 1, 2)),
+        )
 
 
 def _verify_checks(args, ctx, cfg):
@@ -259,45 +277,8 @@ def _verify_checks(args, ctx, cfg):
 
     # exact structural identities (independent of scope weight, cheap)
     if fam is None:
-        for a in range(1, 6):
-            yield (
-                f"jordan-even-two-forms a={a}",
-                closedform.jordan_even(a) == closedform.jordan_even_zeta_form(a),
-                "exact",
-            )
-            yield (
-                f"reflection-consistency a={a}",
-                closedform.jordan_bar_even(a) - closedform.jordan_even(a).scaled(Fraction(1, 4**a))
-                == closedform.jordan_reflection(2 * a),
-                "exact",
-            )
-        yield (
-            "reflection-consistency b=3",
-            closedform.jordan_bar_3() + closedform.jordan_3().scaled(Fraction(1, 8))
-            == closedform.jordan_reflection(3),
-            "exact",
-        )
-        for a in range(2, 6):
-            yield (
-                f"sigma-zetastar-E-triangle a={a}",
-                closedform.sigma_odd_2(a) + closedform.zeta_star_odd_2(a).scaled(Fraction(1, 4))
-                == closedform.e_2_odd(a),
-                "exact",
-            )
-        yield (
-            "weight4-split",
-            closedform.jordan_3() + closedform.sigma_special(2, 2) == closedform.sigma_weight_sum(4),
-            "exact",
-        )
-        for n in range(2, 11):
-            lhs = SymExpr.zero()
-            for j in range(1, n):
-                lhs = lhs + lambda_sym(2 * j) * lambda_sym(2 * n - 2 * j)
-            yield (
-                f"lambda-convolution n={n}",
-                lhs == lambda_sym(2 * n).scaled(Fraction(2 * n - 1, 2)),
-                "exact",
-            )
+        for name, lhs, rhs in _identities():
+            yield name, lhs == rhs, "exact"
 
     # closed form vs oracle
     for sid in closedform.known_closed_form_ids(min(w_hi, 11)):
@@ -326,42 +307,29 @@ def _verify_checks(args, ctx, cfg):
             )
 
 
-def _cmd_verify(args) -> int:
-    ctx = _context(args)
-    cfg = OracleConfig(target_tolerance=args.tol, max_terms=args.max_terms)
-    checks = []
-    failed = 0
-    for name, ok, measure in _verify_checks(args, ctx, cfg):
-        checks.append({"name": name, "status": "pass" if ok else "FAIL", "measure": measure})
-        failed += 0 if ok else 1
-    doc = {
-        "schema": SCHEMA,
-        "command": "verify",
+def _cmd_verify(args, ctx):
+    checks = [
+        {"name": name, "status": "pass" if ok else "FAIL", "measure": measure}
+        for name, ok, measure in _verify_checks(args, ctx, _config(args))
+    ]
+    failed = sum(c["status"] == "FAIL" for c in checks)
+    lines = [f"[{c['status']:4s}] {c['name']}  ({c['measure']})" for c in checks]
+    return {
         "tolerance": args.tol,
         "bits": ctx.working_bits,
         "passed": len(checks) - failed,
         "failed": failed,
         "checks": checks,
-    }
-    if args.format == "pretty" or args.pretty:
-        for c in checks:
-            print(f"[{c['status']:4s}] {c['name']}  ({c['measure']})")
-        print(f"passed {len(checks) - failed} / {len(checks)}")
-    else:
-        _emit(doc, args)
-    return 0 if failed == 0 else 2
+    }, [*lines, f"passed {len(checks) - failed} / {len(checks)}"]
 
 
-def _cmd_solve(args) -> int:
-    ctx = _context(args)
-    cfg = OracleConfig(target_tolerance=args.tol, max_terms=args.max_terms)
+def _cmd_solve(args, ctx):
+    cfg = _config(args)
     lo, hi = _parse_range(args.weight)
     if lo != hi:
         raise _UsageError("solve takes a single weight")
     rep = relations.solve_weight(lo, ctx=ctx, cfg=cfg)
-    doc = {
-        "schema": SCHEMA,
-        "command": "solve",
+    return {
         "weight": rep.weight,
         "rank": rep.rank,
         "relations": rep.relations_used,
@@ -373,56 +341,33 @@ def _cmd_solve(args) -> int:
         "inconsistent_rows": rep.inconsistent,
         "residuals": [[i, f"{r:.3e}"] for i, r in rep.residual_checks],
         "bits": ctx.working_bits,
-    }
-    _emit(doc, args)
-    return 0
+    }, None
 
 
-def _cmd_table(args) -> int:
-    ctx = _context(args)
-    cfg = OracleConfig(target_tolerance=args.tol, max_terms=args.max_terms)
-    vals, ranged = _sum_id(args, ranged_ok=True)
-    names = FAMILIES[args.family].params
-    if ranged is None:
-        name0 = names[0]
-        ranged = (name0, int(vals[name0]), int(vals[name0]))
-    rname, lo, hi = ranged
+def _cmd_table(args, ctx):
+    cfg = _config(args)
+    vals, (rname, lo, hi) = _params(args, ranged_ok=True)
     rows = []
     for x in range(lo, hi + 1):
         vals[rname] = x
         try:
-            sid = SumId(args.family, *(int(vals[n]) for n in names))
+            sid = SumId(args.family, *vals.values())
         except ValueError:
             continue
         expr = closedform.closed_form_for(sid)
-        params = ",".join(f"{n}={vals[n]}" for n in names)
+        params = ",".join(f"{n}={vals[n]}" for n in vals)
         if expr is not None:
             v = eval_sym(expr, ctx)
-            rows.append(
-                {"params": params, "symbolic": str(expr), "numeric": v.decimal(), "bound": v.err_decimal()}
-            )
+            row = (params, str(expr), v.decimal(), v.err_decimal())
         else:
             res = oracle_eval(sid, cfg, ctx)
-            rows.append(
-                {
-                    "params": params,
-                    "symbolic": "",
-                    "numeric": res.value.decimal(),
-                    "bound": _bound(res.achieved_bound),
-                }
-            )
-    doc = {
-        "schema": SCHEMA,
-        "command": "table",
+            row = (params, "", res.value.decimal(), _bound(res.achieved_bound))
+        rows.append(dict(zip(_ROW_KEYS, row)))
+    return {
         "family": args.family,
         "rows": rows,
         "bits": ctx.working_bits,
-    }
-    if args.format == "json" and not args.pretty:
-        print(json.dumps(doc))
-    else:
-        _tsv(doc)
-    return 0
+    }, ["\t".join(_ROW_KEYS), *("\t".join(r.values()) for r in rows)]
 
 
 _COMMANDS = {"eval": _cmd_eval, "oracle": _cmd_oracle, "verify": _cmd_verify,
@@ -434,7 +379,7 @@ def run(argv: list[str]) -> int:
     parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        fields, lines = _COMMANDS[args.command](args, _context(args))
     except (_UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -444,6 +389,14 @@ def run(argv: list[str]) -> int:
     except BudgetExhausted as e:
         print(f"error: oracle budget exhausted: {e}", file=sys.stderr)
         return 3
+    doc = {"schema": SCHEMA, "command": args.command, **fields}
+    if args.format == "json":
+        print(json.dumps(doc))
+    elif lines is None:
+        print(json.dumps(doc, indent=2))
+    else:
+        print("\n".join(lines))
+    return 2 if doc.get("failed") else 0  # only verify counts failures
 
 
 def main() -> None:

@@ -47,9 +47,7 @@ def test_eval_is_deterministic(capsys):
 
 
 def test_eval_no_closed_form_is_usage_error(capsys):
-    rc, out, err = _run(capsys, "eval", "--family", "J", "--b", "5")
-    assert rc == 1
-    assert "closed form" in err
+    assert _run(capsys, "eval", "--family", "J", "--b", "5") == (1, "", "error: no known closed form for J(5)\n")
 
 
 def test_unknown_family_exits_1(capsys):
@@ -118,7 +116,7 @@ def test_oracle_budget_exhaustion_exits_3(capsys):
         capsys, "oracle", "--family", "sigma", "--s", "2", "--t", "2",
         "--tol", "1e-20", "--max-terms", "8",
     )
-    assert rc == 3
+    assert rc == 3 and out == ""
     assert "budget" in err
 
 
@@ -380,6 +378,14 @@ GOLDEN = Path(__file__).parent / "golden"
      ["oracle", "--family", "E", "--p", "2", "--q", "3", "--tol", "1e-100", "--bits", "512"]),
     ("solve_20_192.txt", ["solve", "--weight", "20", "--bits", "192"]),
     ("verify_3-10_1e-20_256.txt", ["verify", "--weight", "3..10", "--tol", "1e-20", "--bits", "256"]),
+    ("verify_3-4_1e-20_256_pretty.txt",
+     ["verify", "--weight", "3..4", "--tol", "1e-20", "--bits", "256", "--pretty"]),
+    ("table_J_b2-5_192_tsv.txt", ["table", "--family", "J", "--b", "2..5", "--bits", "192", "--format", "tsv"]),
+    ("table_h_q2-4_192_pretty.txt", ["table", "--family", "h", "--q", "2..4", "--bits", "192", "--pretty"]),
+    ("eval_J3_256_pretty.txt", ["eval", "--family", "J", "--b", "3", "--bits", "256", "--format", "pretty"]),
+    ("solve_7_192_pretty.txt", ["solve", "--weight", "7", "--bits", "192", "--pretty"]),
+    ("oracle_sigma2-3_1e-20_192_pretty.txt",
+     ["oracle", "--family", "sigma", "--s", "2", "--t", "3", "--tol", "1e-20", "--bits", "192", "--format", "pretty"]),
 ])
 def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # every printed digit and bound: values as mpmath.libmp prints them, bounds
@@ -395,7 +401,9 @@ def test_stdout_matches_the_frozen_output(capsys, name, argv):
     # 1,100 bits and the remainder split of kind H2N before the split took the
     # outer sign and summed the tilde sum; solve at weight 20 and verify at
     # weights 3..10 before atoms were interned and the relations' right-hand
-    # sides were summed on integer pairs
+    # sides were summed on integer pairs; the text renderings (verify's check
+    # lines, table's TSV, the indented JSON of the others) before every command
+    # printed through one pipeline
     rc, out, _ = _run(capsys, *argv)
     assert rc == 0
     assert out == (GOLDEN / name).read_text()
@@ -483,3 +491,36 @@ def test_usage_errors_read_as_from_the_full_parser(capsys, monkeypatch, line):
     monkeypatch.setattr(cli, "_build_parser", lambda command=None: full)
     assert (rc, out, err) == _run(capsys, *argv)
     assert rc == 1 and not out and err.startswith("error: ")
+
+
+_ONE_OF_EACH = [
+    ["eval", "--family", "J", "--b", "3", "--bits", "128"],
+    ["oracle", "--family", "J", "--b", "2", "--bits", "128"],
+    ["verify", "--family", "Z", "--weight", "3..5", "--bits", "128"],
+    ["solve", "--weight", "5", "--bits", "128"],
+    ["table", "--family", "h", "--q", "2..4", "--bits", "128"],
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_OF_EACH, ids=lambda argv: argv[0])
+def test_pretty_is_format_pretty_and_the_later_flag_wins(capsys, argv):
+    # --pretty stores "pretty" in --format's setting, so a repeated setting
+    # follows its last flag, as every argparse option does
+    assert not hasattr(cli._build_parser(argv[0]).parse_args(argv + ["--pretty"]), "pretty")
+    pretty, plain = _run(capsys, *argv, "--pretty"), _run(capsys, *argv)
+    assert pretty == _run(capsys, *argv, "--format", "pretty") == _run(capsys, *argv, "--format", "json", "--pretty")
+    assert plain == _run(capsys, *argv, "--pretty", "--format", "json")
+    assert pretty[0] == plain[0] == 0 and pretty[1] != plain[1]
+    assert json.loads(plain[1])["command"] == argv[0]
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("oracle --family J --b 2 --tol 0", (1, "", "error: target_tolerance must be positive\n")),
+    ("oracle --family J --b 2 --max-terms 0", (1, "", "error: max_terms must be positive\n")),
+    ("solve --weight 3..4", (1, "", "error: solve takes a single weight\n")),
+    ("solve --weight 2", (1, "", "error: weight must be >= 3, got 2\n")),
+    ("table --family J --b 3..2", (1, "", "error: empty range '3..2'\n")),
+    ("verify --weight 3..a", (1, "", "error: invalid literal for int() with base 10: 'a'\n")),
+])
+def test_an_error_in_a_command_prints_one_line_and_nothing_on_stdout(capsys, line, expected):
+    assert _run(capsys, *line.split()) == expected
